@@ -18,14 +18,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import convergence_sweep, independence_condition_check, joint_exceedance_decay
-from .errors import (
-    CevError,
-    ConfigError,
-    ConstructionError,
-    DomainError,
-    NumericError,
-    UnsupportedModelError,
-)
+from .errors import CevError, ConfigError, NumericError
 from .limits import LimitLaw, second_order_conditional, survival_x_asymptotic
 from .model import (
     MixtureModel,
@@ -92,8 +85,15 @@ def _fmt_cell(v):
     return str(v)
 
 
+def _open_output(path):
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}")
+
+
 def _write_csv(path, metadata, header, rows):
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         for key, value in metadata.items():
             fh.write(f"# {key}={value}\n")
         fh.write(",".join(header) + "\n")
@@ -102,7 +102,7 @@ def _write_csv(path, metadata, header, rows):
 
 
 def _write_json(path, metadata, body):
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         json.dump({"meta": metadata, **body}, fh, indent=2)
         fh.write("\n")
 
@@ -130,12 +130,23 @@ def _split_config(data):
         if extra:
             raise ConfigError(f"unknown config keys next to 'mixture': {sorted(extra)}")
         mix = data["mixture"]
-        allowed = {"p", "rho", "tau_mix", "cone"}
-        bad = set(mix) - allowed
+        if not isinstance(mix, dict):
+            raise ConfigError("'mixture' must be a JSON object")
+        bad = set(mix) - {"p", "rho", "tau_mix", "cone"}
         if bad:
             raise ConfigError(f"unknown mixture keys: {sorted(bad)}")
-        cone = tuple(mix["cone"]) if "cone" in mix else None
-        return None, MixtureModel(p=mix["p"], rho=mix["rho"], tau_mix=mix["tau_mix"], cone=cone), seed
+        missing = {"p", "rho", "tau_mix"} - set(mix)
+        if missing:
+            raise ConfigError(f"mixture config lacks the keys {sorted(missing)}")
+        cone = mix.get("cone")
+        if cone is not None and not (isinstance(cone, list) and len(cone) == 2):
+            raise ConfigError("mixture cone must be a list [c1, c2]")
+        try:
+            mixture = MixtureModel(p=mix["p"], rho=mix["rho"], tau_mix=mix["tau_mix"],
+                                   cone=None if cone is None else tuple(cone))
+        except TypeError as exc:
+            raise ConfigError(f"mixture parameters must be numbers: {exc}")
+        return None, mixture, seed
     return model_from_dict(data), None, seed
 
 
@@ -441,9 +452,6 @@ def run(argv=None):
         payload = exc.payload() if hasattr(exc, "payload") else {"error": str(exc)}
         print(json.dumps(payload), file=sys.stderr)
         return 2
-    except (ConfigError, ConstructionError, DomainError, UnsupportedModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except CevError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

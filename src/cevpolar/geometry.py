@@ -84,8 +84,8 @@ class CurveGerm:
         self.t_at_vstar = float(t_at_vstar)
         if not self.v_star > self.rho:
             raise ConstructionError("the maximum of v must exceed rho = v(t0)")
-        self._zeros_u = refine_zeros(lambda t: float(u_fn(t)), 0.0, 1.0)
-        self._zeros_v = refine_zeros(lambda t: float(v_fn(t)), 0.0, 1.0)
+        self._zeros_u = refine_zeros(u_fn, 0.0, 1.0)
+        self._zeros_v = refine_zeros(v_fn, 0.0, 1.0)
         self._invert_lo, self._invert_hi = self._monotone_branch_ends()
 
     def _monotone_branch_ends(self):
@@ -190,12 +190,6 @@ class CurveGerm:
         pts.update(self._zeros_v)
         pts.update(self._kinks)
         return sorted(p for p in pts if 0.0 <= p <= 1.0)
-
-    def zeros_of_u(self):
-        return list(self._zeros_u)
-
-    def zeros_of_v(self):
-        return list(self._zeros_v)
 
     def to_dict(self):
         return {"kind": self.kind, "params": dict(self.params)}
@@ -555,7 +549,7 @@ def check_angular_normalization(law, tol=1e-10):
     """Quadrature check that the density integrates to one."""
     singular = [law.t0] if (law.t0 is not None and law.tau < 0.0) else []
     total = integrate_with_breakpoints(
-        lambda t: float(law.density(t)), 0.0, 1.0,
+        law.density, 0.0, 1.0,
         breakpoints=law.breakpoints(), abs_scale=1.0, singular_points=singular,
     )
     if abs(total - 1.0) > tol:
@@ -563,12 +557,19 @@ def check_angular_normalization(law, tol=1e-10):
     return total
 
 
+def _params(data, what):
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise ConstructionError(f"{what} params must be a mapping")
+    return dict(params)
+
+
 def curve_from_dict(data):
     try:
         kind = data["kind"]
     except (TypeError, KeyError):
         raise ConstructionError("curve spec must be a mapping with a 'kind' entry")
-    params = dict(data.get("params", {}))
+    params = _params(data, "curve")
     extra = set(data) - {"kind", "params"}
     if extra:
         raise ConstructionError(f"unknown curve keys: {sorted(extra)}")
@@ -586,7 +587,7 @@ def angular_from_dict(data):
         kind = data["kind"]
     except (TypeError, KeyError):
         raise ConstructionError("angular spec must be a mapping with a 'kind' entry")
-    params = dict(data.get("params", {}))
+    params = _params(data, "angular")
     if kind == "uniform":
         if params:
             raise ConstructionError("uniform angular law takes no parameters")

@@ -248,29 +248,56 @@ def _v_level_hints(model, y):
     hints = []
     for omega in (4.0, 45.0):
         level = y / (r0 + omega * psi)
-        hints.extend(refine_zeros(lambda s: float(curve.v(s)) - level, 0.0, 1.0, n_scan=513))
+        hints.extend(refine_zeros(lambda s: curve.v(s) - level, 0.0, 1.0, n_scan=513))
     return hints
 
 
 def _crossing_hints(model, x, y):
     """Parameters where x/u(t) and y/v(t) swap order (integrand kinks)."""
     curve = model.curve
-    ts = np.linspace(0.0, 1.0, 1025)
-    d = x * np.asarray(curve.v(ts), dtype=float) - y * np.asarray(curve.u(ts), dtype=float)
-    out = []
-    for i in range(len(ts) - 1):
-        if d[i] == 0.0:
-            out.append(float(ts[i]))
-        elif d[i] * d[i + 1] < 0.0:
-            lo, hi = ts[i], ts[i + 1]
-            fn = lambda s: x * float(curve.v(s)) - y * float(curve.u(s))
-            out.append(bisect_monotone(fn, lo, hi, xtol=1e-14))
-    return out
+    return refine_zeros(lambda s: x * curve.v(s) - y * curve.u(s), 0.0, 1.0)
 
 
-def _oracle_integrate(model, integrand, x, extra_breaks=()):
+def _radial_level(num, den):
+    """Radius num/den needed to pass a level along the curve; +inf where den <= 0."""
+    pos = den > 0.0
+    return np.where(pos, num / np.where(pos, den, 1.0), np.inf)
+
+
+def _survival(radial, level):
+    """Radial survival at each level, exactly 0 at the level +inf."""
+    never = level == np.inf
+    return np.where(never, 0.0, radial.survival(np.where(never, 0.0, level)))
+
+
+def _band_integrand(model, x, y, above):
+    """Array integrand of P(X > x, Y > y) (``above``) or of P(X > x, Y <= y).
+
+    At curve parameter t the event X > x is R > ru = x/u(t), and Y > y is
+    R > y/v(t) when v(t) > 0, R < y/v(t) when v(t) < 0, and all R or none
+    when v(t) = 0.  The event is a band lo < R < hi of radii; the integrand
+    is (S(lo) - S(hi)) g(t), with S(inf) = 0 for an empty band.  Both
+    probabilities are complements within R > ru node by node.
+    """
+    curve, ang, radial = model.curve, model.angular, model.radial
+
+    def integrand(t):
+        v = curve.v(t)
+        ru = _radial_level(x, curve.u(t))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            split = np.maximum(ru, y / v)  # only read where v != 0
+        upper = v > 0.0 if above else v < 0.0   # event: R > split
+        lower = v < 0.0 if above else v > 0.0   # event: ru < R < split
+        whole = (v == 0.0) & ((y < 0.0) if above else (y >= 0.0))
+        lo = np.where(upper, split, np.where(lower | whole, ru, np.inf))
+        hi = np.where(lower, split, np.inf)
+        return (_survival(radial, lo) - _survival(radial, hi)) * ang.density(t)
+
+    return integrand
+
+
+def _oracle_integrate(model, integrand, scale, extra_breaks=()):
     curve, ang = model.curve, model.angular
-    scale = float(model.radial.survival(x))
     if scale == 0.0:
         raise DomainError("threshold beyond double-precision survival")
     breaks = list(curve.breakpoints()) + list(ang.breakpoints()) + list(extra_breaks)
@@ -289,12 +316,10 @@ def survival_x_oracle(model, x):
     curve, ang, radial = model.curve, model.angular, model.radial
 
     def integrand(t):
-        u = float(curve.u(t))
-        if u <= 0.0:
-            return 0.0
-        return float(radial.survival(x / u)) * float(ang.density(t))
+        return _survival(radial, _radial_level(x, curve.u(t))) * ang.density(t)
 
-    return _oracle_integrate(model, integrand, x, _u_level_hints(model, x))
+    return _oracle_integrate(model, integrand, float(radial.survival(x)),
+                             _u_level_hints(model, x))
 
 
 def survival_y_oracle(model, y):
@@ -305,21 +330,10 @@ def survival_y_oracle(model, y):
     curve, ang, radial = model.curve, model.angular, model.radial
 
     def integrand(t):
-        v = float(curve.v(t))
-        if v <= 0.0:
-            return 0.0
-        return float(radial.survival(y / v)) * float(ang.density(t))
+        return _survival(radial, _radial_level(y, curve.v(t))) * ang.density(t)
 
-    scale = float(radial.survival(y / curve.v_star))
-    if scale == 0.0:
-        raise DomainError("threshold beyond double-precision survival")
-    breaks = (list(curve.breakpoints()) + list(ang.breakpoints())
-              + _v_level_hints(model, y))
-    singular = [ang.t0] if (ang.t0 is not None and ang.tau < 0.0) else []
-    return integrate_with_breakpoints(
-        integrand, 0.0, 1.0, breakpoints=breaks,
-        abs_scale=scale, singular_points=singular,
-    )
+    return _oracle_integrate(model, integrand, float(radial.survival(y / curve.v_star)),
+                             _v_level_hints(model, y))
 
 
 def joint_exceedance_oracle(model, x, y):
@@ -332,31 +346,9 @@ def joint_exceedance_oracle(model, x, y):
         return survival_x_oracle(model, x)
     if y == math.inf:
         return 0.0
-    curve, ang, radial = model.curve, model.angular, model.radial
-
-    def integrand(t):
-        u = float(curve.u(t))
-        if u <= 0.0:
-            return 0.0
-        g = float(ang.density(t))
-        if g == 0.0:
-            return 0.0
-        v = float(curve.v(t))
-        ru = x / u
-        if v > 0.0:
-            level = max(ru, y / v) if y > 0.0 else ru
-            return float(radial.survival(level)) * g
-        if v == 0.0:
-            return float(radial.survival(ru)) * g if y < 0.0 else 0.0
-        if y >= 0.0:
-            return 0.0
-        rv = y / v
-        if rv <= ru:
-            return 0.0
-        return (float(radial.survival(ru)) - float(radial.survival(rv))) * g
-
     extra = _u_level_hints(model, x) + _crossing_hints(model, x, y)
-    return _oracle_integrate(model, integrand, x, extra)
+    return _oracle_integrate(model, _band_integrand(model, x, y, above=True),
+                             float(model.radial.survival(x)), extra)
 
 
 def joint_cdf_y_oracle(model, x, y):
@@ -369,48 +361,31 @@ def joint_cdf_y_oracle(model, x, y):
         return survival_x_oracle(model, x)
     if y == -math.inf:
         return 0.0
-    curve, ang, radial = model.curve, model.angular, model.radial
-
-    def integrand(t):
-        u = float(curve.u(t))
-        if u <= 0.0:
-            return 0.0
-        g = float(ang.density(t))
-        if g == 0.0:
-            return 0.0
-        v = float(curve.v(t))
-        ru = x / u
-        if v > 0.0:
-            if y <= 0.0:
-                return 0.0
-            level = max(ru, y / v)
-            return (float(radial.survival(ru)) - float(radial.survival(level))) * g
-        if v == 0.0:
-            return float(radial.survival(ru)) * g if y >= 0.0 else 0.0
-        if y >= 0.0:
-            return float(radial.survival(ru)) * g
-        return float(radial.survival(max(ru, y / v))) * g
-
     extra = _u_level_hints(model, x) + _crossing_hints(model, x, y)
-    return _oracle_integrate(model, integrand, x, extra)
+    return _oracle_integrate(model, _band_integrand(model, x, y, above=False),
+                             float(model.radial.survival(x)), extra)
 
 
 def conditional_cdf_oracle(model, frame, x_std, y_std):
     """Exact P(X <= t + psi_t x, Y <= m_t + a_t y | X > t) for a frame.
 
-    Either standardized coordinate may be +inf (marginalized out).
-    Nondecreasing in each argument.
+    ``x_std`` may be an array: the denominator P(X > t) and the X > t term
+    are then integrated once for all its entries, and an array of the same
+    shape is returned.  Either standardized coordinate may be +inf
+    (marginalized out).  Nondecreasing in each argument.
     """
     denom = survival_x_oracle(model, frame.t)
     if denom < 1e-300:
         raise DomainError("conditioning event has vanishing double-precision mass")
     y_cut = math.inf if y_std == math.inf else frame.m_t + frame.a_t * y_std
     lower = joint_cdf_y_oracle(model, frame.t, y_cut)
-    if x_std == math.inf:
-        upper = 0.0
-    else:
-        upper = joint_cdf_y_oracle(model, frame.t + frame.psi_t * x_std, y_cut)
-    return max((lower - upper) / denom, 0.0)
+    xs = np.asarray(x_std, dtype=float)
+    upper = np.array([
+        0.0 if x == math.inf else joint_cdf_y_oracle(model, frame.t + frame.psi_t * x, y_cut)
+        for x in xs.ravel()
+    ]).reshape(xs.shape)
+    out = np.maximum((lower - upper) / denom, 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def solve_b_x(model, t_level, rtol=1e-10):
@@ -503,7 +478,8 @@ def decompose_density(radial_profile, curve, angular_weight=None, n_radial_nodes
 # ---------------------------------------------------------------------------
 
 def _truncated_normal_mean(fn, x):
-    """E[fn(X) | X > x] for standard normal X, stable at deep thresholds.
+    """E[fn(X) | X > x] for standard normal X and an array function ``fn``,
+    stable at deep thresholds.
 
     Factoring exp(-x^2/2) out of both numerator and denominator leaves
     integrals of exp(-x e - e^2/2) over the excess e >= 0.
@@ -511,7 +487,7 @@ def _truncated_normal_mean(fn, x):
     upper = (math.sqrt(x * x + 160.0) - x) if x > 0.0 else 13.0
 
     def weight(e):
-        return math.exp(-x * e - 0.5 * e * e)
+        return np.exp(-x * e - 0.5 * e * e)
 
     num = integrate_with_breakpoints(
         lambda e: fn(x + e) * weight(e), 0.0, upper, abs_scale=1.0, rel_check=1e-6,
@@ -521,9 +497,7 @@ def _truncated_normal_mean(fn, x):
 
 
 def _interval_normal_prob(lo, hi):
-    if hi <= lo:
-        return 0.0
-    return float(special.ndtr(hi) - special.ndtr(lo))
+    return np.where(hi > lo, special.ndtr(hi) - special.ndtr(lo), 0.0)
 
 
 def mixture_conditional_cdf(mix, x, z):
@@ -547,8 +521,8 @@ def mixture_conditional_cdf(mix, x, z):
 
     def component_cdf(slope, noise):
         if noise == 0.0:
-            return lambda s: 1.0 if slope * s <= y_cut else 0.0
-        return lambda s: float(special.ndtr((y_cut - slope * s) / noise))
+            return lambda s: np.where(slope * s <= y_cut, 1.0, 0.0)
+        return lambda s: special.ndtr((y_cut - slope * s) / noise)
 
     if mix.cone is None:
         f_rho = component_cdf(rho, s_rho)
@@ -560,10 +534,10 @@ def mixture_conditional_cdf(mix, x, z):
 
     def component_interval(slope, noise, capped):
         def fn(s):
-            hi = min(c2 * s, y_cut) if capped else c2 * s
+            hi = np.minimum(c2 * s, y_cut) if capped else c2 * s
             lo = c1 * s
             if noise == 0.0:
-                return 1.0 if lo <= slope * s <= hi else 0.0
+                return np.where((lo <= slope * s) & (slope * s <= hi), 1.0, 0.0)
             return _interval_normal_prob((lo - slope * s) / noise, (hi - slope * s) / noise)
         return fn
 

@@ -1,5 +1,14 @@
 """Small numerical helpers: guarded adaptive quadrature and root bracketing.
 
+Quadrature integrands are array functions: ``fn(t)`` takes a 1-D array of
+nodes and returns the integrand at each node.  :func:`integrate_with_breakpoints`
+applies QUADPACK's 21-point Gauss-Kronrod rule to every open panel in one
+array call per round and bisects only the panels whose Kronrod-minus-Gauss
+estimate misses the tolerance.  Panels ending at an integrable endpoint
+singularity (``singular_points``) are the exception: bisection cannot
+resolve mass packed within an ulp of the edge, so those panels go to QAGS
+extrapolation, which calls the same array integrand one node at a time.
+
 Everything here is deterministic and stateless so the callers stay pure and
 thread-safe.
 """
@@ -17,13 +26,43 @@ from .errors import DomainError, QuadratureError
 #: default relative tolerance for oracle-grade integrals
 DEFAULT_REL_TOL = 1e-10
 
+# QUADPACK's QK21 rule on [-1, 1]: nonnegative Kronrod nodes, outermost first,
+# with their weights; the nodes at odd positions are the 10-point Gauss nodes.
+_XK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+       0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+       0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+       0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+       0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+       0.0)
+_WK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+       0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+       0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+       0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+       0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+       0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
 
-def integrate_panel(fn, lo, hi, *, epsabs=0.0, epsrel=DEFAULT_REL_TOL, limit=200):
-    """Integrate ``fn`` on [lo, hi] with QUADPACK, returning (value, abserr).
+_GK_NODES = np.concatenate([-np.array(_XK), np.array(_XK[-2::-1])])
+_GK_WEIGHTS = np.concatenate([_WK, _WK[-2::-1]])
+_G_WEIGHTS = np.zeros(21)
+_G_WEIGHTS[1:10:2] = _WG
+_G_WEIGHTS[11:20:2] = _WG[::-1]
 
-    Integration warnings are silenced; convergence is judged by the caller
-    from the returned error estimate (a roundoff warning on a panel whose
-    error is already far below the target is not a failure).
+#: bisection stops after this many rounds, or once a round would hold more
+#: panels than _MAX_PANELS; what is left then counts with its error estimate
+_MAX_DEPTH = 60
+_MAX_PANELS = 2048
+
+
+def _quadpack(fn, lo, hi, *, epsabs=0.0, epsrel=DEFAULT_REL_TOL, limit=200):
+    """Integrate the scalar function ``fn`` on [lo, hi] with QUADPACK (QAGS).
+
+    Returns (value, abserr).  Integration warnings are silenced; convergence
+    is judged by the caller from the returned error estimate (a roundoff
+    warning on a panel whose error is already far below the target is not a
+    failure).
     """
     if hi <= lo:
         return 0.0, 0.0
@@ -33,18 +72,40 @@ def integrate_panel(fn, lo, hi, *, epsabs=0.0, epsrel=DEFAULT_REL_TOL, limit=200
     return value, abserr
 
 
+def integrate_panel(fn, lo, hi):
+    """21-point Gauss-Kronrod rule on each panel [lo[i], hi[i]] at once.
+
+    ``fn`` is called once, on the 21 nodes of every panel.  Returns the
+    arrays (value, abserr): the Kronrod value and |K21 - G10|.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES
+    vals = np.asarray(fn(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    with np.errstate(invalid="ignore"):  # inf * 0 weight; the caller raises on it
+        kronrod = half * (vals @ _GK_WEIGHTS)
+        gauss = half * (vals @ _G_WEIGHTS)
+    return kronrod, np.abs(kronrod - gauss)
+
+
 def integrate_with_breakpoints(fn, lo, hi, breakpoints=(), *, epsrel=DEFAULT_REL_TOL,
                                abs_scale=None, singular_points=(), rel_check=1e-7):
-    """Piecewise adaptive quadrature with mandatory subdivision points.
+    """Piecewise adaptive quadrature of an array integrand with mandatory
+    subdivision points.
 
-    Integrable endpoint singularities must be listed in ``singular_points``
-    so they land on panel edges, where the QAGS extrapolation resolves them
+    A panel is accepted once its |K21 - G10| is at most
+    ``max(epsrel * |K21|, abs_scale * 1e-13)``; the others are bisected and
+    all open panels are evaluated together.  Integrable endpoint
+    singularities must be listed in ``singular_points`` so they land on
+    panel edges; panels touching one are integrated by QAGS extrapolation
     (the edge itself is never evaluated).  ``abs_scale`` sets the magnitude
     against which per-panel absolute tolerances and the final convergence
     check are measured (typically the maximum of the integrand); when
     omitted the check is purely relative to the accumulated value.  Raises
-    :class:`QuadratureError` if the summed error estimate is not small
-    compared to ``max(|total|, abs_scale)``.
+    :class:`QuadratureError` if the value or the summed error estimate is not
+    finite, or if that estimate is not small compared to
+    ``max(|total|, abs_scale)``.
     """
     pts = [lo, hi]
     for p in list(breakpoints) + list(singular_points):
@@ -54,11 +115,33 @@ def integrate_with_breakpoints(fn, lo, hi, breakpoints=(), *, epsrel=DEFAULT_REL
     singular = {p for p in singular_points if lo <= p <= hi}
     epsabs = 0.0 if abs_scale is None else abs_scale * 1e-13
     total, err = 0.0, 0.0
+    regular = []
     for a, b in zip(pts[:-1], pts[1:]):
-        limit = 400 if (a in singular or b in singular) else 200
-        v, e = integrate_panel(fn, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit)
-        total += v
-        err += e
+        if a in singular or b in singular:
+            v, e = _quadpack(lambda t: float(fn(np.array([t]))[0]), a, b,
+                             epsabs=epsabs, epsrel=epsrel, limit=400)
+            total += v
+            err += e
+        else:
+            regular.append((a, b))
+    a, b = np.array(regular, dtype=float).reshape(-1, 2).T
+    for depth in range(_MAX_DEPTH + 1):
+        if not a.size:
+            break
+        v, e = integrate_panel(fn, a, b)
+        mid = 0.5 * (a + b)
+        split = (e > np.maximum(epsrel * np.abs(v), epsabs)) & (a < mid) & (mid < b)
+        if depth == _MAX_DEPTH or 2 * np.count_nonzero(split) > _MAX_PANELS:
+            split[:] = False
+        total += float(np.sum(v[~split]))
+        err += float(np.sum(e[~split]))
+        a, mid, b = a[split], mid[split], b[split]
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+    if not (math.isfinite(total) and math.isfinite(err)):
+        raise QuadratureError(
+            f"quadrature value {total!r} or error estimate {err!r} is not finite",
+            value=total, achieved=math.inf, requested=rel_check,
+        )
     scale = max(abs(total), abs_scale or 0.0)
     if scale > 0.0 and err > rel_check * scale:
         raise QuadratureError(
@@ -99,29 +182,19 @@ def bisect_monotone(fn, lo, hi, *, xtol=1e-13, rtol=1e-12, expand=False, max_exp
 
 def sign_changes(values, grid):
     """Intervals (a, b) from ``grid`` where consecutive ``values`` change sign."""
-    out = []
-    for i in range(len(grid) - 1):
-        v0, v1 = values[i], values[i + 1]
-        if v0 == 0.0:
-            continue
-        if v0 * v1 < 0.0:
-            out.append((grid[i], grid[i + 1]))
-    return out
+    values = np.asarray(values, dtype=float)
+    idx = np.nonzero((values[:-1] != 0.0) & (values[:-1] * values[1:] < 0.0))[0]
+    return [(grid[i], grid[i + 1]) for i in idx]
 
 
 def refine_zeros(fn, grid_lo, grid_hi, n_scan=1025):
-    """All sign-change roots of ``fn`` on [grid_lo, grid_hi] via scan + Brent."""
+    """All sign-change roots of the array function ``fn`` on [grid_lo, grid_hi].
+
+    One array call scans the grid; Brent's method refines each bracket.
+    """
     ts = np.linspace(grid_lo, grid_hi, n_scan)
-    vals = np.array([fn(t) for t in ts])
-    zeros = [float(t) for t, v in zip(ts, vals) if v == 0.0]
+    vals = np.asarray(fn(ts), dtype=float)
+    zeros = [float(t) for t in ts[vals == 0.0]]
     for a, b in sign_changes(vals, ts):
-        zeros.append(float(optimize.brentq(fn, a, b, xtol=1e-14)))
+        zeros.append(float(optimize.brentq(lambda s: float(fn(s)), a, b, xtol=1e-14)))
     return sorted(zeros)
-
-
-def log_trapz_mean(log_values):
-    """log(mean(exp(v))) computed stably."""
-    m = max(log_values)
-    if math.isinf(m):
-        return m
-    return m + math.log(np.mean(np.exp(np.asarray(log_values) - m)))

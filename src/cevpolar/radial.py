@@ -16,7 +16,7 @@ import numpy as np
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from .errors import ConstructionError, DomainError
-from .numerics import bisect_monotone, integrate_panel
+from .numerics import _quadpack, bisect_monotone
 
 __all__ = [
     "RadialLaw",
@@ -238,7 +238,7 @@ class VonMisesRadial(RadialLaw):
             if not p > 0.0 or not math.isfinite(p):
                 raise ConstructionError(f"psi({x}) = {p} is not a positive finite value")
             dx = min(max(0.5 * p, 1e-9 * (1.0 + x)), 0.25 * (1.0 + x))
-            seg, _ = integrate_panel(inv_psi, x, x + dx, epsrel=1e-12)
+            seg, _ = _quadpack(inv_psi, x, x + dx, epsrel=1e-12)
             if not math.isfinite(seg):
                 raise ConstructionError(
                     "1/psi is not integrable on the grid; psi vanishes or is singular"
@@ -368,7 +368,7 @@ class TabulatedRadial(RadialLaw):
         nodes = np.linspace(0.0, r_cap, n_nodes)
         panels = np.empty(n_nodes - 1)
         for i in range(n_nodes - 1):
-            panels[i], _ = integrate_panel(density_fn, nodes[i], nodes[i + 1], epsrel=1e-12)
+            panels[i], _ = _quadpack(density_fn, nodes[i], nodes[i + 1], epsrel=1e-12)
         beyond = self._tail_mass(density_fn, r_cap)
         total = float(np.sum(panels) + beyond)
         if not (math.isfinite(total) and total > 0.0):
@@ -390,10 +390,10 @@ class TabulatedRadial(RadialLaw):
 
     @classmethod
     def _find_range(cls, density_fn):
-        total, _ = integrate_panel(density_fn, 0.0, 1.0, epsrel=1e-12)
+        total, _ = _quadpack(density_fn, 0.0, 1.0, epsrel=1e-12)
         hi = 1.0
         for _ in range(80):
-            seg, _ = integrate_panel(density_fn, hi, 2.0 * hi, epsrel=1e-10)
+            seg, _ = _quadpack(density_fn, hi, 2.0 * hi, epsrel=1e-10)
             if not math.isfinite(seg):
                 raise ConstructionError("radial density is not integrable")
             total += seg
@@ -424,7 +424,7 @@ class TabulatedRadial(RadialLaw):
         lo = r
         width = max(r, 1.0)
         for _ in range(200):
-            seg, _ = integrate_panel(density_fn, lo, lo + width, epsrel=1e-10)
+            seg, _ = _quadpack(density_fn, lo, lo + width, epsrel=1e-10)
             total += seg
             lo += width
             width *= 2.0
@@ -560,6 +560,8 @@ def radial_from_dict(data):
     except (TypeError, KeyError):
         raise ConstructionError("radial spec must be a mapping with a 'kind' entry")
     params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise ConstructionError("radial params must be a mapping")
     if kind in _CATALOG:
         extra = set(data) - {"kind", "params"}
         if extra:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -201,3 +202,54 @@ class TestAnalysisCommands:
         code = run(["second-order", "-c", str(cfg), "--x-grid", "8:8:1",
                     "--z-grid", "0:0:1", "-o", str(tmp_path / "x.csv")])
         assert code == 1
+
+
+class TestBadInputExitsOne:
+    """Malformed input ends in exit code 1 and one ``error:`` line, never a traceback."""
+
+    def _expect_one_error_line(self, code, capsys):
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_mixture_without_weight(self, tmp_path, capsys):
+        cfg = tmp_path / "mix.json"
+        cfg.write_text(json.dumps({"mixture": {"rho": 0.8, "tau_mix": -0.4}}))
+        code = run(["simulate", "-c", str(cfg), "--n", "10", "--seed", "1",
+                    "-o", str(tmp_path / "x.csv")])
+        self._expect_one_error_line(code, capsys)
+
+    def test_curve_params_not_a_mapping(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"radial": {"kind": "rayleigh"},
+                                   "curve": {"kind": "elliptical", "params": 5},
+                                   "angular": {"kind": "uniform"}}))
+        code = run(["simulate", "-c", str(cfg), "--n", "10", "--seed", "1",
+                    "-o", str(tmp_path / "x.csv")])
+        self._expect_one_error_line(code, capsys)
+
+    def test_unwritable_output_path(self, model_config, tmp_path, capsys):
+        code = run(["simulate", "-c", str(model_config), "--n", "10", "--seed", "1",
+                    "-o", str(tmp_path / "no" / "such" / "dir" / "x.csv")])
+        self._expect_one_error_line(code, capsys)
+
+
+class _NanBeyondSix(cp.Rayleigh):
+    """Rayleigh law whose log survival turns NaN past radius 6."""
+
+    def log_survival(self, x):
+        arr = np.asarray(x, dtype=float)
+        return np.where(arr > 6.0, np.nan, -0.5 * arr * arr)
+
+
+def test_non_finite_oracle_exits_two(model_config, tmp_path, capsys, monkeypatch):
+    import cevpolar.radial
+
+    monkeypatch.setitem(cevpolar.radial._CATALOG, "rayleigh", lambda params: _NanBeyondSix())
+    code = run(["tail", "-c", str(model_config), "--x-grid", "3:3:1",
+                "-o", str(tmp_path / "tail.csv")])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "quadrature"
+    assert not math.isfinite(payload["achieved_tolerance"])

@@ -1,0 +1,188 @@
+"""The batched Gauss-Kronrod rule behind the oracle, against independent references."""
+
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
+
+import cevpolar as cp
+from cevpolar.numerics import integrate_panel, integrate_with_breakpoints, refine_zeros
+
+
+class TestRule:
+    def test_kronrod_exact_to_degree_31_gauss_to_19(self):
+        lo, hi = np.array([-1.0]), np.array([1.0])
+        for k in range(32):
+            value, err = integrate_panel(lambda t: t ** k, lo, hi)
+            exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+            assert value[0] == pytest.approx(exact, abs=1e-15)
+            if k < 20:
+                assert err[0] <= 1e-15
+        _, err = integrate_panel(lambda t: t ** 20, lo, hi)
+        assert err[0] > 1e-7
+
+    def test_panels_evaluated_in_one_call(self):
+        sizes = []
+
+        def fn(t):
+            sizes.append(t.size)
+            return np.exp(t)
+
+        value, _ = integrate_panel(fn, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+        assert sizes == [63]
+        assert value == pytest.approx(np.exp([1.0, 2.0, 3.0]) - np.exp([0.0, 1.0, 2.0]),
+                                      rel=1e-15)
+
+    def test_only_missing_panels_are_bisected(self):
+        sizes = []
+
+        def fn(t):
+            sizes.append(t.size)
+            return np.where(t < 0.3, 1.0, np.cos(t))
+
+        got = integrate_with_breakpoints(fn, 0.0, 1.0, breakpoints=[0.25, 0.5])
+        assert got == pytest.approx(0.3 + math.sin(1.0) - math.sin(0.3), rel=1e-12)
+        # the smooth outer panels close in the first round; only the panel
+        # holding the jump, then one of its halves, stays open
+        assert sizes[0] == 3 * 21
+        assert all(s == 2 * 21 for s in sizes[1:])
+
+    def test_singular_edge_uses_extrapolation(self):
+        got = integrate_with_breakpoints(lambda t: 1.0 / np.sqrt(t), 0.0, 1.0,
+                                         singular_points=[0.0])
+        assert got == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_integrand_raises(self, bad):
+        with pytest.raises(cp.QuadratureError) as info:
+            integrate_with_breakpoints(lambda t: np.full_like(t, bad), 0.0, 1.0)
+        payload = info.value.payload()
+        assert payload["error"] == "quadrature"
+        assert payload["achieved_tolerance"] == math.inf
+
+    def test_non_integrable_singularity_raises(self):
+        with pytest.raises(cp.QuadratureError):
+            integrate_with_breakpoints(lambda t: 1.0 / (t - 0.3), 0.0, 1.0)
+
+    def test_refine_zeros_scans_with_one_array_call(self):
+        scans = []
+
+        def fn(t):
+            if np.ndim(t):
+                scans.append(np.size(t))
+            return np.cos(3.0 * t)
+
+        zeros = refine_zeros(fn, 0.0, 3.0)
+        assert scans == [1025]
+        assert zeros == pytest.approx([math.pi / 6, math.pi / 2, 5 * math.pi / 6], abs=1e-13)
+
+
+class TestEllipticalRayleigh:
+    """Rayleigh radius on the sheared circle: X standard normal, Y = rho X + sigma Z."""
+
+    @pytest.mark.parametrize("x", [2.0, 8.0, 20.0, 35.0])
+    def test_survival_is_normal_tail(self, elliptical_gauss, x):
+        got = cp.survival_x_oracle(elliptical_gauss, x)
+        assert got == pytest.approx(float(special.ndtr(-x)), rel=1e-9)
+
+    @pytest.mark.parametrize("x, y", [(2.0, 1.0), (4.0, 2.4), (8.0, 5.5), (20.0, 11.0)])
+    def test_joint_cdf_matches_mpmath(self, elliptical_gauss, x, y):
+        rho, sigma = mp.mpf("0.6"), mp.mpf("0.8")
+        with mp.workdps(30):
+            exact = mp.quad(lambda s: mp.npdf(s) * mp.ncdf((y - rho * s) / sigma),
+                            [x, x + 2, x + 10, mp.inf])
+        got = cp.joint_cdf_y_oracle(elliptical_gauss, x, y)
+        assert got == pytest.approx(float(exact), rel=1e-9)
+
+
+def _singular_reference(tau, x=4.0):
+    """P(X > x) for the singular-angle model at 30 digits.
+
+    The substitution s = r**(1/(1+tau)) removes the angular singularity at
+    the peak, so the window integral is smooth in s.
+    """
+    with mp.workdps(30):
+        w, cw, c = mp.mpf("0.2"), mp.mpf("0.25"), mp.mpf("0.5")
+        tau = mp.mpf(tau)
+        t1 = tau + 1
+        amp = mp.mpf("0.5") / (w ** t1 / t1 + w ** tau * (mp.mpf("0.5") - w))
+
+        def u(a):
+            return 1 - c * a ** 2 if a <= cw else 1 - c * cw ** 2 - 2 * c * cw * (a - cw)
+
+        def surv(a):
+            return mp.exp(-(x / u(a)) ** 2 / 2)
+
+        inner = amp / t1 * mp.quad(lambda s: surv(s ** (1 / t1)), [0, w ** t1])
+        outer = amp * w ** tau * mp.quad(surv, [w, cw, mp.mpf("0.5")])
+        return float(2 * (inner + outer))
+
+
+class TestSingularAngle:
+    @pytest.mark.parametrize("tau, reference", [
+        (-0.8, 2.8202665875455062e-4),
+        (-0.95, 3.1914706657832678e-4),
+    ])
+    def test_survival_matches_substituted_reference(self, tau, reference):
+        assert _singular_reference(tau) == pytest.approx(reference, rel=1e-15)
+        curve = cp.power_curve(t0=0.5, kappa=2.0, delta=1.0, c_minus=0.5,
+                               c_plus=0.5, lambda_v=1.0, rho=0.0)
+        model = cp.PolarModel(cp.Rayleigh(), cp.angular_power(0.5, tau, window=0.2), curve)
+        assert cp.survival_x_oracle(model, 4.0) == pytest.approx(reference, rel=1e-8)
+
+
+#: the oracle enforces error estimate <= rel_check * max(value, S(x)) per integral
+ORACLE_REL_CHECK = 1e-7
+
+
+def _models(elliptical_gauss, lp3_exponential):
+    return {"ell": (elliptical_gauss, 12.0), "lp3": (lp3_exponential, 25.0)}
+
+
+@pytest.mark.parametrize("name", ["ell", "lp3"])
+class TestOracleProperties:
+    def test_complement_identity(self, elliptical_gauss, lp3_exponential, name):
+        model, x_max = _models(elliptical_gauss, lp3_exponential)[name]
+
+        @settings(max_examples=12, deadline=None)
+        @given(x=st.floats(0.5, x_max), y=st.floats(-2.0 * x_max, 2.0 * x_max))
+        def check(x, y):
+            above = cp.joint_exceedance_oracle(model, x, y)
+            below = cp.joint_cdf_y_oracle(model, x, y)
+            total = cp.survival_x_oracle(model, x)
+            bound = 3.0 * ORACLE_REL_CHECK * float(model.radial.survival(x))
+            assert abs(above + below - total) <= bound
+
+        check()
+
+    def test_values_are_probabilities_monotone_in_y(self, elliptical_gauss, lp3_exponential,
+                                                    name):
+        model, x_max = _models(elliptical_gauss, lp3_exponential)[name]
+
+        @settings(max_examples=12, deadline=None)
+        @given(x=st.floats(0.5, x_max), y=st.floats(-2.0 * x_max, 2.0 * x_max),
+               dy=st.floats(0.01, x_max))
+        def check(x, y, dy):
+            low = cp.joint_cdf_y_oracle(model, x, y)
+            high = cp.joint_cdf_y_oracle(model, x, y + dy)
+            above = cp.joint_exceedance_oracle(model, x, y)
+            for p in (low, high, above):
+                assert 0.0 <= p <= 1.0
+            slack = 2.0 * ORACLE_REL_CHECK * float(model.radial.survival(x))
+            assert low <= high + slack
+
+        check()
+
+
+def test_array_x_matches_scalar_calls(elliptical_gauss):
+    frame = cp.normalization(elliptical_gauss, 5.0)
+    xs = np.array([0.5, 1.0, 2.5, math.inf])
+    for y_std in (-1.0, 0.5, math.inf):
+        together = cp.conditional_cdf_oracle(elliptical_gauss, frame, xs, y_std)
+        one_by_one = [cp.conditional_cdf_oracle(elliptical_gauss, frame, x, y_std) for x in xs]
+        assert together.shape == xs.shape
+        assert together.tolist() == one_by_one
