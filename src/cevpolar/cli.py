@@ -22,6 +22,8 @@ from .errors import CevError, ConfigError, NumericError
 from .limits import LimitLaw, second_order_conditional, survival_x_asymptotic
 from .model import (
     MixtureModel,
+    _open_output,
+    _write_csv,
     conditional_cdf_oracle,
     decompose_density,
     model_from_dict,
@@ -33,6 +35,9 @@ from .model import (
 )
 from .limits import ConditionalFrame
 from .geometry import curve_from_dict
+
+#: largest number of points a lo:hi:step grid may ask for
+_MAX_GRID_POINTS = 1_000_000
 
 #: flags whose values may start with '-' (grids, lists); glued before parsing
 _VALUE_FLAGS = ("--grid", "--x-grid", "--z-grid", "--t-grid", "--levels", "--y-grid")
@@ -54,12 +59,16 @@ def parse_grid(spec):
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"grid '{spec}' has non-numeric parts")
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ConfigError(f"grid '{spec}' has non-finite parts")
     if step <= 0.0:
         raise ConfigError("grid step must be positive")
     if hi < lo:
         raise ConfigError("grid upper end below lower end")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + k * step for k in range(count)]
+    span = (hi - lo) / step + 1e-9
+    if not span < _MAX_GRID_POINTS:
+        raise ConfigError(f"grid '{spec}' has more than {_MAX_GRID_POINTS} points")
+    return [lo + k * step for k in range(int(math.floor(span)) + 1)]
 
 
 def _config_hash(payload):
@@ -75,36 +84,22 @@ def _metadata(payload, seed):
     }
 
 
-def _fmt_cell(v):
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+def _emit(args, meta, header, columns, body=None):
+    """Write a command's artifact in its ``--format``.
 
-
-def _open_output(path):
-    try:
-        return open(path, "w")
-    except OSError as exc:
-        raise ConfigError(f"cannot write output: {exc}")
-
-
-def _write_csv(path, metadata, header, rows):
-    with _open_output(path) as fh:
-        for key, value in metadata.items():
-            fh.write(f"# {key}={value}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
-
-
-def _write_json(path, metadata, body):
-    with _open_output(path) as fh:
-        json.dump({"meta": metadata, **body}, fh, indent=2)
-        fh.write("\n")
+    JSON holds ``body`` next to the metadata; by default the body is the
+    columns keyed by the header.  CSV holds the columns as rows, and the
+    body's scalar entries (pass flags) as extra metadata lines.
+    """
+    if body is None:
+        body = dict(zip(header, columns))
+    if args.format == "json":
+        with _open_output(args.output) as fh:
+            json.dump({"meta": meta, **body}, fh, indent=2)
+            fh.write("\n")
+    else:
+        flags = {key: value for key, value in body.items() if not isinstance(value, list)}
+        _write_csv(args.output, {**meta, **flags}, header, columns)
 
 
 def _load_config(path):
@@ -157,6 +152,15 @@ def _require_seed(args, config_seed):
     return int(seed)
 
 
+def _load_polar(args):
+    """(config, model, config seed) of a command that takes only polar models."""
+    config = _load_config(args.config)
+    model, mixture, seed = _split_config(dict(config))
+    if mixture is not None:
+        raise ConfigError(f"{args.command} requires a polar model config")
+    return config, model, seed
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -167,16 +171,8 @@ def _cmd_limit(args):
     grid = parse_grid(args.grid)
     payload = {"command": "limit", "eta": args.eta, "zeta": args.zeta,
                "weight_minus": args.weight_minus, "grid": args.grid}
-    meta = _metadata(payload, None)
-    rows = [(y, float(law.cdf(y)), float(law.pdf(y))) for y in grid]
-    if args.format == "json":
-        _write_json(args.output, meta, {
-            "y": [r[0] for r in rows],
-            "cdf": [r[1] for r in rows],
-            "pdf": [r[2] for r in rows],
-        })
-    else:
-        _write_csv(args.output, meta, ("y", "cdf", "pdf"), rows)
+    _emit(args, _metadata(payload, None), ("y", "cdf", "pdf"),
+          [grid, [float(law.cdf(y)) for y in grid], [float(law.pdf(y)) for y in grid]])
     return 0
 
 
@@ -203,24 +199,19 @@ def _cmd_simulate(args):
         if args.threshold is not None:
             raise ConfigError("conditional simulation is not defined for mixture configs")
         xy = _sample_mixture(mixture, args.n, rng)
-        _write_csv(args.output, meta, ("x", "y"), [tuple(map(float, r)) for r in xy])
-        return 0
-    if args.threshold is None:
+    elif args.threshold is None:
         xy = sample_joint(model, args.n, rng)
-        _write_csv(args.output, meta, ("x", "y"), [tuple(map(float, r)) for r in xy])
     else:
         ws = sample_conditional(model, args.threshold, args.n, rng)
         meta["effective_size"] = repr(ws.effective_size)
-        rows = list(zip(map(float, ws.x), map(float, ws.y), map(float, ws.weights)))
-        _write_csv(args.output, meta, ("x", "y", "weight"), rows)
+        ws.to_csv(args.output, meta)
+        return 0
+    _write_csv(args.output, meta, ("x", "y"), xy.T.tolist())
     return 0
 
 
 def _cmd_verify(args):
-    config = _load_config(args.config)
-    model, mixture, config_seed = _split_config(dict(config))
-    if mixture is not None:
-        raise ConfigError("verify requires a polar model config")
+    config, model, config_seed = _load_polar(args)
     seed = _require_seed(args, config_seed)
     try:
         levels = [float(v) for v in args.levels.split(",")]
@@ -228,85 +219,48 @@ def _cmd_verify(args):
         raise ConfigError("--levels must be a comma-separated list of numbers")
     report = convergence_sweep(model, levels, args.n, np.random.default_rng(seed))
     payload = {"command": "verify", "config": config, "levels": levels, "n": args.n}
-    meta = _metadata(payload, seed)
     decreasing = all(b < a for a, b in
                      zip(report.oracle_distances, report.oracle_distances[1:]))
     passed = decreasing and report.oracle_distances[-1] <= 0.1
-    if args.format == "json":
-        body = report.to_json_dict()
-        body["pass"] = passed
-        _write_json(args.output, meta, body)
-    else:
-        meta["pass"] = passed
-        rows = list(zip(report.thresholds, report.ks_distances,
-                        report.effective_sizes, report.oracle_distances))
-        _write_csv(args.output, meta, ("threshold", "ks", "eff_size", "oracle_dist"), rows)
+    _emit(args, _metadata(payload, seed), *report.csv_table(),
+          body={**report.to_json_dict(), "pass": passed})
     return 0
 
 
 def _cmd_tail(args):
-    config = _load_config(args.config)
-    model, mixture, _ = _split_config(dict(config))
-    if mixture is not None:
-        raise ConfigError("tail requires a polar model config")
+    config, model, _ = _load_polar(args)
     grid = parse_grid(args.x_grid)
     payload = {"command": "tail", "config": config, "x_grid": args.x_grid}
-    meta = _metadata(payload, None)
-    rows = []
+    asym, exact = [], []
     for x in grid:
-        asym = survival_x_asymptotic(model, x)
-        exact = survival_x_oracle(model, x)
-        rows.append((x, asym, exact, asym / exact))
-    if args.format == "json":
-        _write_json(args.output, meta, {
-            "x": [r[0] for r in rows],
-            "asymptotic": [r[1] for r in rows],
-            "oracle": [r[2] for r in rows],
-            "ratio": [r[3] for r in rows],
-        })
-    else:
-        _write_csv(args.output, meta, ("x", "asymptotic", "oracle", "ratio"), rows)
+        asym.append(survival_x_asymptotic(model, x))
+        exact.append(survival_x_oracle(model, x))
+    _emit(args, _metadata(payload, None), ("x", "asymptotic", "oracle", "ratio"),
+          [grid, asym, exact, [a / e for a, e in zip(asym, exact)]])
     return 0
 
 
 def _cmd_independence(args):
-    config = _load_config(args.config)
-    model, mixture, _ = _split_config(dict(config))
-    if mixture is not None:
-        raise ConfigError("independence requires a polar model config")
+    config, model, _ = _load_polar(args)
     exponents = parse_grid(args.t_grid)
     t_grid = [10.0 ** e for e in exponents]
     payload = {"command": "independence", "config": config, "t_grid": args.t_grid,
                "y": args.y, "x_std": args.x_std, "y_std": args.y_std}
-    meta = _metadata(payload, None)
     cond = independence_condition_check(model, args.y, t_grid)
     decay = joint_exceedance_decay(model, args.x_std, args.y_std, t_grid)
-    if args.format == "json":
-        _write_json(args.output, meta, {
-            "thresholds": t_grid,
-            "ratios": cond.ratios,
-            "ratio_pass": cond.passed,
-            "products": decay.products,
-            "decay_pass": decay.passed,
-        })
-    else:
-        meta["ratio_pass"] = cond.passed
-        meta["decay_pass"] = decay.passed
-        rows = list(zip(t_grid, cond.ratios, decay.products))
-        _write_csv(args.output, meta, ("t", "ratio", "t_times_joint"), rows)
+    _emit(args, _metadata(payload, None), ("t", "ratio", "t_times_joint"),
+          [t_grid, cond.ratios, decay.products],
+          body={"thresholds": t_grid, "ratios": cond.ratios, "ratio_pass": cond.passed,
+                "products": decay.products, "decay_pass": decay.passed})
     return 0
 
 
 def _cmd_second_order(args):
-    config = _load_config(args.config)
-    model, mixture, _ = _split_config(dict(config))
-    if mixture is not None:
-        raise ConfigError("second-order requires a polar model config")
+    config, model, _ = _load_polar(args)
     xs = parse_grid(args.x_grid)
     zs = parse_grid(args.z_grid)
     payload = {"command": "second-order", "config": config,
                "x_grid": args.x_grid, "z_grid": args.z_grid}
-    meta = _metadata(payload, None)
     rows = []
     for x in xs:
         psi_x = float(model.radial.aux_psi(x))
@@ -315,15 +269,8 @@ def _cmd_second_order(args):
             so = second_order_conditional(model, x, z)
             oracle = conditional_cdf_oracle(model, frame, math.inf, so.y_threshold)
             rows.append((x, z, so.first_order, so.corrected, oracle))
-    if args.format == "json":
-        _write_json(args.output, meta, {
-            "x": [r[0] for r in rows], "z": [r[1] for r in rows],
-            "first_order": [r[2] for r in rows],
-            "corrected": [r[3] for r in rows],
-            "oracle": [r[4] for r in rows],
-        })
-    else:
-        _write_csv(args.output, meta, ("x", "z", "first_order", "corrected", "oracle"), rows)
+    _emit(args, _metadata(payload, None), ("x", "z", "first_order", "corrected", "oracle"),
+          [list(column) for column in zip(*rows)])
     return 0
 
 
@@ -335,6 +282,8 @@ def _cmd_decompose(args):
         raise ConfigError(f"unknown decompose config keys: {sorted(bad)}")
     if "curve" not in config:
         raise ConfigError("decompose config requires a 'curve' entry")
+    if args.points <= 0:
+        raise ConfigError("--points must be positive")
     curve = curve_from_dict(config["curve"])
     profile_name = config.get("profile", "gaussian")
     if profile_name != "gaussian":
@@ -344,20 +293,14 @@ def _cmd_decompose(args):
         weight = lambda t: quartic_ridge_weight(2.0 * math.pi * (t - curve.t0))
     model = decompose_density(standard_normal_profile, curve, angular_weight=weight)
     payload = {"command": "decompose", "config": config}
-    meta = _metadata(payload, None)
     ts = np.linspace(0.0, 1.0, args.points)
     xs = np.linspace(0.0, float(model.radial.quantile_b(1e6)), args.points)
-    ang = model.angular.density(ts)
-    surv = model.radial.survival(xs)
-    rows = [("angular", float(t), float(a)) for t, a in zip(ts, ang)]
-    rows += [("radial_survival", float(x), float(s)) for x, s in zip(xs, surv)]
-    if args.format == "json":
-        _write_json(args.output, meta, {
-            "angular_grid": ts.tolist(), "angular_density": ang.tolist(),
-            "radial_grid": xs.tolist(), "radial_survival": surv.tolist(),
-        })
-    else:
-        _write_csv(args.output, meta, ("component", "grid", "value"), rows)
+    ang, surv = model.angular.density(ts).tolist(), model.radial.survival(xs).tolist()
+    ts, xs = ts.tolist(), xs.tolist()
+    _emit(args, _metadata(payload, None), ("component", "grid", "value"),
+          [["angular"] * len(ts) + ["radial_survival"] * len(xs), ts + xs, ang + surv],
+          body={"angular_grid": ts, "angular_density": ang,
+                "radial_grid": xs, "radial_survival": surv})
     return 0
 
 

@@ -16,6 +16,7 @@ from scipy import special
 from .errors import DomainError
 from .limits import limit_law_of, normalization
 from .model import (
+    _write_csv,
     conditional_cdf_oracle,
     joint_exceedance_oracle,
     sample_conditional,
@@ -119,15 +120,14 @@ class SweepReport:
         if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
             raise DomainError("thresholds must be strictly increasing")
 
+    def csv_table(self):
+        """Header and columns of the report's CSV artifact."""
+        return (("threshold", "ks", "eff_size", "oracle_dist"),
+                [self.thresholds, self.ks_distances, self.effective_sizes,
+                 self.oracle_distances])
+
     def to_csv(self, path, metadata=None):
-        with open(path, "w") as fh:
-            for key, value in (metadata or {}).items():
-                fh.write(f"# {key}={value}\n")
-            fh.write("threshold,ks,eff_size,oracle_dist\n")
-            rows = zip(self.thresholds, self.ks_distances,
-                       self.effective_sizes, self.oracle_distances)
-            for t, k, e, o in rows:
-                fh.write(f"{float(t)!r},{float(k)!r},{float(e)!r},{float(o)!r}\n")
+        _write_csv(path, metadata or {}, *self.csv_table())
 
     def to_json_dict(self):
         return {
@@ -139,13 +139,11 @@ class SweepReport:
 
 
 def convergence_sweep(model, quantile_levels, n, rng,
-                      x_grid=DEFAULT_X_GRID, y_grid=DEFAULT_Y_GRID, workers=1):
+                      x_grid=DEFAULT_X_GRID, y_grid=DEFAULT_Y_GRID):
     """KS and oracle distances to the limit along rising radial quantiles.
 
-    Each level gets an independent child generator stream and its work is
-    self-contained, so levels may run on separate threads (``workers > 1``);
-    results are merged in input order either way, making the report
-    reproducible for a given seed.
+    Each level draws from its own child generator spawned from ``rng``, so
+    the report is reproducible for a given seed.
     """
     levels = [float(q) for q in quantile_levels]
     if any(not 0.0 < q < 1.0 for q in levels):
@@ -156,6 +154,7 @@ def convergence_sweep(model, quantile_levels, n, rng,
     streams = rng.spawn(len(levels))
 
     def one_level(q, stream):
+        # one scope per level, so its sample is freed before the next is drawn
         t = float(model.radial.quantile_b(1.0 / (1.0 - q)))
         frame = normalization(model, t)
         sample = sample_conditional(model, t, n, stream)
@@ -163,12 +162,7 @@ def convergence_sweep(model, quantile_levels, n, rng,
         dist = oracle_grid_distance(model, frame, limit, x_grid, y_grid)
         return t, ks_distance(emp, limit), sample.effective_size, dist
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_level, levels, streams))
-    else:
-        results = [one_level(q, s) for q, s in zip(levels, streams)]
+    results = [one_level(q, s) for q, s in zip(levels, streams)]
     thresholds, ks_vals, eff_sizes, oracle_vals = map(list, zip(*results))
     return SweepReport(thresholds, ks_vals, eff_sizes, oracle_vals)
 

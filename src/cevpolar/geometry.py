@@ -16,7 +16,7 @@ from scipy import optimize
 from scipy.interpolate import PchipInterpolator
 
 from .errors import ConstructionError, DomainError
-from .numerics import bisect_monotone, integrate_with_breakpoints, refine_zeros
+from .numerics import _checked_grid, bisect_monotone, integrate_with_breakpoints, refine_zeros
 
 __all__ = [
     "CurveGerm",
@@ -529,8 +529,9 @@ class TabulatedAngular(AngularLaw):
 
     @classmethod
     def from_grid(cls, params, grid):
-        nodes = np.asarray(grid["t"], dtype=float)
-        dens = np.asarray(grid["density"], dtype=float)
+        if not isinstance(params.get("t0"), (int, float)):
+            raise ConstructionError("tabulated angular law requires a number params.t0")
+        nodes, dens = _checked_grid(grid, ("t", "density"), "tabulated angular")
         interp = PchipInterpolator(nodes, dens)
         return cls(lambda t: float(interp(t)), params["t0"], n_nodes=len(nodes))
 

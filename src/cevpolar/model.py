@@ -15,6 +15,7 @@ import numpy as np
 from scipy import special
 
 from .errors import (
+    ConfigError,
     ConstructionError,
     DegenerateWeightsError,
     DomainError,
@@ -148,12 +149,37 @@ class WeightedSample:
         return float(np.max(self.weights))
 
     def to_csv(self, path, metadata=None):
-        with open(path, "w") as fh:
-            for key, value in (metadata or {}).items():
-                fh.write(f"# {key}={value}\n")
-            fh.write("x,y,weight\n")
-            for xi, yi, wi in zip(self.x, self.y, self.weights):
-                fh.write(f"{float(xi)!r},{float(yi)!r},{float(wi)!r}\n")
+        _write_csv(path, metadata or {}, ("x", "y", "weight"),
+                   [self.x.tolist(), self.y.tolist(), self.weights.tolist()])
+
+
+# ---------------------------------------------------------------------------
+# artifacts
+# ---------------------------------------------------------------------------
+
+def _open_output(path):
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}")
+
+
+def _csv_cell(value):
+    # repr of a float reads back bit for bit; ints and strings print as they are
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def _write_csv(path, metadata, header, columns):
+    """Write '# key=value' metadata lines, the header, then one row per entry
+    of the equal-length ``columns``, streamed without building the rows."""
+    with _open_output(path) as fh:
+        for key, value in metadata.items():
+            fh.write(f"# {key}={value}\n")
+        fh.write(",".join(header) + "\n")
+        cells = (map(_csv_cell, column) for column in columns)
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 # ---------------------------------------------------------------------------
@@ -308,18 +334,26 @@ def _oracle_integrate(model, integrand, scale, extra_breaks=()):
     )
 
 
+def _marginal_oracle(model, level, coord, scale, hints):
+    """P(R w(T) > level) for the curve coordinate ``coord`` (curve.u or curve.v).
+
+    The integrand is S(level / w(t)) g(t), zero where w(t) <= 0.
+    """
+    radial, ang = model.radial, model.angular
+
+    def integrand(t):
+        return _survival(radial, _radial_level(level, coord(t))) * ang.density(t)
+
+    return _oracle_integrate(model, integrand, scale, hints)
+
+
 def survival_x_oracle(model, x):
     """P(X > x) by quadrature of the radial survival along the curve."""
     x = float(x)
     if x <= 0.0:
         raise DomainError("x must be positive")
-    curve, ang, radial = model.curve, model.angular, model.radial
-
-    def integrand(t):
-        return _survival(radial, _radial_level(x, curve.u(t))) * ang.density(t)
-
-    return _oracle_integrate(model, integrand, float(radial.survival(x)),
-                             _u_level_hints(model, x))
+    return _marginal_oracle(model, x, model.curve.u, float(model.radial.survival(x)),
+                            _u_level_hints(model, x))
 
 
 def survival_y_oracle(model, y):
@@ -327,13 +361,9 @@ def survival_y_oracle(model, y):
     y = float(y)
     if y <= 0.0:
         raise DomainError("the Y-tail oracle requires y > 0")
-    curve, ang, radial = model.curve, model.angular, model.radial
-
-    def integrand(t):
-        return _survival(radial, _radial_level(y, curve.v(t))) * ang.density(t)
-
-    return _oracle_integrate(model, integrand, float(radial.survival(y / curve.v_star)),
-                             _v_level_hints(model, y))
+    curve = model.curve
+    return _marginal_oracle(model, y, curve.v, float(model.radial.survival(y / curve.v_star)),
+                            _v_level_hints(model, y))
 
 
 def joint_exceedance_oracle(model, x, y):
@@ -388,42 +418,37 @@ def conditional_cdf_oracle(model, frame, x_std, y_std):
     return float(out) if out.ndim == 0 else out
 
 
-def solve_b_x(model, t_level, rtol=1e-10):
-    """Oracle level with P(X > level) = 1/t_level, by monotone bisection."""
+def _solve_level(model, oracle, t_level, v_max, axis, rtol):
+    """Level with oracle(model, level) = 1/t_level, by monotone bisection.
+
+    ``oracle`` is the tail P(R w(T) > level) of a coordinate with maximum
+    ``v_max``; it is at most S(level / v_max), so the root lies below the cap.
+    """
     t_level = float(t_level)
     if t_level <= 1.0:
         raise DomainError("t_level must exceed 1")
     target = math.log(t_level)
-    cap = float(model.radial.quantile_b(t_level))  # P(X > x) <= S(x) so root <= cap
+    cap = v_max * float(model.radial.quantile_b(t_level))
 
-    def fn(x):
-        return -math.log(survival_x_oracle(model, x)) - target
+    def fn(level):
+        return -math.log(oracle(model, level)) - target
 
     lo = cap * 0.5
     while fn(lo) > 0.0:
         lo *= 0.5
         if lo < cap * 1e-6:
-            raise DomainError("failed to bracket the X-quantile")
+            raise DomainError(f"failed to bracket the {axis}-quantile")
     return bisect_monotone(fn, lo, cap * (1.0 + 1e-12), rtol=rtol, xtol=1e-13 * cap)
+
+
+def solve_b_x(model, t_level, rtol=1e-10):
+    """Oracle level with P(X > level) = 1/t_level, by monotone bisection."""
+    return _solve_level(model, survival_x_oracle, t_level, 1.0, "X", rtol)
 
 
 def solve_b_y(model, t_level, rtol=1e-10):
     """Oracle level with P(Y > level) = 1/t_level, by monotone bisection."""
-    t_level = float(t_level)
-    if t_level <= 1.0:
-        raise DomainError("t_level must exceed 1")
-    target = math.log(t_level)
-    cap = model.curve.v_star * float(model.radial.quantile_b(t_level))
-
-    def fn(y):
-        return -math.log(survival_y_oracle(model, y)) - target
-
-    lo = cap * 0.5
-    while fn(lo) > 0.0:
-        lo *= 0.5
-        if lo < cap * 1e-6:
-            raise DomainError("failed to bracket the Y-quantile")
-    return bisect_monotone(fn, lo, cap * (1.0 + 1e-12), rtol=rtol, xtol=1e-13 * cap)
+    return _solve_level(model, survival_y_oracle, t_level, model.curve.v_star, "Y", rtol)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Small numerical helpers: guarded adaptive quadrature and root bracketing.
+"""Small numerical helpers: guarded adaptive quadrature, root bracketing and
+checked tabulation grids.
 
 Quadrature integrands are array functions: ``fn(t)`` takes a 1-D array of
 nodes and returns the integrand at each node.  :func:`integrate_with_breakpoints`
@@ -21,7 +22,7 @@ import warnings
 import numpy as np
 from scipy import integrate, optimize
 
-from .errors import DomainError, QuadratureError
+from .errors import ConstructionError, DomainError, QuadratureError
 
 #: default relative tolerance for oracle-grade integrals
 DEFAULT_REL_TOL = 1e-10
@@ -70,6 +71,30 @@ def _quadpack(fn, lo, hi, *, epsabs=0.0, epsrel=DEFAULT_REL_TOL, limit=200):
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         value, abserr = integrate.quad(fn, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=limit)
     return value, abserr
+
+
+def _checked_grid(grid, keys, what):
+    """The arrays ``grid[key]`` of a serialized table, checked before any
+    interpolant sees them: all keys present, equal lengths of at least two
+    finite numbers, and strictly increasing abscissae (the first key).
+    """
+    if not isinstance(grid, dict):
+        raise ConstructionError(f"{what} grid must be a mapping")
+    missing = [key for key in keys if key not in grid]
+    if missing:
+        raise ConstructionError(f"{what} grid lacks the keys {missing}")
+    try:
+        arrays = [np.asarray(grid[key], dtype=float) for key in keys]
+    except (TypeError, ValueError):
+        raise ConstructionError(f"{what} grid entries must be lists of numbers")
+    size = arrays[0].size
+    if size < 2 or any(a.ndim != 1 or a.size != size for a in arrays):
+        raise ConstructionError(f"{what} grid needs equal-length lists of at least 2 numbers")
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ConstructionError(f"{what} grid values must be finite")
+    if not np.all(np.diff(arrays[0]) > 0.0):
+        raise ConstructionError(f"{what} grid abscissae must be strictly increasing")
+    return arrays
 
 
 def integrate_panel(fn, lo, hi):

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from .errors import ConstructionError, DomainError
-from .numerics import _quadpack, bisect_monotone
+from .numerics import _checked_grid, _quadpack, bisect_monotone
 
 __all__ = [
     "RadialLaw",
@@ -200,7 +200,7 @@ class VonMisesRadial(RadialLaw):
     def __init__(self, psi, x0=0.0, scale=1.0, _grid=None):
         if not 0.0 < scale <= 1.0:
             raise ConstructionError("scale must lie in (0, 1]")
-        if x0 < 0.0:
+        if not x0 >= 0.0:
             raise ConstructionError("x0 must be nonnegative")
         self.x0 = float(x0)
         self.scale = float(scale)
@@ -342,12 +342,10 @@ class VonMisesRadial(RadialLaw):
 
     @classmethod
     def from_grid(cls, params, grid):
-        return cls(
-            psi=None,
-            x0=params["x0"],
-            scale=params["scale"],
-            _grid=(grid["x"], grid["J"], grid["Jp"]),
-        )
+        if not all(isinstance(params.get(key), (int, float)) for key in ("x0", "scale")):
+            raise ConstructionError("von Mises law requires numbers params.x0 and params.scale")
+        return cls(psi=None, x0=params["x0"], scale=params["scale"],
+                   _grid=_checked_grid(grid, ("x", "J", "Jp"), "von Mises"))
 
 
 class TabulatedRadial(RadialLaw):
@@ -378,15 +376,22 @@ class TabulatedRadial(RadialLaw):
         surv[0] = 1.0
         positive = surv > 0.0
         self._total = total
-        self._nodes = nodes[positive]
-        self._log_surv = np.log(surv[positive])
-        self._spline = PchipInterpolator(self._nodes, self._log_surv)
+        self._tabulate(nodes[positive], np.log(surv[positive]))
+
+    def _tabulate(self, nodes, log_surv):
+        """Log-survival spline on the nodes, its derivative and its inverse."""
+        steps = np.diff(log_surv)
+        keep = np.concatenate([[True], steps < -1e-14])
+        if np.any(steps > 0.0) or np.count_nonzero(keep) < 2:
+            raise ConstructionError(
+                "numeric radial log-survival must be nonincreasing and fall along the grid")
+        self._nodes = nodes
+        self._log_surv = log_surv
+        self._spline = PchipInterpolator(nodes, log_surv)
         self._dspline = self._spline.derivative()
-        slope = float(self._dspline(self._nodes[-1]))
-        self._tail_slope = min(slope, -1e-12)
-        # quantile interpolant on the decreasing log-survival values
-        keep = np.concatenate([[True], np.diff(self._log_surv) < -1e-14])
-        self._quantile = PchipInterpolator(-self._log_surv[keep], self._nodes[keep])
+        self._tail_slope = min(float(self._dspline(nodes[-1])), -1e-12)
+        # quantile interpolant on the strictly decreasing log-survival values
+        self._quantile = PchipInterpolator(-log_surv[keep], nodes[keep])
 
     @classmethod
     def _find_range(cls, density_fn):
@@ -483,13 +488,7 @@ class TabulatedRadial(RadialLaw):
     def from_grid(cls, grid):
         self = cls.__new__(cls)
         self._total = 1.0
-        self._nodes = np.asarray(grid["x"], dtype=float)
-        self._log_surv = np.asarray(grid["log_survival"], dtype=float)
-        self._spline = PchipInterpolator(self._nodes, self._log_surv)
-        self._dspline = self._spline.derivative()
-        self._tail_slope = min(float(self._dspline(self._nodes[-1])), -1e-12)
-        keep = np.concatenate([[True], np.diff(self._log_surv) < -1e-14])
-        self._quantile = PchipInterpolator(-self._log_surv[keep], self._nodes[keep])
+        self._tabulate(*_checked_grid(grid, ("x", "log_survival"), "numeric radial"))
         self._raw_density = lambda r, s=self: (
             -float(s._dspline(min(max(r, 0.0), s._nodes[-1]))) * math.exp(float(s.log_survival(max(r, 0.0))))
         )

@@ -53,7 +53,8 @@ class TestGridParsing:
         assert grid[-1] == pytest.approx(5.0, abs=1e-12)
 
     def test_bad_grids(self):
-        for bad in ("1:2", "a:b:c", "1:2:-0.5", "3:1:0.5"):
+        for bad in ("1:2", "a:b:c", "1:2:-0.5", "3:1:0.5",
+                    "3:inf:1", "nan:5:1", "0:1e300:1e-300", "0:1e12:1"):
             with pytest.raises(cp.ConfigError):
                 parse_grid(bad)
 
@@ -232,6 +233,31 @@ class TestBadInputExitsOne:
     def test_unwritable_output_path(self, model_config, tmp_path, capsys):
         code = run(["simulate", "-c", str(model_config), "--n", "10", "--seed", "1",
                     "-o", str(tmp_path / "no" / "such" / "dir" / "x.csv")])
+        self._expect_one_error_line(code, capsys)
+
+    def _tail_with_radial(self, tmp_path, radial):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"radial": radial,
+                                   "curve": {"kind": "elliptical", "params": {"rho": 0.6}},
+                                   "angular": {"kind": "uniform"}}))
+        return run(["tail", "-c", str(cfg), "--x-grid", "1:1:1",
+                    "-o", str(tmp_path / "tail.csv")])
+
+    def test_numeric_grid_with_nan(self, tmp_path, capsys):
+        radial = {"kind": "numeric", "params": {},
+                  "grid": {"x": [0.0, 1.0, 2.0], "log_survival": [0.0, math.nan, -2.0]}}
+        self._expect_one_error_line(self._tail_with_radial(tmp_path, radial), capsys)
+
+    def test_von_mises_without_x0(self, tmp_path, capsys):
+        radial = {"kind": "von_mises", "params": {"scale": 1.0},
+                  "grid": {"x": [0.0, 1.0, 2.0], "J": [0.0, 1.0, 2.0], "Jp": [1.0, 1.0, 1.0]}}
+        self._expect_one_error_line(self._tail_with_radial(tmp_path, radial), capsys)
+
+    def test_decompose_nonpositive_points(self, tmp_path, capsys):
+        cfg = tmp_path / "dec.json"
+        cfg.write_text(json.dumps({"curve": {"kind": "elliptical", "params": {"rho": 0.0}}}))
+        code = run(["decompose", "-c", str(cfg), "-o", str(tmp_path / "dec.csv"),
+                    "--points", "-1"])
         self._expect_one_error_line(code, capsys)
 
 

@@ -88,14 +88,6 @@ class TestConvergenceSweep:
                                  np.random.default_rng(5))
         assert a.ks_distances == b.ks_distances
 
-    def test_parallel_workers_match_serial(self, elliptical_gauss):
-        serial = cp.convergence_sweep(elliptical_gauss, [0.99, 0.999], 2_000,
-                                      np.random.default_rng(5))
-        threaded = cp.convergence_sweep(elliptical_gauss, [0.99, 0.999], 2_000,
-                                        np.random.default_rng(5), workers=2)
-        assert serial.ks_distances == threaded.ks_distances
-        assert serial.oracle_distances == threaded.oracle_distances
-
     def test_level_validation(self, elliptical_gauss, rng):
         with pytest.raises(cp.DomainError):
             cp.convergence_sweep(elliptical_gauss, [0.99, 0.5], 100, rng)

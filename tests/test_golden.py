@@ -1,0 +1,120 @@
+"""Golden artifacts: every CLI command, in both formats, byte for byte.
+
+Each case runs ``cli.run`` on a small fixed config and seed and compares the
+sha256 of the whole artifact (metadata lines included) with a recorded
+digest.  A refactor that changes any byte of any artifact fails here.  After
+a deliberate change of the output, print the new table with
+``PYTHONPATH=src python tests/test_golden.py`` and review it before pasting.
+"""
+
+import hashlib
+import json
+import os
+import sys
+
+import pytest
+
+from cevpolar.cli import run
+
+CONFIGS = {
+    "ell": {"radial": {"kind": "rayleigh"},
+            "curve": {"kind": "elliptical", "params": {"rho": 0.6}},
+            "angular": {"kind": "uniform"}},
+    "lp3": {"radial": {"kind": "weibull", "params": {"shape": 1.0}},
+            "curve": {"kind": "lp", "params": {"p": 3.0, "rho": 0.0}},
+            "angular": {"kind": "uniform"}},
+    "mix": {"mixture": {"p": 0.4, "rho": 0.8, "tau_mix": -0.4}},
+    "dec": {"curve": {"kind": "elliptical", "params": {"rho": 0.3}},
+            "profile": "gaussian", "ridge_weight": True},
+}
+
+#: argv of each case; "{name}" stands for the path of CONFIGS[name]
+CASES = {
+    "limit": ("limit", "--eta", "2", "--zeta", "1", "--grid", "-2:2:1"),
+    "simulate-joint": ("simulate", "-c", "{ell}", "--n", "2000", "--seed", "7"),
+    "simulate-conditional": ("simulate", "-c", "{ell}", "--n", "2000", "--seed", "7",
+                             "--threshold", "3.0"),
+    "simulate-mixture": ("simulate", "-c", "{mix}", "--n", "2000", "--seed", "7"),
+    "verify": ("verify", "-c", "{ell}", "--levels", "0.99,0.999", "--n", "2000",
+               "--seed", "11"),
+    "tail-ell": ("tail", "-c", "{ell}", "--x-grid", "2:6:2"),
+    "tail-lp3": ("tail", "-c", "{lp3}", "--x-grid", "4:12:4"),
+    "independence": ("independence", "-c", "{ell}", "--t-grid", "2:3:1"),
+    "second-order": ("second-order", "-c", "{ell}", "--x-grid", "6:8:2",
+                     "--z-grid", "-1:1:1"),
+    "decompose": ("decompose", "-c", "{dec}", "--points", "5"),
+}
+
+GOLDEN = {
+    "decompose.csv":
+        "f9fde587500f6942a5e526bcbf79c8f7b35db31aa31f7793fcf6f67063428e1c",
+    "decompose.json":
+        "141fc46a4d27d88047667abfda0eab497b03f7c3e4ab9f0ec6b873bb6b2ef7ea",
+    "independence.csv":
+        "eeb76714f602ea5939cbf8f6251406dc69f233ad6966586ec9c993de9bb759af",
+    "independence.json":
+        "cce2a89f66c4b4b1dd4bc4a6baa2ed76c9306869a786c42dc6448ed85cc15048",
+    "limit.csv":
+        "370cf0edb55574acac4153fd827f94258bd63f3519737d06d770274e31c720a6",
+    "limit.json":
+        "1bb162be9470b55c259bbfbd671217386ca85320234a3d258e461ef264e625ad",
+    "second-order.csv":
+        "fed38948c5d840999e1857a50e7f08ffb755befbdaba7e5dc727d6388530459d",
+    "second-order.json":
+        "d97df484c1142b229846bcea4392c4bc0fa80b3e1a743644a26ab39dfeb3c635",
+    "simulate-conditional.csv":
+        "8c460e9b975603df8caaa5ce56aafe51c552d3545cccae74ad6f403dbca0fb90",
+    "simulate-conditional.json":
+        "8c460e9b975603df8caaa5ce56aafe51c552d3545cccae74ad6f403dbca0fb90",
+    "simulate-joint.csv":
+        "5bc0c9ffca3320ebe79bbdb228564b8c5285c72224817eb778d325c72e153535",
+    "simulate-joint.json":
+        "5bc0c9ffca3320ebe79bbdb228564b8c5285c72224817eb778d325c72e153535",
+    "simulate-mixture.csv":
+        "a91d21887b3356e6c409669d51f6eed0def4e0547e90fbdc52f4a537d01736da",
+    "simulate-mixture.json":
+        "a91d21887b3356e6c409669d51f6eed0def4e0547e90fbdc52f4a537d01736da",
+    "tail-ell.csv":
+        "3445cc727fd6fbfaf582e1f978317f59b9d60f361b4e89b6835f8d7726e474ff",
+    "tail-ell.json":
+        "655d7c09ae7d13a8afa8166876a6a99729f8c0b80ca82a4d22417e69f327e954",
+    "tail-lp3.csv":
+        "2a93152581abc215b67c70b822afb52181dd88dda043acd22a1a4b11a6f80f37",
+    "tail-lp3.json":
+        "c9e050d8e76a67e67b881961f4e32a6b70ad6733ccc8656a90009af3842898e0",
+    "verify.csv":
+        "a18ce06257e4b32d775ff8615cbdc0088a049efb23d078343becd591187f914e",
+    "verify.json":
+        "e30bb3eec7c574299dd4e88228d5813a6776c2364c78811f86a1427326f49198",
+}
+
+
+def artifact_digest(work_dir, case, fmt):
+    """sha256 of the artifact that one case writes in the given format."""
+    paths = {}
+    for name, cfg in CONFIGS.items():
+        paths[name] = os.path.join(work_dir, f"{name}.json")
+        with open(paths[name], "w") as fh:
+            json.dump(cfg, fh)
+    out = os.path.join(work_dir, f"{case}.{fmt}")
+    argv = [arg.format(**paths) for arg in CASES[case]]
+    code = run(argv + ["--format", fmt, "-o", out])
+    assert code == 0, f"{case} exited {code}"
+    with open(out, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_artifact_matches_golden_digest(tmp_path, case, fmt):
+    assert artifact_digest(str(tmp_path), case, fmt) == GOLDEN[f"{case}.{fmt}"]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            for fmt in ("csv", "json"):
+                digest = artifact_digest(tmp, case, fmt)
+                sys.stdout.write(f'    "{case}.{fmt}":\n        "{digest}",\n')

@@ -177,6 +177,20 @@ class TestOracleProperties:
 
         check()
 
+    def test_monotone_in_x(self, elliptical_gauss, lp3_exponential, name):
+        model, x_max = _models(elliptical_gauss, lp3_exponential)[name]
+
+        @settings(max_examples=12, deadline=None)
+        @given(x=st.floats(0.5, x_max), dx=st.floats(0.01, x_max),
+               y=st.floats(-2.0 * x_max, 2.0 * x_max))
+        def check(x, dx, y):
+            near = cp.joint_cdf_y_oracle(model, x, y)
+            far = cp.joint_cdf_y_oracle(model, x + dx, y)
+            slack = 2.0 * ORACLE_REL_CHECK * float(model.radial.survival(x))
+            assert far <= near + slack
+
+        check()
+
 
 def test_array_x_matches_scalar_calls(elliptical_gauss):
     frame = cp.normalization(elliptical_gauss, 5.0)
