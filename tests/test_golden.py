@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+import cevpolar as cp
 from cevpolar.cli import run
 
 CONFIGS = {
@@ -26,6 +27,20 @@ CONFIGS = {
     "mix": {"mixture": {"p": 0.4, "rho": 0.8, "tau_mix": -0.4}},
     "dec": {"curve": {"kind": "elliptical", "params": {"rho": 0.3}},
             "profile": "gaussian", "ridge_weight": True},
+    "exp": {"radial": {"kind": "exponential", "params": {"rate": 1.0}},
+            "curve": {"kind": "power",
+                      "params": {"t0": 0.5, "kappa": 2.0, "delta": 1.0, "c_minus": 0.4,
+                                 "c_plus": 0.6, "lambda_v": 1.0, "rho": 0.3}},
+            "angular": {"kind": "power",
+                        "params": {"t0": 0.5, "tau": 0.5, "g_minus_frac": 0.4,
+                                   "window": 0.2}}},
+    # serialized laws: a von Mises grid cache, and the numeric radial and
+    # tabulated angular laws of a decomposed density
+    "vm": {"radial": cp.build_von_mises(lambda s: 1.0 / (1.0 + 0.5 * s)).to_dict(),
+           "curve": {"kind": "elliptical", "params": {"rho": 0.6}},
+           "angular": {"kind": "uniform"}},
+    "num": cp.decompose_density(cp.standard_normal_profile,
+                                cp.elliptical_curve(0.3)).to_dict(),
 }
 
 #: argv of each case; "{name}" stands for the path of CONFIGS[name]
@@ -39,6 +54,9 @@ CASES = {
                "--seed", "11"),
     "tail-ell": ("tail", "-c", "{ell}", "--x-grid", "2:6:2"),
     "tail-lp3": ("tail", "-c", "{lp3}", "--x-grid", "4:12:4"),
+    "tail-exp": ("tail", "-c", "{exp}", "--x-grid", "20:40:10"),
+    "tail-vm": ("tail", "-c", "{vm}", "--x-grid", "2:6:2"),
+    "tail-num": ("tail", "-c", "{num}", "--x-grid", "2:6:2"),
     "independence": ("independence", "-c", "{ell}", "--t-grid", "2:3:1"),
     "second-order": ("second-order", "-c", "{ell}", "--x-grid", "6:8:2",
                      "--z-grid", "-1:1:1"),
@@ -78,10 +96,22 @@ GOLDEN = {
         "3445cc727fd6fbfaf582e1f978317f59b9d60f361b4e89b6835f8d7726e474ff",
     "tail-ell.json":
         "655d7c09ae7d13a8afa8166876a6a99729f8c0b80ca82a4d22417e69f327e954",
+    "tail-exp.csv":
+        "832ac521c7dc36f7be5027fdf5043377adf59727ed7bf367cb6228e7b733024a",
+    "tail-exp.json":
+        "e47b6dcc2980f50498b7ca3ff738481206cf589832a8851377d48a6de28bd11c",
     "tail-lp3.csv":
         "2a93152581abc215b67c70b822afb52181dd88dda043acd22a1a4b11a6f80f37",
     "tail-lp3.json":
         "c9e050d8e76a67e67b881961f4e32a6b70ad6733ccc8656a90009af3842898e0",
+    "tail-num.csv":
+        "d06e52fffe6c31ef1301daad82417832772c1e17dc9f134181831e3b7c504aef",
+    "tail-num.json":
+        "5cc5554cc2705b26412d4f494f7be4e0cd220333d84fd363c23241dcdf426390",
+    "tail-vm.csv":
+        "083ee641be8d7ac254f1e536f5cd7b931ce0a0092f678f54edc3dc37299d8cff",
+    "tail-vm.json":
+        "c5a1958c4231ad2565e757a4db315f88ec280aef4636ab1b5ed28a1d395a3862",
     "verify.csv":
         "a18ce06257e4b32d775ff8615cbdc0088a049efb23d078343becd591187f914e",
     "verify.json":
