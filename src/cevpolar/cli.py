@@ -35,6 +35,7 @@ from .model import (
 )
 from .limits import ConditionalFrame
 from .geometry import curve_from_dict
+from .numerics import _is_number
 
 #: largest number of points a lo:hi:step grid may ask for
 _MAX_GRID_POINTS = 1_000_000
@@ -48,6 +49,17 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(message)
+
+
+def _finite_float(text):
+    """argparse type of every float flag: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def parse_grid(spec):
@@ -118,8 +130,8 @@ def _load_config(path):
 def _split_config(data):
     """Returns (polar_model_or_None, mixture_or_None, seed_or_None)."""
     seed = data.pop("seed", None)
-    if seed is not None and not isinstance(seed, int):
-        raise ConfigError("config seed must be an integer")
+    if seed is not None:
+        _checked_seed(seed, "config seed")
     if "mixture" in data:
         extra = set(data) - {"mixture"}
         if extra:
@@ -133,23 +145,31 @@ def _split_config(data):
         missing = {"p", "rho", "tau_mix"} - set(mix)
         if missing:
             raise ConfigError(f"mixture config lacks the keys {sorted(missing)}")
+        if not all(_is_number(mix[key]) for key in ("p", "rho", "tau_mix")):
+            raise ConfigError("mixture p, rho and tau_mix must be finite numbers")
         cone = mix.get("cone")
-        if cone is not None and not (isinstance(cone, list) and len(cone) == 2):
-            raise ConfigError("mixture cone must be a list [c1, c2]")
-        try:
-            mixture = MixtureModel(p=mix["p"], rho=mix["rho"], tau_mix=mix["tau_mix"],
-                                   cone=None if cone is None else tuple(cone))
-        except TypeError as exc:
-            raise ConfigError(f"mixture parameters must be numbers: {exc}")
+        if cone is not None and not (isinstance(cone, list) and len(cone) == 2
+                                     and all(map(_is_number, cone))):
+            raise ConfigError("mixture cone must be a list [c1, c2] of finite numbers")
+        mixture = MixtureModel(p=mix["p"], rho=mix["rho"], tau_mix=mix["tau_mix"],
+                               cone=None if cone is None else tuple(cone))
         return None, mixture, seed
     return model_from_dict(data), None, seed
 
 
+def _checked_seed(seed, source):
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"{source} must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def _require_seed(args, config_seed):
-    seed = args.seed if args.seed is not None else config_seed
-    if seed is None:
+    """The seed of a sampling command: --seed, else the (checked) config seed."""
+    if args.seed is not None:
+        return _checked_seed(args.seed, "--seed")
+    if config_seed is None:
         raise ConfigError("--seed is required for sampling commands")
-    return int(seed)
+    return config_seed
 
 
 def _load_polar(args):
@@ -198,15 +218,14 @@ def _cmd_simulate(args):
     if mixture is not None:
         if args.threshold is not None:
             raise ConfigError("conditional simulation is not defined for mixture configs")
-        xy = _sample_mixture(mixture, args.n, rng)
+        _emit(args, meta, ("x", "y"), _sample_mixture(mixture, args.n, rng).T.tolist())
     elif args.threshold is None:
-        xy = sample_joint(model, args.n, rng)
+        _emit(args, meta, ("x", "y"), sample_joint(model, args.n, rng).T.tolist())
     else:
         ws = sample_conditional(model, args.threshold, args.n, rng)
         meta["effective_size"] = repr(ws.effective_size)
-        ws.to_csv(args.output, meta)
-        return 0
-    _write_csv(args.output, meta, ("x", "y"), xy.T.tolist())
+        _emit(args, meta, ("x", "y", "weight"),
+              [ws.x.tolist(), ws.y.tolist(), ws.weights.tolist()])
     return 0
 
 
@@ -288,8 +307,11 @@ def _cmd_decompose(args):
     profile_name = config.get("profile", "gaussian")
     if profile_name != "gaussian":
         raise ConfigError(f"unknown radial profile '{profile_name}'")
+    ridge = config.get("ridge_weight", False)
+    if not isinstance(ridge, bool):
+        raise ConfigError("decompose ridge_weight must be true or false")
     weight = None
-    if config.get("ridge_weight", False):
+    if ridge:
         weight = lambda t: quartic_ridge_weight(2.0 * math.pi * (t - curve.t0))
     model = decompose_density(standard_normal_profile, curve, angular_weight=weight)
     payload = {"command": "decompose", "config": config}
@@ -319,9 +341,9 @@ def _build_parser():
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("limit", help="tabulate a limit law cdf/pdf")
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--zeta", type=float, required=True)
-    p.add_argument("--weight-minus", type=float, default=0.5)
+    p.add_argument("--eta", type=_finite_float, required=True)
+    p.add_argument("--zeta", type=_finite_float, required=True)
+    p.add_argument("--weight-minus", type=_finite_float, default=0.5)
     p.add_argument("--grid", required=True, help="lo:hi:step")
     common(p, needs_config=False)
     p.set_defaults(fn=_cmd_limit)
@@ -329,7 +351,7 @@ def _build_parser():
     p = sub.add_parser("simulate", help="draw joint or conditional samples")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", type=_finite_float, default=None)
     common(p)
     p.set_defaults(fn=_cmd_simulate)
 
@@ -347,9 +369,9 @@ def _build_parser():
 
     p = sub.add_parser("independence", help="asymptotic-independence diagnostics")
     p.add_argument("--t-grid", required=True, help="lo:hi:step in log10 units")
-    p.add_argument("--y", type=float, default=1.0)
-    p.add_argument("--x-std", type=float, default=1.0)
-    p.add_argument("--y-std", type=float, default=1.0)
+    p.add_argument("--y", type=_finite_float, default=1.0)
+    p.add_argument("--x-std", type=_finite_float, default=1.0)
+    p.add_argument("--y-std", type=_finite_float, default=1.0)
     common(p)
     p.set_defaults(fn=_cmd_independence)
 

@@ -16,7 +16,7 @@ from scipy import optimize
 from scipy.interpolate import PchipInterpolator
 
 from .errors import ConstructionError, DomainError
-from .numerics import _checked_grid, bisect_monotone, integrate_with_breakpoints, refine_zeros
+from .numerics import _read_spec, bisect_monotone, integrate_with_breakpoints, refine_zeros
 
 __all__ = [
     "CurveGerm",
@@ -528,12 +528,11 @@ class TabulatedAngular(AngularLaw):
         }
 
     @classmethod
-    def from_grid(cls, params, grid):
-        if not isinstance(params.get("t0"), (int, float)):
-            raise ConstructionError("tabulated angular law requires a number params.t0")
-        nodes, dens = _checked_grid(grid, ("t", "density"), "tabulated angular")
+    def from_grid(cls, grid, t0):
+        """The law of a serialized grid: arrays (t, density), checked."""
+        nodes, dens = grid
         interp = PchipInterpolator(nodes, dens)
-        return cls(lambda t: float(interp(t)), params["t0"], n_nodes=len(nodes))
+        return cls(lambda t: float(interp(t)), t0, n_nodes=len(nodes))
 
 
 def angular_uniform():
@@ -558,25 +557,9 @@ def check_angular_normalization(law, tol=1e-10):
     return total
 
 
-def _params(data, what):
-    params = data.get("params", {})
-    if not isinstance(params, dict):
-        raise ConstructionError(f"{what} params must be a mapping")
-    return dict(params)
-
-
 def curve_from_dict(data):
-    try:
-        kind = data["kind"]
-    except (TypeError, KeyError):
-        raise ConstructionError("curve spec must be a mapping with a 'kind' entry")
-    params = _params(data, "curve")
-    extra = set(data) - {"kind", "params"}
-    if extra:
-        raise ConstructionError(f"unknown curve keys: {sorted(extra)}")
     builders = {"elliptical": elliptical_curve, "lp": lp_curve, "power": power_curve}
-    if kind not in builders:
-        raise ConstructionError(f"unknown curve kind '{kind}'")
+    kind, params, _ = _read_spec(data, "curve", dict.fromkeys(builders))
     try:
         return builders[kind](**params)
     except TypeError as exc:
@@ -584,25 +567,11 @@ def curve_from_dict(data):
 
 
 def angular_from_dict(data):
+    kind, params, grid = _read_spec(
+        data, "angular", {"uniform": None, "power": None, "tabulated": ("t", "density")})
+    builders = {"uniform": UniformAngular, "power": PowerAngular,
+                "tabulated": lambda **p: TabulatedAngular.from_grid(grid, **p)}
     try:
-        kind = data["kind"]
-    except (TypeError, KeyError):
-        raise ConstructionError("angular spec must be a mapping with a 'kind' entry")
-    params = _params(data, "angular")
-    if kind == "uniform":
-        if params:
-            raise ConstructionError("uniform angular law takes no parameters")
-        return UniformAngular()
-    if kind == "power":
-        extra = set(data) - {"kind", "params"}
-        if extra:
-            raise ConstructionError(f"unknown angular keys: {sorted(extra)}")
-        try:
-            return PowerAngular(**params)
-        except TypeError as exc:
-            raise ConstructionError(f"bad parameters for angular law: {exc}")
-    if kind == "tabulated":
-        if "grid" not in data:
-            raise ConstructionError("serialized tabulated angular law requires its grid")
-        return TabulatedAngular.from_grid(params, data["grid"])
-    raise ConstructionError(f"unknown angular kind '{kind}'")
+        return builders[kind](**params)
+    except TypeError as exc:
+        raise ConstructionError(f"bad parameters for angular law '{kind}': {exc}")

@@ -207,7 +207,7 @@ def sample_conditional(model, t, n, rng):
     Zero-weight proposals carry no information and are dropped.
     """
     t = float(t)
-    if t <= 0.0:
+    if not t > 0.0:
         raise DomainError("threshold must be positive")
     if float(model.radial.log_survival(t)) < _LOG_TINY:
         raise DegenerateWeightsError(

@@ -1,5 +1,5 @@
-"""Small numerical helpers: guarded adaptive quadrature, root bracketing and
-checked tabulation grids.
+"""Small numerical helpers: guarded adaptive quadrature, root bracketing, and
+the checked reading of serialized law specs and their tabulation grids.
 
 Quadrature integrands are array functions: ``fn(t)`` takes a 1-D array of
 nodes and returns the integrand at each node.  :func:`integrate_with_breakpoints`
@@ -17,6 +17,7 @@ thread-safe.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -73,13 +74,49 @@ def _quadpack(fn, lo, hi, *, epsabs=0.0, epsrel=DEFAULT_REL_TOL, limit=200):
     return value, abserr
 
 
+def _is_number(value):
+    """True for a finite JSON number: an int or a float (not a bool) within
+    the float range."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _read_spec(data, what, kinds):
+    """(kind, params, grid) of a serialized ``what`` spec, checked.
+
+    ``kinds`` maps each known kind to the keys of its grid, or to None for a
+    kind without one.  The spec must be a mapping with a known ``kind`` and
+    no keys but ``kind``, ``params`` and, for a grid kind, ``grid``; params
+    must map names to finite numbers and pass through unchanged.  ``grid`` is
+    the list of checked arrays (:func:`_checked_grid`), or None.
+    """
+    if not isinstance(data, dict) or "kind" not in data:
+        raise ConstructionError(f"{what} spec must be a mapping with a 'kind' entry")
+    kind = data["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConstructionError(f"unknown {what} kind {kind!r}")
+    grid_keys = kinds[kind]
+    extra = set(data) - {"kind", "params"} - ({"grid"} if grid_keys else set())
+    if extra:
+        raise ConstructionError(f"unknown {what} keys: {sorted(extra)}")
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise ConstructionError(f"{what} params must be a mapping")
+    bad = [name for name, value in params.items() if not _is_number(value)]
+    if bad:
+        raise ConstructionError(f"{what} params {bad} must be finite numbers")
+    if not grid_keys:
+        return kind, params, None
+    return kind, params, _checked_grid(data.get("grid"), grid_keys, f"{kind} {what}")
+
+
 def _checked_grid(grid, keys, what):
     """The arrays ``grid[key]`` of a serialized table, checked before any
     interpolant sees them: all keys present, equal lengths of at least two
     finite numbers, and strictly increasing abscissae (the first key).
     """
     if not isinstance(grid, dict):
-        raise ConstructionError(f"{what} grid must be a mapping")
+        raise ConstructionError(f"{what} spec needs a 'grid' mapping")
     missing = [key for key in keys if key not in grid]
     if missing:
         raise ConstructionError(f"{what} grid lacks the keys {missing}")
@@ -176,32 +213,17 @@ def integrate_with_breakpoints(fn, lo, hi, breakpoints=(), *, epsrel=DEFAULT_REL
     return total
 
 
-def bisect_monotone(fn, lo, hi, *, xtol=1e-13, rtol=1e-12, expand=False, max_expand=60):
-    """Root of a monotone scalar function by Brent's method.
-
-    With ``expand=True`` the bracket [lo, hi] is grown geometrically until the
-    function changes sign (the caller guarantees a root exists).
-    """
+def bisect_monotone(fn, lo, hi, *, xtol=1e-13, rtol=1e-12):
+    """Root of a monotone scalar function on the bracket [lo, hi] by Brent's
+    method."""
     flo = fn(lo)
     fhi = fn(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
-    tries = 0
-    while flo * fhi > 0.0:
-        if not expand:
-            raise DomainError("root not bracketed")
-        if tries >= max_expand:
-            raise DomainError("failed to bracket root after expansion")
-        span = hi - lo
-        if abs(fhi) < abs(flo):
-            hi = hi + 2.0 * span
-            fhi = fn(hi)
-        else:
-            lo = max(lo - 2.0 * span, 0.0) if lo > 0.0 else lo - 2.0 * span
-            flo = fn(lo)
-        tries += 1
+    if flo * fhi > 0.0:
+        raise DomainError("root not bracketed")
     return float(optimize.brentq(fn, lo, hi, xtol=xtol, rtol=max(rtol, 4.5e-16)))
 
 

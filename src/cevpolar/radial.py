@@ -16,7 +16,7 @@ import numpy as np
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from .errors import ConstructionError, DomainError
-from .numerics import _checked_grid, _quadpack, bisect_monotone
+from .numerics import _quadpack, _read_spec, bisect_monotone
 
 __all__ = [
     "RadialLaw",
@@ -341,11 +341,9 @@ class VonMisesRadial(RadialLaw):
         }
 
     @classmethod
-    def from_grid(cls, params, grid):
-        if not all(isinstance(params.get(key), (int, float)) for key in ("x0", "scale")):
-            raise ConstructionError("von Mises law requires numbers params.x0 and params.scale")
-        return cls(psi=None, x0=params["x0"], scale=params["scale"],
-                   _grid=_checked_grid(grid, ("x", "J", "Jp"), "von Mises"))
+    def from_grid(cls, grid, x0, scale):
+        """The law of a serialized grid cache: arrays (x, J, Jp), checked."""
+        return cls(psi=None, x0=x0, scale=scale, _grid=grid)
 
 
 class TabulatedRadial(RadialLaw):
@@ -486,9 +484,10 @@ class TabulatedRadial(RadialLaw):
 
     @classmethod
     def from_grid(cls, grid):
+        """The law of a serialized grid: arrays (x, log_survival), checked."""
         self = cls.__new__(cls)
         self._total = 1.0
-        self._tabulate(*_checked_grid(grid, ("x", "log_survival"), "numeric radial"))
+        self._tabulate(*grid)
         self._raw_density = lambda r, s=self: (
             -float(s._dspline(min(max(r, 0.0), s._nodes[-1]))) * math.exp(float(s.log_survival(max(r, 0.0))))
         )
@@ -554,27 +553,12 @@ _CATALOG = {
 
 def radial_from_dict(data):
     """Rebuild a radial law from its JSON dictionary form."""
+    grids = {VonMisesRadial.kind: ("x", "J", "Jp"), TabulatedRadial.kind: ("x", "log_survival")}
+    kind, params, grid = _read_spec(data, "radial", {**dict.fromkeys(_CATALOG), **grids})
+    builders = {VonMisesRadial.kind: lambda p: VonMisesRadial.from_grid(grid, **p),
+                TabulatedRadial.kind: lambda p: TabulatedRadial.from_grid(grid, **p),
+                **_CATALOG}
     try:
-        kind = data["kind"]
-    except (TypeError, KeyError):
-        raise ConstructionError("radial spec must be a mapping with a 'kind' entry")
-    params = data.get("params", {})
-    if not isinstance(params, dict):
-        raise ConstructionError("radial params must be a mapping")
-    if kind in _CATALOG:
-        extra = set(data) - {"kind", "params"}
-        if extra:
-            raise ConstructionError(f"unknown radial keys: {sorted(extra)}")
-        try:
-            return _CATALOG[kind](dict(params))
-        except TypeError as exc:
-            raise ConstructionError(f"bad parameters for radial family '{kind}': {exc}")
-    if kind == VonMisesRadial.kind:
-        if "grid" not in data:
-            raise ConstructionError("serialized von Mises law requires its grid cache")
-        return VonMisesRadial.from_grid(params, data["grid"])
-    if kind == TabulatedRadial.kind:
-        if "grid" not in data:
-            raise ConstructionError("serialized numeric law requires its grid cache")
-        return TabulatedRadial.from_grid(data["grid"])
-    raise ConstructionError(f"unknown radial family '{kind}'")
+        return builders[kind](params)
+    except TypeError as exc:
+        raise ConstructionError(f"bad parameters for radial law '{kind}': {exc}")

@@ -205,6 +205,60 @@ class TestAnalysisCommands:
         assert code == 1
 
 
+_ELL = {"radial": {"kind": "rayleigh"},
+        "curve": {"kind": "elliptical", "params": {"rho": 0.6}},
+        "angular": {"kind": "uniform"}}
+_VM_GRID = {"x": [0.0, 1.0, 2.0], "J": [0.0, 1.0, 2.0], "Jp": [1.0, 1.0, 1.0]}
+_NUM_GRID = {"x": [0.0, 1.0, 2.0], "log_survival": [0.0, -1.0, -2.0]}
+_TAB_GRID = {"t": [0.0, 0.5, 1.0], "density": [1.0, 1.0, 1.0]}
+_SIMULATE = ("simulate", "-c", "{config}", "--n", "10", "--seed", "1")
+
+
+#: name -> (config written to "{config}", argv); each must exit 1 with one error line
+BAD_INPUTS = {
+    "curve-param-not-a-number": (
+        {**_ELL, "curve": {"kind": "elliptical", "params": {"rho": "a"}}}, _SIMULATE),
+    "lp-param-not-a-number": (
+        {**_ELL, "curve": {"kind": "lp", "params": {"p": "x"}}}, _SIMULATE),
+    "param-numeric-string": (
+        {**_ELL, "curve": {"kind": "elliptical", "params": {"rho": "0.5"}}}, _SIMULATE),
+    "param-bool": ({**_ELL, "radial": {"kind": "exponential", "params": {"rate": True}}},
+                   _SIMULATE),
+    "param-nan": ({**_ELL, "curve": {"kind": "power", "params": {
+        "t0": 0.5, "kappa": 2.0, "delta": 1.0, "c_minus": 0.4, "c_plus": 0.6,
+        "lambda_v": math.nan, "rho": 0.3}}}, _SIMULATE),
+    "uniform-unknown-key": ({**_ELL, "angular": {"kind": "uniform", "mode": 1}}, _SIMULATE),
+    "tabulated-unknown-key": ({**_ELL, "angular": {
+        "kind": "tabulated", "params": {"t0": 0.5}, "grid": _TAB_GRID, "mode": 1}}, _SIMULATE),
+    "von-mises-unknown-key": ({**_ELL, "radial": {
+        "kind": "von_mises", "params": {"x0": 0.0, "scale": 1.0}, "grid": _VM_GRID,
+        "mode": 1}}, _SIMULATE),
+    "numeric-unknown-key": ({**_ELL, "radial": {
+        "kind": "numeric", "params": {}, "grid": _NUM_GRID, "mode": 1}}, _SIMULATE),
+    "von-mises-unknown-param": ({**_ELL, "radial": {
+        "kind": "von_mises", "params": {"x0": 0.0, "scale": 1.0, "shift": 2.0},
+        "grid": _VM_GRID}}, _SIMULATE),
+    "mixture-param-string": ({"mixture": {"p": 0.4, "rho": "0.8", "tau_mix": -0.4}},
+                             _SIMULATE),
+    "mixture-cone-not-numbers": (
+        {"mixture": {"p": 0.4, "rho": 0.8, "tau_mix": -0.4, "cone": ["a", 1.0]}}, _SIMULATE),
+    "negative-seed-flag": (_ELL, ("simulate", "-c", "{config}", "--n", "10",
+                                  "--seed", "-1")),
+    "negative-config-seed": ({**_ELL, "seed": -3},
+                             ("simulate", "-c", "{config}", "--n", "10")),
+    "bool-config-seed": ({**_ELL, "seed": True}, ("simulate", "-c", "{config}", "--n", "10")),
+    "ridge-weight-not-bool": (
+        {"curve": {"kind": "elliptical", "params": {"rho": 0.0}}, "ridge_weight": "no"},
+        ("decompose", "-c", "{config}", "--points", "3")),
+    "independence-nan-y": (_ELL, ("independence", "-c", "{config}", "--t-grid", "2:2:1",
+                                  "--y", "nan", "--format", "json")),
+    "limit-nan-weight": (None, ("limit", "--eta", "2", "--zeta", "1", "--grid", "0:1:1",
+                                "--weight-minus", "nan")),
+    "simulate-nan-threshold": (_ELL, _SIMULATE + ("--threshold", "nan")),
+    "simulate-inf-threshold": (_ELL, _SIMULATE + ("--threshold", "inf")),
+}
+
+
 class TestBadInputExitsOne:
     """Malformed input ends in exit code 1 and one ``error:`` line, never a traceback."""
 
@@ -213,6 +267,14 @@ class TestBadInputExitsOne:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+    def test_bad_input_table(self, name, tmp_path, capsys):
+        config, argv = BAD_INPUTS[name]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = [arg.format(config=path) for arg in argv]
+        self._expect_one_error_line(run(argv + ["-o", str(tmp_path / "out")]), capsys)
 
     def test_mixture_without_weight(self, tmp_path, capsys):
         cfg = tmp_path / "mix.json"

@@ -83,15 +83,15 @@ GOLDEN = {
     "simulate-conditional.csv":
         "8c460e9b975603df8caaa5ce56aafe51c552d3545cccae74ad6f403dbca0fb90",
     "simulate-conditional.json":
-        "8c460e9b975603df8caaa5ce56aafe51c552d3545cccae74ad6f403dbca0fb90",
+        "abb2c49c73fad49b5db9fa06109d61dbd730347ed85cdf050efa010ae4fac9f9",
     "simulate-joint.csv":
         "5bc0c9ffca3320ebe79bbdb228564b8c5285c72224817eb778d325c72e153535",
     "simulate-joint.json":
-        "5bc0c9ffca3320ebe79bbdb228564b8c5285c72224817eb778d325c72e153535",
+        "f246ebd03db8ebd513475b7e85e676e951db3a8430b14edf6dca94f9b9ccad61",
     "simulate-mixture.csv":
         "a91d21887b3356e6c409669d51f6eed0def4e0547e90fbdc52f4a537d01736da",
     "simulate-mixture.json":
-        "a91d21887b3356e6c409669d51f6eed0def4e0547e90fbdc52f4a537d01736da",
+        "68f2519c4f69b3ebbe905c6fa5f08922c87e6b255647fb3b3dc03cd4c67c7ed0",
     "tail-ell.csv":
         "3445cc727fd6fbfaf582e1f978317f59b9d60f361b4e89b6835f8d7726e474ff",
     "tail-ell.json":

@@ -83,6 +83,11 @@ class TestConditionalSampling:
         with pytest.raises(cp.DegenerateWeightsError):
             cp.sample_conditional(round_gauss, 60.0, 100, rng)
 
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
+    def test_threshold_must_be_positive(self, round_gauss, rng, t):
+        with pytest.raises(cp.DomainError):
+            cp.sample_conditional(round_gauss, t, 100, rng)
+
     def test_csv_roundtrip(self, round_gauss, rng, tmp_path):
         ws = cp.sample_conditional(round_gauss, 3.0, 100, rng)
         path = tmp_path / "ws.csv"

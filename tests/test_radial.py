@@ -9,6 +9,12 @@ import cevpolar as cp
 CATALOG = [cp.Exponential(1.0), cp.Exponential(2.0), cp.Weibull(2.0),
            cp.Weibull(0.8), cp.Rayleigh()]
 
+#: tabulated laws, each rebuilt from its serialized form
+SERIALIZED = [
+    cp.radial_from_dict(cp.build_von_mises(lambda s: 1.0 / (1.0 + 0.5 * s)).to_dict()),
+    cp.radial_from_dict(cp.TabulatedRadial(lambda r: r * math.exp(-0.5 * r * r)).to_dict()),
+]
+
 
 class TestSurvival:
     def test_survival_at_origin(self):
@@ -24,7 +30,7 @@ class TestSurvival:
         with pytest.raises(cp.DomainError):
             cp.Exponential(1.0).survival(-0.5)
 
-    @pytest.mark.parametrize("law", CATALOG, ids=lambda l: f"{l.kind}")
+    @pytest.mark.parametrize("law", CATALOG + SERIALIZED, ids=lambda l: f"{l.kind}")
     def test_monotone_to_zero(self, law):
         xs = np.linspace(0.0, 30.0, 200)
         s = law.survival(xs)
@@ -47,7 +53,7 @@ class TestQuantile:
         with pytest.raises(cp.DomainError):
             cp.Rayleigh().quantile_b(1.0)
 
-    @pytest.mark.parametrize("law", CATALOG, ids=lambda l: f"{l.kind}")
+    @pytest.mark.parametrize("law", CATALOG + SERIALIZED, ids=lambda l: f"{l.kind}")
     def test_roundtrip_identity(self, law):
         # quantile_b composed with 1/survival is the identity on a log grid
         ts = np.geomspace(1.5, 1e12, 40)
@@ -208,7 +214,8 @@ class TestTailRatioBound:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("law", CATALOG, ids=lambda l: f"{l.kind}-{id(l)%97}")
+    @pytest.mark.parametrize("law", CATALOG,
+                             ids=[f"{law.kind}-{i}" for i, law in enumerate(CATALOG)])
     def test_catalog_roundtrip(self, law):
         clone = cp.radial_from_dict(law.to_dict())
         xs = np.array([0.1, 1.0, 3.0])
