@@ -49,6 +49,8 @@ CASES = {
     "simulate-joint": ("simulate", "-c", "{ell}", "--n", "2000", "--seed", "7"),
     "simulate-conditional": ("simulate", "-c", "{ell}", "--n", "2000", "--seed", "7",
                              "--threshold", "3.0"),
+    "simulate-conditional-vm": ("simulate", "-c", "{vm}", "--n", "2000", "--seed", "7",
+                                "--threshold", "3.0"),
     "simulate-mixture": ("simulate", "-c", "{mix}", "--n", "2000", "--seed", "7"),
     "verify": ("verify", "-c", "{ell}", "--levels", "0.99,0.999", "--n", "2000",
                "--seed", "11"),
@@ -84,6 +86,10 @@ GOLDEN = {
         "8c460e9b975603df8caaa5ce56aafe51c552d3545cccae74ad6f403dbca0fb90",
     "simulate-conditional.json":
         "abb2c49c73fad49b5db9fa06109d61dbd730347ed85cdf050efa010ae4fac9f9",
+    "simulate-conditional-vm.csv":
+        "8294eea266faf6c60a3a108e06d0ba7d76f33a7acad4f71666a16c4c656d0898",
+    "simulate-conditional-vm.json":
+        "0f440919fc7f0b9ae5230b4395b3b03c33527507c3b8f43075d515081063581b",
     "simulate-joint.csv":
         "5bc0c9ffca3320ebe79bbdb228564b8c5285c72224817eb778d325c72e153535",
     "simulate-joint.json":
