@@ -100,17 +100,19 @@ def _emit(args, meta, header, columns, body=None):
     """Write a command's artifact in its ``--format``.
 
     JSON holds ``body`` next to the metadata; by default the body is the
-    columns keyed by the header.  CSV holds the columns as rows, and the
-    body's scalar entries (pass flags) as extra metadata lines.
+    columns (lists or arrays) keyed by the header.  CSV holds the columns as
+    rows, and the body's scalar entries (pass flags) as extra metadata lines.
     """
-    if body is None:
-        body = dict(zip(header, columns))
     if args.format == "json":
+        if body is None:
+            body = {key: column.tolist() if isinstance(column, np.ndarray) else column
+                    for key, column in zip(header, columns)}
         with _open_output(args.output) as fh:
             json.dump({"meta": meta, **body}, fh, indent=2)
             fh.write("\n")
     else:
-        flags = {key: value for key, value in body.items() if not isinstance(value, list)}
+        flags = {key: value for key, value in (body or {}).items()
+                 if not isinstance(value, list)}
         _write_csv(args.output, {**meta, **flags}, header, columns)
 
 
@@ -218,14 +220,13 @@ def _cmd_simulate(args):
     if mixture is not None:
         if args.threshold is not None:
             raise ConfigError("conditional simulation is not defined for mixture configs")
-        _emit(args, meta, ("x", "y"), _sample_mixture(mixture, args.n, rng).T.tolist())
+        _emit(args, meta, ("x", "y"), _sample_mixture(mixture, args.n, rng).T)
     elif args.threshold is None:
-        _emit(args, meta, ("x", "y"), sample_joint(model, args.n, rng).T.tolist())
+        _emit(args, meta, ("x", "y"), sample_joint(model, args.n, rng).T)
     else:
         ws = sample_conditional(model, args.threshold, args.n, rng)
         meta["effective_size"] = repr(ws.effective_size)
-        _emit(args, meta, ("x", "y", "weight"),
-              [ws.x.tolist(), ws.y.tolist(), ws.weights.tolist()])
+        _emit(args, meta, ("x", "y", "weight"), [ws.x, ws.y, ws.weights])
     return 0
 
 

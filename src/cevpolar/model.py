@@ -149,8 +149,7 @@ class WeightedSample:
         return float(np.max(self.weights))
 
     def to_csv(self, path, metadata=None):
-        _write_csv(path, metadata or {}, ("x", "y", "weight"),
-                   [self.x.tolist(), self.y.tolist(), self.weights.tolist()])
+        _write_csv(path, metadata or {}, ("x", "y", "weight"), [self.x, self.y, self.weights])
 
 
 # ---------------------------------------------------------------------------
@@ -171,15 +170,34 @@ def _csv_cell(value):
     return str(value)
 
 
+#: rows formatted and written together by _write_csv
+_CSV_BLOCK = 1 << 16
+
+
+def _csv_block(block):
+    """The cells of one block of a column (a list or an array), each equal to
+    ``_csv_cell`` of its value."""
+    if isinstance(block, np.ndarray):
+        floats, block = block.dtype.kind == "f", block.tolist()
+    else:
+        floats = all(type(value) is float for value in block)
+    if floats:
+        # the repr of a list of floats holds float.__repr__ of each, made in C
+        return repr(block)[1:-1].split(", ")
+    return list(map(_csv_cell, block))
+
+
 def _write_csv(path, metadata, header, columns):
     """Write '# key=value' metadata lines, the header, then one row per entry
-    of the equal-length ``columns``, streamed without building the rows."""
+    of the equal-length ``columns`` (lists or arrays), formatted and written
+    a block of rows at a time."""
     with _open_output(path) as fh:
         for key, value in metadata.items():
             fh.write(f"# {key}={value}\n")
         fh.write(",".join(header) + "\n")
-        cells = (map(_csv_cell, column) for column in columns)
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+        for start in range(0, len(columns[0]), _CSV_BLOCK):
+            cells = [_csv_block(column[start:start + _CSV_BLOCK]) for column in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,12 @@ singularity (``singular_points``) are the exception: bisection cannot
 resolve mass packed within an ulp of the edge, so those panels go to QAGS
 extrapolation, which calls the same array integrand one node at a time.
 
+:func:`bisect_monotone` picks its method from the shape of the bracket: a
+scalar bracket gets Brent's method, which spends the fewest calls of a costly
+scalar function (the oracle level solves), and an array of brackets gets one
+bisection over all of them, one array call per round (the von Mises
+quantiles of a conditional sample).
+
 Everything here is deterministic and stateless so the callers stay pure and
 thread-safe.
 """
@@ -214,8 +220,20 @@ def integrate_with_breakpoints(fn, lo, hi, breakpoints=(), *, epsrel=DEFAULT_REL
 
 
 def bisect_monotone(fn, lo, hi, *, xtol=1e-13, rtol=1e-12):
-    """Root of a monotone scalar function on the bracket [lo, hi] by Brent's
-    method."""
+    """Root of a monotone function on the bracket [lo, hi], increasing or
+    decreasing.
+
+    The shape of the bracket picks the method.  Scalar ``lo`` and ``hi`` use
+    Brent's method, which needs the fewest calls of a costly scalar ``fn``
+    (the oracle level solves make about ten per solve).  Array ``lo`` and
+    ``hi`` are solved together by bisection: the array ``fn`` is called once
+    per round on every midpoint, and each element stops once
+    ``|hi - lo| <= xtol + rtol * |mid|`` (the von Mises quantiles of a
+    whole sample are one such call).  Raises :class:`DomainError` if any
+    bracket does not hold a sign change.
+    """
+    if np.ndim(lo) or np.ndim(hi):
+        return _bisect_arrays(fn, lo, hi, xtol, rtol)
     flo = fn(lo)
     fhi = fn(hi)
     if flo == 0.0:
@@ -225,6 +243,26 @@ def bisect_monotone(fn, lo, hi, *, xtol=1e-13, rtol=1e-12):
     if flo * fhi > 0.0:
         raise DomainError("root not bracketed")
     return float(optimize.brentq(fn, lo, hi, xtol=xtol, rtol=max(rtol, 4.5e-16)))
+
+
+def _bisect_arrays(fn, lo, hi, xtol, rtol):
+    lo, hi = (np.array(a, dtype=float) for a in np.broadcast_arrays(lo, hi))
+    flo, fhi = fn(lo), fn(hi)
+    if not np.all(((flo <= 0.0) & (fhi >= 0.0)) | ((flo >= 0.0) & (fhi <= 0.0))):
+        raise DomainError("root not bracketed")
+    # an exact root at an end closes its bracket; the rest move towards the sign change
+    hi = np.where(flo == 0.0, lo, hi)
+    lo = np.where(fhi == 0.0, hi, lo)
+    rising = flo < fhi
+    while True:
+        mid = 0.5 * (lo + hi)
+        # a bracket of adjacent floats has no midpoint left to try
+        done = (np.abs(hi - lo) <= xtol + rtol * np.abs(mid)) | (mid == lo) | (mid == hi)
+        if done.all():
+            return mid
+        below = (fn(mid) < 0.0) == rising
+        lo = np.where(~done & below, mid, lo)
+        hi = np.where(~done & ~below, mid, hi)
 
 
 def sign_changes(values, grid):

@@ -187,8 +187,11 @@ class VonMisesRadial(RadialLaw):
 
     The cumulative integral J(x) = int_0^x ds/psi(s) is tabulated on an
     adaptive grid with its exact derivative 1/psi at the nodes, and evaluated
-    through a cubic Hermite spline, so survival and quantiles are mutually
-    consistent to machine precision.
+    through a cubic Hermite spline.  The quantiles of one call are one
+    bracketed array solve on the Hermite pieces (``searchsorted`` picks each
+    level's piece, then :func:`bisect_monotone` bisects all pieces at once),
+    so the log-survival of a quantile returns its level to about 1e-12
+    relative.
     """
 
     kind = "von_mises"
@@ -302,26 +305,23 @@ class VonMisesRadial(RadialLaw):
     def inverse_log_survival(self, logq):
         scalar = np.isscalar(logq)
         arr = np.atleast_1d(np.asarray(logq, dtype=float))
-        if np.any(arr > 0.0):
+        if not np.all(arr <= 0.0):
             raise DomainError("log survival levels must be <= 0")
-        out = np.array([self._invert_one(v) for v in arr])
-        return _maybe_scalar(out if not scalar else out[0], scalar)
-
-    def _invert_one(self, logq):
-        target = math.log(self.scale) - logq  # required J(x) - J(x0)
-        if target <= 0.0:
-            # atom of the capped survival at the left edge of the decay region
-            return self._cap_edge()
+        target = math.log(self.scale) - arr  # required J(x) - J(x0)
         j_target = target + self._j_x0
-        if j_target > self._js[-1]:
+        # levels at or above the cap are the atom at the left edge of the decay region
+        out = np.full(arr.shape, self._cap_edge())
+        beyond = j_target > self._js[-1]
+        if np.any(beyond):
             slope = self._jps[-1]
             if slope <= 0.0:
                 raise DomainError("quantile beyond tabulated range")
-            return float(self._xs[-1] + (j_target - self._js[-1]) / slope)
-        k = int(np.searchsorted(self._js, j_target, side="left"))
-        k = max(1, min(k, len(self._js) - 1))
-        lo, hi = self._xs[k - 1], self._xs[k]
-        return bisect_monotone(lambda v: float(self._spline(v)) - j_target, lo, hi)
+            out[beyond] = self._xs[-1] + (j_target[beyond] - self._js[-1]) / slope
+        inside = (target > 0.0) & ~beyond
+        jt = j_target[inside]
+        k = np.clip(np.searchsorted(self._js, jt, side="left"), 1, len(self._js) - 1)
+        out[inside] = bisect_monotone(lambda v: self._spline(v) - jt, self._xs[k - 1], self._xs[k])
+        return _maybe_scalar(out if not scalar else out[0], scalar)
 
     def _cap_edge(self):
         if self.scale < 1.0:
@@ -473,6 +473,13 @@ class TabulatedRadial(RadialLaw):
                           self._tail_slope)
             step = (f - arr) / np.minimum(df, -1e-300)
             out = np.clip(out - step, 0.0, None)
+        # Newton stalls where the log-survival is flat (near a density that
+        # vanishes at the origin); those levels are solved on their grid piece
+        stalled = np.abs(self.log_survival(out) - arr) > 1e-12 * np.maximum(1.0, -arr)
+        q = arr[stalled]
+        k = np.clip(np.searchsorted(-self._log_surv, -q), 1, len(self._nodes) - 1)
+        out[stalled] = bisect_monotone(lambda v: self._spline(v) - q,
+                                       self._nodes[k - 1], self._nodes[k])
         return _maybe_scalar(out if not scalar else float(out[0]), scalar)
 
     def to_dict(self):

@@ -87,9 +87,9 @@ GOLDEN = {
     "simulate-conditional.json":
         "abb2c49c73fad49b5db9fa06109d61dbd730347ed85cdf050efa010ae4fac9f9",
     "simulate-conditional-vm.csv":
-        "8294eea266faf6c60a3a108e06d0ba7d76f33a7acad4f71666a16c4c656d0898",
+        "862ab98f22de77887ad75c1d61ce59627e3e6211b97141571f42e06252cad387",
     "simulate-conditional-vm.json":
-        "0f440919fc7f0b9ae5230b4395b3b03c33527507c3b8f43075d515081063581b",
+        "5743dfb047c79b56a421d566e6c2e2fe233fa75814b494d52d495a8560bbc8a2",
     "simulate-joint.csv":
         "5bc0c9ffca3320ebe79bbdb228564b8c5285c72224817eb778d325c72e153535",
     "simulate-joint.json":

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.stats import chi2, norm
 
 import cevpolar as cp
+from cevpolar.model import _csv_cell, _write_csv
 
 
 class TestPolarModelAssembly:
@@ -94,7 +95,33 @@ class TestConditionalSampling:
         ws.to_csv(path, metadata={"seed": 1})
         rows = np.loadtxt(path, delimiter=",", skiprows=2)
         assert rows.shape == (len(ws), 3)
-        assert np.allclose(rows[:, 2], ws.weights, rtol=0, atol=0)
+        assert np.array_equal(rows, np.column_stack([ws.x, ws.y, ws.weights]))
+
+
+class TestCsvWriter:
+    def test_block_cells_equal_csv_cell(self, tmp_path):
+        n = 65_537  # one row past the first block
+        rng = np.random.default_rng(3)
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        specials = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5]
+        floats[:7] = specials
+        floats[-7:] = specials  # on both sides of the block boundary
+        pool = ["a b", 3, True, np.float64(0.1), 1.5, -7, False, np.float64(-0.0)]
+        mixed = [pool[i % len(pool)] for i in range(n)]
+        path = tmp_path / "cells.csv"
+        _write_csv(path, {"seed": 1}, ("array", "list", "mixed"),
+                   [floats, floats.tolist(), mixed])
+        lines = path.read_text().split("\n")
+        assert lines[:2] == ["# seed=1", "array,list,mixed"]
+        assert lines[-1] == ""
+        rows = [line.split(",") for line in lines[2:-1]]
+        assert len(rows) == n
+        want = [_csv_cell(v) for v in floats]
+        assert [row[0] for row in rows] == want
+        assert [row[1] for row in rows] == want
+        assert [row[2] for row in rows] == [_csv_cell(v) for v in mixed]
+        back = np.array([float(row[0]) for row in rows])
+        assert np.array_equal(back.view(np.int64), floats.view(np.int64))
 
 
 class TestOracleAgainstGaussianClosedForms:

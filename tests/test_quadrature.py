@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import optimize, special
 
 import cevpolar as cp
-from cevpolar.numerics import integrate_panel, integrate_with_breakpoints, refine_zeros
+from cevpolar.numerics import (bisect_monotone, integrate_panel, integrate_with_breakpoints,
+                               refine_zeros)
 
 
 class TestRule:
@@ -79,6 +80,42 @@ class TestRule:
         zeros = refine_zeros(fn, 0.0, 3.0)
         assert scans == [1025]
         assert zeros == pytest.approx([math.pi / 6, math.pi / 2, 5 * math.pi / 6], abs=1e-13)
+
+
+class TestBisectMonotone:
+    def test_array_brackets_rising_and_falling_in_one_call(self):
+        # roots of +-(x**3 - c): cube roots, from brackets wider than most of them
+        c = np.array([-8.0, -1e-3, 0.5, 2.0, 27.0, 1e6])
+        sign = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+        shapes = []
+
+        def fn(x):
+            shapes.append(np.shape(x))
+            return sign * (x ** 3 - c)
+
+        got = bisect_monotone(fn, np.full(6, -200.0), np.full(6, 200.0))
+        want = np.cbrt(c)
+        assert np.all(np.abs(got - want) <= 1e-13 + 1e-12 * np.abs(want))
+        # one array call per round, on every midpoint
+        assert set(shapes) == {(6,)}
+        assert len(shapes) < 80
+
+    def test_root_at_a_bracket_end(self):
+        got = bisect_monotone(lambda x: np.array([1.0, 1.0, -1.0]) * (x - 1.0),
+                              np.array([1.0, 0.0, 1.0]), np.array([3.0, 1.0, 4.0]))
+        assert got.tolist() == [1.0, 1.0, 1.0]
+
+    def test_unbracketed_element_raises(self):
+        with pytest.raises(cp.DomainError):
+            bisect_monotone(lambda x: x - 5.0, np.array([0.0, 0.0]), np.array([10.0, 1.0]))
+
+    def test_scalar_bracket_keeps_brent(self):
+        """A scalar bracket runs Brent's method, whose roots the level solves of
+        the ``independence`` golden digest (tests/test_golden.py) depend on."""
+        fn = lambda x: math.exp(x) - 3.0
+        got = bisect_monotone(fn, 0.0, 2.0)
+        assert type(got) is float
+        assert got == optimize.brentq(fn, 0.0, 2.0, xtol=1e-13, rtol=1e-12)
 
 
 class TestEllipticalRayleigh:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cevpolar as cp
 
@@ -175,6 +177,61 @@ class TestVonMises:
         for x in (0.5, 2.0, 7.0):
             assert clone.survival(x) == pytest.approx(law.survival(x), rel=1e-9)
             assert clone.aux_psi(x) == pytest.approx(1.0 / (1.0 + x), rel=1e-6)
+
+
+#: von Mises laws, plain and capped (an atom of mass 1/2 at x0=1), and a numeric
+#: law rebuilt from its serialized form
+INVERTIBLE = {
+    "von_mises": SERIALIZED[0],
+    "von_mises_capped": cp.build_von_mises(lambda s: 1.0 / (1.0 + 0.5 * s), x0=1.0, scale=0.5),
+    "numeric": SERIALIZED[1],
+}
+
+
+class TestInverseLogSurvival:
+    @pytest.mark.parametrize("name", sorted(INVERTIBLE))
+    def test_log_survival_inverts_it(self, name):
+        law = INVERTIBLE[name]
+        top = math.log(getattr(law, "scale", 1.0))
+
+        @settings(max_examples=40, deadline=None)
+        @given(qs=st.lists(st.floats(-800.0, top), min_size=1, max_size=40))
+        def check(qs):
+            qs = np.array(qs)
+            back = law.log_survival(law.inverse_log_survival(qs))
+            assert np.max(np.abs(back - qs)) <= 1e-9
+
+        check()
+
+    def test_levels_at_or_above_the_cap_are_the_atom(self):
+        law = INVERTIBLE["von_mises_capped"]
+        assert law.inverse_log_survival(np.array([math.log(0.5), -0.3, 0.0])).tolist() == [1.0] * 3
+        assert law.inverse_log_survival(-0.3) == 1.0
+
+    def test_levels_past_the_grid_are_linear(self):
+        law = INVERTIBLE["von_mises"]
+        grid = law.to_dict()["grid"]
+        depth = grid["J"][-1]  # -log survival at the last node, as x0 = 0 and scale = 1
+        gaps = np.array([1.0, 10.0, 100.0])
+        got = law.inverse_log_survival(-(depth + gaps))
+        assert np.all(got > grid["x"][-1])
+        assert got == pytest.approx(grid["x"][-1] + gaps / grid["Jp"][-1], rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(INVERTIBLE))
+    def test_positive_level_rejected(self, name):
+        law = INVERTIBLE[name]
+        with pytest.raises(cp.DomainError):
+            law.inverse_log_survival(0.5)
+        with pytest.raises(cp.DomainError):
+            law.inverse_log_survival(np.array([-1.0, 1e-300]))
+
+    @pytest.mark.parametrize("name", sorted(INVERTIBLE))
+    def test_scalar_call_is_an_array_element(self, name):
+        law = INVERTIBLE[name]
+        qs = np.array([0.0, -1e-12, math.log(0.5), -0.7, -3.0, -40.0, -700.0, -2000.0])
+        out = law.inverse_log_survival(qs)
+        for q, x in zip(qs, out):
+            assert law.inverse_log_survival(float(q)) == x
 
 
 class TestSampling:
