@@ -171,19 +171,15 @@ def _csv_cell(value):
 
 
 #: rows formatted and written together by _write_csv
-_CSV_BLOCK = 1 << 16
+_CSV_BLOCK = 1 << 12
 
 
 def _csv_block(block):
     """The cells of one block of a column (a list or an array), each equal to
     ``_csv_cell`` of its value."""
-    if isinstance(block, np.ndarray):
-        floats, block = block.dtype.kind == "f", block.tolist()
-    else:
-        floats = all(type(value) is float for value in block)
-    if floats:
+    if isinstance(block, np.ndarray) and block.dtype.kind == "f":
         # the repr of a list of floats holds float.__repr__ of each, made in C
-        return repr(block)[1:-1].split(", ")
+        return repr(block.tolist())[1:-1].split(", ")
     return list(map(_csv_cell, block))
 
 

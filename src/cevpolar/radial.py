@@ -318,9 +318,11 @@ class VonMisesRadial(RadialLaw):
                 raise DomainError("quantile beyond tabulated range")
             out[beyond] = self._xs[-1] + (j_target[beyond] - self._js[-1]) / slope
         inside = (target > 0.0) & ~beyond
-        jt = j_target[inside]
-        k = np.clip(np.searchsorted(self._js, jt, side="left"), 1, len(self._js) - 1)
-        out[inside] = bisect_monotone(lambda v: self._spline(v) - jt, self._xs[k - 1], self._xs[k])
+        if np.any(inside):
+            jt = j_target[inside]
+            k = np.clip(np.searchsorted(self._js, jt, side="left"), 1, len(self._js) - 1)
+            out[inside] = bisect_monotone(lambda v: self._spline(v) - jt,
+                                          self._xs[k - 1], self._xs[k])
         return _maybe_scalar(out if not scalar else out[0], scalar)
 
     def _cap_edge(self):
@@ -476,10 +478,11 @@ class TabulatedRadial(RadialLaw):
         # Newton stalls where the log-survival is flat (near a density that
         # vanishes at the origin); those levels are solved on their grid piece
         stalled = np.abs(self.log_survival(out) - arr) > 1e-12 * np.maximum(1.0, -arr)
-        q = arr[stalled]
-        k = np.clip(np.searchsorted(-self._log_surv, -q), 1, len(self._nodes) - 1)
-        out[stalled] = bisect_monotone(lambda v: self._spline(v) - q,
-                                       self._nodes[k - 1], self._nodes[k])
+        if np.any(stalled):
+            q = arr[stalled]
+            k = np.clip(np.searchsorted(-self._log_surv, -q), 1, len(self._nodes) - 1)
+            out[stalled] = bisect_monotone(lambda v: self._spline(v) - q,
+                                           self._nodes[k - 1], self._nodes[k])
         return _maybe_scalar(out if not scalar else float(out[0]), scalar)
 
     def to_dict(self):

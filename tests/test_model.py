@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.stats import chi2, norm
 
 import cevpolar as cp
-from cevpolar.model import _csv_cell, _write_csv
+from cevpolar.model import _CSV_BLOCK, _csv_cell, _write_csv
 
 
 class TestPolarModelAssembly:
@@ -100,7 +100,8 @@ class TestConditionalSampling:
 
 class TestCsvWriter:
     def test_block_cells_equal_csv_cell(self, tmp_path):
-        n = 65_537  # one row past the first block
+        n = 65_537  # one row past a block boundary
+        assert n % _CSV_BLOCK == 1
         rng = np.random.default_rng(3)
         floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
         specials = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5]
