@@ -16,7 +16,6 @@ from scipy import special
 from .errors import DomainError
 from .limits import limit_law_of, normalization
 from .model import (
-    _write_csv,
     conditional_cdf_oracle,
     joint_exceedance_oracle,
     sample_conditional,
@@ -125,9 +124,6 @@ class SweepReport:
         return (("threshold", "ks", "eff_size", "oracle_dist"),
                 [self.thresholds, self.ks_distances, self.effective_sizes,
                  self.oracle_distances])
-
-    def to_csv(self, path, metadata=None):
-        _write_csv(path, metadata or {}, *self.csv_table())
 
     def to_json_dict(self):
         return {
@@ -255,12 +251,14 @@ def lemma2_integral_check(law, angular, z, x):
     psi = float(law.aux_psi(x))
     c = psi / x
     log_base = float(law.log_survival(x))
-    # one-sided germ profile of the angular density, extended past the end
-    # of the parameter interval by constant continuation
+    # one-sided germ profile, constant past the end of the parameter interval; as t0 + s
+    # rounds onto t0 for s below an ulp, the density at t is rescaled by (s / (t - t0))**tau
     s_edge = (1.0 - t0) * (1.0 - 1e-9)
 
     def profile(s):
-        return angular.density(t0 + np.minimum(s, s_edge))
+        s = np.minimum(s, s_edge)
+        t = np.maximum(t0 + s, np.nextafter(t0, 1.0))
+        return angular.density(t) * (s / (t - t0)) ** tau
 
     g_ref = float(profile(c))
     if not g_ref > 0.0:
@@ -278,11 +276,10 @@ def lemma2_integral_check(law, angular, z, x):
     window = getattr(angular, "window", None)
     if window is not None and z < window / c < t_max:
         breaks.append(window / c)
-    singular = [0.0] if (tau < 0.0 and z == 0.0) else []
+    singular = [(0.0, tau)] if (tau < 0.0 and z == 0.0) else []
     lhs = integrate_with_breakpoints(
         integrand, z, t_max, breakpoints=breaks, abs_scale=1.0,
         singular_points=singular, rel_check=1e-6,
     )
-    rhs = float(special.gamma(tau + 1.0) * special.gammaincc(tau + 1.0, z)) if z > 0.0 \
-        else float(special.gamma(tau + 1.0))
+    rhs = float(special.gamma(tau + 1.0) * special.gammaincc(tau + 1.0, z))  # Q(a, 0) = 1
     return lhs, rhs

@@ -547,7 +547,7 @@ def angular_power(t0, tau, g_minus_frac=0.5, window=0.25):
 
 def check_angular_normalization(law, tol=1e-10):
     """Quadrature check that the density integrates to one."""
-    singular = [law.t0] if (law.t0 is not None and law.tau < 0.0) else []
+    singular = [(law.t0, law.tau)] if (law.t0 is not None and law.tau < 0.0) else []
     total = integrate_with_breakpoints(
         law.density, 0.0, 1.0,
         breakpoints=law.breakpoints(), abs_scale=1.0, singular_points=singular,

@@ -148,9 +148,6 @@ class WeightedSample:
             return 0.0
         return float(np.max(self.weights))
 
-    def to_csv(self, path, metadata=None):
-        _write_csv(path, metadata or {}, ("x", "y", "weight"), [self.x, self.y, self.weights])
-
 
 # ---------------------------------------------------------------------------
 # artifacts
@@ -341,7 +338,7 @@ def _oracle_integrate(model, integrand, scale, extra_breaks=()):
     if scale == 0.0:
         raise DomainError("threshold beyond double-precision survival")
     breaks = list(curve.breakpoints()) + list(ang.breakpoints()) + list(extra_breaks)
-    singular = [ang.t0] if (ang.t0 is not None and ang.tau < 0.0) else []
+    singular = [(ang.t0, ang.tau)] if (ang.t0 is not None and ang.tau < 0.0) else []
     return integrate_with_breakpoints(
         integrand, 0.0, 1.0, breakpoints=breaks,
         abs_scale=scale, singular_points=singular,
@@ -380,34 +377,27 @@ def survival_y_oracle(model, y):
                             _v_level_hints(model, y))
 
 
-def joint_exceedance_oracle(model, x, y):
-    """P(X > x, Y > y) with full sign-case handling; y may be -inf or +inf."""
+def _band_oracle(model, x, y, above):
+    """P(X > x, Y > y) (``above``) or P(X > x, Y <= y); y may be -inf or +inf."""
     x = float(x)
     y = float(y)
     if x <= 0.0:
         raise DomainError("x must be positive")
-    if y == -math.inf:
-        return survival_x_oracle(model, x)
-    if y == math.inf:
-        return 0.0
+    if math.isinf(y):
+        return survival_x_oracle(model, x) if (y < 0.0) == above else 0.0
     extra = _u_level_hints(model, x) + _crossing_hints(model, x, y)
-    return _oracle_integrate(model, _band_integrand(model, x, y, above=True),
+    return _oracle_integrate(model, _band_integrand(model, x, y, above),
                              float(model.radial.survival(x)), extra)
+
+
+def joint_exceedance_oracle(model, x, y):
+    """P(X > x, Y > y) with full sign-case handling; y may be -inf or +inf."""
+    return _band_oracle(model, x, y, above=True)
 
 
 def joint_cdf_y_oracle(model, x, y):
     """P(X > x, Y <= y) by complementation inside the same integrand."""
-    x = float(x)
-    y = float(y)
-    if x <= 0.0:
-        raise DomainError("x must be positive")
-    if y == math.inf:
-        return survival_x_oracle(model, x)
-    if y == -math.inf:
-        return 0.0
-    extra = _u_level_hints(model, x) + _crossing_hints(model, x, y)
-    return _oracle_integrate(model, _band_integrand(model, x, y, above=False),
-                             float(model.radial.survival(x)), extra)
+    return _band_oracle(model, x, y, above=False)
 
 
 def conditional_cdf_oracle(model, frame, x_std, y_std):

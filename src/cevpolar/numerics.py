@@ -5,10 +5,10 @@ Quadrature integrands are array functions: ``fn(t)`` takes a 1-D array of
 nodes and returns the integrand at each node.  :func:`integrate_with_breakpoints`
 applies QUADPACK's 21-point Gauss-Kronrod rule to every open panel in one
 array call per round and bisects only the panels whose Kronrod-minus-Gauss
-estimate misses the tolerance.  Panels ending at an integrable endpoint
-singularity (``singular_points``) are the exception: bisection cannot
-resolve mass packed within an ulp of the edge, so those panels go to QAGS
-extrapolation, which calls the same array integrand one node at a time.
+estimate misses the tolerance.  A panel that ends at an endpoint singularity
+``|t - c|**tau`` joins the same rounds in w, with t - c proportional to
+w**(1/(1 + tau)): the Jacobian cancels the singular factor (Davis &
+Rabinowitz, *Methods of Numerical Integration*, section 2.12).
 
 :func:`bisect_monotone` picks its method from the shape of the bracket: a
 scalar bracket gets Brent's method, which spends the fewest calls of a costly
@@ -63,8 +63,11 @@ _G_WEIGHTS[11:20:2] = _WG[::-1]
 _MAX_DEPTH = 60
 _MAX_PANELS = 2048
 
+#: least distance of a mapped node from its edge: gap**(2 * tau) is finite for tau > -1
+_EDGE_GAP = math.sqrt(sys.float_info.min)
 
-def _quadpack(fn, lo, hi, *, epsabs=0.0, epsrel=DEFAULT_REL_TOL, limit=200):
+
+def _quadpack(fn, lo, hi, *, epsrel=DEFAULT_REL_TOL):
     """Integrate the scalar function ``fn`` on [lo, hi] with QUADPACK (QAGS).
 
     Returns (value, abserr).  Integration warnings are silenced; convergence
@@ -76,7 +79,7 @@ def _quadpack(fn, lo, hi, *, epsabs=0.0, epsrel=DEFAULT_REL_TOL, limit=200):
         return 0.0, 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        value, abserr = integrate.quad(fn, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=limit)
+        value, abserr = integrate.quad(fn, lo, hi, epsabs=0.0, epsrel=epsrel, limit=200)
     return value, abserr
 
 
@@ -157,6 +160,24 @@ def integrate_panel(fn, lo, hi):
     return kronrod, np.abs(kronrod - gauss)
 
 
+def _edge_integrand(fn, w, edge):
+    """``fn`` on the nodes ``w`` of a round, 21 per panel; a panel whose column
+    (c, ell, tau) of ``edge`` is not nan maps its nodes to t = c + ell * w**q,
+    q = 1/(1 + tau), weighed by dt/dw = q |ell|**(1 + tau) / |t - c|**tau."""
+    mapped = ~np.isnan(edge[0])
+    if not mapped.any():
+        return fn(w)
+    t = w.reshape(-1, 21).copy()
+    c, ell, tau = edge[:, mapped, None]
+    q = 1.0 / (1.0 + tau)
+    tm = c + ell * np.maximum(t[mapped] ** q, _EDGE_GAP / np.abs(ell))
+    # nodes keep _EDGE_GAP from the edge; one that rounds onto it moves one ulp inside
+    t[mapped] = tm = np.where(tm == c, np.nextafter(c, c + ell), tm)
+    out = np.asarray(fn(t.ravel()), dtype=float).reshape(t.shape)
+    out[mapped] *= q * np.abs(ell) ** (1.0 + tau) / np.abs(tm - c) ** tau
+    return out.ravel()
+
+
 def integrate_with_breakpoints(fn, lo, hi, breakpoints=(), *, epsrel=DEFAULT_REL_TOL,
                                abs_scale=None, singular_points=(), rel_check=1e-7):
     """Piecewise adaptive quadrature of an array integrand with mandatory
@@ -164,47 +185,44 @@ def integrate_with_breakpoints(fn, lo, hi, breakpoints=(), *, epsrel=DEFAULT_REL
 
     A panel is accepted once its |K21 - G10| is at most
     ``max(epsrel * |K21|, abs_scale * 1e-13)``; the others are bisected and
-    all open panels are evaluated together.  Integrable endpoint
-    singularities must be listed in ``singular_points`` so they land on
-    panel edges; panels touching one are integrated by QAGS extrapolation
-    (the edge itself is never evaluated).  ``abs_scale`` sets the magnitude
-    against which per-panel absolute tolerances and the final convergence
-    check are measured (typically the maximum of the integrand); when
-    omitted the check is purely relative to the accumulated value.  Raises
-    :class:`QuadratureError` if the value or the summed error estimate is not
-    finite, or if that estimate is not small compared to
+    all open panels are evaluated together.  ``singular_points`` lists the
+    integrable endpoint singularities ``|t - c|**tau`` as pairs ``(c, tau)``,
+    ``-1 < tau``.  A panel ending at ``c`` is integrated in w on [0, 1], with
+    t = c + ell * w**(1/(1 + tau)) and ``ell`` its signed length, so ``c`` is
+    never evaluated; ``fn``'s singular factor must be ``|t - c|**tau`` of the
+    node t it receives, which the Jacobian divides out.  ``abs_scale`` sets
+    the magnitude against which per-panel absolute tolerances and the final
+    convergence check are measured (typically the maximum of the integrand);
+    when omitted the check is purely relative to the accumulated value.
+    Raises :class:`QuadratureError` if the value or the summed error estimate
+    is not finite, or if that estimate is not small compared to
     ``max(|total|, abs_scale)``.
     """
-    pts = [lo, hi]
-    for p in list(breakpoints) + list(singular_points):
-        if lo < p < hi:
-            pts.append(p)
-    pts = sorted(set(pts))
-    singular = {p for p in singular_points if lo <= p <= hi}
+    edges = {c: tau for c, tau in singular_points if lo <= c <= hi}
+    pts = sorted({lo, hi, *(p for p in [*breakpoints, *edges] if lo < p < hi)})
+    a, b = np.array(list(zip(pts[:-1], pts[1:])), dtype=float).reshape(-1, 2).T
+    # (c, signed length, tau) of each panel ending at an edge c; nan for the others
+    edge = np.full((3, a.size), np.nan)
+    for c, tau in edges.items():
+        at = (a == c) | (b == c)
+        edge[0, at], edge[1, at], edge[2, at] = c, np.where(a == c, b, a)[at] - c, tau
+    mapped = ~np.isnan(edge[0])
+    a[mapped], b[mapped] = 0.0, 1.0  # the w-interval
     epsabs = 0.0 if abs_scale is None else abs_scale * 1e-13
     total, err = 0.0, 0.0
-    regular = []
-    for a, b in zip(pts[:-1], pts[1:]):
-        if a in singular or b in singular:
-            v, e = _quadpack(lambda t: float(fn(np.array([t]))[0]), a, b,
-                             epsabs=epsabs, epsrel=epsrel, limit=400)
-            total += v
-            err += e
-        else:
-            regular.append((a, b))
-    a, b = np.array(regular, dtype=float).reshape(-1, 2).T
     for depth in range(_MAX_DEPTH + 1):
         if not a.size:
             break
-        v, e = integrate_panel(fn, a, b)
+        v, e = integrate_panel((lambda w: _edge_integrand(fn, w, edge)) if edges else fn, a, b)
         mid = 0.5 * (a + b)
         split = (e > np.maximum(epsrel * np.abs(v), epsabs)) & (a < mid) & (mid < b)
         if depth == _MAX_DEPTH or 2 * np.count_nonzero(split) > _MAX_PANELS:
             split[:] = False
         total += float(np.sum(v[~split]))
         err += float(np.sum(e[~split]))
-        a, mid, b = a[split], mid[split], b[split]
+        a, mid, b, edge = a[split], mid[split], b[split], edge[:, split]
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        edge = np.concatenate([edge, edge], axis=1)
     if not (math.isfinite(total) and math.isfinite(err)):
         raise QuadratureError(
             f"quadrature value {total!r} or error estimate {err!r} is not finite",
@@ -265,13 +283,6 @@ def _bisect_arrays(fn, lo, hi, xtol, rtol):
         hi = np.where(~done & ~below, mid, hi)
 
 
-def sign_changes(values, grid):
-    """Intervals (a, b) from ``grid`` where consecutive ``values`` change sign."""
-    values = np.asarray(values, dtype=float)
-    idx = np.nonzero((values[:-1] != 0.0) & (values[:-1] * values[1:] < 0.0))[0]
-    return [(grid[i], grid[i + 1]) for i in idx]
-
-
 def refine_zeros(fn, grid_lo, grid_hi, n_scan=1025):
     """All sign-change roots of the array function ``fn`` on [grid_lo, grid_hi].
 
@@ -280,6 +291,7 @@ def refine_zeros(fn, grid_lo, grid_hi, n_scan=1025):
     ts = np.linspace(grid_lo, grid_hi, n_scan)
     vals = np.asarray(fn(ts), dtype=float)
     zeros = [float(t) for t in ts[vals == 0.0]]
-    for a, b in sign_changes(vals, ts):
-        zeros.append(float(optimize.brentq(lambda s: float(fn(s)), a, b, xtol=1e-14)))
+    # brackets of consecutive scan values of opposite sign
+    for i in np.nonzero((vals[:-1] != 0.0) & (vals[:-1] * vals[1:] < 0.0))[0]:
+        zeros.append(float(optimize.brentq(lambda s: float(fn(s)), ts[i], ts[i + 1], xtol=1e-14)))
     return sorted(zeros)

@@ -31,6 +31,15 @@ def asymmetric_power_model():
     return cp.PolarModel(cp.Weibull(1.5), angular, curve)
 
 
+@pytest.fixture(scope="session")
+def singular_model():
+    """Angular density blowing up at the peak: |t - t0|**-0.5 on the power germ."""
+    curve = cp.power_curve(t0=0.5, kappa=2.0, delta=1.0, c_minus=0.5,
+                           c_plus=0.5, lambda_v=1.0, rho=0.0)
+    return cp.PolarModel(cp.Rayleigh(), cp.angular_power(0.5, -0.5, window=0.2),
+                         curve)
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)

@@ -100,15 +100,6 @@ class TestConvergenceSweep:
         with pytest.raises(cp.DomainError):
             cp.SweepReport([2.0, 1.0], [0.1, 0.2], [10.0, 10.0], [0.2, 0.1])
 
-    def test_csv_serialization(self, tmp_path):
-        report = cp.SweepReport([1.0, 2.0], [0.1, 0.05], [100.0, 200.0], [0.2, 0.1])
-        path = tmp_path / "sweep.csv"
-        report.to_csv(path, metadata={"seed": 7})
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# seed=7"
-        assert lines[1] == "threshold,ks,eff_size,oracle_dist"
-        assert len(lines) == 4
-
 
 class TestIndependenceDiagnostics:
     def test_ratios_strictly_increasing(self, elliptical_gauss):
@@ -157,6 +148,15 @@ class TestLemma2:
         assert abs(lhs / rhs - 1.0) < 0.05
         lhs2, _ = cp.lemma2_integral_check(cp.Rayleigh(), ang, 0.0, 40.0)
         assert abs(lhs2 - 1.0) < abs(lhs - 1.0)
+
+    @pytest.mark.parametrize("tau", [-0.5, -0.9, -0.999])
+    def test_singular_power_profile(self, tau):
+        ang = cp.angular_power(0.5, tau, window=0.25)
+        lhs, rhs = cp.lemma2_integral_check(cp.Rayleigh(), ang, 0.0, 20.0)
+        assert rhs == pytest.approx(math.gamma(1.0 + tau), rel=1e-12)
+        assert abs(lhs / rhs - 1.0) < 0.05
+        lhs2, _ = cp.lemma2_integral_check(cp.Rayleigh(), ang, 0.0, 40.0)
+        assert abs(lhs2 / rhs - 1.0) < abs(lhs / rhs - 1.0)
 
     def test_negative_z_rejected(self):
         with pytest.raises(cp.DomainError):

@@ -254,7 +254,7 @@ class TestAngularLaws:
             assert float(g.density(0.5 + s)) / float(g.density(0.5 + s / 2.0)) \
                 == pytest.approx(2.0, rel=1e-12)
 
-    @pytest.mark.parametrize("tau", [-0.5, -0.2, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("tau", [-0.999, -0.99, -0.9, -0.5, -0.2, 0.5, 1.0, 2.0])
     def test_power_normalization(self, tau):
         g = cp.angular_power(0.4, tau, g_minus_frac=0.3, window=0.2)
         total = cp.geometry.check_angular_normalization(g, tol=1e-10)

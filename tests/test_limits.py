@@ -299,14 +299,6 @@ class TestRandomNormalization:
         assert abs(ks_random - ks_fixed) < 0.03
 
 
-@pytest.fixture(scope="module")
-def singular_model():
-    curve = cp.power_curve(t0=0.5, kappa=2.0, delta=1.0, c_minus=0.5,
-                           c_plus=0.5, lambda_v=1.0, rho=0.0)
-    return cp.PolarModel(cp.Rayleigh(), cp.angular_power(0.5, -0.5, window=0.2),
-                         curve)
-
-
 class TestSingularAngularModel:
     """Angular density blowing up at the peak: limit law with zeta < 1."""
 

@@ -89,14 +89,6 @@ class TestConditionalSampling:
         with pytest.raises(cp.DomainError):
             cp.sample_conditional(round_gauss, t, 100, rng)
 
-    def test_csv_roundtrip(self, round_gauss, rng, tmp_path):
-        ws = cp.sample_conditional(round_gauss, 3.0, 100, rng)
-        path = tmp_path / "ws.csv"
-        ws.to_csv(path, metadata={"seed": 1})
-        rows = np.loadtxt(path, delimiter=",", skiprows=2)
-        assert rows.shape == (len(ws), 3)
-        assert np.array_equal(rows, np.column_stack([ws.x, ws.y, ws.weights]))
-
 
 class TestCsvWriter:
     def test_block_cells_equal_csv_cell(self, tmp_path):

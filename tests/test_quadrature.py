@@ -52,10 +52,17 @@ class TestRule:
         assert sizes[0] == 3 * 21
         assert all(s == 2 * 21 for s in sizes[1:])
 
-    def test_singular_edge_uses_extrapolation(self):
-        got = integrate_with_breakpoints(lambda t: 1.0 / np.sqrt(t), 0.0, 1.0,
-                                         singular_points=[0.0])
+    def test_singular_edge_is_mapped_into_batched_rounds(self):
+        sizes = []
+
+        def fn(t):
+            sizes.append(np.shape(t))
+            return 1.0 / np.sqrt(t)
+
+        got = integrate_with_breakpoints(fn, 0.0, 1.0, singular_points=[(0.0, -0.5)])
         assert got == pytest.approx(2.0, rel=1e-12)
+        # no scalar call: every call holds the 21 nodes of whole panels
+        assert sizes and all(len(s) == 1 and s[0] % 21 == 0 for s in sizes)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_integrand_raises(self, bad):
@@ -161,8 +168,11 @@ def _singular_reference(tau, x=4.0):
 
 class TestSingularAngle:
     @pytest.mark.parametrize("tau, reference", [
+        (-0.5, 2.3783592642943435e-4),
         (-0.8, 2.8202665875455062e-4),
         (-0.95, 3.1914706657832678e-4),
+        (-0.99, 3.319966845852843e-4),
+        (-0.999, 3.351111293024138e-4),
     ])
     def test_survival_matches_substituted_reference(self, tau, reference):
         assert _singular_reference(tau) == pytest.approx(reference, rel=1e-15)
@@ -176,14 +186,20 @@ class TestSingularAngle:
 ORACLE_REL_CHECK = 1e-7
 
 
-def _models(elliptical_gauss, lp3_exponential):
-    return {"ell": (elliptical_gauss, 12.0), "lp3": (lp3_exponential, 25.0)}
+#: fixture and largest x of each model whose oracle properties are checked
+_MODELS = {"ell": ("elliptical_gauss", 12.0), "lp3": ("lp3_exponential", 25.0),
+           "singular": ("singular_model", 12.0)}
 
 
-@pytest.mark.parametrize("name", ["ell", "lp3"])
+def _model(request, name):
+    fixture, x_max = _MODELS[name]
+    return request.getfixturevalue(fixture), x_max
+
+
+@pytest.mark.parametrize("name", sorted(_MODELS))
 class TestOracleProperties:
-    def test_complement_identity(self, elliptical_gauss, lp3_exponential, name):
-        model, x_max = _models(elliptical_gauss, lp3_exponential)[name]
+    def test_complement_identity(self, request, name):
+        model, x_max = _model(request, name)
 
         @settings(max_examples=12, deadline=None)
         @given(x=st.floats(0.5, x_max), y=st.floats(-2.0 * x_max, 2.0 * x_max))
@@ -196,9 +212,8 @@ class TestOracleProperties:
 
         check()
 
-    def test_values_are_probabilities_monotone_in_y(self, elliptical_gauss, lp3_exponential,
-                                                    name):
-        model, x_max = _models(elliptical_gauss, lp3_exponential)[name]
+    def test_values_are_probabilities_monotone_in_y(self, request, name):
+        model, x_max = _model(request, name)
 
         @settings(max_examples=12, deadline=None)
         @given(x=st.floats(0.5, x_max), y=st.floats(-2.0 * x_max, 2.0 * x_max),
@@ -214,8 +229,8 @@ class TestOracleProperties:
 
         check()
 
-    def test_monotone_in_x(self, elliptical_gauss, lp3_exponential, name):
-        model, x_max = _models(elliptical_gauss, lp3_exponential)[name]
+    def test_monotone_in_x(self, request, name):
+        model, x_max = _model(request, name)
 
         @settings(max_examples=12, deadline=None)
         @given(x=st.floats(0.5, x_max), dx=st.floats(0.01, x_max),
