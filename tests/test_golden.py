@@ -54,12 +54,15 @@ CASES = {
     "simulate-mixture": ("simulate", "-c", "{mix}", "--n", "2000", "--seed", "7"),
     "verify": ("verify", "-c", "{ell}", "--levels", "0.99,0.999", "--n", "2000",
                "--seed", "11"),
+    "verify-lp3": ("verify", "-c", "{lp3}", "--levels", "0.99,0.999", "--n", "2000",
+                   "--seed", "11"),
     "tail-ell": ("tail", "-c", "{ell}", "--x-grid", "2:6:2"),
     "tail-lp3": ("tail", "-c", "{lp3}", "--x-grid", "4:12:4"),
     "tail-exp": ("tail", "-c", "{exp}", "--x-grid", "20:40:10"),
     "tail-vm": ("tail", "-c", "{vm}", "--x-grid", "2:6:2"),
     "tail-num": ("tail", "-c", "{num}", "--x-grid", "2:6:2"),
     "independence": ("independence", "-c", "{ell}", "--t-grid", "2:3:1"),
+    "independence-lp3": ("independence", "-c", "{lp3}", "--t-grid", "2:3:1"),
     "second-order": ("second-order", "-c", "{ell}", "--x-grid", "6:8:2",
                      "--z-grid", "-1:1:1"),
     "decompose": ("decompose", "-c", "{dec}", "--points", "5"),
@@ -74,6 +77,10 @@ GOLDEN = {
         "eeb76714f602ea5939cbf8f6251406dc69f233ad6966586ec9c993de9bb759af",
     "independence.json":
         "cce2a89f66c4b4b1dd4bc4a6baa2ed76c9306869a786c42dc6448ed85cc15048",
+    "independence-lp3.csv":
+        "b1d5d61a9b466985442dfa691d4f05fb0861d3ccc53303e68455336c855f4168",
+    "independence-lp3.json":
+        "164a547db17a9b28a5df9d2580be055d866749b7cc1b7b37d10ea9ad11a0e6e1",
     "limit.csv":
         "370cf0edb55574acac4153fd827f94258bd63f3519737d06d770274e31c720a6",
     "limit.json":
@@ -122,6 +129,10 @@ GOLDEN = {
         "a18ce06257e4b32d775ff8615cbdc0088a049efb23d078343becd591187f914e",
     "verify.json":
         "e30bb3eec7c574299dd4e88228d5813a6776c2364c78811f86a1427326f49198",
+    "verify-lp3.csv":
+        "1fcb302207d7b5b351df919a2e32da94622683e69cb511658ef20a5aaf29e8e2",
+    "verify-lp3.json":
+        "fb67dabad03d06e6200929d98272d3dff5cbcd619062ee56fd701bf0c4f50d95",
 }
 
 
