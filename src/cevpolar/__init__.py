@@ -18,6 +18,7 @@ from .diagnostics import (
     ks_distance,
     lemma2_integral_check,
     oracle_grid_distance,
+    oracle_quantiles,
 )
 from .errors import (
     CevError,

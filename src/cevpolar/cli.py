@@ -17,7 +17,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .diagnostics import convergence_sweep, independence_condition_check, joint_exceedance_decay
+from .diagnostics import (convergence_sweep, independence_condition_check,
+                          joint_exceedance_decay, oracle_quantiles)
 from .errors import CevError, ConfigError, NumericError
 from .limits import LimitLaw, second_order_conditional, survival_x_asymptotic
 from .model import (
@@ -262,12 +263,15 @@ def _cmd_tail(args):
 
 def _cmd_independence(args):
     config, model, _ = _load_polar(args)
-    exponents = parse_grid(args.t_grid)
-    t_grid = [10.0 ** e for e in exponents]
+    try:
+        t_grid = [10.0 ** e for e in parse_grid(args.t_grid)]
+    except OverflowError:
+        raise ConfigError(f"--t-grid '{args.t_grid}' has levels 10**e beyond the float range")
     payload = {"command": "independence", "config": config, "t_grid": args.t_grid,
                "y": args.y, "x_std": args.x_std, "y_std": args.y_std}
-    cond = independence_condition_check(model, args.y, t_grid)
-    decay = joint_exceedance_decay(model, args.x_std, args.y_std, t_grid)
+    levels = oracle_quantiles(model, t_grid)
+    cond = independence_condition_check(model, args.y, levels)
+    decay = joint_exceedance_decay(model, args.x_std, args.y_std, levels)
     _emit(args, _metadata(payload, None), ("t", "ratio", "t_times_joint"),
           [t_grid, cond.ratios, decay.products],
           body={"thresholds": t_grid, "ratios": cond.ratios, "ratio_pass": cond.passed,
@@ -285,10 +289,11 @@ def _cmd_second_order(args):
     for x in xs:
         psi_x = float(model.radial.aux_psi(x))
         frame = ConditionalFrame(t=x, m_t=0.0, psi_t=psi_x, a_t=1.0)
-        for z in zs:
-            so = second_order_conditional(model, x, z)
-            oracle = conditional_cdf_oracle(model, frame, math.inf, so.y_threshold)
-            rows.append((x, z, so.first_order, so.corrected, oracle))
+        orders = [second_order_conditional(model, x, z) for z in zs]
+        oracle = conditional_cdf_oracle(model, frame, math.inf,
+                                        [so.y_threshold for so in orders])
+        rows.extend((x, z, so.first_order, so.corrected, float(p))
+                    for z, so, p in zip(zs, orders, oracle))
     _emit(args, _metadata(payload, None), ("x", "z", "first_order", "corrected", "oracle"),
           [list(column) for column in zip(*rows)])
     return 0

@@ -35,6 +35,7 @@ __all__ = [
     "convergence_sweep",
     "independence_condition_check",
     "joint_exceedance_decay",
+    "oracle_quantiles",
     "lemma2_integral_check",
     "DEFAULT_X_GRID",
     "DEFAULT_Y_GRID",
@@ -89,17 +90,11 @@ def ks_distance(empirical, law):
 
 
 def oracle_grid_distance(model, frame, limit, x_grid=DEFAULT_X_GRID, y_grid=DEFAULT_Y_GRID):
-    """sup over the grid of |oracle conditional CDF - (1 - e^-x) H(y)|.
-
-    One oracle call per y value covers the whole x grid.
-    """
-    xs = np.asarray(x_grid, dtype=float)
-    fac = 1.0 - np.exp(-xs)
-    worst = 0.0
-    for y_std in y_grid:
-        exact = conditional_cdf_oracle(model, frame, xs, y_std)
-        worst = max(worst, float(np.max(np.abs(exact - fac * float(limit.cdf(y_std))))))
-    return worst
+    """sup over the grid of |oracle conditional CDF - (1 - e^-x) H(y)|, from
+    one oracle call for the whole grid."""
+    exact = conditional_cdf_oracle(model, frame, x_grid, y_grid)
+    fac = 1.0 - np.exp(-np.asarray(x_grid, dtype=float))
+    return float(np.max(np.abs(exact - np.outer(fac, limit.cdf(y_grid)))))
 
 
 @dataclass(frozen=True)
@@ -163,76 +158,67 @@ def convergence_sweep(model, quantile_levels, n, rng,
     return SweepReport(thresholds, ks_vals, eff_sizes, oracle_vals)
 
 
-@dataclass(frozen=True)
-class ConditionCheckReport:
-    """Growth of the separation ratio driving asymptotic independence."""
-
-    t_grid: list
-    ratios: list
-    passed: bool
-    psi_y_convention: str = "v_star-scaled radial auxiliary function"
-
-
-def _check_t_grid(t_grid):
+def oracle_quantiles(model, t_grid):
+    """[(t, b_X(t), b_Y(t)), ...] with P(X > b_X) = P(Y > b_Y) = 1/t along a
+    strictly increasing grid of t > 1.  The levels come from the oracle
+    marginals, not from tail asymptotics, so the independence diagnostics
+    that read this table do not assume the formulas they support."""
     grid = [float(t) for t in t_grid]
     if any(t <= 1.0 for t in grid):
         raise DomainError("t grid values must exceed 1")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("t grid must be strictly increasing")
-    return grid
+    return [(t, solve_b_x(model, t), solve_b_y(model, t)) for t in grid]
 
 
-def independence_condition_check(model, y, t_grid):
-    """Separation ratios (b_Y - m(b_X) + psi_Y(b_Y) y) / a(b_X) along t_grid.
+@dataclass(frozen=True)
+class ConditionCheckReport:
+    """Growth of the separation ratio driving asymptotic independence."""
 
-    Quantiles come from the oracle marginals, not from tail asymptotics, so
-    the check does not assume the formulas it supports.  PASS means the last
-    ratio exceeds ten times the first and the second half is monotone.
-    """
-    grid = _check_t_grid(t_grid)
+    ratios: list
+    passed: bool
+
+
+def independence_condition_check(model, y, levels):
+    """Separation ratios (b_Y - m(b_X) + psi_Y(b_Y) y) / a(b_X) along an
+    ``oracle_quantiles`` table, with psi_Y the v_star-scaled radial auxiliary
+    function.  PASS means the last ratio exceeds ten times the first and the
+    second half is monotone."""
     v_star = model.curve.v_star
     ratios = []
-    for t in grid:
-        bx = solve_b_x(model, t)
-        by = solve_b_y(model, t)
+    for _, bx, by in levels:
         frame = normalization(model, bx)
         psi_y = v_star * float(model.radial.aux_psi(by / v_star))
         ratios.append((by - frame.m_t + psi_y * y) / frame.a_t)
     tail = ratios[len(ratios) // 2:]
     monotone_tail = all(b > a for a, b in zip(tail, tail[1:]))
     passed = monotone_tail and ratios[-1] > 10.0 * ratios[0]
-    return ConditionCheckReport(grid, ratios, passed)
+    return ConditionCheckReport(ratios, passed)
 
 
 @dataclass(frozen=True)
 class DecayReport:
-    """t * P(joint exceedance) along t_grid; vanishing means independence."""
+    """t * P(joint exceedance) along a quantile table; vanishing means independence."""
 
-    t_grid: list
     products: list
     passed: bool
 
 
-def joint_exceedance_decay(model, x_std, y_std, t_grid):
-    """t * P(X > b_X + psi x, Y > b_Y + psi_Y y) along t_grid via the oracle.
-
-    Requires finite standardized levels.  PASS means the final product is
-    below one tenth of the initial one.
-    """
+def joint_exceedance_decay(model, x_std, y_std, levels):
+    """t * P(X > b_X + psi x, Y > b_Y + psi_Y y) along an ``oracle_quantiles``
+    table, via the oracle.  Requires finite standardized levels.  PASS means
+    the final product is below one tenth of the initial one."""
     if not (math.isfinite(x_std) and math.isfinite(y_std)):
         raise DomainError("standardized levels must be finite")
-    grid = _check_t_grid(t_grid)
     v_star = model.curve.v_star
     products = []
-    for t in grid:
-        bx = solve_b_x(model, t)
-        by = solve_b_y(model, t)
+    for t, bx, by in levels:
         psi_x = float(model.radial.aux_psi(bx))
         psi_y = v_star * float(model.radial.aux_psi(by / v_star))
         prob = joint_exceedance_oracle(model, bx + psi_x * x_std, by + psi_y * y_std)
         products.append(t * prob)
     passed = products[-1] < 0.1 * products[0]
-    return DecayReport(grid, products, passed)
+    return DecayReport(products, passed)
 
 
 def lemma2_integral_check(law, angular, z, x):

@@ -359,12 +359,8 @@ def _marginal_oracle(model, level, coord, scale, hints):
 
 
 def survival_x_oracle(model, x):
-    """P(X > x) by quadrature of the radial survival along the curve."""
-    x = float(x)
-    if x <= 0.0:
-        raise DomainError("x must be positive")
-    return _marginal_oracle(model, x, model.curve.u, float(model.radial.survival(x)),
-                            _u_level_hints(model, x))
+    """P(X > x) = P(X > x, Y <= +inf), the radial survival integrated along the curve."""
+    return _band_oracle(model, x, math.inf, above=False)
 
 
 def survival_y_oracle(model, y):
@@ -378,46 +374,56 @@ def survival_y_oracle(model, y):
 
 
 def _band_oracle(model, x, y, above):
-    """P(X > x, Y > y) (``above``) or P(X > x, Y <= y); y may be -inf or +inf."""
+    """P(X > x, Y > y) (``above``) or P(X > x, Y <= y) at each entry of the
+    number or array ``y`` (-inf and +inf allowed), from one set of x hints."""
     x = float(x)
-    y = float(y)
     if x <= 0.0:
         raise DomainError("x must be positive")
-    if math.isinf(y):
-        return survival_x_oracle(model, x) if (y < 0.0) == above else 0.0
-    extra = _u_level_hints(model, x) + _crossing_hints(model, x, y)
-    return _oracle_integrate(model, _band_integrand(model, x, y, above),
-                             float(model.radial.survival(x)), extra)
+    scale = float(model.radial.survival(x))
+    hints = _u_level_hints(model, x)
+
+    def one(y):
+        if math.isinf(y):
+            if (y < 0.0) != above:
+                return 0.0
+            return _marginal_oracle(model, x, model.curve.u, scale, hints)
+        return _oracle_integrate(model, _band_integrand(model, x, y, above), scale,
+                                 hints + _crossing_hints(model, x, y))
+
+    ys = np.asarray(y, dtype=float)
+    out = np.array([one(float(v)) for v in ys.ravel()]).reshape(ys.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def joint_exceedance_oracle(model, x, y):
-    """P(X > x, Y > y) with full sign-case handling; y may be -inf or +inf."""
+    """P(X > x, Y > y) with full sign-case handling; y may be an array, -inf or +inf."""
     return _band_oracle(model, x, y, above=True)
 
 
 def joint_cdf_y_oracle(model, x, y):
-    """P(X > x, Y <= y) by complementation inside the same integrand."""
+    """P(X > x, Y <= y) by complementation inside the same integrand; y may be an array."""
     return _band_oracle(model, x, y, above=False)
 
 
 def conditional_cdf_oracle(model, frame, x_std, y_std):
     """Exact P(X <= t + psi_t x, Y <= m_t + a_t y | X > t) for a frame.
 
-    ``x_std`` may be an array: the denominator P(X > t) and the X > t term
-    are then integrated once for all its entries, and an array of the same
-    shape is returned.  Either standardized coordinate may be +inf
-    (marginalized out).  Nondecreasing in each argument.
+    ``x_std`` and ``y_std`` may be arrays, giving shape ``x_std.shape +
+    y_std.shape``; the denominator P(X > t) is integrated once per call.
+    Either coordinate may be +inf (marginalized out).  Nondecreasing in each.
     """
     denom = survival_x_oracle(model, frame.t)
     if denom < 1e-300:
         raise DomainError("conditioning event has vanishing double-precision mass")
-    y_cut = math.inf if y_std == math.inf else frame.m_t + frame.a_t * y_std
+    ys = np.asarray(y_std, dtype=float)
+    y_cut = np.where(ys == math.inf, math.inf, frame.m_t + frame.a_t * ys)
     lower = joint_cdf_y_oracle(model, frame.t, y_cut)
     xs = np.asarray(x_std, dtype=float)
     upper = np.array([
-        0.0 if x == math.inf else joint_cdf_y_oracle(model, frame.t + frame.psi_t * x, y_cut)
+        np.zeros(ys.shape) if x == math.inf
+        else joint_cdf_y_oracle(model, frame.t + frame.psi_t * x, y_cut)
         for x in xs.ravel()
-    ]).reshape(xs.shape)
+    ]).reshape(xs.shape + ys.shape)
     out = np.maximum((lower - upper) / denom, 0.0)
     return float(out) if out.ndim == 0 else out
 

@@ -146,9 +146,10 @@ def test_criterion_09_asymptotic_independence(elliptical_gauss, lp3_exponential)
     details = []
     for name, model in (("sheared-circle", elliptical_gauss),
                         ("cubic-curve", lp3_exponential)):
-        cond = cp.independence_condition_check(model, 1.0, grid)
+        levels = cp.oracle_quantiles(model, grid)
+        cond = cp.independence_condition_check(model, 1.0, levels)
         increasing = all(b > a for a, b in zip(cond.ratios, cond.ratios[1:]))
-        decay = cp.joint_exceedance_decay(model, 1.0, 1.0, grid)
+        decay = cp.joint_exceedance_decay(model, 1.0, 1.0, levels)
         shrink = decay.products[-1] / decay.products[0]
         ok = ok and increasing and shrink <= 0.1
         details.append(f"{name}: ratios up {increasing}, decay {shrink:.3f}")

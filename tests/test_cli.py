@@ -173,6 +173,24 @@ class TestAnalysisCommands:
         assert data["thresholds"] == [100.0, 1000.0, 10000.0]
         assert all(b > a for a, b in zip(data["ratios"], data["ratios"][1:]))
 
+    def test_independence_solves_each_level_once(self, model_config, tmp_path, monkeypatch):
+        import cevpolar.diagnostics as diag
+
+        calls = {"x": 0, "y": 0}
+
+        def counted(axis, solve):
+            def wrapper(*args, **kwargs):
+                calls[axis] += 1
+                return solve(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(diag, "solve_b_x", counted("x", diag.solve_b_x))
+        monkeypatch.setattr(diag, "solve_b_y", counted("y", diag.solve_b_y))
+        code = run(["independence", "-c", str(model_config), "--t-grid", "2:3:1",
+                    "-o", str(tmp_path / "indep.csv")])
+        assert code == 0
+        assert calls == {"x": 2, "y": 2}
+
     def test_second_order_command(self, model_config, tmp_path):
         out = tmp_path / "so.csv"
         code = run(["second-order", "-c", str(model_config), "--x-grid", "8:8:1",
@@ -252,6 +270,8 @@ BAD_INPUTS = {
         ("decompose", "-c", "{config}", "--points", "3")),
     "independence-nan-y": (_ELL, ("independence", "-c", "{config}", "--t-grid", "2:2:1",
                                   "--y", "nan", "--format", "json")),
+    "independence-overflowing-grid": (_ELL, ("independence", "-c", "{config}",
+                                             "--t-grid", "400:401:1")),
     "limit-nan-weight": (None, ("limit", "--eta", "2", "--zeta", "1", "--grid", "0:1:1",
                                 "--weight-minus", "nan")),
     "simulate-nan-threshold": (_ELL, _SIMULATE + ("--threshold", "nan")),

@@ -103,7 +103,8 @@ class TestConvergenceSweep:
 
 class TestIndependenceDiagnostics:
     def test_ratios_strictly_increasing(self, elliptical_gauss):
-        rep = cp.independence_condition_check(elliptical_gauss, 1.0, [1e2, 1e3, 1e4])
+        levels = cp.oracle_quantiles(elliptical_gauss, [1e2, 1e3, 1e4])
+        rep = cp.independence_condition_check(elliptical_gauss, 1.0, levels)
         assert all(b > a for a, b in zip(rep.ratios, rep.ratios[1:]))
         # PASS is a pure function of the returned sequence
         tail = rep.ratios[len(rep.ratios) // 2:]
@@ -113,18 +114,20 @@ class TestIndependenceDiagnostics:
 
     def test_grid_validation(self, elliptical_gauss):
         with pytest.raises(cp.DomainError):
-            cp.independence_condition_check(elliptical_gauss, 1.0, [100.0, 50.0])
+            cp.oracle_quantiles(elliptical_gauss, [100.0, 50.0])
         with pytest.raises(cp.DomainError):
-            cp.independence_condition_check(elliptical_gauss, 1.0, [0.5, 2.0])
+            cp.oracle_quantiles(elliptical_gauss, [0.5, 2.0])
 
     def test_decay_products_shrink(self, elliptical_gauss):
-        rep = cp.joint_exceedance_decay(elliptical_gauss, 1.0, 1.0, [1e2, 1e3, 1e4])
+        levels = cp.oracle_quantiles(elliptical_gauss, [1e2, 1e3, 1e4])
+        rep = cp.joint_exceedance_decay(elliptical_gauss, 1.0, 1.0, levels)
         assert all(b < a for a, b in zip(rep.products, rep.products[1:]))
         assert rep.passed == (rep.products[-1] < 0.1 * rep.products[0])
 
     def test_decay_requires_finite_levels(self, elliptical_gauss):
         with pytest.raises(cp.DomainError):
-            cp.joint_exceedance_decay(elliptical_gauss, math.inf, 1.0, [1e2, 1e3])
+            cp.joint_exceedance_decay(elliptical_gauss, math.inf, 1.0,
+                                      cp.oracle_quantiles(elliptical_gauss, [1e2, 1e3]))
 
 
 class TestLemma2:

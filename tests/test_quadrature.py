@@ -188,7 +188,7 @@ ORACLE_REL_CHECK = 1e-7
 
 #: fixture and largest x of each model whose oracle properties are checked
 _MODELS = {"ell": ("elliptical_gauss", 12.0), "lp3": ("lp3_exponential", 25.0),
-           "singular": ("singular_model", 12.0)}
+           "singular": ("singular_model", 12.0), "power": ("asymmetric_power_model", 20.0)}
 
 
 def _model(request, name):
@@ -252,3 +252,8 @@ def test_array_x_matches_scalar_calls(elliptical_gauss):
         one_by_one = [cp.conditional_cdf_oracle(elliptical_gauss, frame, x, y_std) for x in xs]
         assert together.shape == xs.shape
         assert together.tolist() == one_by_one
+    ys = np.array([-1.0, 0.5, math.inf])
+    grid = cp.conditional_cdf_oracle(elliptical_gauss, frame, xs, ys)
+    assert grid.shape == (len(xs), len(ys))
+    assert grid.tolist() == [[cp.conditional_cdf_oracle(elliptical_gauss, frame, x, y)
+                              for y in ys] for x in xs]
