@@ -85,7 +85,6 @@ from .radial import (
     Weibull,
     build_von_mises,
     radial_from_dict,
-    sample_radial,
     tail_ratio_bound,
 )
 

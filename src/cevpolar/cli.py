@@ -23,8 +23,6 @@ from .errors import CevError, ConfigError, NumericError
 from .limits import LimitLaw, second_order_conditional, survival_x_asymptotic
 from .model import (
     MixtureModel,
-    _open_output,
-    _write_csv,
     conditional_cdf_oracle,
     decompose_density,
     model_from_dict,
@@ -42,7 +40,7 @@ from .numerics import _is_number
 _MAX_GRID_POINTS = 1_000_000
 
 #: flags whose values may start with '-' (grids, lists); glued before parsing
-_VALUE_FLAGS = ("--grid", "--x-grid", "--z-grid", "--t-grid", "--levels", "--y-grid")
+_VALUE_FLAGS = ("--grid", "--x-grid", "--z-grid", "--t-grid", "--levels")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,6 +93,46 @@ def _metadata(payload, seed):
         "config_sha256": _config_hash(payload),
         "seed": "none" if seed is None else seed,
     }
+
+
+def _open_output(path):
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}")
+
+
+def _csv_cell(value):
+    # repr of a float reads back bit for bit; ints and strings print as they are
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+#: rows formatted and written together by _write_csv
+_CSV_BLOCK = 1 << 12
+
+
+def _csv_block(block):
+    """The cells of one block of a column (a list or an array), each equal to
+    ``_csv_cell`` of its value."""
+    if isinstance(block, np.ndarray) and block.dtype.kind == "f":
+        # the repr of a list of floats holds float.__repr__ of each, made in C
+        return repr(block.tolist())[1:-1].split(", ")
+    return list(map(_csv_cell, block))
+
+
+def _write_csv(path, metadata, header, columns):
+    """Write '# key=value' metadata lines, the header, then one row per entry
+    of the equal-length ``columns`` (lists or arrays), formatted and written
+    a block of rows at a time."""
+    with _open_output(path) as fh:
+        for key, value in metadata.items():
+            fh.write(f"# {key}={value}\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _CSV_BLOCK):
+            cells = [_csv_block(column[start:start + _CSV_BLOCK]) for column in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _emit(args, meta, header, columns, body=None):

@@ -206,8 +206,9 @@ class DecayReport:
 
 def joint_exceedance_decay(model, x_std, y_std, levels):
     """t * P(X > b_X + psi x, Y > b_Y + psi_Y y) along an ``oracle_quantiles``
-    table, via the oracle.  Requires finite standardized levels.  PASS means
-    the final product is below one tenth of the initial one."""
+    table, via the oracle.  Requires finite standardized levels and a joint
+    exceedance that does not underflow to 0, which would read as decay.  PASS
+    means the final product is below one tenth of the initial one."""
     if not (math.isfinite(x_std) and math.isfinite(y_std)):
         raise DomainError("standardized levels must be finite")
     v_star = model.curve.v_star
@@ -216,6 +217,8 @@ def joint_exceedance_decay(model, x_std, y_std, levels):
         psi_x = float(model.radial.aux_psi(bx))
         psi_y = v_star * float(model.radial.aux_psi(by / v_star))
         prob = joint_exceedance_oracle(model, bx + psi_x * x_std, by + psi_y * y_std)
+        if prob == 0.0:
+            raise DomainError(f"joint exceedance underflows to 0 at t = {t!r}")
         products.append(t * prob)
     passed = products[-1] < 0.1 * products[0]
     return DecayReport(products, passed)

@@ -345,11 +345,22 @@ class AngularLaw:
     def cdf(self, t):
         raise NotImplementedError
 
-    def sample(self, n, rng):
+    def quantile(self, q):
+        """Array of the t with cdf(t) = q, for an array of q in [0, 1)."""
         raise NotImplementedError
+
+    def sample(self, n, rng):
+        """n i.i.d. draws by inverse transform."""
+        if n < 0:
+            raise DomainError("sample size must be nonnegative")
+        return self.quantile(rng.random(n))
 
     def breakpoints(self):
         return []
+
+    def singular_points(self):
+        """[(t0, tau)] where the density has an integrable singularity, else []."""
+        return [(self.t0, self.tau)] if (self.t0 is not None and self.tau < 0.0) else []
 
     def to_dict(self):
         raise NotImplementedError
@@ -367,10 +378,8 @@ class UniformAngular(AngularLaw):
     def cdf(self, t):
         return np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
 
-    def sample(self, n, rng):
-        if n < 0:
-            raise DomainError("sample size must be nonnegative")
-        return rng.random(n)
+    def quantile(self, q):
+        return q
 
     def to_dict(self):
         return {"kind": self.kind}
@@ -451,11 +460,6 @@ class PowerAngular(AngularLaw):
         conds = [q <= q_left_edge, q <= self.mass_minus, q <= q_right_edge]
         return np.select(conds, [in_left_tail, in_left_win, in_right_win], default=in_right_tail)
 
-    def sample(self, n, rng):
-        if n < 0:
-            raise DomainError("sample size must be nonnegative")
-        return self.quantile(rng.random(n))
-
     def breakpoints(self):
         return [self.t0 - self.window, self.t0, self.t0 + self.window]
 
@@ -515,10 +519,8 @@ class TabulatedAngular(AngularLaw):
     def cdf(self, t):
         return np.clip(self._cdf(np.clip(np.asarray(t, dtype=float), 0.0, 1.0)), 0.0, 1.0)
 
-    def sample(self, n, rng):
-        if n < 0:
-            raise DomainError("sample size must be nonnegative")
-        return np.clip(self._quantile(rng.random(n)), 0.0, 1.0)
+    def quantile(self, q):
+        return np.clip(self._quantile(q), 0.0, 1.0)
 
     def to_dict(self):
         return {
@@ -547,10 +549,9 @@ def angular_power(t0, tau, g_minus_frac=0.5, window=0.25):
 
 def check_angular_normalization(law, tol=1e-10):
     """Quadrature check that the density integrates to one."""
-    singular = [(law.t0, law.tau)] if (law.t0 is not None and law.tau < 0.0) else []
     total = integrate_with_breakpoints(
         law.density, 0.0, 1.0,
-        breakpoints=law.breakpoints(), abs_scale=1.0, singular_points=singular,
+        breakpoints=law.breakpoints(), abs_scale=1.0, singular_points=law.singular_points(),
     )
     if abs(total - 1.0) > tol:
         raise ConstructionError(f"angular density integrates to {total}, not 1")

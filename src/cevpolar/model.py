@@ -15,7 +15,6 @@ import numpy as np
 from scipy import special
 
 from .errors import (
-    ConfigError,
     ConstructionError,
     DegenerateWeightsError,
     DomainError,
@@ -147,50 +146,6 @@ class WeightedSample:
         if len(self.weights) == 0:
             return 0.0
         return float(np.max(self.weights))
-
-
-# ---------------------------------------------------------------------------
-# artifacts
-# ---------------------------------------------------------------------------
-
-def _open_output(path):
-    try:
-        return open(path, "w")
-    except OSError as exc:
-        raise ConfigError(f"cannot write output: {exc}")
-
-
-def _csv_cell(value):
-    # repr of a float reads back bit for bit; ints and strings print as they are
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-#: rows formatted and written together by _write_csv
-_CSV_BLOCK = 1 << 12
-
-
-def _csv_block(block):
-    """The cells of one block of a column (a list or an array), each equal to
-    ``_csv_cell`` of its value."""
-    if isinstance(block, np.ndarray) and block.dtype.kind == "f":
-        # the repr of a list of floats holds float.__repr__ of each, made in C
-        return repr(block.tolist())[1:-1].split(", ")
-    return list(map(_csv_cell, block))
-
-
-def _write_csv(path, metadata, header, columns):
-    """Write '# key=value' metadata lines, the header, then one row per entry
-    of the equal-length ``columns`` (lists or arrays), formatted and written
-    a block of rows at a time."""
-    with _open_output(path) as fh:
-        for key, value in metadata.items():
-            fh.write(f"# {key}={value}\n")
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), _CSV_BLOCK):
-            cells = [_csv_block(column[start:start + _CSV_BLOCK]) for column in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +293,9 @@ def _oracle_integrate(model, integrand, scale, extra_breaks=()):
     if scale == 0.0:
         raise DomainError("threshold beyond double-precision survival")
     breaks = list(curve.breakpoints()) + list(ang.breakpoints()) + list(extra_breaks)
-    singular = [(ang.t0, ang.tau)] if (ang.t0 is not None and ang.tau < 0.0) else []
     return integrate_with_breakpoints(
         integrand, 0.0, 1.0, breakpoints=breaks,
-        abs_scale=scale, singular_points=singular,
+        abs_scale=scale, singular_points=ang.singular_points(),
     )
 
 

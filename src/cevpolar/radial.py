@@ -26,75 +26,79 @@ __all__ = [
     "VonMisesRadial",
     "TabulatedRadial",
     "build_von_mises",
-    "sample_radial",
     "tail_ratio_bound",
     "TailRatioWitness",
     "radial_from_dict",
 ]
 
 
-def _check_nonnegative(x, name="x"):
+def _checked(kernel, x, bad, message):
+    """``kernel`` on the flat float array of ``x`` once no entry is ``bad``:
+    a float for a number, else an array of the shape of ``x``."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
-        raise DomainError(f"{name} must be nonnegative")
-    return arr
-
-
-def _check_positive(x, name="x"):
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
-        raise DomainError(f"{name} must be positive")
-    return arr
-
-
-def _maybe_scalar(arr, scalar_input):
-    return float(arr) if scalar_input else arr
+    flat = arr.reshape(-1)
+    if np.any(bad(flat)):
+        raise DomainError(message)
+    out = kernel(flat)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 class RadialLaw:
-    """Base class: nonnegative radius with infinite support and light tail."""
+    """Base class: nonnegative radius with infinite support and light tail.
+
+    The public methods check and shape their arguments once; a law supplies
+    the 1-D array kernels ``_log_survival``, ``_density``, ``_aux_psi`` and
+    ``_inverse_log_survival``, which take arguments already in the domain.
+    """
 
     kind: str = "abstract"
 
-    # -- core contract -----------------------------------------------------
+    # -- checked boundary --------------------------------------------------
     def log_survival(self, x):
-        raise NotImplementedError
+        """log P(R > x), for x >= 0."""
+        return _checked(self._log_survival, x, lambda a: a < 0.0, "x must be nonnegative")
 
     def density(self, x):
-        raise NotImplementedError
+        return _checked(self._density, x, lambda a: a < 0.0, "x must be nonnegative")
 
     def aux_psi(self, x):
         """Canonical auxiliary scale survival/density, positive for x > 0."""
-        raise NotImplementedError
+        return _checked(self._aux_psi, x, lambda a: a <= 0.0, "x must be positive")
 
     def inverse_log_survival(self, logq):
         """x such that log survival(x) = logq, for logq <= 0."""
-        raise NotImplementedError
+        return _checked(self._inverse_log_survival, logq, lambda a: ~(a <= 0.0),
+                        "log survival levels must be <= 0")
 
     # -- derived operations --------------------------------------------------
     def survival(self, x):
-        scalar = np.isscalar(x)
-        arr = _check_nonnegative(x)
-        out = np.exp(self.log_survival(arr))
-        return _maybe_scalar(out, scalar)
+        out = np.exp(self.log_survival(x))
+        return float(out) if out.ndim == 0 else out
 
     def quantile_b(self, t):
         """Level b(t) with survival(b(t)) = 1/t, defined for t > 1."""
-        scalar = np.isscalar(t)
-        arr = np.asarray(t, dtype=float)
-        if np.any(arr <= 1.0):
-            raise DomainError("quantile_b requires t > 1")
-        out = self.inverse_log_survival(-np.log(arr))
-        return _maybe_scalar(np.asarray(out, dtype=float), scalar)
+        return _checked(lambda a: self._inverse_log_survival(-np.log(a)), t,
+                        lambda a: ~(a > 1.0), "quantile_b requires t > 1")
 
     def sample(self, n, rng):
         """n i.i.d. draws by inverse transform on the survival scale."""
         if n < 0:
             raise DomainError("sample size must be nonnegative")
-        if n == 0:
-            return np.empty(0)
         v = 1.0 - rng.random(n)  # in (0, 1]
-        return np.asarray(self.inverse_log_survival(np.log(v)), dtype=float)
+        return self._inverse_log_survival(np.log(v))
+
+    # -- kernels ---------------------------------------------------------------
+    def _log_survival(self, x):
+        raise NotImplementedError
+
+    def _density(self, x):
+        raise NotImplementedError
+
+    def _aux_psi(self, x):
+        raise NotImplementedError
+
+    def _inverse_log_survival(self, logq):
+        raise NotImplementedError
 
     # -- serialization -------------------------------------------------------
     def to_dict(self):
@@ -111,18 +115,17 @@ class Exponential(RadialLaw):
             raise ConstructionError("rate must be positive")
         self.rate = float(rate)
 
-    def log_survival(self, x):
-        return -self.rate * _check_nonnegative(x)
+    def _log_survival(self, x):
+        return -self.rate * x
 
-    def density(self, x):
-        return self.rate * np.exp(-self.rate * _check_nonnegative(x))
+    def _density(self, x):
+        return self.rate * np.exp(-self.rate * x)
 
-    def aux_psi(self, x):
-        arr = _check_positive(x)
-        return _maybe_scalar(np.full_like(arr, 1.0 / self.rate), np.isscalar(x))
+    def _aux_psi(self, x):
+        return np.full_like(x, 1.0 / self.rate)
 
-    def inverse_log_survival(self, logq):
-        return -np.asarray(logq, dtype=float) / self.rate
+    def _inverse_log_survival(self, logq):
+        return -logq / self.rate
 
     def to_dict(self):
         return {"kind": self.kind, "params": {"rate": self.rate}}
@@ -138,21 +141,18 @@ class Weibull(RadialLaw):
             raise ConstructionError("shape must be positive")
         self.shape = float(shape)
 
-    def log_survival(self, x):
-        return -_check_nonnegative(x) ** self.shape
+    def _log_survival(self, x):
+        return -x ** self.shape
 
-    def density(self, x):
-        arr = _check_nonnegative(x)
+    def _density(self, x):
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = self.shape * arr ** (self.shape - 1.0) * np.exp(-(arr ** self.shape))
-        return out
+            return self.shape * x ** (self.shape - 1.0) * np.exp(-(x ** self.shape))
 
-    def aux_psi(self, x):
-        arr = _check_positive(x)
-        return _maybe_scalar(arr ** (1.0 - self.shape) / self.shape, np.isscalar(x))
+    def _aux_psi(self, x):
+        return x ** (1.0 - self.shape) / self.shape
 
-    def inverse_log_survival(self, logq):
-        return (-np.asarray(logq, dtype=float)) ** (1.0 / self.shape)
+    def _inverse_log_survival(self, logq):
+        return (-logq) ** (1.0 / self.shape)
 
     def to_dict(self):
         return {"kind": self.kind, "params": {"shape": self.shape}}
@@ -163,20 +163,17 @@ class Rayleigh(RadialLaw):
 
     kind = "rayleigh"
 
-    def log_survival(self, x):
-        arr = _check_nonnegative(x)
-        return -0.5 * arr * arr
+    def _log_survival(self, x):
+        return -0.5 * x * x
 
-    def density(self, x):
-        arr = _check_nonnegative(x)
-        return arr * np.exp(-0.5 * arr * arr)
+    def _density(self, x):
+        return x * np.exp(-0.5 * x * x)
 
-    def aux_psi(self, x):
-        arr = _check_positive(x)
-        return _maybe_scalar(1.0 / arr, np.isscalar(x))
+    def _aux_psi(self, x):
+        return 1.0 / x
 
-    def inverse_log_survival(self, logq):
-        return np.sqrt(-2.0 * np.asarray(logq, dtype=float))
+    def _inverse_log_survival(self, logq):
+        return np.sqrt(-2.0 * logq)
 
     def to_dict(self):
         return {"kind": self.kind, "params": {}}
@@ -276,41 +273,27 @@ class VonMisesRadial(RadialLaw):
             return False
 
     # -- evaluation ------------------------------------------------------------
-    def _j_rel(self, x):
-        arr = np.asarray(x, dtype=float)
-        out = np.where(
-            arr <= self._xs[-1],
-            self._spline(np.clip(arr, 0.0, self._xs[-1])),
-            self._js[-1] + (arr - self._xs[-1]) * self._jps[-1],
+    def _log_survival(self, x):
+        j = np.where(
+            x <= self._xs[-1],
+            self._spline(np.clip(x, 0.0, self._xs[-1])),
+            self._js[-1] + (x - self._xs[-1]) * self._jps[-1],
         )
-        return out - self._j_x0
+        return np.minimum(math.log(self.scale) - (j - self._j_x0), 0.0)
 
-    def log_survival(self, x):
-        arr = _check_nonnegative(x)
-        out = np.minimum(math.log(self.scale) - self._j_rel(arr), 0.0)
-        return _maybe_scalar(out, np.isscalar(x))
-
-    def aux_psi(self, x):
-        arr = _check_positive(x)
+    def _aux_psi(self, x):
         if self._psi is not None:
-            out = np.asarray([float(self._psi(v)) for v in np.atleast_1d(arr)])
-            out = out.reshape(np.shape(arr))
-        else:
-            out = 1.0 / self._spline.derivative()(arr)
-        return _maybe_scalar(out, np.isscalar(x))
+            return np.asarray([float(self._psi(v)) for v in x])
+        return 1.0 / self._spline.derivative()(x)
 
-    def density(self, x):
-        return self.survival(x) / self.aux_psi(np.maximum(np.asarray(x, dtype=float), 1e-300))
+    def _density(self, x):
+        return np.exp(self._log_survival(x)) / self._aux_psi(np.maximum(x, 1e-300))
 
-    def inverse_log_survival(self, logq):
-        scalar = np.isscalar(logq)
-        arr = np.atleast_1d(np.asarray(logq, dtype=float))
-        if not np.all(arr <= 0.0):
-            raise DomainError("log survival levels must be <= 0")
-        target = math.log(self.scale) - arr  # required J(x) - J(x0)
+    def _inverse_log_survival(self, logq):
+        target = math.log(self.scale) - logq  # required J(x) - J(x0)
         j_target = target + self._j_x0
         # levels at or above the cap are the atom at the left edge of the decay region
-        out = np.full(arr.shape, self._cap_edge())
+        out = np.full(logq.shape, self._cap_edge())
         beyond = j_target > self._js[-1]
         if np.any(beyond):
             slope = self._jps[-1]
@@ -323,7 +306,7 @@ class VonMisesRadial(RadialLaw):
             k = np.clip(np.searchsorted(self._js, jt, side="left"), 1, len(self._js) - 1)
             out[inside] = bisect_monotone(lambda v: self._spline(v) - jt,
                                           self._xs[k - 1], self._xs[k])
-        return _maybe_scalar(out if not scalar else out[0], scalar)
+        return out
 
     def _cap_edge(self):
         if self.scale < 1.0:
@@ -437,34 +420,24 @@ class TabulatedRadial(RadialLaw):
                 break
         return total
 
-    def log_survival(self, x):
-        arr = _check_nonnegative(x)
+    def _log_survival(self, x):
         last = self._nodes[-1]
-        inside = self._spline(np.clip(arr, 0.0, last))
-        beyond = self._log_surv[-1] + self._tail_slope * (arr - last)
-        out = np.minimum(np.where(arr <= last, inside, beyond), 0.0)
-        return _maybe_scalar(out, np.isscalar(x))
+        inside = self._spline(np.clip(x, 0.0, last))
+        beyond = self._log_surv[-1] + self._tail_slope * (x - last)
+        return np.minimum(np.where(x <= last, inside, beyond), 0.0)
 
-    def density(self, x):
-        scalar = np.isscalar(x)
-        arr = _check_nonnegative(x)
-        out = np.asarray([float(self._raw_density(v)) for v in np.atleast_1d(arr)]) / self._total
-        return _maybe_scalar(out.reshape(np.shape(arr)) if not scalar else out[0], scalar)
+    def _density(self, x):
+        return np.asarray([float(self._raw_density(v)) for v in x]) / self._total
 
-    def aux_psi(self, x):
-        arr = _check_positive(x)
-        return self.survival(arr) / np.maximum(self.density(arr), 1e-300)
+    def _aux_psi(self, x):
+        return np.exp(self._log_survival(x)) / np.maximum(self._density(x), 1e-300)
 
-    def inverse_log_survival(self, logq):
-        scalar = np.isscalar(logq)
-        arr = np.atleast_1d(np.asarray(logq, dtype=float))
-        if np.any(arr > 0.0):
-            raise DomainError("log survival levels must be <= 0")
+    def _inverse_log_survival(self, logq):
         deepest = -self._log_surv[-1]
         out = np.where(
-            -arr <= deepest,
-            np.clip(self._quantile(np.minimum(-arr, deepest)), 0.0, None),
-            self._nodes[-1] + (arr - self._log_surv[-1]) / self._tail_slope,
+            -logq <= deepest,
+            np.clip(self._quantile(np.minimum(-logq, deepest)), 0.0, None),
+            self._nodes[-1] + (logq - self._log_surv[-1]) / self._tail_slope,
         )
         # two Newton sweeps against the forward spline tighten self-consistency
         for _ in range(2):
@@ -473,17 +446,17 @@ class TabulatedRadial(RadialLaw):
                          self._log_surv[-1] + self._tail_slope * (out - self._nodes[-1]))
             df = np.where(inside, self._dspline(np.clip(out, 0.0, self._nodes[-1])),
                           self._tail_slope)
-            step = (f - arr) / np.minimum(df, -1e-300)
+            step = (f - logq) / np.minimum(df, -1e-300)
             out = np.clip(out - step, 0.0, None)
         # Newton stalls where the log-survival is flat (near a density that
         # vanishes at the origin); those levels are solved on their grid piece
-        stalled = np.abs(self.log_survival(out) - arr) > 1e-12 * np.maximum(1.0, -arr)
+        stalled = np.abs(self._log_survival(out) - logq) > 1e-12 * np.maximum(1.0, -logq)
         if np.any(stalled):
-            q = arr[stalled]
+            q = logq[stalled]
             k = np.clip(np.searchsorted(-self._log_surv, -q), 1, len(self._nodes) - 1)
             out[stalled] = bisect_monotone(lambda v: self._spline(v) - q,
                                            self._nodes[k - 1], self._nodes[k])
-        return _maybe_scalar(out if not scalar else float(out[0]), scalar)
+        return out
 
     def to_dict(self):
         return {
@@ -499,7 +472,7 @@ class TabulatedRadial(RadialLaw):
         self._total = 1.0
         self._tabulate(*grid)
         self._raw_density = lambda r, s=self: (
-            -float(s._dspline(min(max(r, 0.0), s._nodes[-1]))) * math.exp(float(s.log_survival(max(r, 0.0))))
+            -float(s._dspline(min(r, s._nodes[-1]))) * math.exp(s._log_survival(np.array([r]))[0])
         )
         return self
 
@@ -512,11 +485,6 @@ def build_von_mises(psi, x0=0.0, scale=1.0):
     error.
     """
     return VonMisesRadial(psi, x0=x0, scale=scale)
-
-
-def sample_radial(law, n, rng):
-    """n i.i.d. draws from the law, reproducible for a given generator state."""
-    return law.sample(n, rng)
 
 
 @dataclass(frozen=True)

@@ -272,6 +272,10 @@ BAD_INPUTS = {
                                   "--y", "nan", "--format", "json")),
     "independence-overflowing-grid": (_ELL, ("independence", "-c", "{config}",
                                              "--t-grid", "400:401:1")),
+    "independence-underflowing-product": (_ELL, ("independence", "-c", "{config}",
+                                                 "--t-grid", "300:301:1")),
+    "independence-underflowing-last-product": (_ELL, ("independence", "-c", "{config}",
+                                                      "--t-grid", "2:300:298")),
     "limit-nan-weight": (None, ("limit", "--eta", "2", "--zeta", "1", "--grid", "0:1:1",
                                 "--weight-minus", "nan")),
     "simulate-nan-threshold": (_ELL, _SIMULATE + ("--threshold", "nan")),

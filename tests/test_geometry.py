@@ -289,6 +289,13 @@ class TestAngularLaws:
         ks = max(np.max(np.abs(emp_hi - grid_cdf)), np.max(np.abs(grid_cdf - emp_lo)))
         assert ks < 0.002
 
+    def test_laws_define_only_quantile(self):
+        # the checked sample lives on AngularLaw alone, so no law can skip its check
+        laws = [obj for obj in vars(cp.geometry).values() if isinstance(obj, type)
+                and issubclass(obj, cp.geometry.AngularLaw) and obj is not cp.geometry.AngularLaw]
+        assert len(laws) == 3
+        assert not any("sample" in vars(law) for law in laws)
+
     def test_angular_serialization(self):
         for law in (cp.angular_uniform(), cp.angular_power(0.3, 0.7, 0.4, 0.2)):
             clone = cp.angular_from_dict(law.to_dict())

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.stats import chi2, norm
 
 import cevpolar as cp
-from cevpolar.model import _CSV_BLOCK, _csv_cell, _write_csv
+from cevpolar.cli import _CSV_BLOCK, _csv_cell, _write_csv
 
 
 class TestPolarModelAssembly:

@@ -40,6 +40,13 @@ class TestSurvival:
         assert np.all(np.diff(s) <= 0.0)
         assert s[-1] < 1e-6
 
+    @pytest.mark.parametrize("law", CATALOG + SERIALIZED, ids=lambda l: f"{l.kind}")
+    def test_number_in_float_out(self, law):
+        assert law.survival(math.inf) == 0.0
+        values = (law.survival(2.0), law.log_survival(2.0), law.density(2.0),
+                  law.aux_psi(2.0), law.inverse_log_survival(-2.0), law.quantile_b(3.0))
+        assert all(type(v) is float for v in values)
+
 
 class TestQuantile:
     def test_exponential_at_e(self):
@@ -179,9 +186,12 @@ class TestVonMises:
             assert clone.aux_psi(x) == pytest.approx(1.0 / (1.0 + x), rel=1e-6)
 
 
-#: von Mises laws, plain and capped (an atom of mass 1/2 at x0=1), and a numeric
-#: law rebuilt from its serialized form
+#: the closed-form laws, von Mises laws, plain and capped (an atom of mass 1/2
+#: at x0=1), and a numeric law rebuilt from its serialized form
 INVERTIBLE = {
+    "exponential": cp.Exponential(1.0),
+    "weibull": cp.Weibull(0.8),
+    "rayleigh": cp.Rayleigh(),
     "von_mises": SERIALIZED[0],
     "von_mises_capped": cp.build_von_mises(lambda s: 1.0 / (1.0 + 0.5 * s), x0=1.0, scale=0.5),
     "numeric": SERIALIZED[1],
@@ -224,6 +234,8 @@ class TestInverseLogSurvival:
             law.inverse_log_survival(0.5)
         with pytest.raises(cp.DomainError):
             law.inverse_log_survival(np.array([-1.0, 1e-300]))
+        with pytest.raises(cp.DomainError):
+            law.inverse_log_survival(math.nan)
 
     @pytest.mark.parametrize("name", sorted(INVERTIBLE))
     def test_scalar_call_is_an_array_element(self, name):
@@ -236,20 +248,20 @@ class TestInverseLogSurvival:
 
 class TestSampling:
     def test_empty(self, rng):
-        assert len(cp.sample_radial(cp.Rayleigh(), 0, rng)) == 0
+        assert len(cp.Rayleigh().sample(0, rng)) == 0
 
     def test_same_seed_identical(self):
-        a = cp.sample_radial(cp.Weibull(2.0), 1000, np.random.default_rng(5))
-        b = cp.sample_radial(cp.Weibull(2.0), 1000, np.random.default_rng(5))
+        a = cp.Weibull(2.0).sample(1000, np.random.default_rng(5))
+        b = cp.Weibull(2.0).sample(1000, np.random.default_rng(5))
         assert np.array_equal(a, b)
 
     def test_exponential_mean(self):
-        draws = cp.sample_radial(cp.Exponential(1.0), 1_000_000, np.random.default_rng(11))
+        draws = cp.Exponential(1.0).sample(1_000_000, np.random.default_rng(11))
         assert abs(draws.mean() - 1.0) < 0.01
 
     def test_survival_consistency(self, rng):
         law = cp.Rayleigh()
-        draws = cp.sample_radial(law, 200_000, rng)
+        draws = law.sample(200_000, rng)
         t = 5.0
         assert np.mean(draws > law.quantile_b(t)) == pytest.approx(1.0 / t, abs=0.005)
 
@@ -285,3 +297,13 @@ class TestSerialization:
     def test_unknown_key_rejected(self):
         with pytest.raises(cp.ConstructionError):
             cp.radial_from_dict({"kind": "rayleigh", "params": {}, "mode": "x"})
+
+
+def test_laws_define_only_kernels():
+    # the checked public methods live on RadialLaw alone, so no law can skip the checks
+    public = {"survival", "log_survival", "density", "aux_psi", "inverse_log_survival"}
+    laws = [obj for obj in vars(cp.radial).values()
+            if isinstance(obj, type) and issubclass(obj, cp.RadialLaw) and obj is not cp.RadialLaw]
+    assert len(laws) == 5
+    for law in laws:
+        assert not public & set(vars(law)), law.__name__
