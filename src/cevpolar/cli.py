@@ -20,20 +20,12 @@ from . import __version__
 from .diagnostics import (convergence_sweep, independence_condition_check,
                           joint_exceedance_decay, oracle_quantiles)
 from .errors import CevError, ConfigError, NumericError
-from .limits import LimitLaw, second_order_conditional, survival_x_asymptotic
-from .model import (
-    MixtureModel,
-    conditional_cdf_oracle,
-    decompose_density,
-    model_from_dict,
-    quartic_ridge_weight,
-    sample_conditional,
-    sample_joint,
-    standard_normal_profile,
-    survival_x_oracle,
-)
-from .limits import ConditionalFrame
 from .geometry import curve_from_dict
+from .limits import (ConditionalFrame, LimitLaw, second_order_conditional,
+                     survival_x_asymptotic)
+from .model import (MixtureModel, conditional_cdf_oracle, decompose_density,
+                    model_from_dict, quartic_ridge_weight, sample_conditional, sample_joint,
+                    standard_normal_profile, survival_x_oracle)
 from .numerics import _is_number
 
 #: largest number of points a lo:hi:step grid may ask for
@@ -82,16 +74,23 @@ def parse_grid(spec):
     return [lo + k * step for k in range(int(math.floor(span)) + 1)]
 
 
-def _config_hash(payload):
+#: parsed arguments outside the config hash: the dispatch entries, the seed
+#: (a metadata line of its own), the output path and format, and decompose's
+#: --points
+_UNHASHED = frozenset({"fn", "schema", "seed", "output", "format", "points"})
+
+
+def _metadata(args, config):
+    """Metadata of a command's artifact.  The config hash covers the command,
+    its config when it has one, and its flags outside ``_UNHASHED``."""
+    payload = {key: value for key, value in vars(args).items() if key not in _UNHASHED}
+    if "config" in payload:
+        payload["config"] = config
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
-def _metadata(payload, seed):
     return {
         "cevpolar_version": __version__,
-        "config_sha256": _config_hash(payload),
-        "seed": "none" if seed is None else seed,
+        "config_sha256": hashlib.sha256(canon.encode()).hexdigest()[:16],
+        "seed": "none" if args.seed is None else args.seed,
     }
 
 
@@ -169,33 +168,68 @@ def _load_config(path):
 
 
 def _split_config(data):
-    """Returns (polar_model_or_None, mixture_or_None, seed_or_None)."""
+    """(polar or mixture model, config seed or None) of a model config."""
     seed = data.pop("seed", None)
     if seed is not None:
         _checked_seed(seed, "config seed")
-    if "mixture" in data:
-        extra = set(data) - {"mixture"}
-        if extra:
-            raise ConfigError(f"unknown config keys next to 'mixture': {sorted(extra)}")
-        mix = data["mixture"]
-        if not isinstance(mix, dict):
-            raise ConfigError("'mixture' must be a JSON object")
-        bad = set(mix) - {"p", "rho", "tau_mix", "cone"}
-        if bad:
-            raise ConfigError(f"unknown mixture keys: {sorted(bad)}")
-        missing = {"p", "rho", "tau_mix"} - set(mix)
-        if missing:
-            raise ConfigError(f"mixture config lacks the keys {sorted(missing)}")
-        if not all(_is_number(mix[key]) for key in ("p", "rho", "tau_mix")):
-            raise ConfigError("mixture p, rho and tau_mix must be finite numbers")
-        cone = mix.get("cone")
-        if cone is not None and not (isinstance(cone, list) and len(cone) == 2
-                                     and all(map(_is_number, cone))):
-            raise ConfigError("mixture cone must be a list [c1, c2] of finite numbers")
-        mixture = MixtureModel(p=mix["p"], rho=mix["rho"], tau_mix=mix["tau_mix"],
-                               cone=None if cone is None else tuple(cone))
-        return None, mixture, seed
-    return model_from_dict(data), None, seed
+    if "mixture" not in data:
+        return model_from_dict(data), seed
+    extra = set(data) - {"mixture"}
+    if extra:
+        raise ConfigError(f"unknown config keys next to 'mixture': {sorted(extra)}")
+    mix = data["mixture"]
+    if not isinstance(mix, dict):
+        raise ConfigError("'mixture' must be a JSON object")
+    bad = set(mix) - {"p", "rho", "tau_mix", "cone"}
+    if bad:
+        raise ConfigError(f"unknown mixture keys: {sorted(bad)}")
+    missing = {"p", "rho", "tau_mix"} - set(mix)
+    if missing:
+        raise ConfigError(f"mixture config lacks the keys {sorted(missing)}")
+    if not all(_is_number(mix[key]) for key in ("p", "rho", "tau_mix")):
+        raise ConfigError("mixture p, rho and tau_mix must be finite numbers")
+    cone = mix.get("cone")
+    if cone is not None and not (isinstance(cone, list) and len(cone) == 2
+                                 and all(map(_is_number, cone))):
+        raise ConfigError("mixture cone must be a list [c1, c2] of finite numbers")
+    return MixtureModel(p=mix["p"], rho=mix["rho"], tau_mix=mix["tau_mix"],
+                        cone=None if cone is None else tuple(cone)), seed
+
+
+def _decompose_model(config):
+    """The polar model of a decompose config: a curve, the gaussian radial
+    profile and an optional quartic ridge weight along the curve."""
+    bad = set(config) - {"curve", "profile", "ridge_weight"}
+    if bad:
+        raise ConfigError(f"unknown decompose config keys: {sorted(bad)}")
+    if "curve" not in config:
+        raise ConfigError("decompose config requires a 'curve' entry")
+    curve = curve_from_dict(config["curve"])
+    profile_name = config.get("profile", "gaussian")
+    if profile_name != "gaussian":
+        raise ConfigError(f"unknown radial profile '{profile_name}'")
+    ridge = config.get("ridge_weight", False)
+    if not isinstance(ridge, bool):
+        raise ConfigError("decompose ridge_weight must be true or false")
+    weight = None
+    if ridge:
+        weight = lambda t: quartic_ridge_weight(2.0 * math.pi * (t - curve.t0))
+    return decompose_density(standard_normal_profile, curve, angular_weight=weight)
+
+
+def _load_model(args):
+    """(config, model, config seed) of a command, read by the schema its
+    parser declares: None (no config), "polar", "polar or mixture" or
+    "decompose"."""
+    if args.schema is None:
+        return None, None, None
+    config = _load_config(args.config)
+    if args.schema == "decompose":
+        return config, _decompose_model(config), None
+    model, seed = _split_config(dict(config))
+    if isinstance(model, MixtureModel) and args.schema == "polar":
+        raise ConfigError(f"{args.command} requires a polar model config")
+    return config, model, seed
 
 
 def _checked_seed(seed, source):
@@ -205,7 +239,10 @@ def _checked_seed(seed, source):
 
 
 def _require_seed(args, config_seed):
-    """The seed of a sampling command: --seed, else the (checked) config seed."""
+    """The seed of a command that samples (one with a --seed flag): --seed,
+    else the checked config seed.  None for the other commands."""
+    if "seed" not in args:
+        return None
     if args.seed is not None:
         return _checked_seed(args.seed, "--seed")
     if config_seed is None:
@@ -213,28 +250,17 @@ def _require_seed(args, config_seed):
     return config_seed
 
 
-def _load_polar(args):
-    """(config, model, config seed) of a command that takes only polar models."""
-    config = _load_config(args.config)
-    model, mixture, seed = _split_config(dict(config))
-    if mixture is not None:
-        raise ConfigError(f"{args.command} requires a polar model config")
-    return config, model, seed
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed args (seed resolved), its model and the
+# artifact metadata, and returns (header, columns[, body]) for _emit
 # ---------------------------------------------------------------------------
 
-def _cmd_limit(args):
+def _cmd_limit(args, model, meta):
     law = LimitLaw(args.eta, args.zeta,
                    weight_minus=args.weight_minus, weight_plus=1.0 - args.weight_minus)
     grid = parse_grid(args.grid)
-    payload = {"command": "limit", "eta": args.eta, "zeta": args.zeta,
-               "weight_minus": args.weight_minus, "grid": args.grid}
-    _emit(args, _metadata(payload, None), ("y", "cdf", "pdf"),
-          [grid, [float(law.cdf(y)) for y in grid], [float(law.pdf(y)) for y in grid]])
-    return 0
+    return (("y", "cdf", "pdf"),
+            [grid, [float(law.cdf(y)) for y in grid], [float(law.pdf(y)) for y in grid]])
 
 
 def _sample_mixture(mix, n, rng):
@@ -246,83 +272,52 @@ def _sample_mixture(mix, n, rng):
     return np.column_stack([x, slope * x + noise * z])
 
 
-def _cmd_simulate(args):
-    config = _load_config(args.config)
-    model, mixture, config_seed = _split_config(dict(config))
-    seed = _require_seed(args, config_seed)
+def _cmd_simulate(args, model, meta):
     if args.n < 0:
         raise ConfigError("--n must be nonnegative")
-    payload = {"command": "simulate", "config": config, "n": args.n,
-               "threshold": args.threshold}
-    meta = _metadata(payload, seed)
-    rng = np.random.default_rng(seed)
-    if mixture is not None:
+    rng = np.random.default_rng(args.seed)
+    if isinstance(model, MixtureModel):
         if args.threshold is not None:
             raise ConfigError("conditional simulation is not defined for mixture configs")
-        _emit(args, meta, ("x", "y"), _sample_mixture(mixture, args.n, rng).T)
-    elif args.threshold is None:
-        _emit(args, meta, ("x", "y"), sample_joint(model, args.n, rng).T)
-    else:
-        ws = sample_conditional(model, args.threshold, args.n, rng)
-        meta["effective_size"] = repr(ws.effective_size)
-        _emit(args, meta, ("x", "y", "weight"), [ws.x, ws.y, ws.weights])
-    return 0
+        return ("x", "y"), _sample_mixture(model, args.n, rng).T
+    if args.threshold is None:
+        return ("x", "y"), sample_joint(model, args.n, rng).T
+    ws = sample_conditional(model, args.threshold, args.n, rng)
+    meta["effective_size"] = repr(ws.effective_size)
+    return ("x", "y", "weight"), [ws.x, ws.y, ws.weights]
 
 
-def _cmd_verify(args):
-    config, model, config_seed = _load_polar(args)
-    seed = _require_seed(args, config_seed)
-    try:
-        levels = [float(v) for v in args.levels.split(",")]
-    except ValueError:
-        raise ConfigError("--levels must be a comma-separated list of numbers")
-    report = convergence_sweep(model, levels, args.n, np.random.default_rng(seed))
-    payload = {"command": "verify", "config": config, "levels": levels, "n": args.n}
-    decreasing = all(b < a for a, b in
-                     zip(report.oracle_distances, report.oracle_distances[1:]))
-    passed = decreasing and report.oracle_distances[-1] <= 0.1
-    _emit(args, _metadata(payload, seed), *report.csv_table(),
-          body={**report.to_json_dict(), "pass": passed})
-    return 0
+def _cmd_verify(args, model, meta):
+    report = convergence_sweep(model, args.levels, args.n, np.random.default_rng(args.seed))
+    return (*report.csv_table(), {**report.to_json_dict(), "pass": report.passed})
 
 
-def _cmd_tail(args):
-    config, model, _ = _load_polar(args)
+def _cmd_tail(args, model, meta):
     grid = parse_grid(args.x_grid)
-    payload = {"command": "tail", "config": config, "x_grid": args.x_grid}
     asym, exact = [], []
     for x in grid:
         asym.append(survival_x_asymptotic(model, x))
         exact.append(survival_x_oracle(model, x))
-    _emit(args, _metadata(payload, None), ("x", "asymptotic", "oracle", "ratio"),
-          [grid, asym, exact, [a / e for a, e in zip(asym, exact)]])
-    return 0
+    return (("x", "asymptotic", "oracle", "ratio"),
+            [grid, asym, exact, [a / e for a, e in zip(asym, exact)]])
 
 
-def _cmd_independence(args):
-    config, model, _ = _load_polar(args)
+def _cmd_independence(args, model, meta):
     try:
         t_grid = [10.0 ** e for e in parse_grid(args.t_grid)]
     except OverflowError:
         raise ConfigError(f"--t-grid '{args.t_grid}' has levels 10**e beyond the float range")
-    payload = {"command": "independence", "config": config, "t_grid": args.t_grid,
-               "y": args.y, "x_std": args.x_std, "y_std": args.y_std}
     levels = oracle_quantiles(model, t_grid)
     cond = independence_condition_check(model, args.y, levels)
     decay = joint_exceedance_decay(model, args.x_std, args.y_std, levels)
-    _emit(args, _metadata(payload, None), ("t", "ratio", "t_times_joint"),
-          [t_grid, cond.ratios, decay.products],
-          body={"thresholds": t_grid, "ratios": cond.ratios, "ratio_pass": cond.passed,
-                "products": decay.products, "decay_pass": decay.passed})
-    return 0
+    return (("t", "ratio", "t_times_joint"), [t_grid, cond.ratios, decay.products],
+            {"thresholds": t_grid, "ratios": cond.ratios, "ratio_pass": cond.passed,
+             "products": decay.products, "decay_pass": decay.passed})
 
 
-def _cmd_second_order(args):
-    config, model, _ = _load_polar(args)
+def _cmd_second_order(args, model, meta):
     xs = parse_grid(args.x_grid)
     zs = parse_grid(args.z_grid)
-    payload = {"command": "second-order", "config": config,
-               "x_grid": args.x_grid, "z_grid": args.z_grid}
     rows = []
     for x in xs:
         psi_x = float(model.radial.aux_psi(x))
@@ -332,103 +327,88 @@ def _cmd_second_order(args):
                                         [so.y_threshold for so in orders])
         rows.extend((x, z, so.first_order, so.corrected, float(p))
                     for z, so, p in zip(zs, orders, oracle))
-    _emit(args, _metadata(payload, None), ("x", "z", "first_order", "corrected", "oracle"),
-          [list(column) for column in zip(*rows)])
-    return 0
+    return (("x", "z", "first_order", "corrected", "oracle"),
+            [list(column) for column in zip(*rows)])
 
 
-def _cmd_decompose(args):
-    config = _load_config(args.config)
-    allowed = {"curve", "profile", "ridge_weight"}
-    bad = set(config) - allowed
-    if bad:
-        raise ConfigError(f"unknown decompose config keys: {sorted(bad)}")
-    if "curve" not in config:
-        raise ConfigError("decompose config requires a 'curve' entry")
+def _cmd_decompose(args, model, meta):
     if args.points <= 0:
         raise ConfigError("--points must be positive")
-    curve = curve_from_dict(config["curve"])
-    profile_name = config.get("profile", "gaussian")
-    if profile_name != "gaussian":
-        raise ConfigError(f"unknown radial profile '{profile_name}'")
-    ridge = config.get("ridge_weight", False)
-    if not isinstance(ridge, bool):
-        raise ConfigError("decompose ridge_weight must be true or false")
-    weight = None
-    if ridge:
-        weight = lambda t: quartic_ridge_weight(2.0 * math.pi * (t - curve.t0))
-    model = decompose_density(standard_normal_profile, curve, angular_weight=weight)
-    payload = {"command": "decompose", "config": config}
     ts = np.linspace(0.0, 1.0, args.points)
     xs = np.linspace(0.0, float(model.radial.quantile_b(1e6)), args.points)
     ang, surv = model.angular.density(ts).tolist(), model.radial.survival(xs).tolist()
     ts, xs = ts.tolist(), xs.tolist()
-    _emit(args, _metadata(payload, None), ("component", "grid", "value"),
-          [["angular"] * len(ts) + ["radial_survival"] * len(xs), ts + xs, ang + surv],
-          body={"angular_grid": ts, "angular_density": ang,
-                "radial_grid": xs, "radial_survival": surv})
-    return 0
+    return (("component", "grid", "value"),
+            [["angular"] * len(ts) + ["radial_survival"] * len(xs), ts + xs, ang + surv],
+            {"angular_grid": ts, "angular_density": ang,
+             "radial_grid": xs, "radial_survival": surv})
 
 
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
 
+def _float_list(text):
+    """argparse type of --levels: a comma-separated list of numbers."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of numbers, got {text!r}")
+
+
 def _build_parser():
     parser = _Parser(prog="cevpolar", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
+    def common(p, fn, schema):
+        """Flags every command shares, and the command's function and config
+        schema (None: the command reads no config)."""
+        if schema is not None:
             p.add_argument("-c", "--config", required=True, help="model config JSON")
         p.add_argument("-o", "--output", required=True, help="output artifact path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.set_defaults(fn=fn, schema=schema)
 
     p = sub.add_parser("limit", help="tabulate a limit law cdf/pdf")
     p.add_argument("--eta", type=_finite_float, required=True)
     p.add_argument("--zeta", type=_finite_float, required=True)
     p.add_argument("--weight-minus", type=_finite_float, default=0.5)
     p.add_argument("--grid", required=True, help="lo:hi:step")
-    common(p, needs_config=False)
-    p.set_defaults(fn=_cmd_limit)
+    common(p, _cmd_limit, None)
 
     p = sub.add_parser("simulate", help="draw joint or conditional samples")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--threshold", type=_finite_float, default=None)
-    common(p)
-    p.set_defaults(fn=_cmd_simulate)
+    common(p, _cmd_simulate, "polar or mixture")
 
     p = sub.add_parser("verify", help="convergence sweep toward the limit law")
-    p.add_argument("--levels", required=True, help="comma list of quantile levels")
+    p.add_argument("--levels", type=_float_list, required=True,
+                   help="comma list of quantile levels")
     p.add_argument("--n", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=None)
-    common(p)
-    p.set_defaults(fn=_cmd_verify)
+    common(p, _cmd_verify, "polar")
 
     p = sub.add_parser("tail", help="asymptotic vs oracle first-coordinate tail")
     p.add_argument("--x-grid", required=True, help="lo:hi:step")
-    common(p)
-    p.set_defaults(fn=_cmd_tail)
+    common(p, _cmd_tail, "polar")
 
     p = sub.add_parser("independence", help="asymptotic-independence diagnostics")
     p.add_argument("--t-grid", required=True, help="lo:hi:step in log10 units")
     p.add_argument("--y", type=_finite_float, default=1.0)
     p.add_argument("--x-std", type=_finite_float, default=1.0)
     p.add_argument("--y-std", type=_finite_float, default=1.0)
-    common(p)
-    p.set_defaults(fn=_cmd_independence)
+    common(p, _cmd_independence, "polar")
 
     p = sub.add_parser("second-order", help="first-order vs corrected conditional values")
     p.add_argument("--x-grid", required=True, help="lo:hi:step")
     p.add_argument("--z-grid", required=True, help="lo:hi:step")
-    common(p)
-    p.set_defaults(fn=_cmd_second_order)
+    common(p, _cmd_second_order, "polar")
 
     p = sub.add_parser("decompose", help="split a profile density into radius and angle")
     p.add_argument("--points", type=int, default=201)
-    common(p)
-    p.set_defaults(fn=_cmd_decompose)
+    common(p, _cmd_decompose, "decompose")
 
     return parser
 
@@ -450,13 +430,21 @@ def _glue_value_flags(argv):
 
 
 def run(argv=None):
-    """Entry point returning an exit code; never raises on bad input."""
+    """Entry point returning an exit code; never raises on bad input.
+
+    Every command runs the same way: parse the arguments, load the config as
+    the command declares, resolve the seed, compute, and emit the artifact
+    with its metadata.
+    """
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_glue_value_flags(list(argv)))
-        return args.fn(args)
+        args = _build_parser().parse_args(_glue_value_flags(list(argv)))
+        config, model, config_seed = _load_model(args)
+        args.seed = _require_seed(args, config_seed)
+        meta = _metadata(args, config)
+        _emit(args, meta, *args.fn(args, model, meta))
+        return 0
     except NumericError as exc:
         payload = exc.payload() if hasattr(exc, "payload") else {"error": str(exc)}
         print(json.dumps(payload), file=sys.stderr)

@@ -114,6 +114,13 @@ class SweepReport:
         if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
             raise DomainError("thresholds must be strictly increasing")
 
+    @property
+    def passed(self):
+        """PASS means the oracle distances fall strictly along the levels and
+        the last is at most 0.1."""
+        dist = self.oracle_distances
+        return bool(dist) and all(b < a for a, b in zip(dist, dist[1:])) and dist[-1] <= 0.1
+
     def csv_table(self):
         """Header and columns of the report's CSV artifact."""
         return (("threshold", "ks", "eff_size", "oracle_dist"),

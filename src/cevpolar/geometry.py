@@ -48,11 +48,10 @@ class CurveGerm:
     lambda_v : leading coefficient of v - rho on the right side
     v_star : maximum of v over [0, 1]
     window : half-width of the validity window around t0
-    eta_outside : guaranteed gap, u <= 1 - eta_outside outside the window
     """
 
     def __init__(self, kind, params, u_fn, v_fn, *, t0, rho, kappa, delta,
-                 c_minus, c_plus, lambda_v, window, eta_outside,
+                 c_minus, c_plus, lambda_v, window,
                  v_star=None, t_at_vstar=None, kinks=()):
         if not 0.0 < t0 < 1.0:
             raise ConstructionError("t0 must be interior to (0, 1)")
@@ -74,7 +73,6 @@ class CurveGerm:
         self.c_plus = float(c_plus)
         self.lambda_v = float(lambda_v)
         self.window = float(window)
-        self.eta_outside = float(eta_outside)
         self._kinks = tuple(kinks)
         if abs(float(u_fn(t0)) - 1.0) > 1e-12:
             raise ConstructionError("u(t0) must equal 1")
@@ -114,9 +112,6 @@ class CurveGerm:
 
     def v(self, t):
         return self._v_fn(np.asarray(t, dtype=float))
-
-    def v_over_u(self, t):
-        return float(self._v_fn(t)) / float(self._u_fn(t))
 
     def _locate_v_max(self):
         ts = np.linspace(0.0, 1.0, 8193)
@@ -180,7 +175,7 @@ class CurveGerm:
                 f"x = {x} outside the validity window (max {self.h_window_max:.6g})"
             )
         t = self.u_inverse(1.0 / (1.0 + x), "right")
-        return self.v_over_u(t) - self.rho
+        return float(self._v_fn(t)) / float(self._u_fn(t)) - self.rho
 
     # -- quadrature support ------------------------------------------------------
     def breakpoints(self):
@@ -222,8 +217,7 @@ def elliptical_curve(rho):
         t0=0.5, rho=rho, kappa=2.0, delta=1.0,
         c_minus=_TWO_PI ** 2 / 2.0, c_plus=_TWO_PI ** 2 / 2.0,
         lambda_v=_TWO_PI * sigma,
-        window=window, eta_outside=1.0 - math.cos(_TWO_PI * window),
-        v_star=1.0, t_at_vstar=0.5 + math.atan2(sigma, rho) / _TWO_PI,
+        window=window, v_star=1.0, t_at_vstar=0.5 + math.atan2(sigma, rho) / _TWO_PI,
     )
 
 
@@ -268,13 +262,11 @@ def lp_curve(p, rho=0.0):
         return rho * x + shear * y
 
     window = 0.25
-    eta = 1.0 - (1.0 - (speed * window) ** p) ** (1.0 / p)
     return CurveGerm(
         "lp", {"p": p, "rho": rho}, u_fn, v_fn,
         t0=0.5, rho=rho, kappa=p, delta=1.0,
         c_minus=speed ** p / p, c_plus=speed ** p / p, lambda_v=speed * shear,
-        window=window, eta_outside=eta,
-        kinks=(0.125, 0.875),
+        window=window, kinks=(0.125, 0.875),
     )
 
 
@@ -283,7 +275,7 @@ def power_curve(t0, kappa, delta, c_minus, c_plus, lambda_v, rho, window=None):
 
     Inside the window 1 - u and v - rho are pure powers with the given
     coefficients; outside, both continue linearly (matching slope) so that u
-    stays below 1 - eta, with a floor keeping u above -1/2.
+    stays below its value at the window edge, with a floor keeping u above -1/2.
     """
     t0, kappa, delta = float(t0), float(kappa), float(delta)
     if delta >= kappa:
@@ -291,10 +283,6 @@ def power_curve(t0, kappa, delta, c_minus, c_plus, lambda_v, rho, window=None):
     if window is None:
         window = 0.5 * min(t0, 1.0 - t0)
     window = float(window)
-
-    def ell(s):
-        c = np.where(s >= 0.0, c_plus, c_minus)
-        return c * np.abs(s) ** kappa
 
     def u_fn(t):
         s = np.asarray(t, dtype=float) - t0
@@ -313,7 +301,6 @@ def power_curve(t0, kappa, delta, c_minus, c_plus, lambda_v, rho, window=None):
                                + lambda_v * delta * window ** (delta - 1.0) * (a - window))
         return np.where(a <= window, inside, outside)
 
-    eta = float(min(c_minus, c_plus)) * window ** kappa
     return CurveGerm(
         "power",
         {"t0": t0, "kappa": kappa, "delta": delta, "c_minus": c_minus,
@@ -321,8 +308,7 @@ def power_curve(t0, kappa, delta, c_minus, c_plus, lambda_v, rho, window=None):
         u_fn, v_fn,
         t0=t0, rho=rho, kappa=kappa, delta=delta,
         c_minus=c_minus, c_plus=c_plus, lambda_v=lambda_v,
-        window=window, eta_outside=eta,
-        kinks=(t0 - window, t0 + window),
+        window=window, kinks=(t0 - window, t0 + window),
     )
 
 

@@ -382,8 +382,9 @@ def conditional_cdf_oracle(model, frame, x_std, y_std):
     return float(out) if out.ndim == 0 else out
 
 
-def _solve_level(model, oracle, t_level, v_max, axis, rtol):
-    """Level with oracle(model, level) = 1/t_level, by monotone bisection.
+def _solve_level(model, oracle, t_level, v_max, axis):
+    """Level with oracle(model, level) = 1/t_level, by monotone bisection to a
+    relative width of 1e-10.
 
     ``oracle`` is the tail P(R w(T) > level) of a coordinate with maximum
     ``v_max``; it is at most S(level / v_max), so the root lies below the cap.
@@ -402,17 +403,17 @@ def _solve_level(model, oracle, t_level, v_max, axis, rtol):
         lo *= 0.5
         if lo < cap * 1e-6:
             raise DomainError(f"failed to bracket the {axis}-quantile")
-    return bisect_monotone(fn, lo, cap * (1.0 + 1e-12), rtol=rtol, xtol=1e-13 * cap)
+    return bisect_monotone(fn, lo, cap * (1.0 + 1e-12), rtol=1e-10, xtol=1e-13 * cap)
 
 
-def solve_b_x(model, t_level, rtol=1e-10):
+def solve_b_x(model, t_level):
     """Oracle level with P(X > level) = 1/t_level, by monotone bisection."""
-    return _solve_level(model, survival_x_oracle, t_level, 1.0, "X", rtol)
+    return _solve_level(model, survival_x_oracle, t_level, 1.0, "X")
 
 
-def solve_b_y(model, t_level, rtol=1e-10):
+def solve_b_y(model, t_level):
     """Oracle level with P(Y > level) = 1/t_level, by monotone bisection."""
-    return _solve_level(model, survival_y_oracle, t_level, model.curve.v_star, "Y", rtol)
+    return _solve_level(model, survival_y_oracle, t_level, model.curve.v_star, "Y")
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +430,7 @@ def quartic_ridge_weight(theta):
     return 1.0 + (theta * theta - (math.pi / 4.0) ** 2) ** 2
 
 
-def decompose_density(radial_profile, curve, angular_weight=None, n_radial_nodes=2049):
+def decompose_density(radial_profile, curve, angular_weight=None):
     """Split a density with curve-shaped level lines into a polar model.
 
     The input density is radial_profile(n(x, y)), optionally modulated by a
@@ -438,9 +439,7 @@ def decompose_density(radial_profile, curve, angular_weight=None, n_radial_nodes
     gives a radius with density proportional to r * radial_profile(r) and an
     angle with density proportional to |u v' - u' v| times the weight.
     """
-    radial = TabulatedRadial(
-        lambda r: r * float(radial_profile(r)), n_nodes=n_radial_nodes
-    )
+    radial = TabulatedRadial(lambda r: r * float(radial_profile(r)))
 
     step = 1e-5
 

@@ -31,9 +31,6 @@ from scipy import integrate, optimize
 
 from .errors import ConstructionError, DomainError, QuadratureError
 
-#: default relative tolerance for oracle-grade integrals
-DEFAULT_REL_TOL = 1e-10
-
 # QUADPACK's QK21 rule on [-1, 1]: nonnegative Kronrod nodes, outermost first,
 # with their weights; the nodes at odd positions are the 10-point Gauss nodes.
 _XK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
@@ -67,7 +64,7 @@ _MAX_PANELS = 2048
 _EDGE_GAP = math.sqrt(sys.float_info.min)
 
 
-def _quadpack(fn, lo, hi, *, epsrel=DEFAULT_REL_TOL):
+def _quadpack(fn, lo, hi, *, epsrel):
     """Integrate the scalar function ``fn`` on [lo, hi] with QUADPACK (QAGS).
 
     Returns (value, abserr).  Integration warnings are silenced; convergence
@@ -178,13 +175,13 @@ def _edge_integrand(fn, w, edge):
     return out.ravel()
 
 
-def integrate_with_breakpoints(fn, lo, hi, breakpoints=(), *, epsrel=DEFAULT_REL_TOL,
-                               abs_scale=None, singular_points=(), rel_check=1e-7):
+def integrate_with_breakpoints(fn, lo, hi, breakpoints=(), *, abs_scale=None,
+                               singular_points=(), rel_check=1e-7):
     """Piecewise adaptive quadrature of an array integrand with mandatory
     subdivision points.
 
     A panel is accepted once its |K21 - G10| is at most
-    ``max(epsrel * |K21|, abs_scale * 1e-13)``; the others are bisected and
+    ``max(1e-10 * |K21|, abs_scale * 1e-13)``; the others are bisected and
     all open panels are evaluated together.  ``singular_points`` lists the
     integrable endpoint singularities ``|t - c|**tau`` as pairs ``(c, tau)``,
     ``-1 < tau``.  A panel ending at ``c`` is integrated in w on [0, 1], with
@@ -215,7 +212,7 @@ def integrate_with_breakpoints(fn, lo, hi, breakpoints=(), *, epsrel=DEFAULT_REL
             break
         v, e = integrate_panel((lambda w: _edge_integrand(fn, w, edge)) if edges else fn, a, b)
         mid = 0.5 * (a + b)
-        split = (e > np.maximum(epsrel * np.abs(v), epsabs)) & (a < mid) & (mid < b)
+        split = (e > np.maximum(1e-10 * np.abs(v), epsabs)) & (a < mid) & (mid < b)
         if depth == _MAX_DEPTH or 2 * np.count_nonzero(split) > _MAX_PANELS:
             split[:] = False
         total += float(np.sum(v[~split]))

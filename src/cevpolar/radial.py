@@ -427,6 +427,10 @@ class TabulatedRadial(RadialLaw):
         return np.minimum(np.where(x <= last, inside, beyond), 0.0)
 
     def _density(self, x):
+        if self._raw_density is None:
+            # a serialized law: minus the slope of its log-survival, times its survival
+            last = self._nodes[-1]
+            return -self._dspline(np.minimum(x, last)) * np.exp(self._log_survival(x))
         return np.asarray([float(self._raw_density(v)) for v in x]) / self._total
 
     def _aux_psi(self, x):
@@ -469,11 +473,8 @@ class TabulatedRadial(RadialLaw):
     def from_grid(cls, grid):
         """The law of a serialized grid: arrays (x, log_survival), checked."""
         self = cls.__new__(cls)
-        self._total = 1.0
         self._tabulate(*grid)
-        self._raw_density = lambda r, s=self: (
-            -float(s._dspline(min(r, s._nodes[-1]))) * math.exp(s._log_survival(np.array([r]))[0])
-        )
+        self._raw_density = None
         return self
 
 

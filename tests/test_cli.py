@@ -365,3 +365,110 @@ def test_non_finite_oracle_exits_two(model_config, tmp_path, capsys, monkeypatch
     payload = json.loads(capsys.readouterr().err)
     assert payload["error"] == "quadrature"
     assert not math.isfinite(payload["achieved_tolerance"])
+
+
+def _artifact(tmp_path, config, argv, out="out.csv", fmt="csv"):
+    """(metadata, data rows) of one run on ``config`` written to "{config}"."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / out
+    argv = [arg.format(config=path) for arg in argv]
+    assert run(argv + ["-o", str(out), "--format", fmt]) == 0
+    if fmt == "json":
+        data = json.loads(out.read_text())
+        return data.pop("meta"), data
+    meta, _, rows = read_csv(out)
+    return meta, rows
+
+
+def _reseeded(argv, seed):
+    """``argv`` with its --seed value set to ``seed``, or without --seed for None."""
+    at = argv.index("--seed")
+    return [*argv[:at], *(() if seed is None else ("--seed", seed)), *argv[at + 2:]]
+
+
+_DEC = {"curve": {"kind": "elliptical", "params": {"rho": 0.3}}, "ridge_weight": True}
+
+#: command -> (config, argv, the same with one hashed input changed)
+HASH_CASES = {
+    "limit": (None, ("limit", "--eta", "2", "--zeta", "1", "--grid", "0:1:1"),
+              (None, ("limit", "--eta", "2", "--zeta", "1.5", "--grid", "0:1:1"))),
+    "simulate": (_ELL, _SIMULATE, (_ELL, _SIMULATE + ("--threshold", "2.0"))),
+    "verify": (_ELL, ("verify", "-c", "{config}", "--levels", "0.9", "--n", "200",
+                      "--seed", "1"),
+               (_ELL, ("verify", "-c", "{config}", "--levels", "0.9", "--n", "300",
+                       "--seed", "1"))),
+    "tail": (_ELL, ("tail", "-c", "{config}", "--x-grid", "2:2:1"),
+             (_ELL, ("tail", "-c", "{config}", "--x-grid", "3:3:1"))),
+    "independence": (_ELL, ("independence", "-c", "{config}", "--t-grid", "2:2:1"),
+                     (_ELL, ("independence", "-c", "{config}", "--t-grid", "2:2:1",
+                             "--x-std", "0.5"))),
+    "second-order": (_ELL, ("second-order", "-c", "{config}", "--x-grid", "6:6:1",
+                            "--z-grid", "0:0:1"),
+                     (_ELL, ("second-order", "-c", "{config}", "--x-grid", "6:6:1",
+                             "--z-grid", "1:1:1"))),
+    # decompose hashes no flag of its own: its config is the hashed input
+    "decompose": (_DEC, ("decompose", "-c", "{config}", "--points", "3"),
+                  ({**_DEC, "ridge_weight": False},
+                   ("decompose", "-c", "{config}", "--points", "3"))),
+}
+
+
+class TestDispatch:
+    """What ``run`` does for every command: resolve the seed, hash, emit."""
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_config_seed_stands_for_the_flag(self, command, tmp_path):
+        _, argv, _ = HASH_CASES[command]
+        meta, rows = _artifact(tmp_path, {**_ELL, "seed": 7}, _reseeded(argv, None))
+        assert meta["seed"] == "7"
+        assert rows == _artifact(tmp_path, _ELL, _reseeded(argv, "7"))[1]
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_seed_flag_overrides_config_seed(self, command, tmp_path):
+        _, argv, _ = HASH_CASES[command]
+        argv = _reseeded(argv, "3")
+        meta, rows = _artifact(tmp_path, {**_ELL, "seed": 7}, argv)
+        assert meta["seed"] == "3"
+        assert rows == _artifact(tmp_path, _ELL, argv)[1]
+
+    @pytest.mark.parametrize("command", sorted(HASH_CASES))
+    def test_hash_covers_config_and_flags_only(self, command, tmp_path):
+        config, argv, (changed_config, changed_argv) = HASH_CASES[command]
+        sha = _artifact(tmp_path, config, argv)[0]["config_sha256"]
+        assert _artifact(tmp_path, changed_config, changed_argv)[0]["config_sha256"] != sha
+        assert _artifact(tmp_path, config, argv, out="other.csv")[0]["config_sha256"] == sha
+        assert _artifact(tmp_path, config, argv, fmt="json")[0]["config_sha256"] == sha
+        if "--seed" in argv:
+            meta = _artifact(tmp_path, config, _reseeded(argv, "2"))[0]
+            assert meta["config_sha256"] == sha and meta["seed"] == "2"
+
+    def test_verify_hashes_levels_as_numbers(self, tmp_path):
+        _, argv, _ = HASH_CASES["verify"]
+        sha = _artifact(tmp_path, _ELL, argv)[0]["config_sha256"]
+        spelled = [arg.replace("0.9", "0.90") for arg in argv]
+        assert _artifact(tmp_path, _ELL, spelled)[0]["config_sha256"] == sha
+
+    def test_decompose_points_are_not_hashed(self, tmp_path):
+        argv = ["decompose", "-c", "{config}", "--points"]
+        sha = _artifact(tmp_path, _DEC, argv + ["3"])[0]["config_sha256"]
+        meta, rows = _artifact(tmp_path, _DEC, argv + ["4"])
+        assert meta["config_sha256"] == sha and len(rows) == 8
+
+    def test_commands_only_compute(self):
+        """No command loads, seeds, hashes or emits, and the module takes each
+        of those steps in one place."""
+        import inspect
+
+        import cevpolar.cli as cli
+
+        steps = {"_emit", "_metadata", "_load_config", "_split_config", "_require_seed"}
+        functions = {name: fn for name, fn in vars(cli).items()
+                     if inspect.isfunction(fn) and fn.__module__ == cli.__name__}
+        commands = {name: fn for name, fn in functions.items() if name.startswith("_cmd_")}
+        assert len(commands) == 7
+        for name, fn in commands.items():
+            assert not steps & set(fn.__code__.co_names), name
+        for step in steps:
+            callers = [name for name, fn in functions.items() if step in fn.__code__.co_names]
+            assert len(callers) == 1, (step, callers)

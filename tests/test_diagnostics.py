@@ -100,6 +100,15 @@ class TestConvergenceSweep:
         with pytest.raises(cp.DomainError):
             cp.SweepReport([2.0, 1.0], [0.1, 0.2], [10.0, 10.0], [0.2, 0.1])
 
+    @pytest.mark.parametrize("distances, expected", [
+        ([0.3, 0.2, 0.1], True), ([0.05], True), ([0.3, 0.2, 0.11], False),
+        ([0.05, 0.08], False), ([0.05, 0.05], False), ([], False)])
+    def test_pass_convention(self, distances, expected):
+        """PASS: strictly falling oracle distances, the last at most 0.1."""
+        n = len(distances)
+        rep = cp.SweepReport(list(range(1, n + 1)), [0.0] * n, [1.0] * n, distances)
+        assert rep.passed is expected
+
 
 class TestIndependenceDiagnostics:
     def test_ratios_strictly_increasing(self, elliptical_gauss):

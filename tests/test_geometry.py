@@ -217,7 +217,7 @@ class TestCurveValidation:
                 lambda t: np.cos(TWO_PI * (np.asarray(t) - 0.5)),
                 lambda t: -np.abs(np.asarray(t) - 0.5),
                 t0=0.5, rho=0.0, kappa=2.0, delta=1.0, c_minus=1.0, c_plus=1.0,
-                lambda_v=1.0, window=0.2, eta_outside=0.5,
+                lambda_v=1.0, window=0.2,
             )
 
     def test_exponent_order_enforced(self):

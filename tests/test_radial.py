@@ -103,6 +103,16 @@ class TestAuxiliary:
         val, _ = quad(lambda s: 1.0 / law.aux_psi(s), 1e-12, x, limit=200)
         assert math.exp(-val) == pytest.approx(law.survival(x), rel=1e-7)
 
+    def test_serialized_numeric_density_is_the_spline_slope(self):
+        # per element: minus the log-survival slope (held past the last node)
+        # times the survival; np.exp and math.exp may differ by an ulp
+        law = SERIALIZED[1]
+        xs = np.linspace(0.01, 12.0, 1000)
+        assert xs[-1] > law._nodes[-1]
+        want = [-float(law._dspline(min(x, law._nodes[-1]))) * math.exp(law.log_survival(x))
+                for x in xs]
+        assert np.allclose(law.density(xs), want, rtol=4 * np.finfo(float).eps, atol=0.0)
+
 
 class TestGammaVariation:
     def test_exponential_ratio_exact(self):
