@@ -75,9 +75,8 @@ def parse_grid(spec):
 
 
 #: parsed arguments outside the config hash: the dispatch entries, the seed
-#: (a metadata line of its own), the output path and format, and decompose's
-#: --points
-_UNHASHED = frozenset({"fn", "schema", "seed", "output", "format", "points"})
+#: (a metadata line of its own), and the output path and format
+_UNHASHED = frozenset({"fn", "schema", "seed", "output", "format"})
 
 
 def _metadata(args, config):

@@ -240,7 +240,7 @@ def lemma2_integral_check(law, angular, z, x):
     """
     z = float(z)
     x = float(x)
-    if z < 0.0:
+    if not z >= 0.0:
         raise DomainError("z must be nonnegative")
     t0 = angular.t0 if angular.t0 is not None else 0.5
     tau = angular.tau

@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConstructionError, DomainError
 from .numerics import _read_spec, bisect_monotone, integrate_with_breakpoints, refine_zeros
+# after numerics, which imports scipy.optimize: imported before it, scipy.interpolate
+# shifted the garbage collector's runs and made start-up about 50 ms slower
+from scipy.interpolate import PchipInterpolator  # isort: skip
 
 __all__ = [
     "CurveGerm",
@@ -39,6 +40,10 @@ _TWO_PI = 2.0 * math.pi
 class CurveGerm:
     """A parametrized curve on [0, 1] with its local expansion data.
 
+    Each curve family states its geometry in closed form: the germ at t0
+    and the top of v.  The constructor checks them and finds only the zeros
+    of u and v, by a scan.
+
     Attributes
     ----------
     t0 : location of the unique maximum of u, interior to (0, 1)
@@ -47,17 +52,19 @@ class CurveGerm:
     c_minus, c_plus : leading coefficients of 1 - u on each side of t0
     lambda_v : leading coefficient of v - rho on the right side
     v_star : maximum of v over [0, 1]
+    t_at_vstar : a parameter where v reaches v_star
     window : half-width of the validity window around t0
+    h_window_max : largest x admissible in h_fn, 1/u - 1 at the right end of
+        the invertible branch
     """
 
     def __init__(self, kind, params, u_fn, v_fn, *, t0, rho, kappa, delta,
-                 c_minus, c_plus, lambda_v, window,
-                 v_star=None, t_at_vstar=None, kinks=()):
+                 c_minus, c_plus, lambda_v, window, v_star, t_at_vstar, kinks=()):
         if not 0.0 < t0 < 1.0:
             raise ConstructionError("t0 must be interior to (0, 1)")
         if not 0.0 < delta < kappa:
             raise ConstructionError("germ exponents must satisfy 0 < delta < kappa")
-        if min(c_minus, c_plus, lambda_v) <= 0.0:
+        if not all(c > 0.0 for c in (c_minus, c_plus, lambda_v)):
             raise ConstructionError("germ coefficients must be positive")
         if not (0.0 < window < min(t0, 1.0 - t0)):
             raise ConstructionError("window must fit inside (0, 1) around t0")
@@ -73,38 +80,25 @@ class CurveGerm:
         self.c_plus = float(c_plus)
         self.lambda_v = float(lambda_v)
         self.window = float(window)
+        self.v_star = float(v_star)
+        self.t_at_vstar = float(t_at_vstar)
         self._kinks = tuple(kinks)
         if abs(float(u_fn(t0)) - 1.0) > 1e-12:
             raise ConstructionError("u(t0) must equal 1")
-        if v_star is None or t_at_vstar is None:
-            v_star, t_at_vstar = self._locate_v_max()
-        self.v_star = float(v_star)
-        self.t_at_vstar = float(t_at_vstar)
+        if abs(float(v_fn(t_at_vstar)) - self.v_star) > 1e-12:
+            raise ConstructionError("v(t_at_vstar) must equal v_star")
         if not self.v_star > self.rho:
             raise ConstructionError("the maximum of v must exceed rho = v(t0)")
         self._zeros_u = refine_zeros(u_fn, 0.0, 1.0)
         self._zeros_v = refine_zeros(v_fn, 0.0, 1.0)
-        self._invert_lo, self._invert_hi = self._monotone_branch_ends()
-
-    def _monotone_branch_ends(self):
-        """Largest interval around t0 where u is one-to-one on each side.
-
-        The right branch stops at the first zero of u (or at 1); within that
-        stretch, trim to the longest strictly monotone prefix.
-        """
-        right_zeros = [z for z in self._zeros_u if z > self.t0]
-        left_zeros = [z for z in self._zeros_u if z < self.t0]
-        hi_cap = min(right_zeros) if right_zeros else 1.0
-        lo_cap = max(left_zeros) if left_zeros else 0.0
-        ts = np.linspace(self.t0, hi_cap, 257)
-        vals = np.asarray(self._u_fn(ts), dtype=float)
-        bad = np.nonzero(np.diff(vals) > 1e-15)[0]
-        hi = float(ts[bad[0]]) if len(bad) else float(hi_cap)
-        ts = np.linspace(lo_cap, self.t0, 257)
-        vals = np.asarray(self._u_fn(ts), dtype=float)
-        bad = np.nonzero(np.diff(vals) < -1e-15)[0]
-        lo = float(ts[bad[-1] + 1]) if len(bad) else float(lo_cap)
-        return lo, hi
+        # u is one-to-one on each side of t0 up to its nearest zero (or the end
+        # of [0, 1]): (lo, hi, u at the far end) of each branch
+        lo = max((z for z in self._zeros_u if z < self.t0), default=0.0)
+        hi = min((z for z in self._zeros_u if z > self.t0), default=1.0)
+        self._branch = {"left": (lo, self.t0, float(u_fn(lo))),
+                        "right": (self.t0, hi, float(u_fn(hi)))}
+        edge = self._branch["right"][2]
+        self.h_window_max = 1e12 if edge <= 1e-12 else 1.0 / edge - 1.0
 
     # -- evaluation -----------------------------------------------------------
     def u(self, t):
@@ -113,51 +107,24 @@ class CurveGerm:
     def v(self, t):
         return self._v_fn(np.asarray(t, dtype=float))
 
-    def _locate_v_max(self):
-        ts = np.linspace(0.0, 1.0, 8193)
-        vals = self._v_fn(ts)
-        k = int(np.argmax(vals))
-        lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)]
-        res = optimize.minimize_scalar(
-            lambda t: -float(self._v_fn(t)), bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-13},
-        )
-        if -res.fun >= vals[k]:
-            return -float(res.fun), float(res.x)
-        return float(vals[k]), float(ts[k])
-
     # -- inverse machinery ------------------------------------------------------
     def u_inverse(self, y, side):
         """Parameter on the requested side of t0 where u equals y.
 
-        Valid for y between the window edge value of u and 1.
+        Valid for y between the value of u at the end of the side's
+        invertible branch and 1.
         """
         if side not in ("left", "right"):
             raise DomainError("side must be 'left' or 'right'")
         y = float(y)
-        if y > 1.0:
-            raise DomainError("u never exceeds 1")
-        if y == 1.0:
-            return self.t0
-        if side == "right":
-            lo, hi = self.t0, self._invert_hi
-        else:
-            lo, hi = self._invert_lo, self.t0
-        edge = float(self._u_fn(hi if side == "right" else lo))
-        if y < edge:
+        lo, hi, edge = self._branch[side]
+        if not edge <= y <= 1.0:
             raise DomainError(
                 f"u level {y} outside the local range [{edge}, 1] on the {side} side"
             )
+        if y == 1.0:
+            return self.t0
         return bisect_monotone(lambda t: float(self._u_fn(t)) - y, lo, hi, xtol=1e-15)
-
-    @property
-    def h_window_max(self):
-        """Largest x admissible in h_fn, from the value of u at the end of
-        the invertible right branch."""
-        edge = float(self._u_fn(self._invert_hi))
-        if edge <= 1e-12:
-            return 1e12
-        return 1.0 / edge - 1.0
 
     def h_fn(self, x):
         """Gap of v/u above rho along the level u = 1/(1+x), right branch.
@@ -166,14 +133,13 @@ class CurveGerm:
         h(0+) = 0.
         """
         x = float(x)
-        if x < 0.0:
-            raise DomainError("h_fn requires x >= 0")
+        if not 0.0 <= x <= self.h_window_max:
+            raise DomainError(
+                f"h_fn requires 0 <= x <= {self.h_window_max:.6g} (the validity window),"
+                f" got {x}"
+            )
         if x == 0.0:
             return 0.0
-        if x > self.h_window_max:
-            raise DomainError(
-                f"x = {x} outside the validity window (max {self.h_window_max:.6g})"
-            )
         t = self.u_inverse(1.0 / (1.0 + x), "right")
         return float(self._v_fn(t)) / float(self._u_fn(t)) - self.rho
 
@@ -261,12 +227,22 @@ def lp_curve(p, rho=0.0):
         x, y = base_xy(t)
         return rho * x + shear * y
 
+    # the top of v = rho x + shear y on the unit l^p circle is the dual l^q
+    # norm of (rho, shear) (Hoelder), reached at (x, y) = (sign(rho) x_top, y_top)
+    q = p / (p - 1.0)
+    top = max(abs(rho), shear)  # scales both powers to at most 1: neither overflows
+    v_star = top * ((abs(rho) / top) ** q + (shear / top) ** q) ** (1.0 / q)
+    x_top, y_top = (abs(rho) / v_star) ** (q - 1.0), (shear / v_star) ** (q - 1.0)
+    if rho >= 0.0:
+        t_top = 0.5 + y_top / speed
+    else:  # on the hidden arc, where |cos(phi)| = x_top**(p/2) and sin(phi) = y_top**(p/2)
+        t_top = 0.875 + math.atan2(x_top ** (p / 2.0), y_top ** (p / 2.0)) / (4.0 * math.pi)
     window = 0.25
     return CurveGerm(
         "lp", {"p": p, "rho": rho}, u_fn, v_fn,
         t0=0.5, rho=rho, kappa=p, delta=1.0,
         c_minus=speed ** p / p, c_plus=speed ** p / p, lambda_v=speed * shear,
-        window=window, kinks=(0.125, 0.875),
+        window=window, v_star=v_star, t_at_vstar=t_top, kinks=(0.125, 0.875),
     )
 
 
@@ -276,6 +252,7 @@ def power_curve(t0, kappa, delta, c_minus, c_plus, lambda_v, rho, window=None):
     Inside the window 1 - u and v - rho are pure powers with the given
     coefficients; outside, both continue linearly (matching slope) so that u
     stays below its value at the window edge, with a floor keeping u above -1/2.
+    v rises on all of [0, 1], so its maximum is v(1).
     """
     t0, kappa, delta = float(t0), float(kappa), float(delta)
     if delta >= kappa:
@@ -308,7 +285,8 @@ def power_curve(t0, kappa, delta, c_minus, c_plus, lambda_v, rho, window=None):
         u_fn, v_fn,
         t0=t0, rho=rho, kappa=kappa, delta=delta,
         c_minus=c_minus, c_plus=c_plus, lambda_v=lambda_v,
-        window=window, kinks=(t0 - window, t0 + window),
+        window=window, v_star=float(v_fn(1.0)), t_at_vstar=1.0,
+        kinks=(t0 - window, t0 + window),
     )
 
 
@@ -381,7 +359,7 @@ class PowerAngular(AngularLaw):
     kind = "power"
 
     def __init__(self, t0, tau, g_minus_frac=0.5, window=0.25):
-        if tau <= -1.0:
+        if not tau > -1.0:
             raise ConstructionError("tau must exceed -1 for an integrable density")
         if not 0.0 <= g_minus_frac <= 1.0:
             raise ConstructionError("g_minus_frac must lie in [0, 1]")
@@ -462,6 +440,7 @@ class PowerAngular(AngularLaw):
 class TabulatedAngular(AngularLaw):
     """Angular law built from a positive density function by tabulation.
 
+    ``density_fn`` maps an array of parameters to the array of densities.
     Used for decomposed models where the density is a curve Jacobian; the
     density is assumed bounded with a positive limit at t0 (tau = 0).
     """
@@ -471,12 +450,12 @@ class TabulatedAngular(AngularLaw):
     def __init__(self, density_fn, t0, n_nodes=4097):
         self.t0 = float(t0)
         nodes = np.unique(np.concatenate([np.linspace(0.0, 1.0, n_nodes), [self.t0]]))
-        raw = np.array([max(float(density_fn(t)), 0.0) for t in nodes])
+        raw = np.maximum(np.asarray(density_fn(nodes), dtype=float), 0.0)
         if not np.all(np.isfinite(raw)):
             raise ConstructionError("angular density must be finite on [0, 1]")
         # composite Simpson-like mass per panel via three-point evaluation
         mids = 0.5 * (nodes[:-1] + nodes[1:])
-        mid_vals = np.array([max(float(density_fn(t)), 0.0) for t in mids])
+        mid_vals = np.maximum(np.asarray(density_fn(mids), dtype=float), 0.0)
         panel = (nodes[1:] - nodes[:-1]) * (raw[:-1] + 4.0 * mid_vals + raw[1:]) / 6.0
         total = float(np.sum(panel))
         if not total > 0.0:
@@ -519,8 +498,7 @@ class TabulatedAngular(AngularLaw):
     def from_grid(cls, grid, t0):
         """The law of a serialized grid: arrays (t, density), checked."""
         nodes, dens = grid
-        interp = PchipInterpolator(nodes, dens)
-        return cls(lambda t: float(interp(t)), t0, n_nodes=len(nodes))
+        return cls(PchipInterpolator(nodes, dens), t0, n_nodes=len(nodes))
 
 
 def angular_uniform():

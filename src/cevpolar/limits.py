@@ -58,7 +58,7 @@ class LimitLaw:
             raise ConstructionError("eta must exceed 1")
         if not self.zeta > 0.0:
             raise ConstructionError("zeta must be positive")
-        if min(self.weight_minus, self.weight_plus) < 0.0:
+        if not (self.weight_minus >= 0.0 and self.weight_plus >= 0.0):
             raise ConstructionError("tail weights must be nonnegative")
         if abs(self.weight_minus + self.weight_plus - 1.0) > 1e-12:
             raise ConstructionError("tail weights must sum to 1")
@@ -87,7 +87,7 @@ class LimitLaw:
     def quantile(self, q):
         scalar = np.isscalar(q)
         q = np.asarray(q, dtype=float)
-        if np.any((q <= 0.0) | (q >= 1.0)):
+        if not np.all((q > 0.0) & (q < 1.0)):
             raise DomainError("quantile levels must lie in (0, 1)")
         wm, wp = self.weight_minus, self.weight_plus
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -134,7 +134,7 @@ def normalization(model, t):
     the sheared circle.
     """
     t = float(t)
-    if t <= 0.0:
+    if not t > 0.0:
         raise DomainError("threshold must be positive")
     curve = model.curve
     psi_t = float(model.radial.aux_psi(t))
@@ -184,7 +184,7 @@ def survival_x_asymptotic(model, x):
     germ-derived constant k0 for exact power germs.
     """
     x = float(x)
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError("x must be positive")
     curve = model.curve
     w = float(model.radial.aux_psi(x)) / x
@@ -202,7 +202,7 @@ def product_tail_asymptotic(radial, b_max, g_at, tau, x):
     """
     x = float(x)
     b = float(b_max)
-    if b <= 0.0 or x <= 0.0:
+    if not (b > 0.0 and x > 0.0):
         raise DomainError("b_max and x must be positive")
     psi_b = float(radial.aux_psi(x / b))
     point = 1.0 / (1.0 / b + psi_b / x)
@@ -213,7 +213,7 @@ def product_tail_asymptotic(radial, b_max, g_at, tau, x):
 def quantile_y_asymptotic(model, t):
     """Asymptotic 1 - 1/t quantile of the second coordinate: v_star * b(t)."""
     t = float(t)
-    if t <= 1.0:
+    if not t > 1.0:
         raise DomainError("t must exceed 1")
     return model.curve.v_star * float(model.radial.quantile_b(t))
 
@@ -246,10 +246,9 @@ def second_order_conditional(model, x, z):
         raise UnsupportedModelError("second-order correction requires kappa = 2, delta = 1")
     if abs(curve.c_minus - curve.c_plus) > 1e-9 * curve.c_plus:
         raise UnsupportedModelError("second-order correction requires a symmetric germ")
-    x = float(x)
-    if x <= 0.0:
-        raise DomainError("x must be positive")
-    z = float(z)
+    x, z = float(x), float(z)
+    if not x > 0.0 or math.isnan(z):
+        raise DomainError("x must be positive and z a number")
     sigma_c = math.sqrt(2.0 * curve.c_plus)
     psi_x = float(model.radial.aux_psi(x))
     scale = curve.lambda_v / sigma_c * math.sqrt(x * psi_x)

@@ -320,7 +320,7 @@ def survival_x_oracle(model, x):
 def survival_y_oracle(model, y):
     """P(Y > y) for y > 0, by quadrature along the region where v > 0."""
     y = float(y)
-    if y <= 0.0:
+    if not y > 0.0:
         raise DomainError("the Y-tail oracle requires y > 0")
     curve = model.curve
     return _marginal_oracle(model, y, curve.v, float(model.radial.survival(y / curve.v_star)),
@@ -331,8 +331,9 @@ def _band_oracle(model, x, y, above):
     """P(X > x, Y > y) (``above``) or P(X > x, Y <= y) at each entry of the
     number or array ``y`` (-inf and +inf allowed), from one set of x hints."""
     x = float(x)
-    if x <= 0.0:
-        raise DomainError("x must be positive")
+    ys = np.asarray(y, dtype=float)
+    if not x > 0.0 or np.isnan(ys).any():
+        raise DomainError("x must be positive and y a number or an array of numbers")
     scale = float(model.radial.survival(x))
     hints = _u_level_hints(model, x)
 
@@ -344,7 +345,6 @@ def _band_oracle(model, x, y, above):
         return _oracle_integrate(model, _band_integrand(model, x, y, above), scale,
                                  hints + _crossing_hints(model, x, y))
 
-    ys = np.asarray(y, dtype=float)
     out = np.array([one(float(v)) for v in ys.ravel()]).reshape(ys.shape)
     return float(out) if out.ndim == 0 else out
 
@@ -390,7 +390,7 @@ def _solve_level(model, oracle, t_level, v_max, axis):
     ``v_max``; it is at most S(level / v_max), so the root lies below the cap.
     """
     t_level = float(t_level)
-    if t_level <= 1.0:
+    if not t_level > 1.0:
         raise DomainError("t_level must exceed 1")
     target = math.log(t_level)
     cap = v_max * float(model.radial.quantile_b(t_level))
@@ -438,24 +438,25 @@ def decompose_density(radial_profile, curve, angular_weight=None):
     gauge whose unit level set is the curve.  The exact change of variables
     gives a radius with density proportional to r * radial_profile(r) and an
     angle with density proportional to |u v' - u' v| times the weight.
+    ``angular_weight`` maps an array of curve parameters to an array.
     """
     radial = TabulatedRadial(lambda r: r * float(radial_profile(r)))
 
     step = 1e-5
 
     def jacobian(t):
-        lo = min(max(t - step, 0.0), 1.0 - 2.0 * step)
+        lo = np.clip(t - step, 0.0, 1.0 - 2.0 * step)
         hi = lo + 2.0 * step
         mid = 0.5 * (lo + hi)
-        du = (float(curve.u(hi)) - float(curve.u(lo))) / (hi - lo)
-        dv = (float(curve.v(hi)) - float(curve.v(lo))) / (hi - lo)
-        return abs(float(curve.u(mid)) * dv - du * float(curve.v(mid)))
+        du = (curve.u(hi) - curve.u(lo)) / (hi - lo)
+        dv = (curve.v(hi) - curve.v(lo)) / (hi - lo)
+        return np.abs(curve.u(mid) * dv - du * curve.v(mid))
 
     if angular_weight is None:
         dens = jacobian
     else:
         def dens(t):
-            return jacobian(t) * float(angular_weight(t))
+            return jacobian(t) * angular_weight(t)
 
     angular = TabulatedAngular(dens, t0=curve.t0)
     return PolarModel(radial=radial, angular=angular, curve=curve)
@@ -495,9 +496,9 @@ def mixture_conditional_cdf(mix, x, z):
     staying between the lines y = c1 x and y = c2 x.  No sampling: both
     numerator and denominator are one-dimensional Gaussian integrals.
     """
-    x = float(x)
-    if x <= 0.0:
-        raise DomainError("threshold must be positive")
+    x, z = float(x), float(z)
+    if not x > 0.0 or math.isnan(z):
+        raise DomainError("threshold must be positive and z a number")
     if z == math.inf:
         return 1.0
     if z == -math.inf:

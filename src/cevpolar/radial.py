@@ -56,14 +56,14 @@ class RadialLaw:
     # -- checked boundary --------------------------------------------------
     def log_survival(self, x):
         """log P(R > x), for x >= 0."""
-        return _checked(self._log_survival, x, lambda a: a < 0.0, "x must be nonnegative")
+        return _checked(self._log_survival, x, lambda a: ~(a >= 0.0), "x must be nonnegative")
 
     def density(self, x):
-        return _checked(self._density, x, lambda a: a < 0.0, "x must be nonnegative")
+        return _checked(self._density, x, lambda a: ~(a >= 0.0), "x must be nonnegative")
 
     def aux_psi(self, x):
         """Canonical auxiliary scale survival/density, positive for x > 0."""
-        return _checked(self._aux_psi, x, lambda a: a <= 0.0, "x must be positive")
+        return _checked(self._aux_psi, x, lambda a: ~(a > 0.0), "x must be positive")
 
     def inverse_log_survival(self, logq):
         """x such that log survival(x) = logq, for logq <= 0."""
@@ -506,7 +506,7 @@ def tail_ratio_bound(law, p, x, t_grid):
     Returns the smallest constant valid on the given grid; a drift of the
     constant along increasing x is for the caller to judge, never an error.
     """
-    if p <= 0.0:
+    if not p > 0.0:
         raise DomainError("p must be positive")
     x = float(x)
     psi_x = law.aux_psi(x)

@@ -407,7 +407,6 @@ HASH_CASES = {
                             "--z-grid", "0:0:1"),
                      (_ELL, ("second-order", "-c", "{config}", "--x-grid", "6:6:1",
                              "--z-grid", "1:1:1"))),
-    # decompose hashes no flag of its own: its config is the hashed input
     "decompose": (_DEC, ("decompose", "-c", "{config}", "--points", "3"),
                   ({**_DEC, "ridge_weight": False},
                    ("decompose", "-c", "{config}", "--points", "3"))),
@@ -449,11 +448,11 @@ class TestDispatch:
         spelled = [arg.replace("0.9", "0.90") for arg in argv]
         assert _artifact(tmp_path, _ELL, spelled)[0]["config_sha256"] == sha
 
-    def test_decompose_points_are_not_hashed(self, tmp_path):
+    def test_decompose_points_are_hashed(self, tmp_path):
         argv = ["decompose", "-c", "{config}", "--points"]
         sha = _artifact(tmp_path, _DEC, argv + ["3"])[0]["config_sha256"]
         meta, rows = _artifact(tmp_path, _DEC, argv + ["4"])
-        assert meta["config_sha256"] == sha and len(rows) == 8
+        assert meta["config_sha256"] != sha and len(rows) == 8
 
     def test_commands_only_compute(self):
         """No command loads, seeds, hashes or emits, and the module takes each

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -208,6 +209,83 @@ class TestInverseAndGap:
             c.h_fn(c.h_window_max * 1e3)
 
 
+# every family: elliptical and lp over their parameter ranges, and the power
+# curves of the shared fixtures
+FAMILY_CURVES = ([("elliptical", (rho,)) for rho in (-0.9, 0.0, 0.6)]
+                 + [("lp", (p, rho)) for p in (1.1, 1.5, 3.0, 8.0)
+                    for rho in (-0.9, -0.4, 0.0, 0.4, 0.9)]
+                 + [("fixture", name) for name in ("asymmetric_power_model", "singular_model")])
+FAMILY_IDS = ["-".join(map(str, (kind, *np.atleast_1d(args)))) for kind, args in FAMILY_CURVES]
+
+
+def _family_curve(request, kind, args):
+    if kind == "fixture":
+        return request.getfixturevalue(args).curve
+    return getattr(cp, f"{kind}_curve")(*args)
+
+
+def _lp_top_mpmath(p, rho):
+    """(t, v) at the maximum of v for lp_curve(p, rho): golden-section search
+    over [1/2, 1] on a 40-digit transcription of the parametrization."""
+    with mp.workdps(40):
+        p, rho = mp.mpf(p), mp.mpf(rho)
+        shear = (1 - abs(rho) ** p) ** (1 / p)
+
+        def v(t):
+            if t <= mp.mpf(7) / 8:
+                s = mp.mpf(8) / 3 * (t - mp.mpf(1) / 2)
+                return rho * (1 - abs(s) ** p) ** (1 / p) + shear * s
+            phi = mp.pi / 2 + 4 * mp.pi * (t - mp.mpf(7) / 8)
+            return -rho * abs(mp.cos(phi)) ** (2 / p) + shear * mp.sin(phi) ** (2 / p)
+
+        g = (mp.sqrt(5) - 1) / 2
+        lo, hi = mp.mpf(1) / 2, mp.mpf(1)
+        a, b = hi - g * (hi - lo), lo + g * (hi - lo)
+        fa, fb = v(a), v(b)
+        while hi - lo > mp.mpf(10) ** -22:
+            if fa < fb:
+                lo, a, fa = a, b, fb
+                b = lo + g * (hi - lo)
+                fb = v(b)
+            else:
+                hi, b, fb = b, a, fa
+                a = hi - g * (hi - lo)
+                fa = v(a)
+        return float((lo + hi) / 2), float(v((lo + hi) / 2))
+
+
+class TestFamilyGeometry:
+    """The geometry each family states: the top of v and the invertible branches."""
+
+    @pytest.mark.parametrize("kind, args", FAMILY_CURVES, ids=FAMILY_IDS)
+    def test_v_star_is_the_top_of_v(self, request, kind, args):
+        c = _family_curve(request, kind, args)
+        assert np.max(c.v(np.linspace(0.0, 1.0, 2 ** 16 + 1))) <= c.v_star
+        # equal up to rounding: v is a sum of two rounded products
+        assert abs(float(c.v(c.t_at_vstar)) - c.v_star) <= 2.0 * np.spacing(c.v_star)
+
+    @pytest.mark.parametrize("kind, args", FAMILY_CURVES, ids=FAMILY_IDS)
+    def test_u_is_strictly_monotone_on_each_branch(self, request, kind, args):
+        c = _family_curve(request, kind, args)
+        for side, rising in (("left", 1.0), ("right", -1.0)):
+            lo, hi, edge = c._branch[side]
+            u = c.u(np.linspace(lo, hi, 4097))
+            assert float(c.u(lo if side == "left" else hi)) == edge
+            steps = rising * np.diff(u)
+            # within 1e-12 of the peak value, neighbouring nodes may round to
+            # the same float (1 - u ~ |t - t0|**8 on lp with p = 8)
+            flat = (u[:-1] > 1.0 - 1e-12) | (u[1:] > 1.0 - 1e-12)
+            assert np.all(steps[~flat] > 0.0) and np.all(steps[flat] >= 0.0)
+
+    @pytest.mark.parametrize("rho", [-0.9, -0.4, 0.0, 0.4, 0.9])
+    @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 8.0])
+    def test_lp_top_matches_mpmath(self, p, rho):
+        c = cp.lp_curve(p, rho)
+        t_top, v_top = _lp_top_mpmath(p, rho)
+        assert c.t_at_vstar == pytest.approx(t_top, abs=1e-13)
+        assert c.v_star == pytest.approx(v_top, rel=1e-15)
+
+
 class TestCurveValidation:
     def test_v_max_must_exceed_rho(self):
         # a second coordinate peaking at t0 violates the germ requirements
@@ -217,7 +295,7 @@ class TestCurveValidation:
                 lambda t: np.cos(TWO_PI * (np.asarray(t) - 0.5)),
                 lambda t: -np.abs(np.asarray(t) - 0.5),
                 t0=0.5, rho=0.0, kappa=2.0, delta=1.0, c_minus=1.0, c_plus=1.0,
-                lambda_v=1.0, window=0.2,
+                lambda_v=1.0, window=0.2, v_star=0.0, t_at_vstar=0.5,
             )
 
     def test_exponent_order_enforced(self):

@@ -4,7 +4,9 @@ Each case runs ``cli.run`` on a small fixed config and seed and compares the
 sha256 of the whole artifact (metadata lines included) with a recorded
 digest.  A refactor that changes any byte of any artifact fails here.  After
 a deliberate change of the output, print the new table with
-``PYTHONPATH=src python tests/test_golden.py`` and review it before pasting.
+``PYTHONPATH=src python tests/test_golden.py`` and review it before pasting:
+its last line names the entries that differ from ``GOLDEN``, or says that no
+digest moved.
 """
 
 import hashlib
@@ -70,9 +72,9 @@ CASES = {
 
 GOLDEN = {
     "decompose.csv":
-        "f9fde587500f6942a5e526bcbf79c8f7b35db31aa31f7793fcf6f67063428e1c",
+        "22dd9d2c3f97c0be39106a89c1c83ce3310821ece7f24e9d60efdf990ae90d10",
     "decompose.json":
-        "141fc46a4d27d88047667abfda0eab497b03f7c3e4ab9f0ec6b873bb6b2ef7ea",
+        "31d6906ba1903bef57a2e1ad8d147fbd5e37428fcd1343a388712abdb95d6d3f",
     "independence.csv":
         "eeb76714f602ea5939cbf8f6251406dc69f233ad6966586ec9c993de9bb759af",
     "independence.json":
@@ -160,8 +162,11 @@ def test_artifact_matches_golden_digest(tmp_path, case, fmt):
 if __name__ == "__main__":
     import tempfile
 
+    table = {}
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
             for fmt in ("csv", "json"):
-                digest = artifact_digest(tmp, case, fmt)
+                table[f"{case}.{fmt}"] = digest = artifact_digest(tmp, case, fmt)
                 sys.stdout.write(f'    "{case}.{fmt}":\n        "{digest}",\n')
+    moved = sorted(key for key in {*GOLDEN, *table} if GOLDEN.get(key) != table.get(key))
+    sys.stdout.write(f"# moved: {', '.join(moved)}\n" if moved else "# no digest moved\n")

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -250,6 +251,36 @@ class TestDecomposeDensity:
         ts = np.linspace(0.0, 1.0, 1001)
         assert np.max(np.abs(model.angular.density(ts) - 1.0)) < 1e-6
 
+    @pytest.mark.parametrize("curve, weighted", [
+        (cp.elliptical_curve(0.3), True), (cp.lp_curve(3.0, 0.2), False)], ids=["ell", "lp3"])
+    def test_array_jacobian_matches_scalar_loop(self, curve, weighted):
+        # the per-element formula that the array Jacobian replaced is the
+        # reference.  On the sheared circle the tabulated law is the same to the
+        # bit.  numpy's array power may round lp's u and v one ulp apart from
+        # the scalar call, and the finite difference divides that by 2 * step.
+        weight = lambda t: cp.quartic_ridge_weight(2.0 * math.pi * (t - curve.t0))
+        model = cp.decompose_density(cp.standard_normal_profile, curve,
+                                     angular_weight=weight if weighted else None)
+        step = 1e-5
+
+        def scalar(t):
+            lo = min(max(t - step, 0.0), 1.0 - 2.0 * step)
+            hi = lo + 2.0 * step
+            mid = 0.5 * (lo + hi)
+            du = (float(curve.u(hi)) - float(curve.u(lo))) / (hi - lo)
+            dv = (float(curve.v(hi)) - float(curve.v(lo))) / (hi - lo)
+            jac = abs(float(curve.u(mid)) * dv - du * float(curve.v(mid)))
+            return jac * float(weight(t)) if weighted else jac
+
+        reference = cp.TabulatedAngular(np.vectorize(scalar), t0=curve.t0).to_dict()
+        got = model.angular.to_dict()
+        if curve.kind == "elliptical":
+            assert got == reference
+        else:
+            assert got["grid"]["t"] == reference["grid"]["t"]
+            np.testing.assert_allclose(got["grid"]["density"], reference["grid"]["density"],
+                                       rtol=8 * np.finfo(float).eps / (2 * step))
+
     def test_angular_normalization_contract(self):
         curve = cp.lp_curve(3.0, 0.2)
         model = cp.decompose_density(lambda r: math.exp(-r), curve)
@@ -369,6 +400,35 @@ class TestMixture:
         got = cp.mixture_conditional_cdf(mix, x, z)
         assert got == pytest.approx(num / den, rel=1e-8)
 
+    @pytest.mark.parametrize("cone", [None, (0.5, 1.1)], ids=["plain", "cone"])
+    @pytest.mark.parametrize("z", [-1.0, 0.0, 1.0])
+    def test_criterion_7_cells_match_mpmath(self, cone, z):
+        # the cells of acceptance criterion 7 (x = 8) against an independent
+        # 40-digit integral: the gaps to the limits that the criterion reports
+        # are the model's own, not numerical error
+        mix = cp.MixtureModel(p=0.4, rho=0.8, tau_mix=-0.4, cone=cone)
+        with mp.workdps(40):
+            x = mp.mpf(8)
+            comps = [(mp.mpf(w), mp.mpf(k), mp.sqrt(1 - mp.mpf(k) ** 2))
+                     for w, k in ((0.4, 0.8), (0.6, -0.4))]
+            y_cut = mp.mpf(0.8) * x + comps[0][2] * mp.mpf(z)
+
+            def mass(lo, hi):  # density of X = s times P(lo(s) < Y <= hi(s) | X = s)
+                return lambda s: mp.npdf(s) * sum(
+                    w * max(mp.ncdf((hi(s) - k * s) / sd) - mp.ncdf((lo(s) - k * s) / sd), 0)
+                    for w, k, sd in comps)
+
+            pts = [x, x + 2, x + 10, mp.inf]
+            if cone is None:
+                exact = mp.quad(mass(lambda s: -mp.inf, lambda s: y_cut), pts) / mp.ncdf(-x)
+            else:
+                c1, c2 = (mp.mpf(c) for c in cone)
+                # the capped band closes at s = y_cut / c1
+                num = mp.quad(mass(lambda s: c1 * s, lambda s: min(c2 * s, y_cut)),
+                              sorted(pts[:-1] + [y_cut / c1]) + pts[-1:])
+                exact = num / mp.quad(mass(lambda s: c1 * s, lambda s: c2 * s), pts)
+        assert cp.mixture_conditional_cdf(mix, 8.0, z) == pytest.approx(float(exact), abs=1e-14)
+
     def test_plain_limit_approach(self):
         mix = cp.MixtureModel(p=0.4, rho=0.8, tau_mix=-0.4)
         target = 0.4 * norm.cdf(0.0) + 0.6
@@ -383,3 +443,40 @@ class TestMixture:
                 for x in (8.0, 16.0, 32.0)]
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 0.02
+
+
+_MIX = cp.MixtureModel(p=0.4, rho=0.8, tau_mix=-0.4)
+
+#: one call per public entry with a domain check, each passing nan to it
+NAN_CALLS = {
+    "normalization": lambda m, frame, nan: cp.normalization(m, nan),
+    "u_inverse": lambda m, frame, nan: m.curve.u_inverse(nan, "right"),
+    "h_fn": lambda m, frame, nan: m.curve.h_fn(nan),
+    "survival_x_oracle": lambda m, frame, nan: cp.survival_x_oracle(m, nan),
+    "survival_y_oracle": lambda m, frame, nan: cp.survival_y_oracle(m, nan),
+    "joint_exceedance_oracle": lambda m, frame, nan: cp.joint_exceedance_oracle(m, 3.0, nan),
+    "joint_cdf_y_oracle": lambda m, frame, nan: cp.joint_cdf_y_oracle(m, 3.0, [1.0, nan]),
+    "conditional_cdf_oracle": lambda m, frame, nan: cp.conditional_cdf_oracle(m, frame, nan, 0.0),
+    "solve_b_x": lambda m, frame, nan: cp.solve_b_x(m, nan),
+    "survival_x_asymptotic": lambda m, frame, nan: cp.survival_x_asymptotic(m, nan),
+    "quantile_y_asymptotic": lambda m, frame, nan: cp.quantile_y_asymptotic(m, nan),
+    "second_order_conditional-x": lambda m, frame, nan: cp.second_order_conditional(m, nan, 0.0),
+    "second_order_conditional-z": lambda m, frame, nan: cp.second_order_conditional(m, 6.0, nan),
+    "product_tail_asymptotic": lambda m, frame, nan: cp.product_tail_asymptotic(
+        m.radial, 1.0, lambda u: 1.0, 0.0, nan),
+    "mixture_conditional_cdf": lambda m, frame, nan: cp.mixture_conditional_cdf(_MIX, 8.0, nan),
+    "aux_psi": lambda m, frame, nan: m.radial.aux_psi(nan),
+    "log_survival": lambda m, frame, nan: m.radial.log_survival(np.array([1.0, nan])),
+    "density": lambda m, frame, nan: m.radial.density(nan),
+    "tail_ratio_bound": lambda m, frame, nan: cp.tail_ratio_bound(m.radial, nan, 2.0, [1.0]),
+    "LimitLaw.quantile": lambda m, frame, nan: cp.LimitLaw(2.0, 1.0).quantile(nan),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NAN_CALLS))
+def test_nan_is_a_domain_error(elliptical_gauss, entry):
+    # every domain check reads "not x > 0", so nan fails it instead of leaking
+    # a scipy ValueError, a QuadratureError or a silent nan
+    frame = cp.normalization(elliptical_gauss, 4.0)
+    with pytest.raises(cp.DomainError):
+        NAN_CALLS[entry](elliptical_gauss, frame, math.nan)
