@@ -58,6 +58,9 @@ CASES = {
                "--seed", "11"),
     "verify-lp3": ("verify", "-c", "{lp3}", "--levels", "0.99,0.999", "--n", "2000",
                    "--seed", "11"),
+    # exp needs deep levels: at 0.99, psi(t)/t falls outside its curve's window
+    "verify-exp": ("verify", "-c", "{exp}", "--levels", "0.9999,0.99999", "--n", "2000",
+                   "--seed", "11"),
     "tail-ell": ("tail", "-c", "{ell}", "--x-grid", "2:6:2"),
     "tail-lp3": ("tail", "-c", "{lp3}", "--x-grid", "4:12:4"),
     "tail-exp": ("tail", "-c", "{exp}", "--x-grid", "20:40:10"),
@@ -65,6 +68,7 @@ CASES = {
     "tail-num": ("tail", "-c", "{num}", "--x-grid", "2:6:2"),
     "independence": ("independence", "-c", "{ell}", "--t-grid", "2:3:1"),
     "independence-lp3": ("independence", "-c", "{lp3}", "--t-grid", "2:3:1"),
+    "independence-exp": ("independence", "-c", "{exp}", "--t-grid", "4:5:1"),
     "second-order": ("second-order", "-c", "{ell}", "--x-grid", "6:8:2",
                      "--z-grid", "-1:1:1"),
     "decompose": ("decompose", "-c", "{dec}", "--points", "5"),
@@ -79,6 +83,10 @@ GOLDEN = {
         "eeb76714f602ea5939cbf8f6251406dc69f233ad6966586ec9c993de9bb759af",
     "independence.json":
         "cce2a89f66c4b4b1dd4bc4a6baa2ed76c9306869a786c42dc6448ed85cc15048",
+    "independence-exp.csv":
+        "00bdbebdfeb8755fc711fb5f6ef53bb2d1b7999f1ccd00a88c0272be8530cf50",
+    "independence-exp.json":
+        "9e4fb6ed618fee9c958282b5d02773cbbd8c4962a9241966bf46f82af852bd18",
     "independence-lp3.csv":
         "b1d5d61a9b466985442dfa691d4f05fb0861d3ccc53303e68455336c855f4168",
     "independence-lp3.json":
@@ -131,6 +139,10 @@ GOLDEN = {
         "a18ce06257e4b32d775ff8615cbdc0088a049efb23d078343becd591187f914e",
     "verify.json":
         "e30bb3eec7c574299dd4e88228d5813a6776c2364c78811f86a1427326f49198",
+    "verify-exp.csv":
+        "65f6e71febf9d3806d25c7c14d16cca4347176952a692ab770424b5476b44f99",
+    "verify-exp.json":
+        "32ce11a877531427d7b03e224358a9db02248c3e0f6a50eecafc70d757c3cb4a",
     "verify-lp3.csv":
         "1fcb302207d7b5b351df919a2e32da94622683e69cb511658ef20a5aaf29e8e2",
     "verify-lp3.json":
