@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .numerics import _read_spec, bisect_monotone, integrate_with_breakpoints, refine_zeros
+from .numerics import _read_spec, integrate_with_breakpoints, refine_zeros
 # after numerics, which imports scipy.optimize: imported before it, scipy.interpolate
 # shifted the garbage collector's runs and made start-up about 50 ms slower
 from scipy.interpolate import PchipInterpolator  # isort: skip
@@ -40,9 +40,9 @@ _TWO_PI = 2.0 * math.pi
 class CurveGerm:
     """A parametrized curve on [0, 1] with its local expansion data.
 
-    Each curve family states its geometry in closed form: the germ at t0
-    and the top of v.  The constructor checks them and finds only the zeros
-    of u and v, by a scan.
+    Each curve family states its geometry in closed form: the germ at t0,
+    the top of v and the inverse of u on each side.  The constructor checks
+    them and finds only the zeros of u and v, by a scan.
 
     Attributes
     ----------
@@ -53,13 +53,14 @@ class CurveGerm:
     lambda_v : leading coefficient of v - rho on the right side
     v_star : maximum of v over [0, 1]
     t_at_vstar : a parameter where v reaches v_star
+    gap_offset : the family's array kernel (g, side) -> |t - t0| where 1 - u = g on that side
     window : half-width of the validity window around t0
     h_window_max : largest x admissible in h_fn, 1/u - 1 at the right end of
         the invertible branch
     """
 
     def __init__(self, kind, params, u_fn, v_fn, *, t0, rho, kappa, delta,
-                 c_minus, c_plus, lambda_v, window, v_star, t_at_vstar, kinks=()):
+                 c_minus, c_plus, lambda_v, window, v_star, t_at_vstar, gap_offset, kinks=()):
         if not 0.0 < t0 < 1.0:
             raise ConstructionError("t0 must be interior to (0, 1)")
         if not 0.0 < delta < kappa:
@@ -83,6 +84,7 @@ class CurveGerm:
         self.v_star = float(v_star)
         self.t_at_vstar = float(t_at_vstar)
         self._kinks = tuple(kinks)
+        self._gap_offset = gap_offset
         if abs(float(u_fn(t0)) - 1.0) > 1e-12:
             raise ConstructionError("u(t0) must equal 1")
         if abs(float(v_fn(t_at_vstar)) - self.v_star) > 1e-12:
@@ -92,12 +94,11 @@ class CurveGerm:
         self._zeros_u = refine_zeros(u_fn, 0.0, 1.0)
         self._zeros_v = refine_zeros(v_fn, 0.0, 1.0)
         # u is one-to-one on each side of t0 up to its nearest zero (or the end
-        # of [0, 1]): (lo, hi, u at the far end) of each branch
+        # of [0, 1]): the gap 1 - u at the far end of each branch
         lo = max((z for z in self._zeros_u if z < self.t0), default=0.0)
         hi = min((z for z in self._zeros_u if z > self.t0), default=1.0)
-        self._branch = {"left": (lo, self.t0, float(u_fn(lo))),
-                        "right": (self.t0, hi, float(u_fn(hi)))}
-        edge = self._branch["right"][2]
+        edge = float(u_fn(hi))
+        self._max_gap = {"left": 1.0 - float(u_fn(lo)), "right": 1.0 - edge}
         self.h_window_max = 1e12 if edge <= 1e-12 else 1.0 / edge - 1.0
 
     # -- evaluation -----------------------------------------------------------
@@ -108,23 +109,21 @@ class CurveGerm:
         return self._v_fn(np.asarray(t, dtype=float))
 
     # -- inverse machinery ------------------------------------------------------
-    def u_inverse(self, y, side):
-        """Parameter on the requested side of t0 where u equals y.
+    def u_inverse(self, g, side):
+        """Parameter on the requested side of t0 where the gap 1 - u equals g.
 
-        Valid for y between the value of u at the end of the side's
-        invertible branch and 1.
+        Valid for g between 0 and the gap at the end of the side's invertible
+        branch; the gap keeps its relative accuracy where u rounds to 1.
         """
         if side not in ("left", "right"):
             raise DomainError("side must be 'left' or 'right'")
-        y = float(y)
-        lo, hi, edge = self._branch[side]
-        if not edge <= y <= 1.0:
+        g = float(g)
+        if not 0.0 <= g <= self._max_gap[side]:
             raise DomainError(
-                f"u level {y} outside the local range [{edge}, 1] on the {side} side"
+                f"gap {g} outside the local range [0, {self._max_gap[side]}] on the {side} side"
             )
-        if y == 1.0:
-            return self.t0
-        return bisect_monotone(lambda t: float(self._u_fn(t)) - y, lo, hi, xtol=1e-15)
+        offset = float(self._gap_offset(g, side))
+        return self.t0 + offset if side == "right" else self.t0 - offset
 
     def h_fn(self, x):
         """Gap of v/u above rho along the level u = 1/(1+x), right branch.
@@ -140,8 +139,12 @@ class CurveGerm:
             )
         if x == 0.0:
             return 0.0
-        t = self.u_inverse(1.0 / (1.0 + x), "right")
-        return float(self._v_fn(t)) / float(self._u_fn(t)) - self.rho
+        # the gap of the level; min() takes up the rounding of x = h_window_max
+        t = self.u_inverse(min(x / (1.0 + x), self._max_gap["right"]), "right")
+        u = float(self._u_fn(t))
+        if not u > 0.0:  # t rounded onto the zero of u that ends the branch
+            raise DomainError(f"h_fn: the level 1/(1 + {x:.6g}) is below what u resolves")
+        return float(self._v_fn(t)) / u - self.rho
 
     # -- quadrature support ------------------------------------------------------
     def breakpoints(self):
@@ -184,6 +187,7 @@ def elliptical_curve(rho):
         c_minus=_TWO_PI ** 2 / 2.0, c_plus=_TWO_PI ** 2 / 2.0,
         lambda_v=_TWO_PI * sigma,
         window=window, v_star=1.0, t_at_vstar=0.5 + math.atan2(sigma, rho) / _TWO_PI,
+        gap_offset=lambda g, side: np.arcsin(np.sqrt(0.5 * g)) / math.pi,  # 1 - cos = 2 sin^2
     )
 
 
@@ -237,12 +241,19 @@ def lp_curve(p, rho=0.0):
         t_top = 0.5 + y_top / speed
     else:  # on the hidden arc, where |cos(phi)| = x_top**(p/2) and sin(phi) = y_top**(p/2)
         t_top = 0.875 + math.atan2(x_top ** (p / 2.0), y_top ** (p / 2.0)) / (4.0 * math.pi)
-    window = 0.25
+    if not v_star > rho:
+        raise ConstructionError(f"the lp curve with p = {p}, rho = {rho} is too flat at its top"
+                                " to represent in double precision: max v rounds to rho")
+
+    def gap_offset(g, side):  # |s|**p = 1 - (1 - g)**p on the visible half
+        with np.errstate(divide="ignore"):  # g = 1: log1p(-1) = -inf, the branch end
+            return (-np.expm1(p * np.log1p(-g))) ** (1.0 / p) / speed
+
     return CurveGerm(
         "lp", {"p": p, "rho": rho}, u_fn, v_fn,
         t0=0.5, rho=rho, kappa=p, delta=1.0,
         c_minus=speed ** p / p, c_plus=speed ** p / p, lambda_v=speed * shear,
-        window=window, v_star=v_star, t_at_vstar=t_top, kinks=(0.125, 0.875),
+        window=0.25, v_star=v_star, t_at_vstar=t_top, gap_offset=gap_offset, kinks=(0.125, 0.875),
     )
 
 
@@ -278,6 +289,12 @@ def power_curve(t0, kappa, delta, c_minus, c_plus, lambda_v, rho, window=None):
                                + lambda_v * delta * window ** (delta - 1.0) * (a - window))
         return np.where(a <= window, inside, outside)
 
+    def gap_offset(g, side):  # 1 - u inverted inside the window and on its continuation
+        c = c_plus if side == "right" else c_minus
+        edge = c * window ** kappa  # the gap at the window's edge
+        return np.where(g <= edge, (g / c) ** (1.0 / kappa),
+                        window + (g - edge) / (kappa * c * window ** (kappa - 1.0)))
+
     return CurveGerm(
         "power",
         {"t0": t0, "kappa": kappa, "delta": delta, "c_minus": c_minus,
@@ -285,7 +302,7 @@ def power_curve(t0, kappa, delta, c_minus, c_plus, lambda_v, rho, window=None):
         u_fn, v_fn,
         t0=t0, rho=rho, kappa=kappa, delta=delta,
         c_minus=c_minus, c_plus=c_plus, lambda_v=lambda_v,
-        window=window, v_star=float(v_fn(1.0)), t_at_vstar=1.0,
+        window=window, v_star=float(v_fn(1.0)), t_at_vstar=1.0, gap_offset=gap_offset,
         kinks=(t0 - window, t0 + window),
     )
 

@@ -223,10 +223,10 @@ def _u_level_hints(model, x):
     psi = float(model.radial.aux_psi(x))
     hints = []
     for omega in (4.0, 45.0):
-        level = x / (x + omega * psi)
+        gap = omega * psi / (x + omega * psi)  # 1 - u at the radius x + omega psi
         for side in ("left", "right"):
             try:
-                hints.append(curve.u_inverse(level, side))
+                hints.append(curve.u_inverse(gap, side))
             except DomainError:
                 pass
     return hints

@@ -12,8 +12,8 @@ Rabinowitz, *Methods of Numerical Integration*, section 2.12).
 
 :func:`bisect_monotone` picks its method from the shape of the bracket: a
 scalar bracket gets Brent's method, which spends the fewest calls of a costly
-scalar function (the oracle level solves), and an array of brackets gets one
-bisection over all of them, one array call per round (the von Mises
+scalar function (oracle level solves, zero brackets), and an array of brackets
+gets one bisection over all of them, one array call per round (the von Mises
 quantiles of a conditional sample).
 
 Everything here is deterministic and stateless so the callers stay pure and
@@ -29,7 +29,7 @@ import warnings
 import numpy as np
 from scipy import integrate, optimize
 
-from .errors import ConstructionError, DomainError, QuadratureError
+from .errors import CevError, ConstructionError, DomainError, QuadratureError
 
 # QUADPACK's QK21 rule on [-1, 1]: nonnegative Kronrod nodes, outermost first,
 # with their weights; the nodes at odd positions are the 10-point Gauss nodes.
@@ -240,24 +240,21 @@ def bisect_monotone(fn, lo, hi, *, xtol=1e-13, rtol=1e-12):
 
     The shape of the bracket picks the method.  Scalar ``lo`` and ``hi`` use
     Brent's method, which needs the fewest calls of a costly scalar ``fn``
-    (the oracle level solves make about ten per solve).  Array ``lo`` and
-    ``hi`` are solved together by bisection: the array ``fn`` is called once
-    per round on every midpoint, and each element stops once
-    ``|hi - lo| <= xtol + rtol * |mid|`` (the von Mises quantiles of a
+    (about eight per oracle level solve) and calls it once at each end.
+    Array ``lo`` and ``hi`` are solved together by bisection: the array
+    ``fn`` is called once per round on every midpoint, and each element stops
+    once ``|hi - lo| <= xtol + rtol * |mid|`` (the von Mises quantiles of a
     whole sample are one such call).  Raises :class:`DomainError` if any
-    bracket does not hold a sign change.
+    bracket does not hold a sign change; an error of ``fn`` passes unchanged.
     """
     if np.ndim(lo) or np.ndim(hi):
         return _bisect_arrays(fn, lo, hi, xtol, rtol)
-    flo = fn(lo)
-    fhi = fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise DomainError("root not bracketed")
-    return float(optimize.brentq(fn, lo, hi, xtol=xtol, rtol=max(rtol, 4.5e-16)))
+    try:
+        return float(optimize.brentq(fn, lo, hi, xtol=xtol, rtol=max(rtol, 4.5e-16)))
+    except CevError:
+        raise
+    except ValueError as exc:  # brentq: f(a) and f(b) must have different signs
+        raise DomainError("root not bracketed") from exc
 
 
 def _bisect_arrays(fn, lo, hi, xtol, rtol):
@@ -283,12 +280,13 @@ def _bisect_arrays(fn, lo, hi, xtol, rtol):
 def refine_zeros(fn, grid_lo, grid_hi, n_scan=1025):
     """All sign-change roots of the array function ``fn`` on [grid_lo, grid_hi].
 
-    One array call scans the grid; Brent's method refines each bracket.
+    One array call scans the grid; :func:`bisect_monotone` refines each bracket.
     """
     ts = np.linspace(grid_lo, grid_hi, n_scan)
     vals = np.asarray(fn(ts), dtype=float)
     zeros = [float(t) for t in ts[vals == 0.0]]
     # brackets of consecutive scan values of opposite sign
     for i in np.nonzero((vals[:-1] != 0.0) & (vals[:-1] * vals[1:] < 0.0))[0]:
-        zeros.append(float(optimize.brentq(lambda s: float(fn(s)), ts[i], ts[i + 1], xtol=1e-14)))
+        zeros.append(bisect_monotone(lambda s: float(fn(s)), ts[i], ts[i + 1],
+                                     xtol=1e-14, rtol=4.0 * np.finfo(float).eps))
     return sorted(zeros)

@@ -1,8 +1,11 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import cevpolar as cp
@@ -77,6 +80,13 @@ class TestLpCurve:
         with pytest.raises(cp.ConstructionError):
             cp.lp_curve(1.0, 0.0)
 
+    @pytest.mark.parametrize("p", [1.01, 1.001, 1.0001])
+    def test_too_flat_to_represent(self, p):
+        # the top of v exceeds rho by about 1e-200 of rho, which rounds away
+        with pytest.raises(cp.ConstructionError,
+                           match=rf"p = {p}, rho = 0.99 is too flat at its top .* double precision"):
+            cp.lp_curve(p, 0.99)
+
 
 class TestPowerCurve:
     def make(self, **kw):
@@ -146,33 +156,34 @@ class TestGermIndices:
 class TestInverseAndGap:
     def test_u_inverse_at_peak(self):
         c = cp.elliptical_curve(0.2)
-        assert c.u_inverse(1.0, "right") == c.t0
-        assert c.u_inverse(1.0, "left") == c.t0
+        assert c.u_inverse(0.0, "right") == c.t0
+        assert c.u_inverse(0.0, "left") == c.t0
 
     def test_u_inverse_closed_form(self):
         c = cp.elliptical_curve(0.0)
-        t = c.u_inverse(math.cos(0.3), "right")
+        gap = 2.0 * math.sin(0.15) ** 2  # 1 - cos(0.3)
+        t = c.u_inverse(gap, "right")
         assert t == pytest.approx(c.t0 + 0.3 / TWO_PI, abs=1e-12)
-        t = c.u_inverse(math.cos(0.3), "left")
+        t = c.u_inverse(gap, "left")
         assert t == pytest.approx(c.t0 - 0.3 / TWO_PI, abs=1e-12)
 
     def test_u_inverse_residual(self):
         c = cp.lp_curve(3.0, 0.2)
         for y in (0.999, 0.9, 0.4):
-            t = c.u_inverse(y, "right")
+            t = c.u_inverse(1.0 - y, "right")
             assert abs(float(c.u(t)) - y) < 1e-12
 
     def test_u_inverse_ordering(self):
         c = cp.elliptical_curve(0.0)
-        t1 = c.u_inverse(0.9, "right")
-        t2 = c.u_inverse(0.8, "right")
+        t1 = c.u_inverse(0.1, "right")
+        t2 = c.u_inverse(0.2, "right")
         assert t2 > t1 > c.t0
 
     def test_u_inverse_out_of_range(self):
         c = cp.power_curve(t0=0.5, kappa=2.0, delta=1.0, c_minus=0.5, c_plus=0.5,
                            lambda_v=1.0, rho=0.0)
         with pytest.raises(cp.DomainError):
-            c.u_inverse(-0.9, "right")
+            c.u_inverse(1.9, "right")  # u = -0.9
         with pytest.raises(cp.DomainError):
             c.u_inverse(0.5, "sideways")
 
@@ -202,11 +213,110 @@ class TestInverseAndGap:
         x = 1e-5
         assert c.h_fn(x) == pytest.approx(math.sqrt(2.0 * x), rel=2e-3)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_h_at_the_window_max(self, seed):
+        # x/(1 + x) at x = h_window_max may round above the branch's largest gap
+        rng = np.random.default_rng(seed)
+        kappa = rng.uniform(1.2, 4.0)
+        c = cp.power_curve(t0=rng.uniform(0.2, 0.8), kappa=kappa, delta=0.5 * kappa,
+                           c_minus=rng.uniform(0.1, 5.0), c_plus=rng.uniform(0.1, 5.0),
+                           lambda_v=1.0, rho=0.0)
+        assert math.isfinite(c.h_fn(c.h_window_max))
+
+    def test_h_below_what_u_resolves(self):
+        # on lp3, 1 - u < 5e-6 is closer to the branch end than one float step of t
+        c = cp.lp_curve(3.0, 0.0)
+        assert c.h_fn(1e5) == pytest.approx(1e5, rel=1e-3)
+        with pytest.raises(cp.DomainError, match="below what u resolves"):
+            c.h_fn(1e7)
+
     def test_h_outside_window(self):
         c = cp.power_curve(t0=0.5, kappa=2.0, delta=1.0, c_minus=0.5, c_plus=0.5,
                            lambda_v=1.0, rho=0.0)
         with pytest.raises(cp.DomainError):
             c.h_fn(c.h_window_max * 1e3)
+
+
+SIDES = ("left", "right")
+
+
+@st.composite
+def family_curves(draw):
+    """A curve of each family over its parameters (lp away from the flat top
+    of p -> 1, rho -> 1, which the family rejects)."""
+    kind = draw(st.sampled_from(["elliptical", "lp", "power"]))
+    rho = draw(st.floats(-0.95, 0.95))
+    if kind == "elliptical":
+        return cp.elliptical_curve(rho)
+    if kind == "lp":
+        return cp.lp_curve(draw(st.floats(1.1, 10.0)), rho)
+    kappa = draw(st.floats(1.2, 4.0))
+    return cp.power_curve(t0=draw(st.floats(0.2, 0.8)), kappa=kappa, delta=0.5 * kappa,
+                          c_minus=draw(st.floats(0.1, 5.0)), c_plus=draw(st.floats(0.1, 5.0)),
+                          lambda_v=1.0, rho=rho)
+
+
+def _offset_mpmath(c, g, side):
+    """|t - t0| where 1 - u = g on the given side, from a 50-digit
+    transcription of each family's u."""
+    with mp.workdps(50):
+        g = mp.mpf(g)
+        if c.kind == "elliptical":  # 1 - cos(2 pi s) = 2 sin(pi s)**2
+            return mp.asin(mp.sqrt(g / 2)) / mp.pi
+        if c.kind == "lp":  # (1 - (8 s / 3)**p)**(1/p) = 1 - g
+            p = mp.mpf(c.params["p"])
+            return (-mp.expm1(p * mp.log1p(-g))) ** (1 / p) * 3 / 8
+        prm = c.params
+        coef = mp.mpf(prm["c_plus"] if side == "right" else prm["c_minus"])
+        kappa, w = mp.mpf(prm["kappa"]), mp.mpf(prm["window"])
+        if g <= coef * w ** kappa:
+            return (g / coef) ** (1 / kappa)
+        return w + (g - coef * w ** kappa) / (kappa * coef * w ** (kappa - 1))
+
+
+class TestGapInverse:
+    """Each family's closed-form inverse of u, taken in the gap g = 1 - u."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=family_curves(), side=st.sampled_from(SIDES), log_frac=st.floats(-300.0, 0.0))
+    def test_offset_matches_mpmath(self, c, side, log_frac):
+        g = c._max_gap[side] * 10.0 ** log_frac  # from 1e-300 of the edge to the edge
+        t = c.u_inverse(g, side)
+        want = _offset_mpmath(c, g, side)
+        assert abs(abs(t - c.t0) - want) <= 1e-13 * want + np.spacing(c.t0)
+        # u_inverse rounds t0 + offset to a float; the kernel's own offset is exact
+        # to 1e-13 relative
+        offset = float(c._gap_offset(g, side))
+        assert abs(offset - want) <= 1e-13 * want
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=family_curves(), side=st.sampled_from(SIDES), frac=st.floats(0.0, 1.0))
+    def test_u_of_the_inverse_is_one_minus_the_gap(self, c, side, frac):
+        g = frac * c._max_gap[side]
+        t = c.u_inverse(g, side)
+        assert (t >= c.t0) if side == "right" else (t <= c.t0)
+        # |u(t) - (1 - g)| < 1e-12, or 1 - g lies between the values of u four
+        # float steps either side of t: near the end of lp's branch u is too steep
+        # in t (u ~ (8 p |t_end - t| / 3)**(1/p)) for any float t to come closer
+        us = c.u(t + np.array([-4.0, 0.0, 4.0]) * np.spacing(t))
+        assert us.min() - 1e-12 <= 1.0 - g <= us.max() + 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(c=family_curves(), side=st.sampled_from(SIDES),
+           below=st.floats(5e-324, 10.0), above=st.floats(0.0, 10.0))
+    def test_gap_outside_the_branch_raises(self, c, side, below, above):
+        edge = c._max_gap[side]
+        for g in (-below, np.nextafter(edge, math.inf) + above, math.nan):
+            with pytest.raises(cp.DomainError):
+                c.u_inverse(g, side)
+
+    @pytest.mark.parametrize("p", [1.1, 3.0, 10.0])
+    def test_lp_branch_end_without_warning(self, p):
+        c = cp.lp_curve(p, 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ends = [c.u_inverse(1.0, side) for side in SIDES]
+        assert ends == pytest.approx([0.125, 0.875], abs=1e-15)
 
 
 # every family: elliptical and lp over their parameter ranges, and the power
@@ -268,9 +378,11 @@ class TestFamilyGeometry:
     def test_u_is_strictly_monotone_on_each_branch(self, request, kind, args):
         c = _family_curve(request, kind, args)
         for side, rising in (("left", 1.0), ("right", -1.0)):
-            lo, hi, edge = c._branch[side]
+            # the branch runs from t0 to the end where the gap 1 - u is largest
+            end = c.u_inverse(c._max_gap[side], side)
+            lo, hi = (end, c.t0) if side == "left" else (c.t0, end)
             u = c.u(np.linspace(lo, hi, 4097))
-            assert float(c.u(lo if side == "left" else hi)) == edge
+            assert abs(1.0 - float(c.u(end)) - c._max_gap[side]) < 1e-12
             steps = rising * np.diff(u)
             # within 1e-12 of the peak value, neighbouring nodes may round to
             # the same float (1 - u ~ |t - t0|**8 on lp with p = 8)
@@ -296,6 +408,7 @@ class TestCurveValidation:
                 lambda t: -np.abs(np.asarray(t) - 0.5),
                 t0=0.5, rho=0.0, kappa=2.0, delta=1.0, c_minus=1.0, c_plus=1.0,
                 lambda_v=1.0, window=0.2, v_star=0.0, t_at_vstar=0.5,
+                gap_offset=lambda g, side: np.arcsin(np.sqrt(0.5 * g)) / math.pi,
             )
 
     def test_exponent_order_enforced(self):

@@ -80,25 +80,25 @@ GOLDEN = {
     "decompose.json":
         "31d6906ba1903bef57a2e1ad8d147fbd5e37428fcd1343a388712abdb95d6d3f",
     "independence.csv":
-        "eeb76714f602ea5939cbf8f6251406dc69f233ad6966586ec9c993de9bb759af",
+        "8e8348f6dff15c05e906b3827db2ec6fc473c80bcd7a10b8f87bca87ececfb95",
     "independence.json":
-        "cce2a89f66c4b4b1dd4bc4a6baa2ed76c9306869a786c42dc6448ed85cc15048",
+        "8007b700f058c52f5cec4177669a74525ae924e4f06a6cc71c00ca023a244c1b",
     "independence-exp.csv":
-        "00bdbebdfeb8755fc711fb5f6ef53bb2d1b7999f1ccd00a88c0272be8530cf50",
+        "eb0bbfeb4e4af6d54b6e3be71244c5eedf0a4148f05382a3c6ef3e01fc03e13f",
     "independence-exp.json":
-        "9e4fb6ed618fee9c958282b5d02773cbbd8c4962a9241966bf46f82af852bd18",
+        "f09a4c2296144cc21c097f81845c858fc9a0e9dc283563cfa842184bc9b7c49a",
     "independence-lp3.csv":
-        "b1d5d61a9b466985442dfa691d4f05fb0861d3ccc53303e68455336c855f4168",
+        "4c48baf5b61d23119592a23323894a19232ffc3da7cec625281817811c37df69",
     "independence-lp3.json":
-        "164a547db17a9b28a5df9d2580be055d866749b7cc1b7b37d10ea9ad11a0e6e1",
+        "375da21fcc41443a9b930aa2c91704b1422d5b6bc2d0999f8b5fbe8eb1d7cc5c",
     "limit.csv":
         "370cf0edb55574acac4153fd827f94258bd63f3519737d06d770274e31c720a6",
     "limit.json":
         "1bb162be9470b55c259bbfbd671217386ca85320234a3d258e461ef264e625ad",
     "second-order.csv":
-        "fed38948c5d840999e1857a50e7f08ffb755befbdaba7e5dc727d6388530459d",
+        "5258a07cb22313e8ad862339b676d6cf183ce90a17cdbb28b9f7e84c44ee34d4",
     "second-order.json":
-        "d97df484c1142b229846bcea4392c4bc0fa80b3e1a743644a26ab39dfeb3c635",
+        "2f045fcb6b8383be026ce6b5412e5e6a9147b536f762a75e2d1ccf9fc83a0d5b",
     "simulate-conditional.csv":
         "8c460e9b975603df8caaa5ce56aafe51c552d3545cccae74ad6f403dbca0fb90",
     "simulate-conditional.json":
@@ -116,37 +116,37 @@ GOLDEN = {
     "simulate-mixture.json":
         "68f2519c4f69b3ebbe905c6fa5f08922c87e6b255647fb3b3dc03cd4c67c7ed0",
     "tail-ell.csv":
-        "3445cc727fd6fbfaf582e1f978317f59b9d60f361b4e89b6835f8d7726e474ff",
+        "3ffe87b59cd36eb040e2878ff38ce5370a5fc95578b56a97258152b2c59e37e3",
     "tail-ell.json":
-        "655d7c09ae7d13a8afa8166876a6a99729f8c0b80ca82a4d22417e69f327e954",
+        "f78a4ff51dad7a282a71306b3ebe6cf8323210be275e3ab8fc955eb6a6a5919c",
     "tail-exp.csv":
         "832ac521c7dc36f7be5027fdf5043377adf59727ed7bf367cb6228e7b733024a",
     "tail-exp.json":
         "e47b6dcc2980f50498b7ca3ff738481206cf589832a8851377d48a6de28bd11c",
     "tail-lp3.csv":
-        "2a93152581abc215b67c70b822afb52181dd88dda043acd22a1a4b11a6f80f37",
+        "f81acdb9ef6abd9ff37d821708bd656e3bab52bafdf01f271e55535b618fc218",
     "tail-lp3.json":
-        "c9e050d8e76a67e67b881961f4e32a6b70ad6733ccc8656a90009af3842898e0",
+        "4c3d7bc21c9109f723f7e2ffd187f602d9100bda4c8160a73b267e9dbd9185bf",
     "tail-num.csv":
         "d06e52fffe6c31ef1301daad82417832772c1e17dc9f134181831e3b7c504aef",
     "tail-num.json":
         "5cc5554cc2705b26412d4f494f7be4e0cd220333d84fd363c23241dcdf426390",
     "tail-vm.csv":
-        "083ee641be8d7ac254f1e536f5cd7b931ce0a0092f678f54edc3dc37299d8cff",
+        "23e40193381964a405206b1327e73e42df48efbd94a583ac5a5f54f48708dbea",
     "tail-vm.json":
-        "c5a1958c4231ad2565e757a4db315f88ec280aef4636ab1b5ed28a1d395a3862",
+        "b2cee797415efbb6aea1d7332eb281db1be9c12bb00ba8dbc9a5c4be4abca7d3",
     "verify.csv":
-        "a18ce06257e4b32d775ff8615cbdc0088a049efb23d078343becd591187f914e",
+        "43dc588cfa061df7039bf20783546d48a0e65710f6ea9b58d09d909f4b0d8a85",
     "verify.json":
-        "e30bb3eec7c574299dd4e88228d5813a6776c2364c78811f86a1427326f49198",
+        "773ee6130bc2d920daf256670f8d1273dafe4ff5785b89d84c7b5f9e5e55b90c",
     "verify-exp.csv":
-        "65f6e71febf9d3806d25c7c14d16cca4347176952a692ab770424b5476b44f99",
+        "0472e259904a5cd9e92b9791d550f44726ed8b79200c13ef8ed1798fd197830e",
     "verify-exp.json":
-        "32ce11a877531427d7b03e224358a9db02248c3e0f6a50eecafc70d757c3cb4a",
+        "5bb460dc2a5c130f59b4822b987e74633d0a42ceffc0344b1c135b03a6507646",
     "verify-lp3.csv":
-        "1fcb302207d7b5b351df919a2e32da94622683e69cb511658ef20a5aaf29e8e2",
+        "3d4278ea87b2fcca5fe5758fe0bc01170620c9f4d11c49e6966069d44dea27a8",
     "verify-lp3.json":
-        "fb67dabad03d06e6200929d98272d3dff5cbcd619062ee56fd701bf0c4f50d95",
+        "2a666f5c42fa01bc5b3baacddfcdda480c2d2404fe1e37ee209f45fc66e6cb28",
 }
 
 

@@ -1,6 +1,8 @@
 """The batched Gauss-Kronrod rule behind the oracle, against independent references."""
 
+import inspect
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 from scipy import optimize, special
 
 import cevpolar as cp
+from cevpolar import model as model_module
+from cevpolar import numerics
 from cevpolar.numerics import (bisect_monotone, integrate_panel, integrate_with_breakpoints,
                                refine_zeros)
 
@@ -123,6 +127,73 @@ class TestBisectMonotone:
         got = bisect_monotone(fn, 0.0, 2.0)
         assert type(got) is float
         assert got == optimize.brentq(fn, 0.0, 2.0, xtol=1e-13, rtol=1e-12)
+
+    def test_scalar_bracket_evaluates_each_end_once(self):
+        args = []
+
+        def fn(x):
+            args.append(x)
+            return math.exp(x) - 3.0
+
+        bisect_monotone(fn, 0.0, 2.0)
+        assert args[:2] == [0.0, 2.0]
+        assert args.count(0.0) == 1 and args.count(2.0) == 1
+
+    def test_scalar_root_at_an_end(self):
+        assert bisect_monotone(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+        assert bisect_monotone(lambda x: 1.0 - x, 0.0, 1.0) == 1.0
+
+    def test_unbracketed_scalar_raises(self):
+        with pytest.raises(cp.DomainError, match="root not bracketed"):
+            bisect_monotone(lambda x: x - 5.0, 0.0, 1.0)
+
+    def test_error_inside_fn_passes_unchanged(self):
+        raised = cp.DomainError("the function's own domain")
+
+        def fn(x):
+            if x > 1.0:
+                raise raised
+            return x - 1.5
+
+        with pytest.raises(cp.DomainError) as info:
+            bisect_monotone(fn, 0.0, 2.0)
+        assert info.value is raised
+
+    def test_refine_zeros_matches_brentq_per_bracket(self):
+        fn = lambda t: np.sin(7.0 * t + 0.2) - 0.3 * t
+        ts = np.linspace(0.0, 3.0, 1025)
+        vals = fn(ts)
+        brackets = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
+        want = [optimize.brentq(lambda s: float(fn(s)), ts[i], ts[i + 1], xtol=1e-14)
+                for i in brackets]
+        assert len(want) == 7
+        assert refine_zeros(fn, 0.0, 3.0) == want
+
+    def test_level_solve_spends_no_call_on_a_repeated_end(self, elliptical_gauss, monkeypatch):
+        """Each X-level solve on the sheared circle makes two oracle calls fewer
+        than when the bracket's ends were evaluated before Brent's method (10
+        and 11 calls then); the bracket's lower end is still evaluated twice,
+        once by the bracketing loop and once by Brent's method."""
+        levels = []
+        oracle = model_module.survival_x_oracle
+
+        def counted(model, x):
+            levels.append(x)
+            return oracle(model, x)
+
+        monkeypatch.setattr(model_module, "survival_x_oracle", counted)
+        for t_level, calls in ((10.0, 8), (100.0, 9)):
+            levels.clear()
+            cp.solve_b_x(elliptical_gauss, t_level)
+            assert len(levels) == calls
+            assert len(set(levels)) == calls - 1
+
+    def test_brentq_is_named_only_in_bisect_monotone(self):
+        inside = inspect.getsource(numerics.bisect_monotone)
+        hits = [(path.name, line) for path in sorted(Path(cp.__file__).parent.glob("*.py"))
+                for line in path.read_text().splitlines() if "brentq" in line]
+        assert hits
+        assert all(name == "numerics.py" and line in inside for name, line in hits), hits
 
 
 class TestEllipticalRayleigh:
