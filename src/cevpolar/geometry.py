@@ -41,7 +41,8 @@ class CurveGerm:
     """A parametrized curve on [0, 1] with its local expansion data.
 
     Each curve family states its geometry in closed form: the germ at t0,
-    the top of v and the inverse of u on each side.  The constructor checks
+    the top of v, the inverse of u on each side and where a ray from the
+    origin meets the curve.  The constructor checks
     them and finds only the zeros of u and v, by a scan.
 
     Attributes
@@ -54,13 +55,16 @@ class CurveGerm:
     v_star : maximum of v over [0, 1]
     t_at_vstar : a parameter where v reaches v_star
     gap_offset : the family's array kernel (g, side) -> |t - t0| where 1 - u = g on that side
+    crossing : the family's kernel (x, y) -> [t, ...], x > 0: where the ray of slope y/x
+        meets the curve, x v(t) = y u(t) with u(t) >= 0 (power scans, and lists u < 0 too)
     window : half-width of the validity window around t0
     h_window_max : largest x admissible in h_fn, 1/u - 1 at the right end of
         the invertible branch
     """
 
     def __init__(self, kind, params, u_fn, v_fn, *, t0, rho, kappa, delta,
-                 c_minus, c_plus, lambda_v, window, v_star, t_at_vstar, gap_offset, kinks=()):
+                 c_minus, c_plus, lambda_v, window, v_star, t_at_vstar, gap_offset, crossing,
+                 kinks=()):
         if not 0.0 < t0 < 1.0:
             raise ConstructionError("t0 must be interior to (0, 1)")
         if not 0.0 < delta < kappa:
@@ -85,6 +89,7 @@ class CurveGerm:
         self.t_at_vstar = float(t_at_vstar)
         self._kinks = tuple(kinks)
         self._gap_offset = gap_offset
+        self.crossing = crossing
         if abs(float(u_fn(t0)) - 1.0) > 1e-12:
             raise ConstructionError("u(t0) must equal 1")
         if abs(float(v_fn(t_at_vstar)) - self.v_star) > 1e-12:
@@ -188,6 +193,8 @@ def elliptical_curve(rho):
         lambda_v=_TWO_PI * sigma,
         window=window, v_star=1.0, t_at_vstar=0.5 + math.atan2(sigma, rho) / _TWO_PI,
         gap_offset=lambda g, side: np.arcsin(np.sqrt(0.5 * g)) / math.pi,  # 1 - cos = 2 sin^2
+        # x v = y u with cos > 0: tan(theta) = (y - rho x) / (sigma x)
+        crossing=lambda x, y: [0.5 + math.atan2(y - rho * x, sigma * x) / _TWO_PI],
     )
 
 
@@ -249,11 +256,18 @@ def lp_curve(p, rho=0.0):
         with np.errstate(divide="ignore"):  # g = 1: log1p(-1) = -inf, the branch end
             return (-np.expm1(p * np.log1p(-g))) ** (1.0 / p) / speed
 
+    def crossing(x, y):  # x v = y u on the visible half: s / (1 - |s|^p)^(1/p) = k
+        a, b = abs(y - rho * x), shear * x  # |k| = a / b, so |s| = a / (a^p + b^p)^(1/p)
+        top = max(a, b)  # scales both powers to at most 1: neither overflows
+        s = (a / top) / ((a / top) ** p + (b / top) ** p) ** (1.0 / p)
+        return [0.5 + math.copysign(s, y - rho * x) / speed]
+
     return CurveGerm(
         "lp", {"p": p, "rho": rho}, u_fn, v_fn,
         t0=0.5, rho=rho, kappa=p, delta=1.0,
         c_minus=speed ** p / p, c_plus=speed ** p / p, lambda_v=speed * shear,
-        window=0.25, v_star=v_star, t_at_vstar=t_top, gap_offset=gap_offset, kinks=(0.125, 0.875),
+        window=0.25, v_star=v_star, t_at_vstar=t_top, gap_offset=gap_offset, crossing=crossing,
+        kinks=(0.125, 0.875),
     )
 
 
@@ -295,6 +309,9 @@ def power_curve(t0, kappa, delta, c_minus, c_plus, lambda_v, rho, window=None):
         return np.where(g <= edge, (g / c) ** (1.0 / kappa),
                         window + (g - edge) / (kappa * c * window ** (kappa - 1.0)))
 
+    def crossing(x, y):  # v/u is not monotone here: scan for every root
+        return refine_zeros(lambda s: x * v_fn(s) - y * u_fn(s), 0.0, 1.0)
+
     return CurveGerm(
         "power",
         {"t0": t0, "kappa": kappa, "delta": delta, "c_minus": c_minus,
@@ -303,7 +320,7 @@ def power_curve(t0, kappa, delta, c_minus, c_plus, lambda_v, rho, window=None):
         t0=t0, rho=rho, kappa=kappa, delta=delta,
         c_minus=c_minus, c_plus=c_plus, lambda_v=lambda_v,
         window=window, v_star=float(v_fn(1.0)), t_at_vstar=1.0, gap_offset=gap_offset,
-        kinks=(t0 - window, t0 + window),
+        crossing=crossing, kinks=(t0 - window, t0 + window),
     )
 
 

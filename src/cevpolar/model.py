@@ -244,12 +244,6 @@ def _v_level_hints(model, y):
     return hints
 
 
-def _crossing_hints(model, x, y):
-    """Parameters where x/u(t) and y/v(t) swap order (integrand kinks)."""
-    curve = model.curve
-    return refine_zeros(lambda s: x * curve.v(s) - y * curve.u(s), 0.0, 1.0)
-
-
 def _radial_level(num, den):
     """Radius num/den needed to pass a level along the curve; +inf where den <= 0."""
     pos = den > 0.0
@@ -343,7 +337,7 @@ def _band_oracle(model, x, y, above):
                 return 0.0
             return _marginal_oracle(model, x, model.curve.u, scale, hints)
         return _oracle_integrate(model, _band_integrand(model, x, y, above), scale,
-                                 hints + _crossing_hints(model, x, y))
+                                 hints + model.curve.crossing(x, y))
 
     out = np.array([one(float(v)) for v in ys.ravel()]).reshape(ys.shape)
     return float(out) if out.ndim == 0 else out

@@ -4,11 +4,12 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import cevpolar as cp
+from cevpolar.numerics import refine_zeros
 
 TWO_PI = 2.0 * math.pi
 
@@ -319,6 +320,94 @@ class TestGapInverse:
         assert ends == pytest.approx([0.125, 0.875], abs=1e-15)
 
 
+@st.composite
+def ray_curves(draw):
+    """A curve whose crossing kernel is closed-form: elliptical over rho in
+    (-1, 1), lp over p in (1.05, 10] and rho in (-0.95, 0.95)."""
+    if draw(st.booleans()):
+        return cp.elliptical_curve(draw(st.floats(-1.0, 1.0, exclude_min=True,
+                                                  exclude_max=True)))
+    p = draw(st.floats(1.05, 10.0, exclude_min=True))
+    rho = draw(st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True))
+    try:
+        return cp.lp_curve(p, rho)
+    except cp.ConstructionError:  # too flat at its top to represent (p near 1, rho large)
+        assume(False)
+
+
+def _crossing_mpmath(c, x, y):
+    """The root t of x v - y u on the visible half (u > 0), by 50-digit
+    bisection on a transcription of the family's curve.
+
+    The shear is the float the family computes: 1 - rho**2 loses digits as
+    |rho| -> 1, and the kernel answers for the curve that u and v evaluate.
+    """
+    rho = c.params["rho"]
+    with mp.workdps(50):
+        x, y = mp.mpf(x), mp.mpf(y)
+        if c.kind == "elliptical":
+            sigma = mp.mpf(math.sqrt(1.0 - rho * rho))
+
+            def f(t):
+                th = 2 * mp.pi * (t - mp.mpf(1) / 2)
+                return x * (rho * mp.cos(th) + sigma * mp.sin(th)) - y * mp.cos(th)
+
+            lo, hi = mp.mpf(1) / 4, mp.mpf(3) / 4
+        else:
+            p = c.params["p"]
+            shear = mp.mpf((1.0 - abs(rho) ** p) ** (1.0 / p))
+
+            def f(t):
+                s = mp.mpf(8) / 3 * (t - mp.mpf(1) / 2)
+                u = (1 - abs(s) ** p) ** (1 / mp.mpf(p))
+                return x * (rho * u + shear * s) - y * u
+
+            lo, hi = mp.mpf(1) / 8, mp.mpf(7) / 8
+        # u = 0 at both ends, where x v - y u = -+ x times the shear: v/u rises
+        # through y/x exactly once in between
+        for _ in range(180):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if f(mid) < 0 else (lo, mid)
+        return lo
+
+
+class TestCrossing:
+    """Each family's closed form for where the ray of slope y/x meets the curve."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(c=ray_curves(), x=st.floats(1e-300, 1e300), y=st.floats(-1e300, 1e300))
+    def test_root_matches_mpmath(self, c, x, y):
+        (t,) = c.crossing(x, y)
+        # 1e-13 also covers a root closer to the branch end than one float step
+        # of t, which may land on that end
+        assert abs(t - float(_crossing_mpmath(c, x, y))) <= 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(c=ray_curves(), x=st.floats(1e-300, 1e300), y=st.floats(-1e300, 1e300))
+    def test_no_other_crossing_where_u_is_positive(self, c, x, y):
+        (t,) = c.crossing(x, y)
+        ts = np.linspace(0.0, 1.0, 2 ** 16 + 1)
+        u = c.u(ts)
+        f = x * c.v(ts) - y * u
+        seen = (u[:-1] > 0.0) & (u[1:] > 0.0) & (np.sign(f[:-1]) != np.sign(f[1:]))
+        # every sign change of the scan brackets the kernel's root
+        for lo, hi in zip(ts[:-1][seen], ts[1:][seen]):
+            assert lo - 1e-13 <= t <= hi + 1e-13
+
+    @pytest.mark.parametrize("make", [lambda: cp.elliptical_curve(0.6),
+                                      lambda: cp.lp_curve(3.0, 0.4)])
+    def test_ray_along_the_peak_is_t0(self, make):
+        c = make()
+        assert c.crossing(2.0, 2.0 * c.rho) == [c.t0]
+
+    @pytest.mark.parametrize("x, y", [(2.0, 1.0), (1.0, -0.1), (4.0, 1.2)])
+    def test_power_keeps_the_scan(self, asymmetric_power_model, x, y):
+        # v/u is not monotone on the power curve: every scanned root, bit for bit
+        c = asymmetric_power_model.curve
+        roots = c.crossing(x, y)
+        assert roots and roots == refine_zeros(lambda s: x * c.v(s) - y * c.u(s), 0.0, 1.0)
+
+
 # every family: elliptical and lp over their parameter ranges, and the power
 # curves of the shared fixtures
 FAMILY_CURVES = ([("elliptical", (rho,)) for rho in (-0.9, 0.0, 0.6)]
@@ -409,6 +498,7 @@ class TestCurveValidation:
                 t0=0.5, rho=0.0, kappa=2.0, delta=1.0, c_minus=1.0, c_plus=1.0,
                 lambda_v=1.0, window=0.2, v_star=0.0, t_at_vstar=0.5,
                 gap_offset=lambda g, side: np.arcsin(np.sqrt(0.5 * g)) / math.pi,
+                crossing=lambda x, y: [],
             )
 
     def test_exponent_order_enforced(self):

@@ -80,25 +80,25 @@ GOLDEN = {
     "decompose.json":
         "31d6906ba1903bef57a2e1ad8d147fbd5e37428fcd1343a388712abdb95d6d3f",
     "independence.csv":
-        "8e8348f6dff15c05e906b3827db2ec6fc473c80bcd7a10b8f87bca87ececfb95",
+        "c64b60fafb1bdadfca55f98cf6da17b00a4d0dd9f29da0709ca3ad6486ca45b2",
     "independence.json":
-        "8007b700f058c52f5cec4177669a74525ae924e4f06a6cc71c00ca023a244c1b",
+        "6bb3270d1cd8876397584727b8921125c44b934d2958573e1985964139b88685",
     "independence-exp.csv":
         "eb0bbfeb4e4af6d54b6e3be71244c5eedf0a4148f05382a3c6ef3e01fc03e13f",
     "independence-exp.json":
         "f09a4c2296144cc21c097f81845c858fc9a0e9dc283563cfa842184bc9b7c49a",
     "independence-lp3.csv":
-        "4c48baf5b61d23119592a23323894a19232ffc3da7cec625281817811c37df69",
+        "7e874d314afd44e9c623eaeffebea547b9ed00587308bb91cd19151adbaf8514",
     "independence-lp3.json":
-        "375da21fcc41443a9b930aa2c91704b1422d5b6bc2d0999f8b5fbe8eb1d7cc5c",
+        "4a78b21b87f64155f7f4bca5716e45fb5891db143560904bb3b86e3729bc842d",
     "limit.csv":
         "370cf0edb55574acac4153fd827f94258bd63f3519737d06d770274e31c720a6",
     "limit.json":
         "1bb162be9470b55c259bbfbd671217386ca85320234a3d258e461ef264e625ad",
     "second-order.csv":
-        "5258a07cb22313e8ad862339b676d6cf183ce90a17cdbb28b9f7e84c44ee34d4",
+        "2f82a4a0aa03004e707538d829d4d7abd4177ee33e875a29a98091e563958192",
     "second-order.json":
-        "2f045fcb6b8383be026ce6b5412e5e6a9147b536f762a75e2d1ccf9fc83a0d5b",
+        "d079caca9049bfca3d11f48c764485873170713219c9039804efd56a8655940b",
     "simulate-conditional.csv":
         "8c460e9b975603df8caaa5ce56aafe51c552d3545cccae74ad6f403dbca0fb90",
     "simulate-conditional.json":
@@ -136,17 +136,17 @@ GOLDEN = {
     "tail-vm.json":
         "b2cee797415efbb6aea1d7332eb281db1be9c12bb00ba8dbc9a5c4be4abca7d3",
     "verify.csv":
-        "43dc588cfa061df7039bf20783546d48a0e65710f6ea9b58d09d909f4b0d8a85",
+        "c07905d3901aeab6314365dc5774859eae6432b0b359c06087a0e74595c5d0b5",
     "verify.json":
-        "773ee6130bc2d920daf256670f8d1273dafe4ff5785b89d84c7b5f9e5e55b90c",
+        "37dbb95243bb6855e4437d51a88e418f6a45878784bbacf9fea97a9c9c5c26ea",
     "verify-exp.csv":
         "0472e259904a5cd9e92b9791d550f44726ed8b79200c13ef8ed1798fd197830e",
     "verify-exp.json":
         "5bb460dc2a5c130f59b4822b987e74633d0a42ceffc0344b1c135b03a6507646",
     "verify-lp3.csv":
-        "3d4278ea87b2fcca5fe5758fe0bc01170620c9f4d11c49e6966069d44dea27a8",
+        "c6ac3a8535a3a7d0e556b9dc566f037bb0e1d2f642e16cdbad989f71c75e60c3",
     "verify-lp3.json":
-        "2a666f5c42fa01bc5b3baacddfcdda480c2d2404fe1e37ee209f45fc66e6cb28",
+        "971ac4190555940a2d9345c100a4d5dbccdd0696a6ee4bc2df2e730d0d4c3b5c",
 }
 
 

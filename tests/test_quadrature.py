@@ -195,6 +195,26 @@ class TestBisectMonotone:
         assert hits
         assert all(name == "numerics.py" and line in inside for name, line in hits), hits
 
+    @pytest.mark.parametrize("name, scans", [("elliptical_gauss", 0), ("lp3_exponential", 0),
+                                             ("asymmetric_power_model", 1)])
+    def test_crossing_hints_scan_only_on_power(self, request, monkeypatch, name, scans):
+        """An oracle frame finds where the ray y/x meets the curve in closed form
+        on the sheared circle and lp curves; the power curve still scans, once
+        per (x, y) cell."""
+        from cevpolar import geometry
+        model = request.getfixturevalue(name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return refine_zeros(*args, **kwargs)
+
+        for module in (geometry, model_module):
+            monkeypatch.setattr(module, "refine_zeros", counted)
+        frame = cp.ConditionalFrame(t=3.0, m_t=3.0 * model.curve.rho, psi_t=0.5, a_t=1.0)
+        cp.conditional_cdf_oracle(model, frame, np.array([0.5, 1.5]), np.array([-1.0, 1.0]))
+        assert len(calls) == scans * 3 * 2  # three x levels (t and two more), two y cells
+
 
 class TestEllipticalRayleigh:
     """Rayleigh radius on the sheared circle: X standard normal, Y = rho X + sigma Z."""
@@ -212,6 +232,20 @@ class TestEllipticalRayleigh:
                             [x, x + 2, x + 10, mp.inf])
         got = cp.joint_cdf_y_oracle(elliptical_gauss, x, y)
         assert got == pytest.approx(float(exact), rel=1e-9)
+
+    @pytest.mark.parametrize("y", [-1.0, -0.4, 0.7, 3.0])
+    @pytest.mark.parametrize("x", [1.0, 2.5, 4.0])
+    def test_both_band_oracles_match_mpmath(self, elliptical_gauss, x, y):
+        """P(X > x, Y > y) and P(X > x, Y <= y) of the Gaussian pair with
+        correlation 0.6, against 30-digit integrals over the excess of X."""
+        rho, sigma = mp.mpf("0.6"), mp.mpf("0.8")
+        with mp.workdps(30):
+            def band(sign):
+                return mp.quad(lambda s: mp.npdf(s) * mp.ncdf(sign * (y - rho * s) / sigma),
+                               [x, x + 2, x + 10, mp.inf])
+            above, below = float(band(-1)), float(band(1))
+        assert abs(cp.joint_exceedance_oracle(elliptical_gauss, x, y) - above) <= 1e-12 * above
+        assert abs(cp.joint_cdf_y_oracle(elliptical_gauss, x, y) - below) <= 1e-12 * below
 
 
 def _singular_reference(tau, x=4.0):
