@@ -389,8 +389,12 @@ def _solve_level(model, oracle, t_level, v_max, axis):
     target = math.log(t_level)
     cap = v_max * float(model.radial.quantile_b(t_level))
 
+    last = [None, None]  # (level, fn(level)): Brent's method starts where the loop stopped
+
     def fn(level):
-        return -math.log(oracle(model, level)) - target
+        if level != last[0]:
+            last[:] = level, -math.log(oracle(model, level)) - target
+        return last[1]
 
     lo = cap * 0.5
     while fn(lo) > 0.0:

@@ -170,10 +170,10 @@ class TestBisectMonotone:
         assert refine_zeros(fn, 0.0, 3.0) == want
 
     def test_level_solve_spends_no_call_on_a_repeated_end(self, elliptical_gauss, monkeypatch):
-        """Each X-level solve on the sheared circle makes two oracle calls fewer
-        than when the bracket's ends were evaluated before Brent's method (10
-        and 11 calls then); the bracket's lower end is still evaluated twice,
-        once by the bracketing loop and once by Brent's method."""
+        """Each X-level solve on the sheared circle evaluates every level once:
+        Brent's method starts from the bracketing loop's last value instead of
+        integrating the bracket's lower end again, and neither end is evaluated
+        before Brent's method (10 and 11 calls when both were)."""
         levels = []
         oracle = model_module.survival_x_oracle
 
@@ -182,11 +182,11 @@ class TestBisectMonotone:
             return oracle(model, x)
 
         monkeypatch.setattr(model_module, "survival_x_oracle", counted)
-        for t_level, calls in ((10.0, 8), (100.0, 9)):
+        for t_level, calls in ((10.0, 7), (100.0, 8)):
             levels.clear()
             cp.solve_b_x(elliptical_gauss, t_level)
             assert len(levels) == calls
-            assert len(set(levels)) == calls - 1
+            assert len(set(levels)) == calls
 
     def test_brentq_is_named_only_in_bisect_monotone(self):
         inside = inspect.getsource(numerics.bisect_monotone)
