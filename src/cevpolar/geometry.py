@@ -146,10 +146,9 @@ class CurveGerm:
             return 0.0
         # the gap of the level; min() takes up the rounding of x = h_window_max
         t = self.u_inverse(min(x / (1.0 + x), self._max_gap["right"]), "right")
-        u = float(self._u_fn(t))
-        if not u > 0.0:  # t rounded onto the zero of u that ends the branch
-            raise DomainError(f"h_fn: the level 1/(1 + {x:.6g}) is below what u resolves")
-        return float(self._v_fn(t)) / u - self.rho
+        # v/u with the exact level u = 1/(1 + x): u recomputed at the rounded t
+        # loses digits near the end of the branch
+        return (1.0 + x) * float(self._v_fn(t)) - self.rho
 
     # -- quadrature support ------------------------------------------------------
     def breakpoints(self):

@@ -80,17 +80,17 @@ GOLDEN = {
     "decompose.json":
         "31d6906ba1903bef57a2e1ad8d147fbd5e37428fcd1343a388712abdb95d6d3f",
     "independence.csv":
-        "c64b60fafb1bdadfca55f98cf6da17b00a4d0dd9f29da0709ca3ad6486ca45b2",
+        "097eb9e8e9f445c729f73d3b5002c4bd57ba07c053ad82f709042b0136fe0bce",
     "independence.json":
-        "6bb3270d1cd8876397584727b8921125c44b934d2958573e1985964139b88685",
+        "daa7cf63fee3077a6791a66f8902f23006ba23c11a67b69d5cdb7657539269de",
     "independence-exp.csv":
-        "eb0bbfeb4e4af6d54b6e3be71244c5eedf0a4148f05382a3c6ef3e01fc03e13f",
+        "5581cf7ad6f609e01438e7918922d1aa524a106b9f7086704779458c988bbec8",
     "independence-exp.json":
-        "f09a4c2296144cc21c097f81845c858fc9a0e9dc283563cfa842184bc9b7c49a",
+        "b94155abb2fffd856f8f822447c4266e9052e0136d32661c7bfbb910432b4e8e",
     "independence-lp3.csv":
-        "7e874d314afd44e9c623eaeffebea547b9ed00587308bb91cd19151adbaf8514",
+        "f9a806f6b3fe5253405020e3192f3cd6116ca9f99f78e7cada37c7589b020bb4",
     "independence-lp3.json":
-        "4a78b21b87f64155f7f4bca5716e45fb5891db143560904bb3b86e3729bc842d",
+        "bf993b69186ee76d27c27c89eb78f4aa73013218f5f7198d8268fbf273f9ea15",
     "limit.csv":
         "370cf0edb55574acac4153fd827f94258bd63f3519737d06d770274e31c720a6",
     "limit.json":
@@ -140,9 +140,9 @@ GOLDEN = {
     "verify.json":
         "37dbb95243bb6855e4437d51a88e418f6a45878784bbacf9fea97a9c9c5c26ea",
     "verify-exp.csv":
-        "0472e259904a5cd9e92b9791d550f44726ed8b79200c13ef8ed1798fd197830e",
+        "dc5988947c37d03d1b0b2e430e9158197e792ede6d10b4accc36651282fbf5df",
     "verify-exp.json":
-        "5bb460dc2a5c130f59b4822b987e74633d0a42ceffc0344b1c135b03a6507646",
+        "f39f53dc2b4029a844b011c29b260538cf2932d152511486eac9e020120fb30e",
     "verify-lp3.csv":
         "c6ac3a8535a3a7d0e556b9dc566f037bb0e1d2f642e16cdbad989f71c75e60c3",
     "verify-lp3.json":
