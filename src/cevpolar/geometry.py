@@ -256,10 +256,10 @@ def lp_curve(p, rho=0.0):
             return (-np.expm1(p * np.log1p(-g))) ** (1.0 / p) / speed
 
     def crossing(x, y):  # x v = y u on the visible half: s / (1 - |s|^p)^(1/p) = k
-        a, b = abs(y - rho * x), shear * x  # |k| = a / b, so |s| = a / (a^p + b^p)^(1/p)
-        top = max(a, b)  # scales both powers to at most 1: neither overflows
-        s = (a / top) / ((a / top) ** p + (b / top) ** p) ** (1.0 / p)
-        return [0.5 + math.copysign(s, y - rho * x) / speed]
+        d, b = y - rho * x, shear * x  # k = d / b, so |s| = |d| / (|d|^p + b^p)^(1/p)
+        top = max(abs(d), b)  # scales both powers to at most 1: neither overflows
+        a, b = abs(d) / top, b / top
+        return [0.5 + math.copysign(a / (a ** p + b ** p) ** (1.0 / p), d) / speed]
 
     return CurveGerm(
         "lp", {"p": p, "rho": rho}, u_fn, v_fn,
