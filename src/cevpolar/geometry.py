@@ -42,8 +42,8 @@ class CurveGerm:
 
     Each curve family states its geometry in closed form: the germ at t0,
     the top of v, the inverse of u on each side and where a ray from the
-    origin meets the curve.  The constructor checks
-    them and finds only the zeros of u and v, by a scan.
+    origin meets the curve.  The constructor checks them and finds only the
+    zeros of u and v, by a scan.
 
     Attributes
     ----------
