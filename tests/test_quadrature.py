@@ -170,10 +170,9 @@ class TestBisectMonotone:
         assert refine_zeros(fn, 0.0, 3.0) == want
 
     def test_level_solve_spends_no_call_on_a_repeated_end(self, elliptical_gauss, monkeypatch):
-        """Each X-level solve on the sheared circle evaluates every level once:
-        Brent's method starts from the bracketing loop's last value instead of
-        integrating the bracket's lower end again, and neither end is evaluated
-        before Brent's method (10 and 11 calls when both were)."""
+        """Each X-level solve on the sheared circle integrates every level once:
+        Brent's method takes the bracketing loop's value at the lower end of
+        the bracket instead of integrating that level again."""
         levels = []
         oracle = model_module.survival_x_oracle
 
