@@ -69,6 +69,9 @@ CASES = {
     "independence": ("independence", "-c", "{ell}", "--t-grid", "2:3:1"),
     "independence-lp3": ("independence", "-c", "{lp3}", "--t-grid", "2:3:1"),
     "independence-exp": ("independence", "-c", "{exp}", "--t-grid", "4:5:1"),
+    # the benchmark's depth: levels up to 1e6, where the Y-tail hints sit closest to the top of v
+    "independence-deep": ("independence", "-c", "{ell}", "--t-grid", "4:6:1"),
+    "independence-lp3-deep": ("independence", "-c", "{lp3}", "--t-grid", "4:6:1"),
     "second-order": ("second-order", "-c", "{ell}", "--x-grid", "6:8:2",
                      "--z-grid", "-1:1:1"),
     "decompose": ("decompose", "-c", "{dec}", "--points", "5"),
@@ -83,6 +86,10 @@ GOLDEN = {
         "097eb9e8e9f445c729f73d3b5002c4bd57ba07c053ad82f709042b0136fe0bce",
     "independence.json":
         "daa7cf63fee3077a6791a66f8902f23006ba23c11a67b69d5cdb7657539269de",
+    "independence-deep.csv":
+        "c1e23e8b225d13b8f034398db19c692d07e5fad19bdd4236182690f94d68c867",
+    "independence-deep.json":
+        "533ffd8b4a294b0c3d1784296966fffbb67c9bc3f17234e163ab34f71e8ee393",
     "independence-exp.csv":
         "5581cf7ad6f609e01438e7918922d1aa524a106b9f7086704779458c988bbec8",
     "independence-exp.json":
@@ -91,6 +98,10 @@ GOLDEN = {
         "f9a806f6b3fe5253405020e3192f3cd6116ca9f99f78e7cada37c7589b020bb4",
     "independence-lp3.json":
         "bf993b69186ee76d27c27c89eb78f4aa73013218f5f7198d8268fbf273f9ea15",
+    "independence-lp3-deep.csv":
+        "b54bf8f7e9671bc4069aea4b1d488cf7aac70a80b93e2cfa40c3b248663718df",
+    "independence-lp3-deep.json":
+        "e3065a84e48208a79300dc29314b040e9f47c6ee471cdd051f4064a93370b27a",
     "limit.csv":
         "370cf0edb55574acac4153fd827f94258bd63f3519737d06d770274e31c720a6",
     "limit.json":
