@@ -41,9 +41,9 @@ class CurveGerm:
     """A parametrized curve on [0, 1] with its local expansion data.
 
     Each curve family states its geometry in closed form: the germ at t0,
-    the top of v, the inverse of u on each side and where a ray from the
-    origin meets the curve.  The constructor checks them and finds only the
-    zeros of u and v, by a scan.
+    the top of v, the inverse of u on each side, where a ray from the origin
+    meets the curve and where v reaches a level.  The constructor checks them
+    and finds only the zeros of u and v, by a scan.
 
     Attributes
     ----------
@@ -57,6 +57,8 @@ class CurveGerm:
     gap_offset : the family's array kernel (g, side) -> |t - t0| where 1 - u = g on that side
     crossing : the family's kernel (x, y) -> [t, ...], x > 0: where the ray of slope y/x
         meets the curve, x v(t) = y u(t) with u(t) >= 0 (power scans, and lists u < 0 too)
+    v_level : the family's kernel g -> [t, ...], 0 <= g <= v_star - min v: every parameter
+        where v(t) = v_star - g (lp with rho != 0 scans)
     window : half-width of the validity window around t0
     h_window_max : largest x admissible in h_fn, 1/u - 1 at the right end of
         the invertible branch
@@ -64,7 +66,7 @@ class CurveGerm:
 
     def __init__(self, kind, params, u_fn, v_fn, *, t0, rho, kappa, delta,
                  c_minus, c_plus, lambda_v, window, v_star, t_at_vstar, gap_offset, crossing,
-                 kinks=()):
+                 v_level, kinks=()):
         if not 0.0 < t0 < 1.0:
             raise ConstructionError("t0 must be interior to (0, 1)")
         if not 0.0 < delta < kappa:
@@ -90,6 +92,7 @@ class CurveGerm:
         self._kinks = tuple(kinks)
         self._gap_offset = gap_offset
         self.crossing = crossing
+        self.v_level = v_level
         if abs(float(u_fn(t0)) - 1.0) > 1e-12:
             raise ConstructionError("u(t0) must equal 1")
         if abs(float(v_fn(t_at_vstar)) - self.v_star) > 1e-12:
@@ -185,15 +188,22 @@ def elliptical_curve(rho):
         return rho * np.cos(th) + sigma * np.sin(th)
 
     window = 0.2
+    t_top = 0.5 + math.atan2(sigma, rho) / _TWO_PI
+
+    def v_level(g):  # v = cos(theta - theta_top) = 1 - g, and 1 - cos = 2 sin^2 as in gap_offset
+        off = math.asin(math.sqrt(0.5 * g)) / math.pi
+        return sorted([t_top - off, (t_top + off) % 1.0])
+
     return CurveGerm(
         "elliptical", {"rho": rho}, u_fn, v_fn,
         t0=0.5, rho=rho, kappa=2.0, delta=1.0,
         c_minus=_TWO_PI ** 2 / 2.0, c_plus=_TWO_PI ** 2 / 2.0,
         lambda_v=_TWO_PI * sigma,
-        window=window, v_star=1.0, t_at_vstar=0.5 + math.atan2(sigma, rho) / _TWO_PI,
+        window=window, v_star=1.0, t_at_vstar=t_top,
         gap_offset=lambda g, side: np.arcsin(np.sqrt(0.5 * g)) / math.pi,  # 1 - cos = 2 sin^2
         # x v = y u with cos > 0: tan(theta) = (y - rho x) / (sigma x)
         crossing=lambda x, y: [0.5 + math.atan2(y - rho * x, sigma * x) / _TWO_PI],
+        v_level=v_level,
     )
 
 
@@ -261,12 +271,22 @@ def lp_curve(p, rho=0.0):
         a, b = abs(d) / top, b / top
         return [0.5 + math.copysign(a / (a ** p + b ** p) ** (1.0 / p), d) / speed]
 
+    def v_level(g):  # where v = v_star - g
+        if rho != 0.0:  # no closed form: scan for every root
+            return refine_zeros(lambda s: v_fn(s) - (v_star - g), 0.0, 1.0, n_scan=513)
+        if g > 1.0:  # v = y is odd under t -> 1 - t: a level below 0 mirrors one above
+            return sorted(1.0 - t for t in v_level(2.0 - g))
+        with np.errstate(divide="ignore"):  # g = 1: log1p(-1) = -inf, the arc's end
+            arc = -np.expm1(0.5 * p * np.log1p(-g))  # 1 - sin(phi), sin(phi)**(2/p) = 1 - g
+        # visible half: s = 1 - g; hidden arc: phi - pi/2 = acos(1 - arc) = 2 asin(sqrt(arc/2))
+        return [0.5 + (1.0 - g) / speed, 0.875 + math.asin(math.sqrt(0.5 * arc)) / _TWO_PI]
+
     return CurveGerm(
         "lp", {"p": p, "rho": rho}, u_fn, v_fn,
         t0=0.5, rho=rho, kappa=p, delta=1.0,
         c_minus=speed ** p / p, c_plus=speed ** p / p, lambda_v=speed * shear,
         window=0.25, v_star=v_star, t_at_vstar=t_top, gap_offset=gap_offset, crossing=crossing,
-        kinks=(0.125, 0.875),
+        v_level=v_level, kinks=(0.125, 0.875),
     )
 
 
@@ -311,6 +331,15 @@ def power_curve(t0, kappa, delta, c_minus, c_plus, lambda_v, rho, window=None):
     def crossing(x, y):  # v/u is not monotone here: scan for every root
         return refine_zeros(lambda s: x * v_fn(s) - y * u_fn(s), 0.0, 1.0)
 
+    v_star = float(v_fn(1.0))
+
+    def v_level(g):  # v rises on all of [0, 1]: one root, on the side of rho where v_star - g lies
+        d = v_star - g - rho
+        edge = lambda_v * window ** delta  # |v - rho| at the window's edge
+        s = ((abs(d) / lambda_v) ** (1.0 / delta) if abs(d) <= edge
+             else window + (abs(d) - edge) / (lambda_v * delta * window ** (delta - 1.0)))
+        return [min(max(t0 + math.copysign(s, d), 0.0), 1.0)]  # rounding may step past an end
+
     return CurveGerm(
         "power",
         {"t0": t0, "kappa": kappa, "delta": delta, "c_minus": c_minus,
@@ -318,8 +347,8 @@ def power_curve(t0, kappa, delta, c_minus, c_plus, lambda_v, rho, window=None):
         u_fn, v_fn,
         t0=t0, rho=rho, kappa=kappa, delta=delta,
         c_minus=c_minus, c_plus=c_plus, lambda_v=lambda_v,
-        window=window, v_star=float(v_fn(1.0)), t_at_vstar=1.0, gap_offset=gap_offset,
-        crossing=crossing, kinks=(t0 - window, t0 + window),
+        window=window, v_star=v_star, t_at_vstar=1.0, gap_offset=gap_offset,
+        crossing=crossing, v_level=v_level, kinks=(t0 - window, t0 + window),
     )
 
 

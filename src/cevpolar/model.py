@@ -20,7 +20,7 @@ from .errors import (
     DomainError,
 )
 from .geometry import TabulatedAngular, angular_from_dict, curve_from_dict
-from .numerics import bisect_monotone, integrate_with_breakpoints, refine_zeros
+from .numerics import bisect_monotone, integrate_with_breakpoints
 from .radial import TabulatedRadial, radial_from_dict
 
 __all__ = [
@@ -239,8 +239,8 @@ def _v_level_hints(model, y):
     psi = float(model.radial.aux_psi(r0))
     hints = []
     for omega in (4.0, 45.0):
-        level = y / (r0 + omega * psi)
-        hints.extend(refine_zeros(lambda s: curve.v(s) - level, 0.0, 1.0, n_scan=513))
+        # v_star - v at the level y / (r0 + omega psi), where the radius is r0 + omega psi
+        hints.extend(curve.v_level(curve.v_star * omega * psi / (r0 + omega * psi)))
     return hints
 
 

@@ -411,6 +411,141 @@ class TestCrossing:
         assert roots and roots == refine_zeros(lambda s: x * c.v(s) - y * c.u(s), 0.0, 1.0)
 
 
+@st.composite
+def level_curves(draw):
+    """A curve whose v-level kernel is closed-form: elliptical over rho in
+    (-1, 1), lp with rho = 0 over p in (1.05, 10]."""
+    if draw(st.booleans()):
+        return cp.elliptical_curve(draw(st.floats(-1.0, 1.0, exclude_min=True,
+                                                  exclude_max=True)))
+    return cp.lp_curve(draw(st.floats(1.05, 10.0, exclude_min=True)), 0.0)
+
+
+def _v_level_mpmath(c, g):
+    """Every root in [0, 1) of v - (top - g), by bisection on each stretch of
+    t where a transcription of the family's v is monotone, with 50 digits
+    beyond those of g (near the top, v - (top - g) is g less a square).
+
+    top is the transcription's own maximum: the gap is measured from the top
+    of the curve that v evaluates (on the sheared circle the float sigma
+    moves it off 1 in the last bits, which near the top moves the roots by
+    the square root of that).  Stretches may run past 1; v has period 1.
+    """
+    with mp.workdps(50 + max(0, -math.floor(math.log10(g)))):
+        g = mp.mpf(g)
+        if c.kind == "elliptical":
+            rho = c.params["rho"]
+            sigma = mp.mpf(math.sqrt(1.0 - rho * rho))
+            rho = mp.mpf(rho)
+            top = mp.sqrt(rho * rho + sigma * sigma)
+            t_top = mp.mpf(1) / 2 + mp.atan2(sigma, rho) / (2 * mp.pi)
+
+            def v(t):
+                th = 2 * mp.pi * (t - mp.mpf(1) / 2)
+                return rho * mp.cos(th) + sigma * mp.sin(th)
+
+            stretches = [(t_top - mp.mpf(1) / 2, t_top), (t_top, t_top + mp.mpf(1) / 2)]
+        elif c.kind == "lp":  # rho = 0: v = s on the visible half, the arc's sin**(2/p) on the hidden one
+            p = mp.mpf(c.params["p"])
+            top = mp.mpf(1)
+
+            def v(t):
+                t = t % 1
+                if mp.mpf(1) / 8 <= t <= mp.mpf(7) / 8:
+                    return mp.mpf(8) / 3 * (t - mp.mpf(1) / 2)
+                sn = mp.sin(mp.pi / 2 + 4 * mp.pi * ((t - mp.mpf(7) / 8) % 1))
+                return mp.sign(sn) * abs(sn) ** (2 / p)
+
+            stretches = [(mp.mpf(1) / 8, mp.mpf(7) / 8), (mp.mpf(7) / 8, mp.mpf(9) / 8)]
+        else:  # power: v rises on all of [0, 1]
+            prm = {k: mp.mpf(val) for k, val in c.params.items()}
+            t0, w, lam, dlt = prm["t0"], prm["window"], prm["lambda_v"], prm["delta"]
+
+            def v(t):
+                a = abs(t - t0)
+                rise = lam * a ** dlt if a <= w else lam * w ** dlt + lam * dlt * w ** (dlt - 1) * (a - w)
+                return prm["rho"] + mp.sign(t - t0) * rise
+
+            top = v(mp.mpf(1))
+            stretches = [(mp.mpf(0), mp.mpf(1))]
+        level = top - g
+        roots = []
+        for lo, hi in stretches:
+            f_lo = v(lo) - level
+            if f_lo * (v(hi) - level) > 0:
+                continue
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if (v(mid) - level) * f_lo > 0 else (lo, mid)
+            roots.append(float(lo % 1))
+        return roots
+
+
+def _circle_gap(a, b):
+    """Distance of two parameters on [0, 1] with its ends joined."""
+    d = abs(a - b) % 1.0
+    return min(d, 1.0 - d)
+
+
+def _check_v_level(c, g):
+    """c.v_level(g) against the mpmath roots to 1e-13, and against a scan."""
+    roots = c.v_level(g)
+    assert all(0.0 <= t <= 1.0 for t in roots)
+    want = _v_level_mpmath(c, g)
+    assert len(roots) == len(want)
+    for a, b in ((roots, want), (want, roots)):
+        assert all(min(_circle_gap(t, r) for r in b) <= 1e-13 for t in a)
+    ts = np.linspace(0.0, 1.0, 2 ** 16 + 1)
+    f = c.v(ts) - (c.v_star - g)
+    # every sign change of the scan brackets a returned root; a sign within a few
+    # rounding steps of zero is not the curve's but v's rounding near its top
+    sure = np.abs(f) > 4.0 * np.spacing(1.0)
+    seen = sure[:-1] & sure[1:] & (np.sign(f[:-1]) != np.sign(f[1:]))
+    for lo, hi in zip(ts[:-1][seen], ts[1:][seen]):
+        assert any(min(_circle_gap(t, lo), _circle_gap(t, hi)) <= 1e-13 or lo <= t <= hi
+                   for t in roots)
+
+
+class TestVLevel:
+    """Each family's kernel for where v reaches the level v_star - g."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(c=level_curves(), log_frac=st.floats(-300.0, 0.0))
+    def test_roots_match_mpmath_and_the_scan(self, c, log_frac):
+        _check_v_level(c, c.v_star * 10.0 ** log_frac)  # g from 1e-300 of v_star to v_star
+
+    @pytest.mark.parametrize("frac", [1.2, 1.7, 1.99])
+    @pytest.mark.parametrize("make", [lambda: cp.elliptical_curve(0.6),
+                                      lambda: cp.elliptical_curve(-0.9),
+                                      lambda: cp.lp_curve(3.0, 0.0),
+                                      lambda: cp.lp_curve(1.5, 0.0)])
+    def test_levels_below_zero(self, make, frac):
+        c = make()  # v falls to -v_star on these curves
+        _check_v_level(c, frac * c.v_star)
+
+    @pytest.mark.parametrize("frac", [1e-300, 1e-100, 1e-16, 1e-8, 1e-3, 0.1, 0.37, 0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("name", ["asymmetric_power_model", "singular_model"])
+    def test_power_root_matches_mpmath_and_the_scan(self, request, name, frac):
+        # the gap runs from the top of v down to v(0), across rho and the window
+        c = request.getfixturevalue(name).curve
+        _check_v_level(c, frac * (c.v_star - float(c.v(0.0))))
+
+    @pytest.mark.parametrize("frac", [1e-300, 1e-8, 0.3, 1.0 - 1e-12])
+    def test_power_root_off_the_linear_germ(self, frac):
+        c = cp.power_curve(t0=0.4, kappa=3.0, delta=1.5, c_minus=0.7, c_plus=1.3,
+                           lambda_v=0.8, rho=-0.2)
+        _check_v_level(c, frac * (c.v_star - float(c.v(0.0))))
+
+    @pytest.mark.parametrize("g", [0.05, 0.2, 0.9, 1.6])
+    @pytest.mark.parametrize("p, rho", [(3.0, 0.4), (1.5, -0.4), (8.0, 0.9)])
+    def test_sheared_lp_keeps_the_scan(self, p, rho, g):
+        # no closed form for lp with rho != 0: every scanned root, bit for bit
+        c = cp.lp_curve(p, rho)
+        roots = c.v_level(g)
+        assert roots and roots == refine_zeros(lambda s: c.v(s) - (c.v_star - g), 0.0, 1.0,
+                                               n_scan=513)
+
+
 # every family: elliptical and lp over their parameter ranges, and the power
 # curves of the shared fixtures
 FAMILY_CURVES = ([("elliptical", (rho,)) for rho in (-0.9, 0.0, 0.6)]
@@ -501,7 +636,7 @@ class TestCurveValidation:
                 t0=0.5, rho=0.0, kappa=2.0, delta=1.0, c_minus=1.0, c_plus=1.0,
                 lambda_v=1.0, window=0.2, v_star=0.0, t_at_vstar=0.5,
                 gap_offset=lambda g, side: np.arcsin(np.sqrt(0.5 * g)) / math.pi,
-                crossing=lambda x, y: [],
+                crossing=lambda x, y: [], v_level=lambda g: [],
             )
 
     def test_exponent_order_enforced(self):

@@ -91,17 +91,17 @@ GOLDEN = {
     "independence-deep.json":
         "533ffd8b4a294b0c3d1784296966fffbb67c9bc3f17234e163ab34f71e8ee393",
     "independence-exp.csv":
-        "5581cf7ad6f609e01438e7918922d1aa524a106b9f7086704779458c988bbec8",
+        "7058b8911066fd1e3ab43a532b251d6680e76054a2c7b84ac9363aa155ec8478",
     "independence-exp.json":
-        "b94155abb2fffd856f8f822447c4266e9052e0136d32661c7bfbb910432b4e8e",
+        "d518b3360b0c06fe2cb6629386510586c86aeb4dd19075fcb76553b637d5019c",
     "independence-lp3.csv":
         "f9a806f6b3fe5253405020e3192f3cd6116ca9f99f78e7cada37c7589b020bb4",
     "independence-lp3.json":
         "bf993b69186ee76d27c27c89eb78f4aa73013218f5f7198d8268fbf273f9ea15",
     "independence-lp3-deep.csv":
-        "b54bf8f7e9671bc4069aea4b1d488cf7aac70a80b93e2cfa40c3b248663718df",
+        "b9e0d806e2eb13f10c3ed5008cfce343f295d953e057f03b4a6132657d7f2120",
     "independence-lp3-deep.json":
-        "e3065a84e48208a79300dc29314b040e9f47c6ee471cdd051f4064a93370b27a",
+        "d50c39ad2f47ad85ff0fbb35336579ce3777da45397118423f49918dfa479cdb",
     "limit.csv":
         "370cf0edb55574acac4153fd827f94258bd63f3519737d06d770274e31c720a6",
     "limit.json":

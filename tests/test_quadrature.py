@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import sys
 from pathlib import Path
 
 import mpmath as mp
@@ -16,6 +17,21 @@ from cevpolar import model as model_module
 from cevpolar import numerics
 from cevpolar.numerics import (bisect_monotone, integrate_panel, integrate_with_breakpoints,
                                refine_zeros)
+
+
+def _counted_refine_zeros(monkeypatch):
+    """The list that every later refine_zeros call of the package appends its
+    arguments to."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return refine_zeros(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cevpolar") and getattr(module, "refine_zeros", None) is refine_zeros:
+            monkeypatch.setattr(module, "refine_zeros", counted)
+    return calls
 
 
 class TestRule:
@@ -200,19 +216,41 @@ class TestBisectMonotone:
         """An oracle frame finds where the ray y/x meets the curve in closed form
         on the sheared circle and lp curves; the power curve still scans, once
         per (x, y) cell."""
-        from cevpolar import geometry
         model = request.getfixturevalue(name)
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return refine_zeros(*args, **kwargs)
-
-        for module in (geometry, model_module):
-            monkeypatch.setattr(module, "refine_zeros", counted)
+        calls = _counted_refine_zeros(monkeypatch)
         frame = cp.ConditionalFrame(t=3.0, m_t=3.0 * model.curve.rho, psi_t=0.5, a_t=1.0)
         cp.conditional_cdf_oracle(model, frame, np.array([0.5, 1.5]), np.array([-1.0, 1.0]))
         assert len(calls) == scans * 3 * 2  # three x levels (t and two more), two y cells
+
+    @pytest.mark.parametrize("name", ["elliptical_gauss", "lp3_exponential",
+                                      "asymmetric_power_model"])
+    def test_y_tail_hints_never_scan(self, request, monkeypatch, name):
+        """The Y-tail oracle and its level solve find where v reaches each hint
+        level in closed form on the sheared circle, the unsheared lp curve and
+        the power curve."""
+        model = request.getfixturevalue(name)
+        calls = _counted_refine_zeros(monkeypatch)
+        cp.survival_y_oracle(model, 2.0)
+        cp.solve_b_y(model, 100.0)
+        assert calls == []
+
+    def test_y_tail_hints_scan_on_the_sheared_lp_curve(self, monkeypatch):
+        """lp with rho != 0 has no closed form: each oracle call scans once per
+        hint level, twice in all."""
+        model = cp.PolarModel(cp.Weibull(1.0), cp.angular_uniform(), cp.lp_curve(3.0, 0.4))
+        calls = _counted_refine_zeros(monkeypatch)
+        oracle_calls = []
+        oracle = model_module.survival_y_oracle
+
+        def counted(model, y):
+            oracle_calls.append(y)
+            return oracle(model, y)
+
+        monkeypatch.setattr(model_module, "survival_y_oracle", counted)
+        cp.survival_y_oracle(model, 2.0)
+        assert len(calls) == 2
+        cp.solve_b_y(model, 100.0)
+        assert len(oracle_calls) > 1 and len(calls) == 2 + 2 * len(oracle_calls)
 
 
 class TestEllipticalRayleigh:
@@ -222,6 +260,17 @@ class TestEllipticalRayleigh:
     def test_survival_is_normal_tail(self, elliptical_gauss, x):
         got = cp.survival_x_oracle(elliptical_gauss, x)
         assert got == pytest.approx(float(special.ndtr(-x)), rel=1e-9)
+
+    @pytest.mark.parametrize("y", [1.0, 5.0, 10.0, 20.0, 30.0, 37.0])
+    def test_y_survival_is_normal_tail(self, elliptical_gauss, y):
+        # Y = rho X + sigma Z is standard normal as well
+        got = cp.survival_y_oracle(elliptical_gauss, y)
+        assert got == pytest.approx(float(special.ndtr(-y)), rel=1e-12)
+
+    @pytest.mark.parametrize("t_level", [10.0, 1e3, 1e6, 1e12])
+    def test_y_quantile_is_normal_quantile(self, elliptical_gauss, t_level):
+        got = cp.solve_b_y(elliptical_gauss, t_level)
+        assert got == pytest.approx(-float(special.ndtri(1.0 / t_level)), rel=1e-10)
 
     @pytest.mark.parametrize("x, y", [(2.0, 1.0), (4.0, 2.4), (8.0, 5.5), (20.0, 11.0)])
     def test_joint_cdf_matches_mpmath(self, elliptical_gauss, x, y):
