@@ -192,7 +192,7 @@ def elliptical_curve(rho):
 
     def v_level(g):  # v = cos(theta - theta_top) = 1 - g, and 1 - cos = 2 sin^2 as in gap_offset
         off = math.asin(math.sqrt(0.5 * g)) / math.pi
-        return sorted([t_top - off, (t_top + off) % 1.0])
+        return [t_top - off, (t_top + off) % 1.0]
 
     return CurveGerm(
         "elliptical", {"rho": rho}, u_fn, v_fn,
@@ -275,9 +275,9 @@ def lp_curve(p, rho=0.0):
         if rho != 0.0:  # no closed form: scan for every root
             return refine_zeros(lambda s: v_fn(s) - (v_star - g), 0.0, 1.0, n_scan=513)
         if g > 1.0:  # v = y is odd under t -> 1 - t: a level below 0 mirrors one above
-            return sorted(1.0 - t for t in v_level(2.0 - g))
-        with np.errstate(divide="ignore"):  # g = 1: log1p(-1) = -inf, the arc's end
-            arc = -np.expm1(0.5 * p * np.log1p(-g))  # 1 - sin(phi), sin(phi)**(2/p) = 1 - g
+            return [1.0 - t for t in v_level(2.0 - g)]
+        # 1 - sin(phi) on the hidden arc, where sin(phi)**(2/p) = 1 - g; 1 at the arc's end
+        arc = -math.expm1(0.5 * p * math.log1p(-g)) if g < 1.0 else 1.0
         # visible half: s = 1 - g; hidden arc: phi - pi/2 = acos(1 - arc) = 2 asin(sqrt(arc/2))
         return [0.5 + (1.0 - g) / speed, 0.875 + math.asin(math.sqrt(0.5 * arc)) / _TWO_PI]
 
