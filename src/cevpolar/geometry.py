@@ -57,8 +57,8 @@ class CurveGerm:
     gap_offset : the family's array kernel (g, side) -> |t - t0| where 1 - u = g on that side
     crossing : the family's kernel (x, y) -> [t, ...], x > 0: where the ray of slope y/x
         meets the curve, x v(t) = y u(t) with u(t) >= 0 (power scans, and lists u < 0 too)
-    v_level : the family's kernel g -> [t, ...], 0 <= g <= v_star - min v: every parameter
-        where v(t) = v_star - g (lp with rho != 0 scans)
+    v_level : the family's kernel g -> [t, ...], 0 <= g <= v_star: every parameter where
+        v(t) = v_star - g, a level v >= 0 of the Y tail (lp with rho != 0 scans)
     window : half-width of the validity window around t0
     h_window_max : largest x admissible in h_fn, 1/u - 1 at the right end of
         the invertible branch
@@ -274,8 +274,6 @@ def lp_curve(p, rho=0.0):
     def v_level(g):  # where v = v_star - g
         if rho != 0.0:  # no closed form: scan for every root
             return refine_zeros(lambda s: v_fn(s) - (v_star - g), 0.0, 1.0, n_scan=513)
-        if g > 1.0:  # v = y is odd under t -> 1 - t: a level below 0 mirrors one above
-            return [1.0 - t for t in v_level(2.0 - g)]
         # 1 - sin(phi) on the hidden arc, where sin(phi)**(2/p) = 1 - g; 1 at the arc's end
         arc = -math.expm1(0.5 * p * math.log1p(-g)) if g < 1.0 else 1.0
         # visible half: s = 1 - g; hidden arc: phi - pi/2 = acos(1 - arc) = 2 asin(sqrt(arc/2))
@@ -331,9 +329,11 @@ def power_curve(t0, kappa, delta, c_minus, c_plus, lambda_v, rho, window=None):
     def crossing(x, y):  # v/u is not monotone here: scan for every root
         return refine_zeros(lambda s: x * v_fn(s) - y * u_fn(s), 0.0, 1.0)
 
-    v_star = float(v_fn(1.0))
+    v_star, v_low = float(v_fn(1.0)), float(v_fn(0.0))
 
     def v_level(g):  # v rises on all of [0, 1]: one root, on the side of rho where v_star - g lies
+        if g > v_star - v_low:  # the level is below v(0)
+            return []
         d = v_star - g - rho
         edge = lambda_v * window ** delta  # |v - rho| at the window's edge
         s = ((abs(d) / lambda_v) ** (1.0 / delta) if abs(d) <= edge

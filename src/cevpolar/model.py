@@ -323,7 +323,13 @@ def survival_y_oracle(model, y):
 
 def _band_oracle(model, x, y, above):
     """P(X > x, Y > y) (``above``) or P(X > x, Y <= y) at each entry of the
-    number or array ``y`` (-inf and +inf allowed), from one set of x hints."""
+    number or array ``y`` (-inf and +inf allowed), from one set of x hints.
+
+    The quadrature error is judged against P(X > x), not against the band,
+    so a band far below P(X > x) is less exact relative to itself: on the
+    sheared circle with rho = 0.6, P(X > 4, Y <= -2.5) = 6.8e-15 is off by
+    1.8e-11 relative, and P(X > 4, Y <= -1) = 1.9e-10 by 8.6e-15.
+    """
     x = float(x)
     ys = np.asarray(y, dtype=float)
     if not x > 0.0 or np.isnan(ys).any():
@@ -349,7 +355,11 @@ def joint_exceedance_oracle(model, x, y):
 
 
 def joint_cdf_y_oracle(model, x, y):
-    """P(X > x, Y <= y) by complementation inside the same integrand; y may be an array."""
+    """P(X > x, Y <= y) by complementation inside the same integrand; y may be an array.
+
+    A deep lower-tail cell is less exact relative to itself than the others
+    (see ``_band_oracle``).
+    """
     return _band_oracle(model, x, y, above=False)
 
 

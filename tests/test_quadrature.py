@@ -222,22 +222,15 @@ class TestBisectMonotone:
         cp.conditional_cdf_oracle(model, frame, np.array([0.5, 1.5]), np.array([-1.0, 1.0]))
         assert len(calls) == scans * 3 * 2  # three x levels (t and two more), two y cells
 
-    @pytest.mark.parametrize("name", ["elliptical_gauss", "lp3_exponential",
-                                      "asymmetric_power_model"])
-    def test_y_tail_hints_never_scan(self, request, monkeypatch, name):
-        """The Y-tail oracle and its level solve find where v reaches each hint
-        level in closed form on the sheared circle, the unsheared lp curve and
-        the power curve."""
-        model = request.getfixturevalue(name)
-        calls = _counted_refine_zeros(monkeypatch)
-        cp.survival_y_oracle(model, 2.0)
-        cp.solve_b_y(model, 100.0)
-        assert calls == []
-
-    def test_y_tail_hints_scan_on_the_sheared_lp_curve(self, monkeypatch):
-        """lp with rho != 0 has no closed form: each oracle call scans once per
-        hint level, twice in all."""
-        model = cp.PolarModel(cp.Weibull(1.0), cp.angular_uniform(), cp.lp_curve(3.0, 0.4))
+    @pytest.mark.parametrize("name, scans", [("elliptical_gauss", 0), ("lp3_exponential", 0),
+                                             ("asymmetric_power_model", 0), ("lp3_sheared", 2)])
+    def test_y_tail_hints_scan_only_on_the_sheared_lp_curve(self, request, monkeypatch, name,
+                                                            scans):
+        """A Y-level solve finds where v reaches each hint level in closed form
+        on the sheared circle, lp with rho = 0 and the power curve; lp with
+        rho = 0.4 has none and scans once per hint level, twice per oracle call."""
+        model = (cp.PolarModel(cp.Weibull(1.0), cp.angular_uniform(), cp.lp_curve(3.0, 0.4))
+                 if name == "lp3_sheared" else request.getfixturevalue(name))
         calls = _counted_refine_zeros(monkeypatch)
         oracle_calls = []
         oracle = model_module.survival_y_oracle
@@ -247,10 +240,8 @@ class TestBisectMonotone:
             return oracle(model, y)
 
         monkeypatch.setattr(model_module, "survival_y_oracle", counted)
-        cp.survival_y_oracle(model, 2.0)
-        assert len(calls) == 2
         cp.solve_b_y(model, 100.0)
-        assert len(oracle_calls) > 1 and len(calls) == 2 + 2 * len(oracle_calls)
+        assert len(oracle_calls) > 1 and len(calls) == scans * len(oracle_calls)
 
 
 class TestEllipticalRayleigh:
