@@ -51,6 +51,9 @@ CASES = {
     "simulate-joint": ("simulate", "-c", "{ell}", "--n", "2000", "--seed", "7"),
     "simulate-conditional": ("simulate", "-c", "{ell}", "--n", "2000", "--seed", "7",
                              "--threshold", "3.0"),
+    # about 50,000 rows: a table large enough to format in parallel
+    "simulate-conditional-large": ("simulate", "-c", "{ell}", "--n", "100000", "--seed", "7",
+                                   "--threshold", "4.5"),
     "simulate-conditional-vm": ("simulate", "-c", "{vm}", "--n", "2000", "--seed", "7",
                                 "--threshold", "3.0"),
     "simulate-mixture": ("simulate", "-c", "{mix}", "--n", "2000", "--seed", "7"),
@@ -114,6 +117,10 @@ GOLDEN = {
         "8c460e9b975603df8caaa5ce56aafe51c552d3545cccae74ad6f403dbca0fb90",
     "simulate-conditional.json":
         "abb2c49c73fad49b5db9fa06109d61dbd730347ed85cdf050efa010ae4fac9f9",
+    "simulate-conditional-large.csv":
+        "c3f19b4d45b7b62b45fa4518b62788c2f017367a41908400297184054bbe4181",
+    "simulate-conditional-large.json":
+        "876f26e6c7906133fc9e0743230ff62dc14bf934b9c312ac5c8e8822b2cc4f5f",
     "simulate-conditional-vm.csv":
         "862ab98f22de77887ad75c1d61ce59627e3e6211b97141571f42e06252cad387",
     "simulate-conditional-vm.json":
