@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -107,8 +108,14 @@ def _csv_cell(value):
     return str(value)
 
 
-#: rows formatted and written together by _write_csv
+#: rows formatted together by _csv_rows
 _CSV_BLOCK = 1 << 12
+#: rows per task of the parallel CSV writer
+_CSV_TASK = 2 * _CSV_BLOCK
+#: fewest tasks per worker at which the parallel writer beats the serial one
+#: (measured on a 2-vCPU Xeon: at two tasks in all both take the same time,
+#: at four the pool saves 20%)
+_CSV_TASKS_PER_WORKER = 2
 
 
 def _csv_block(block):
@@ -120,17 +127,60 @@ def _csv_block(block):
     return list(map(_csv_cell, block))
 
 
+def _csv_rows(columns):
+    """The rows of the equal-length ``columns`` (lists or arrays) as text, one
+    string per block of rows: the one formatter of every CSV row."""
+    for start in range(0, len(columns[0]), _CSV_BLOCK):
+        cells = [_csv_block(column[start:start + _CSV_BLOCK]) for column in columns]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def _csv_text(columns):
+    """One task of the parallel writer: the text of all rows of ``columns``."""
+    return "".join(_csv_rows(columns))
+
+
+def _csv_pool(n_rows):
+    """A pool of forked processes to format ``n_rows`` rows: one per usable
+    CPU, and at most one per ``_CSV_TASKS_PER_WORKER`` tasks.  None where the
+    serial writer is as fast or the pool cannot start: fewer than two such
+    workers, or no ``fork`` start method."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, -(-n_rows // _CSV_TASK) // _CSV_TASKS_PER_WORKER)
+    if workers < 2:
+        return None
+    import multiprocessing  # here, not at the top: the import would slow every start-up
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+
+
 def _write_csv(path, metadata, header, columns):
     """Write '# key=value' metadata lines, the header, then one row per entry
-    of the equal-length ``columns`` (lists or arrays), formatted and written
-    a block of rows at a time."""
+    of the equal-length ``columns`` (lists or arrays).
+
+    Large tables are formatted in tasks of ``_CSV_TASK`` rows by a process per
+    usable CPU (see ``_csv_pool``) and written in row order; every path
+    formats with ``_csv_rows``, so the bytes do not depend on the path.
+    """
     with _open_output(path) as fh:
         for key, value in metadata.items():
             fh.write(f"# {key}={value}\n")
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), _CSV_BLOCK):
-            cells = [_csv_block(column[start:start + _CSV_BLOCK]) for column in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        n_rows = len(columns[0])
+        pool = _csv_pool(n_rows)
+        if pool is None:
+            fh.writelines(_csv_rows(columns))
+            return
+        fh.flush()  # a forked worker must not hold a copy of unwritten text
+        with pool:  # joins every worker, also when a task raises
+            tasks = ([column[start:start + _CSV_TASK] for column in columns]
+                     for start in range(0, n_rows, _CSV_TASK))
+            fh.writelines(pool.map(_csv_text, tasks))
 
 
 def _emit(args, meta, header, columns, body=None):

@@ -1,4 +1,7 @@
+import concurrent.futures
 import math
+import multiprocessing
+import os
 
 import mpmath as mp
 import numpy as np
@@ -7,7 +10,8 @@ from scipy.integrate import quad
 from scipy.stats import chi2, norm
 
 import cevpolar as cp
-from cevpolar.cli import _CSV_BLOCK, _csv_cell, _write_csv
+from cevpolar.cli import (_CSV_BLOCK, _CSV_TASK, _CSV_TASKS_PER_WORKER, _csv_cell, _csv_rows,
+                          _write_csv)
 
 
 class TestPolarModelAssembly:
@@ -91,6 +95,47 @@ class TestConditionalSampling:
             cp.sample_conditional(round_gauss, t, 100, rng)
 
 
+class _CellError(Exception):
+    pass
+
+
+class _Unprintable:
+    """A cell whose text cannot be made."""
+
+    def __str__(self):
+        raise _CellError("no text for this cell")
+
+
+def _table(n):
+    """n rows of an array, a list and a mixed column."""
+    rng = np.random.default_rng(n)
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    pool = ["a b", 3, True, np.float64(0.1), 1.5, -7, False, np.float64(-0.0), math.nan]
+    return [floats, floats.tolist(), [pool[i % len(pool)] for i in range(n)]]
+
+
+def _cpus(monkeypatch, n):
+    """Make n CPUs usable; return the list that gets one entry per process
+    pool the writer starts."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+    started = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    return started
+
+
+#: with two CPUs: the most rows the serial writer takes, and a task boundary
+#: in the parallel writer's range
+_SERIAL_MOST = (2 * _CSV_TASKS_PER_WORKER - 1) * _CSV_TASK
+_TASK_EDGE = 2 * _CSV_TASKS_PER_WORKER * _CSV_TASK
+
+
 class TestCsvWriter:
     def test_block_cells_equal_csv_cell(self, tmp_path):
         n = 65_537  # one row past a block boundary
@@ -116,6 +161,44 @@ class TestCsvWriter:
         assert [row[2] for row in rows] == [_csv_cell(v) for v in mixed]
         back = np.array([float(row[0]) for row in rows])
         assert np.array_equal(back.view(np.int64), floats.view(np.int64))
+
+    @pytest.mark.parametrize("n", [0, 1, _SERIAL_MOST - 1, _SERIAL_MOST, _SERIAL_MOST + 1,
+                                   _TASK_EDGE - 1, _TASK_EDGE, _TASK_EDGE + 1])
+    def test_bytes_equal_csv_rows_of_the_table(self, tmp_path, monkeypatch, n):
+        started = _cpus(monkeypatch, 2)
+        columns = _table(n)
+        path = tmp_path / "t.csv"
+        _write_csv(path, {"seed": 1}, ("array", "list", "mixed"), columns)
+        assert path.read_text() == "# seed=1\narray,list,mixed\n" + "".join(_csv_rows(columns))
+        assert started == ([(2,)] if n > _SERIAL_MOST else [])
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("cpus, tasks, workers", [(8, 3, 0), (8, 5, 2), (3, 9, 3)])
+    def test_workers_are_capped_by_cpus_and_tasks(self, tmp_path, monkeypatch, cpus, tasks,
+                                                  workers):
+        started = _cpus(monkeypatch, cpus)
+        columns = _table(tasks * _CSV_TASK)
+        path = tmp_path / "t.csv"
+        _write_csv(path, {}, ("array", "list", "mixed"), columns)
+        assert path.read_text() == "array,list,mixed\n" + "".join(_csv_rows(columns))
+        assert started == ([(workers,)] if workers else [])
+
+    def test_one_cpu_starts_no_pool(self, tmp_path, monkeypatch):
+        started = _cpus(monkeypatch, 1)
+        columns = _table(_TASK_EDGE + 1)
+        path = tmp_path / "t.csv"
+        _write_csv(path, {}, ("array", "list", "mixed"), columns)
+        assert path.read_text() == "array,list,mixed\n" + "".join(_csv_rows(columns))
+        assert started == []
+
+    def test_worker_error_reaches_the_caller(self, tmp_path, monkeypatch):
+        started = _cpus(monkeypatch, 2)
+        columns = _table(_TASK_EDGE + 1)
+        columns[2][_CSV_TASK + 5] = _Unprintable()  # in the second task
+        with pytest.raises(_CellError, match="no text for this cell"):
+            _write_csv(tmp_path / "t.csv", {}, ("array", "list", "mixed"), columns)
+        assert started
+        assert not multiprocessing.active_children()
 
 
 class TestOracleAgainstGaussianClosedForms:
