@@ -59,10 +59,16 @@ class EmpiricalCDF:
         order = np.argsort(points, kind="stable")
         pts = points[order]
         wts = weights[order] / total
-        # merge duplicate support points
-        uniq, start = np.unique(pts, return_index=True)
+        # merge duplicate support points: each run of equal sorted points (a
+        # run of NaNs too, as np.unique) is one point, valued at its first
+        first = np.empty(len(pts), dtype=bool)
+        first[0] = True
+        np.not_equal(pts[1:], pts[:-1], out=first[1:])
+        if np.isnan(pts[-1]):  # NaNs sort last
+            first[1:] &= ~np.isnan(pts[:-1])
+        start = np.flatnonzero(first)
         sums = np.add.reduceat(wts, start)
-        self.points = uniq
+        self.points = pts[start]
         self.cumulative = np.cumsum(sums)
         self.cumulative[-1] = 1.0
 

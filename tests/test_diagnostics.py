@@ -24,6 +24,24 @@ class TestEmpiricalCDF:
         assert emp(1.0) == pytest.approx(0.5)
         assert len(emp.points) == 2
 
+    @pytest.mark.parametrize("points", [
+        [0.0, -0.0, 0.0, 1.0, -0.0],  # -0.0 == 0.0: a run keeps its first sign
+        [-0.0, 0.0, -0.0, 1.0, 0.0],
+        [math.nan, 1.0, math.nan, -math.inf, math.inf, 1.0, math.nan],  # NaNs are one run
+        [math.nan, math.nan],
+        [2.0],
+        np.round(np.random.default_rng(5).standard_normal(5000), 1).tolist(),
+    ])
+    def test_runs_merge_as_np_unique(self, points):
+        weights = np.arange(1.0, len(points) + 1.0)
+        emp = cp.EmpiricalCDF(points, weights)
+        order = np.argsort(points, kind="stable")
+        uniq, start = np.unique(np.asarray(points)[order], return_index=True)
+        cumulative = np.cumsum(np.add.reduceat(weights[order] / weights.sum(), start))
+        cumulative[-1] = 1.0
+        assert emp.points.tobytes() == uniq.tobytes()
+        assert emp.cumulative.tobytes() == cumulative.tobytes()
+
     def test_zero_weight_rejected(self):
         with pytest.raises(cp.DomainError):
             cp.EmpiricalCDF([1.0, 2.0], [0.0, 0.0])
