@@ -272,8 +272,11 @@ def lp_curve(p, rho=0.0):
         return [0.5 + math.copysign(a / (a ** p + b ** p) ** (1.0 / p), d) / speed]
 
     def v_level(g):  # where v = v_star - g
-        if rho != 0.0:  # no closed form: scan for every root
-            return refine_zeros(lambda s: v_fn(s) - (v_star - g), 0.0, 1.0, n_scan=513)
+        if rho != 0.0:  # no closed form: scan a period from the top, so that the two
+            # roots of a level near the top fall in the first and the last cell, not in one
+            roots = refine_zeros(lambda s: v_fn(s % 1.0) - (v_star - g), t_top, t_top + 1.0,
+                                 n_scan=513)
+            return sorted(t % 1.0 for t in roots)
         # 1 - sin(phi) on the hidden arc, where sin(phi)**(2/p) = 1 - g; 1 at the arc's end
         arc = -math.expm1(0.5 * p * math.log1p(-g)) if g < 1.0 else 1.0
         # visible half: s = 1 - g; hidden arc: phi - pi/2 = acos(1 - arc) = 2 asin(sqrt(arc/2))

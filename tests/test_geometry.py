@@ -530,15 +530,19 @@ class TestVLevel:
                            lambda_v=0.8, rho=0.2)
         _check_v_level(c, frac * c.v_star)
 
-    @pytest.mark.parametrize("frac", [0.05, 0.2, 0.9, 1.0])
+    @pytest.mark.parametrize("g", [1e-12, 1e-8, 1e-5, 1e-4, 0.05, 0.5, 1.0])
     @pytest.mark.parametrize("p, rho", [(3.0, 0.4), (1.5, -0.4), (8.0, 0.9)])
-    def test_sheared_lp_keeps_the_scan(self, p, rho, frac):
-        # no closed form for lp with rho != 0: every scanned root, bit for bit
+    def test_sheared_lp_roots_match_mpmath(self, p, rho, g):
+        # no closed form for lp with rho != 0: the scan finds both roots, also
+        # those within one scan cell of the top
         c = cp.lp_curve(p, rho)
-        g = frac * c.v_star
+        g = min(g, c.v_star)
         roots = c.v_level(g)
-        assert roots and roots == refine_zeros(lambda s: c.v(s) - (c.v_star - g), 0.0, 1.0,
-                                               n_scan=513)
+        assert all(0.0 <= t < 1.0 for t in roots) and roots == sorted(roots)
+        want = _sheared_lp_level_mpmath(p, rho, g)
+        assert len(roots) == len(want) == 2
+        for a, b in ((roots, want), (want, roots)):
+            assert all(min(_circle_gap(t, r) for r in b) <= 1e-9 for t in a)
 
 
 # every family: elliptical and lp over their parameter ranges, and the power
@@ -556,34 +560,66 @@ def _family_curve(request, kind, args):
     return getattr(cp, f"{kind}_curve")(*args)
 
 
+def _lp_v_mpmath(p, rho):
+    """40-digit transcription of v for lp_curve(p, rho), of period 1 in t."""
+    p, rho = mp.mpf(p), mp.mpf(rho)
+    shear = (1 - abs(rho) ** p) ** (1 / p)
+
+    def v(t):
+        t = t % 1
+        if mp.mpf(1) / 8 <= t <= mp.mpf(7) / 8:
+            s = mp.mpf(8) / 3 * (t - mp.mpf(1) / 2)
+            return rho * (1 - abs(s) ** p) ** (1 / p) + shear * s
+        phi = mp.pi / 2 + 4 * mp.pi * ((t - mp.mpf(7) / 8) % 1)  # the hidden arc
+        sn = mp.sin(phi)
+        return -rho * abs(mp.cos(phi)) ** (2 / p) + shear * mp.sign(sn) * abs(sn) ** (2 / p)
+
+    return v
+
+
+def _golden_max(f, lo, hi):
+    """(t, f(t)) at the maximum of the unimodal f on [lo, hi], to 1e-22 in t."""
+    g = (mp.sqrt(5) - 1) / 2
+    a, b = hi - g * (hi - lo), lo + g * (hi - lo)
+    fa, fb = f(a), f(b)
+    while hi - lo > mp.mpf(10) ** -22:
+        if fa < fb:
+            lo, a, fa = a, b, fb
+            b = lo + g * (hi - lo)
+            fb = f(b)
+        else:
+            hi, b, fb = b, a, fa
+            a = hi - g * (hi - lo)
+            fa = f(a)
+    return (lo + hi) / 2, f((lo + hi) / 2)
+
+
 def _lp_top_mpmath(p, rho):
     """(t, v) at the maximum of v for lp_curve(p, rho): golden-section search
     over [1/2, 1] on a 40-digit transcription of the parametrization."""
     with mp.workdps(40):
-        p, rho = mp.mpf(p), mp.mpf(rho)
-        shear = (1 - abs(rho) ** p) ** (1 / p)
+        t, v = _golden_max(_lp_v_mpmath(p, rho), mp.mpf(1) / 2, mp.mpf(1))
+        return float(t), float(v)
 
-        def v(t):
-            if t <= mp.mpf(7) / 8:
-                s = mp.mpf(8) / 3 * (t - mp.mpf(1) / 2)
-                return rho * (1 - abs(s) ** p) ** (1 / p) + shear * s
-            phi = mp.pi / 2 + 4 * mp.pi * (t - mp.mpf(7) / 8)
-            return -rho * abs(mp.cos(phi)) ** (2 / p) + shear * mp.sin(phi) ** (2 / p)
 
-        g = (mp.sqrt(5) - 1) / 2
-        lo, hi = mp.mpf(1) / 2, mp.mpf(1)
-        a, b = hi - g * (hi - lo), lo + g * (hi - lo)
-        fa, fb = v(a), v(b)
-        while hi - lo > mp.mpf(10) ** -22:
-            if fa < fb:
-                lo, a, fa = a, b, fb
-                b = lo + g * (hi - lo)
-                fb = v(b)
-            else:
-                hi, b, fb = b, a, fa
-                a = hi - g * (hi - lo)
-                fa = v(a)
-        return float((lo + hi) / 2), float(v((lo + hi) / 2))
+def _sheared_lp_level_mpmath(p, rho, g):
+    """Both roots in [0, 1) of v = top - g for lp_curve(p, rho), by bisection
+    on a 40-digit transcription between its top and its bottom, which split
+    the period into a falling and a rising stretch; top is the
+    transcription's own maximum."""
+    with mp.workdps(40):
+        v = _lp_v_mpmath(p, rho)
+        t_top, top = _golden_max(v, mp.mpf(1) / 2, mp.mpf(1))
+        t_bottom, _ = _golden_max(lambda t: -v(t), t_top, t_top + 1)
+        level = top - mp.mpf(g)
+        roots = []
+        for lo, hi in ((t_top, t_bottom), (t_bottom, t_top + 1)):
+            f_lo = v(lo) - level
+            for _ in range(160):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if (v(mid) - level) * f_lo > 0 else (lo, mid)
+            roots.append(float(lo % 1))
+        return roots
 
 
 class TestFamilyGeometry:
