@@ -530,13 +530,13 @@ class TestVLevel:
                            lambda_v=0.8, rho=0.2)
         _check_v_level(c, frac * c.v_star)
 
-    @pytest.mark.parametrize("g", [1e-12, 1e-8, 1e-5, 1e-4, 0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("frac", [1e-13, 1e-12, 1e-8, 1e-5, 1e-4, 0.05, 0.2, 0.5, 0.9, 1.0])
     @pytest.mark.parametrize("p, rho", [(3.0, 0.4), (1.5, -0.4), (8.0, 0.9)])
-    def test_sheared_lp_roots_match_mpmath(self, p, rho, g):
+    def test_sheared_lp_keeps_the_scan(self, p, rho, frac):
         # no closed form for lp with rho != 0: the scan finds both roots, also
-        # those within one scan cell of the top
+        # those within one scan cell of the top (g from 1e-13 of v_star)
         c = cp.lp_curve(p, rho)
-        g = min(g, c.v_star)
+        g = frac * c.v_star
         roots = c.v_level(g)
         assert all(0.0 <= t < 1.0 for t in roots) and roots == sorted(roots)
         want = _sheared_lp_level_mpmath(p, rho, g)
