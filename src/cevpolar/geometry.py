@@ -226,18 +226,25 @@ def lp_curve(p, rho=0.0):
     shear = (1.0 - abs(rho) ** p) ** (1.0 / p)
     speed = 8.0 / 3.0
 
-    def base_xy(t):
-        t = np.asarray(t, dtype=float)
-        mid = (t >= 0.125) & (t <= 0.875)
+    def visible_xy(t):
         s = np.clip(speed * (t - 0.5), -1.0, 1.0)
-        x_mid = (1.0 - np.abs(s) ** p) ** (1.0 / p)
-        # hidden half: sweep the generalized angle from pi/2 to 3*pi/2
+        return (1.0 - np.abs(s) ** p) ** (1.0 / p), s
+
+    def hidden_xy(t):  # sweep the generalized angle from pi/2 to 3*pi/2
         frac = np.where(t > 0.875, t - 0.875, t + 0.125)
         phi = 0.5 * math.pi + 4.0 * math.pi * frac
         c, sn = np.cos(phi), np.sin(phi)
-        x_arc = -np.abs(c) ** (2.0 / p)
-        y_arc = np.sign(sn) * np.abs(sn) ** (2.0 / p)
-        return np.where(mid, x_mid, x_arc), np.where(mid, s, y_arc)
+        return -np.abs(c) ** (2.0 / p), np.sign(sn) * np.abs(sn) ** (2.0 / p)
+
+    def base_xy(t):  # each node evaluates only its own half
+        t = np.asarray(t, dtype=float)
+        mid = (t >= 0.125) & (t <= 0.875)
+        if t.ndim == 0:  # np.clip of a 0-d array is a scalar, which takes no item assignment
+            return tuple(map(np.asarray, visible_xy(t) if mid else hidden_xy(t)))
+        x, y = np.empty_like(t), np.empty_like(t)
+        x[mid], y[mid] = visible_xy(t[mid])
+        x[~mid], y[~mid] = hidden_xy(t[~mid])
+        return x, y
 
     def u_fn(t):
         x, _ = base_xy(t)

@@ -2,8 +2,67 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cevpolar as cp
+
+#: 75,000 tie-free normals, which take the default sort, and the same points
+#: with their minimum at 101 places, which take the stable sort: the first
+#: cumulative value is that run's sum, which the order of its weights moves
+_NORMALS = np.random.default_rng(16).standard_normal(75_000)
+_ONE_TIE = np.where(np.arange(75_000) % 750 == 7, _NORMALS.min(), _NORMALS)
+
+
+def _full_ks(emp, law):
+    """sup |F_hat - F| from F at every jump point: the evaluation that the
+    bracketed KS distance must reproduce bit for bit."""
+    ref = np.asarray(law.cdf(emp.points), dtype=float)
+    after = emp.cumulative
+    before = np.concatenate([[0.0], after[:-1]])
+    return float(max(np.max(np.abs(after - ref)), np.max(np.abs(ref - before))))
+
+
+class _CountedLaw:
+    """A limit law that counts the points its cdf is evaluated at."""
+
+    def __init__(self, law):
+        self.law, self.points = law, 0
+
+    def cdf(self, y):
+        self.points += np.size(y)
+        return self.law.cdf(y)
+
+
+@st.composite
+def ks_cases(draw):
+    """An ECDF and a limit law: points drawn near the law (so that many cells
+    come close to the maximum), with ties, +-inf, NaN and zero, negative or
+    infinite weights mixed in; one-sided laws are flat on half the line."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # n from 1e5 down to 1, the cut-offs of the bracketing among them; hypothesis
+    # favours the head of the list
+    n = draw(st.sampled_from([100_000, 75_000, 64 * 900 + 2, 20_000, 5_000, 1_000, 258, 257,
+                              256, 100, 7, 2, 1]))
+    w_minus = draw(st.sampled_from([0.0, 1.0, 0.5, 0.3]))
+    law = cp.LimitLaw(draw(st.floats(1.05, 6.0)), draw(st.floats(0.2, 3.0)), w_minus, 1.0 - w_minus)
+    points = law.sample(n, rng) * draw(st.floats(0.5, 2.0)) + draw(st.floats(-0.5, 0.5))
+    digits = draw(st.sampled_from([None, 5, 3]))
+    if digits is not None:
+        points = np.round(points, digits)
+    copies = rng.random(n) < draw(st.sampled_from([0.0, 0.01, 0.5]))
+    points[copies] = points[rng.integers(0, n, np.count_nonzero(copies))]
+    for value, share in ((math.inf, 0.3), (-math.inf, 0.3), (math.nan, 0.15)):
+        if rng.random() < share:
+            points[rng.integers(0, n, rng.integers(1, 4))] = value
+    weights = rng.lognormal(0.0, draw(st.floats(0.0, 3.0)), n)
+    weights[rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    if rng.random() < 0.3:
+        weights[rng.integers(0, n, rng.integers(1, 3))] = draw(st.sampled_from([-0.5, math.inf]))
+    if not weights.sum() > 0.0:
+        weights[0] += 1.0 - weights.sum()
+    with np.errstate(invalid="ignore"):  # an infinite weight over an infinite total is NaN
+        return cp.EmpiricalCDF(points, weights), law
 
 
 class TestEmpiricalCDF:
@@ -31,6 +90,8 @@ class TestEmpiricalCDF:
         [math.nan, math.nan],
         [2.0],
         np.round(np.random.default_rng(5).standard_normal(5000), 1).tolist(),
+        _NORMALS,
+        _ONE_TIE,
     ])
     def test_runs_merge_as_np_unique(self, points):
         weights = np.arange(1.0, len(points) + 1.0)
@@ -68,6 +129,24 @@ class TestKsDistance:
         points = law.quantile(qs)
         emp = cp.EmpiricalCDF(points, np.full(n, 1.0 / n))
         assert cp.ks_distance(emp, law) <= 0.002
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=ks_cases())
+    def test_bracketing_matches_the_full_evaluation(self, case):
+        emp, law = case
+        got, want = cp.ks_distance(emp, law), _full_ks(emp, law)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+
+    def test_bracketing_evaluates_few_points(self, elliptical_gauss):
+        """The limit cdf is evaluated at no more than 15% of a large sample's
+        points; evaluating all of them again fails here, without timing."""
+        t = float(elliptical_gauss.radial.quantile_b(1e3))
+        sample = cp.sample_conditional(elliptical_gauss, t, 100_000, np.random.default_rng(7))
+        emp = cp.empirical_conditional_cdf(sample, cp.normalization(elliptical_gauss, t))
+        law = _CountedLaw(cp.limit_law_of(elliptical_gauss))
+        assert cp.ks_distance(emp, law) == _full_ks(emp, law.law)
+        assert len(emp.points) > 40_000
+        assert law.points <= 0.15 * len(emp.points)
 
     def test_deterministic(self):
         emp = cp.EmpiricalCDF([0.3, -0.2, 1.4], [0.2, 0.5, 0.3])

@@ -89,6 +89,38 @@ class TestLpCurve:
             cp.lp_curve(p, 0.99)
 
 
+def _lp_both_halves(p, rho, t):
+    """u and v of lp_curve(p, rho) from both halves at every node, picked with
+    np.where: the formula the per-half evaluation must reproduce bit for bit."""
+    shear, speed = (1.0 - abs(rho) ** p) ** (1.0 / p), 8.0 / 3.0
+    t = np.asarray(t, dtype=float)
+    mid = (t >= 0.125) & (t <= 0.875)
+    s = np.clip(speed * (t - 0.5), -1.0, 1.0)
+    x_mid = (1.0 - np.abs(s) ** p) ** (1.0 / p)
+    frac = np.where(t > 0.875, t - 0.875, t + 0.125)
+    phi = 0.5 * math.pi + 4.0 * math.pi * frac
+    c, sn = np.cos(phi), np.sin(phi)
+    x = np.where(mid, x_mid, -np.abs(c) ** (2.0 / p))
+    y = np.where(mid, s, np.sign(sn) * np.abs(sn) ** (2.0 / p))
+    return x, rho * x + shear * y
+
+
+class TestLpHalves:
+    @pytest.mark.parametrize("rho", [0.0, 0.4, -0.7])
+    @pytest.mark.parametrize("p", [1.5, 3.0, 8.0])
+    def test_matches_both_halves_bitwise(self, p, rho):
+        c = cp.lp_curve(p, rho)
+        grid = np.linspace(0.0, 1.0, 8193)  # step 2**-13
+        assert {0.0, 0.125, 0.875, 1.0} <= set(grid.tolist())
+        edges = [np.nextafter(k, d) for k in (0.125, 0.875) for d in (0.0, 1.0)]
+        scalars = [*grid[::64].tolist(), 0.125, 0.875, *edges, np.float64(0.3), np.array(0.9)]
+        for t in [grid, grid[1:].reshape(64, 128), grid[::7], grid[3:4], grid[:0], *scalars]:
+            for got, want in zip((c.u(t), c.v(t)), _lp_both_halves(p, rho, t)):
+                assert type(got) is type(want)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes(), t
+
+
 class TestPowerCurve:
     def make(self, **kw):
         base = dict(t0=0.5, kappa=2.0, delta=1.0, c_minus=0.5, c_plus=0.5,
