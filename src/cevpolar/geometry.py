@@ -194,6 +194,12 @@ def elliptical_curve(rho):
         off = math.asin(math.sqrt(0.5 * g)) / math.pi
         return [t_top - off, (t_top + off) % 1.0]
 
+    def crossing(x, y):  # x v = y u with cos > 0: tan(theta) = (y - rho x) / (sigma x)
+        if sigma < 1e-3:  # the rounding of rho x would move t by 1e-16 / sigma: take
+            s = math.copysign(1.0, rho)  # y - rho x as (y - s x) + (s - rho) x, s - rho exact
+            return [0.5 + math.atan2((y - s * x) + (s - rho) * x, sigma * x) / _TWO_PI]
+        return [0.5 + math.atan2(y - rho * x, sigma * x) / _TWO_PI]
+
     return CurveGerm(
         "elliptical", {"rho": rho}, u_fn, v_fn,
         t0=0.5, rho=rho, kappa=2.0, delta=1.0,
@@ -201,8 +207,7 @@ def elliptical_curve(rho):
         lambda_v=_TWO_PI * sigma,
         window=window, v_star=1.0, t_at_vstar=t_top,
         gap_offset=lambda g, side: np.arcsin(np.sqrt(0.5 * g)) / math.pi,  # 1 - cos = 2 sin^2
-        # x v = y u with cos > 0: tan(theta) = (y - rho x) / (sigma x)
-        crossing=lambda x, y: [0.5 + math.atan2(y - rho * x, sigma * x) / _TWO_PI],
+        crossing=crossing,
         v_level=v_level,
     )
 
@@ -239,8 +244,10 @@ def lp_curve(p, rho=0.0):
     def base_xy(t):  # each node evaluates only its own half
         t = np.asarray(t, dtype=float)
         mid = (t >= 0.125) & (t <= 0.875)
-        if t.ndim == 0:  # np.clip of a 0-d array is a scalar, which takes no item assignment
-            return tuple(map(np.asarray, visible_xy(t) if mid else hidden_xy(t)))
+        k = np.count_nonzero(mid)
+        if k == 0 or k == t.size:  # one half: a quadrature panel (the kinks are breakpoints),
+            # or a 0-d t, whose np.clip is a scalar that takes no item assignment
+            return tuple(map(np.asarray, (visible_xy if k else hidden_xy)(t)))
         x, y = np.empty_like(t), np.empty_like(t)
         x[mid], y[mid] = visible_xy(t[mid])
         x[~mid], y[~mid] = hidden_xy(t[~mid])

@@ -4,7 +4,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -411,6 +411,9 @@ class TestCrossing:
 
     @settings(max_examples=80, deadline=None)
     @given(c=ray_curves(), x=st.floats(1e-300, 1e300), y=st.floats(-1e300, 1e300))
+    # a shear of 2e-8, where rounding y - rho x alone moved t by 6e-10
+    @example(c=cp.elliptical_curve(1.0 - 2.0 ** -52), x=3.0, y=3.0)
+    @example(c=cp.elliptical_curve(-1.0 + 2.0 ** -53), x=0.7, y=-0.7)
     def test_root_matches_mpmath(self, c, x, y):
         (t,) = c.crossing(x, y)
         # 1e-13 also covers a root closer to the branch end than one float step
