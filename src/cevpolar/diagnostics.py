@@ -92,31 +92,32 @@ def empirical_conditional_cdf(sample, frame):
 def ks_distance(empirical, law):
     """sup |F_hat - F| over the jump points, both one-sided gaps per jump.
 
-    F = ``law.cdf`` is nondecreasing, so between two evaluated points it lies
-    between their values: F is evaluated at every 64th point and the last, and
-    inside a cell only if max(max F_hat - F(left), F(right) - min F_hat) there
-    reaches the maximum, less 16 ulps for rounding that makes F non-monotone.
-    The result is the float of the full evaluation, which NaN points take.
+    F = ``law.cdf`` and F_hat are nondecreasing, so on the cell between two
+    evaluated points F lies between its values there, and F_hat and its left
+    limits between F_hat at the left end and just before the right end.  F is
+    evaluated at every 64th point and the last, and inside a cell only if the
+    bound this gives reaches the maximum less 16 ulps (of 1 at least), which
+    covers rounding that makes F non-monotone.  The result is the float of the
+    full evaluation, which small samples, NaN points and an F_hat that falls
+    (negative weights) take.
     """
     pts, after = empirical.points, empirical.cumulative
-    before = np.concatenate([[0.0], after[:-1]])
+    n = len(pts)
 
     def gaps(idx):
         ref = np.asarray(law.cdf(pts[idx]), dtype=float)
-        return ref, np.maximum(np.abs(after[idx] - ref), np.abs(ref - before[idx]))
+        before = np.where(idx > 0, after[idx - 1], 0.0)
+        return ref, np.maximum(np.abs(after[idx] - ref), np.abs(ref - before))
 
-    n = len(pts)
-    if n <= 256 or np.isnan(pts[-1]):
-        return float(np.max(gaps(slice(None))[1]))
+    if n <= 256 or np.isnan(pts[-1]) or not np.all(after[1:-1] >= after[:-2]):
+        return float(np.max(gaps(np.arange(n))[1]))
     knots = np.r_[0:n - 1:64, n - 1]
     ref, gap = gaps(knots)
     best = np.max(gap)
-    # F_hat and its left limits on a cell's interior take the values after[left:right]
-    hi, lo = (f.reduceat(after[:-1], knots[:-1]) for f in (np.maximum, np.minimum))
-    bound = np.maximum(hi - ref[:-1], ref[1:] - lo)
-    opened = ~(bound < best - 16.0 * np.finfo(float).eps * max(best, 1.0))
-    rest = gaps(np.flatnonzero(np.repeat(opened, np.diff(knots))))[1]
-    return float(np.maximum(best, np.max(rest, initial=0.0)))  # keeps a NaN
+    bound = np.maximum(after[knots[1:] - 1] - ref[:-1], ref[1:] - after[knots[:-1]])
+    cells = knots[:-1][bound >= best - 16.0 * np.finfo(float).eps * max(best, 1.0)]
+    inner = (cells[:, None] + np.arange(1, 64)).ravel()
+    return float(max(best, np.max(gaps(inner[inner < n - 1])[1], initial=0.0)))
 
 
 def oracle_grid_distance(model, frame, limit, x_grid=DEFAULT_X_GRID, y_grid=DEFAULT_Y_GRID):

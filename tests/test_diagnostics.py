@@ -137,6 +137,26 @@ class TestKsDistance:
         got, want = cp.ks_distance(emp, law), _full_ks(emp, law)
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
 
+    def test_full_evaluation_where_f_hat_falls(self):
+        """A negative weight drops F_hat by 0.4 inside the first cell, where the
+        bracketing bound stays below the maximum; the full evaluation finds it."""
+        law = cp.LimitLaw(2.0, 1.0)
+        n = 1_000
+        weights = np.ones(n)
+        weights[[30, 31]] = -400.0, 400.0
+        emp = cp.EmpiricalCDF(law.quantile((np.arange(n) + 0.5) / n) + 0.5, weights)
+        assert cp.ks_distance(emp, law) == _full_ks(emp, law) > 0.45
+
+    def test_bracketing_reaches_into_the_last_cell(self):
+        """The largest gap sits at the last point but one, inside the short last cell."""
+        law = cp.LimitLaw(2.0, 1.0)
+        n = 1_000  # knots ..., 960, 999
+        points = np.r_[law.quantile((np.arange(n - 2) + 0.5) / (2 * n)), 0.01, law.quantile(0.99)]
+        weights = np.ones(n)
+        weights[-2] = 1_000.0
+        emp = cp.EmpiricalCDF(points, weights)
+        assert cp.ks_distance(emp, law) == _full_ks(emp, law) > 0.45
+
     def test_bracketing_evaluates_few_points(self, elliptical_gauss):
         """The limit cdf is evaluated at no more than 15% of a large sample's
         points; evaluating all of them again fails here, without timing."""
