@@ -92,24 +92,14 @@ def empirical_conditional_cdf(sample, frame):
 def ks_distance(empirical, law):
     """sup |F_hat - F| over the jump points, both one-sided gaps per jump.
 
-    F = ``law.cdf`` and F_hat are nondecreasing, so on the cell between two
-    evaluated points F lies between its values there, and F_hat and its left
-    limits between F_hat at the left end and just before the right end.  F is
-    evaluated at every 64th point and the last, and inside a cell only if the
-    bound this gives reaches the maximum less 16 ulps (of 1 at least), which
-    covers rounding that makes F non-monotone.  The result is the float of the
-    full evaluation, which small samples, NaN points and an F_hat that falls
-    (negative weights) take.
-    """
-    pts, after = empirical.points, empirical.cumulative
-    n = len(pts)
-
+    F and F_hat are nondecreasing, so F is evaluated at every 64th point, the last, and in cells
+    whose end values bound a gap within 16 ulps (F can round down by an ulp) of the maximum."""
+    pts, after, n = empirical.points, empirical.cumulative, len(empirical.points)
     def gaps(idx):
         ref = np.asarray(law.cdf(pts[idx]), dtype=float)
         before = np.where(idx > 0, after[idx - 1], 0.0)
         return ref, np.maximum(np.abs(after[idx] - ref), np.abs(ref - before))
-
-    if n <= 256 or np.isnan(pts[-1]) or not np.all(after[1:-1] >= after[:-2]):
+    if np.isnan(pts[-1]) or not np.all(after[1:-1] >= after[:-2]):  # NaN, or F_hat falls
         return float(np.max(gaps(np.arange(n))[1]))
     knots = np.r_[0:n - 1:64, n - 1]
     ref, gap = gaps(knots)

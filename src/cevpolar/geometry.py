@@ -179,6 +179,7 @@ def elliptical_curve(rho):
     if not -1.0 < rho < 1.0:
         raise ConstructionError("rho must lie in (-1, 1)")
     sigma = math.sqrt(1.0 - rho * rho)
+    sign = math.copysign(1.0, rho)  # sign - rho is exact where the shear is thin
 
     def u_fn(t):
         return np.cos(_TWO_PI * (np.asarray(t, dtype=float) - 0.5))
@@ -194,12 +195,6 @@ def elliptical_curve(rho):
         off = math.asin(math.sqrt(0.5 * g)) / math.pi
         return [t_top - off, (t_top + off) % 1.0]
 
-    def crossing(x, y):  # x v = y u with cos > 0: tan(theta) = (y - rho x) / (sigma x)
-        if sigma < 1e-3:  # the rounding of rho x would move t by 1e-16 / sigma: take
-            s = math.copysign(1.0, rho)  # y - rho x as (y - s x) + (s - rho) x, s - rho exact
-            return [0.5 + math.atan2((y - s * x) + (s - rho) * x, sigma * x) / _TWO_PI]
-        return [0.5 + math.atan2(y - rho * x, sigma * x) / _TWO_PI]
-
     return CurveGerm(
         "elliptical", {"rho": rho}, u_fn, v_fn,
         t0=0.5, rho=rho, kappa=2.0, delta=1.0,
@@ -207,7 +202,10 @@ def elliptical_curve(rho):
         lambda_v=_TWO_PI * sigma,
         window=window, v_star=1.0, t_at_vstar=t_top,
         gap_offset=lambda g, side: np.arcsin(np.sqrt(0.5 * g)) / math.pi,  # 1 - cos = 2 sin^2
-        crossing=crossing,
+        # x v = y u with cos > 0: tan(theta) = (y - rho x) / (sigma x); a thin shear's 1 / sigma
+        # magnifies the rounding of rho x, so there y - rho x = (y - sign x) + (sign - rho) x
+        crossing=lambda x, y: [0.5 + math.atan2((y - sign * x) + (sign - rho) * x if sigma < 1e-3
+                                                else y - rho * x, sigma * x) / _TWO_PI],
         v_level=v_level,
     )
 
@@ -241,12 +239,10 @@ def lp_curve(p, rho=0.0):
         c, sn = np.cos(phi), np.sin(phi)
         return -np.abs(c) ** (2.0 / p), np.sign(sn) * np.abs(sn) ** (2.0 / p)
 
-    def base_xy(t):  # each node evaluates only its own half
+    def base_xy(t):  # each node evaluates only its own half (a 0-d t: no item assignment)
         t = np.asarray(t, dtype=float)
         mid = (t >= 0.125) & (t <= 0.875)
-        k = np.count_nonzero(mid)
-        if k == 0 or k == t.size:  # one half: a quadrature panel (the kinks are breakpoints),
-            # or a 0-d t, whose np.clip is a scalar that takes no item assignment
+        if (k := np.count_nonzero(mid)) in (0, t.size):  # a quadrature panel, or a 0-d t
             return tuple(map(np.asarray, (visible_xy if k else hidden_xy)(t)))
         x, y = np.empty_like(t), np.empty_like(t)
         x[mid], y[mid] = visible_xy(t[mid])

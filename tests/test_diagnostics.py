@@ -40,10 +40,10 @@ def ks_cases(draw):
     come close to the maximum), with ties, +-inf, NaN and zero, negative or
     infinite weights mixed in; one-sided laws are flat on half the line."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    # n from 1e5 down to 1, the cut-offs of the bracketing among them; hypothesis
-    # favours the head of the list
-    n = draw(st.sampled_from([100_000, 75_000, 64 * 900 + 2, 20_000, 5_000, 1_000, 258, 257,
-                              256, 100, 7, 2, 1]))
+    # n from 1e5 down to 1: a single knot, a single cell, a last cell without inner points;
+    # hypothesis favours the head of the list
+    n = draw(st.sampled_from([100_000, 75_000, 64 * 900 + 2, 20_000, 5_000, 1_000, 130, 129,
+                              100, 65, 64, 7, 2, 1]))
     w_minus = draw(st.sampled_from([0.0, 1.0, 0.5, 0.3]))
     law = cp.LimitLaw(draw(st.floats(1.05, 6.0)), draw(st.floats(0.2, 3.0)), w_minus, 1.0 - w_minus)
     points = law.sample(n, rng) * draw(st.floats(0.5, 2.0)) + draw(st.floats(-0.5, 0.5))
