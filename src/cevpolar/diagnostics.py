@@ -46,45 +46,32 @@ DEFAULT_Y_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 
 class EmpiricalCDF:
-    """Right-continuous step function from weighted points."""
+    """Right-continuous step function from weighted points: no NaN point, finite
+    nonnegative weights; tied points merge into one, their weights summed in input order."""
 
     def __init__(self, points, weights):
         points = np.asarray(points, dtype=float)
         weights = np.asarray(weights, dtype=float)
-        if len(points) == 0:
-            raise DomainError("empirical CDF requires at least one point")
+        if points.ndim != 1 or points.shape != weights.shape or len(points) == 0:
+            raise DomainError("empirical CDF needs nonempty 1-D points and weights of one length")
         total = float(np.sum(weights))
-        if not total > 0.0:
-            raise DomainError("empirical CDF requires positive total weight")
-        order = np.argsort(points)
-        pts = points[order]
-        # merge duplicate support points: each run of equal sorted points (a
-        # run of NaNs too, as np.unique) is one point, valued at its first
-        first = np.empty(len(pts), dtype=bool)
-        first[0] = True
-        np.not_equal(pts[1:], pts[:-1], out=first[1:])
-        if np.isnan(pts[-1]) or not first.all():  # a run sums its weights in input order
-            order = np.argsort(points, kind="stable")
-            pts = points[order]
-            first[1:] &= ~np.isnan(pts[:-1])  # NaNs sort last
-        wts = weights[order] / total
-        start = np.flatnonzero(first)
-        sums = np.add.reduceat(wts, start)
-        self.points = pts[start]
-        self.cumulative = np.cumsum(sums)
+        if not (np.min(weights) >= 0.0 and 0.0 < total < math.inf):  # NaN fails the min
+            raise DomainError("empirical CDF requires finite nonnegative weights, finite total > 0")
+        # the only sort; + 0.0 joins -0.0 to 0.0, and bincount sums each run in input order
+        self.points, run = np.unique(points + 0.0, return_inverse=True)
+        if np.isnan(self.points[-1]):  # NaNs sort last
+            raise DomainError("empirical CDF points must not be NaN")
+        self.cumulative = np.cumsum(np.bincount(run, weights / total))
         self.cumulative[-1] = 1.0
 
     def __call__(self, y):
         idx = np.searchsorted(self.points, np.asarray(y, dtype=float), side="right")
-        padded = np.concatenate([[0.0], self.cumulative])
-        out = padded[idx]
+        out = np.where(idx > 0, self.cumulative[idx - 1], 0.0)
         return float(out) if np.isscalar(y) else out
 
 
 def empirical_conditional_cdf(sample, frame):
     """Weighted empirical CDF of the standardized second coordinate."""
-    if len(sample) == 0:
-        raise DomainError("empty sample")
     standardized = (sample.y - frame.m_t) / frame.a_t
     return EmpiricalCDF(standardized, sample.weights)
 
@@ -92,15 +79,13 @@ def empirical_conditional_cdf(sample, frame):
 def ks_distance(empirical, law):
     """sup |F_hat - F| over the jump points, both one-sided gaps per jump.
 
-    F and F_hat are nondecreasing, so F is evaluated at every 64th point, the last, and in cells
-    whose end values bound a gap within 16 ulps (F can round down by an ulp) of the maximum."""
+    F and F_hat (nonnegative weights) are nondecreasing, so F is evaluated at every 64th point, the
+    last, and in cells whose end values bound a gap within 16 ulps (for rounding) of the maximum."""
     pts, after, n = empirical.points, empirical.cumulative, len(empirical.points)
     def gaps(idx):
         ref = np.asarray(law.cdf(pts[idx]), dtype=float)
         before = np.where(idx > 0, after[idx - 1], 0.0)
         return ref, np.maximum(np.abs(after[idx] - ref), np.abs(ref - before))
-    if np.isnan(pts[-1]) or not np.all(after[1:-1] >= after[:-2]):  # NaN, or F_hat falls
-        return float(np.max(gaps(np.arange(n))[1]))
     knots = np.r_[0:n - 1:64, n - 1]
     ref, gap = gaps(knots)
     best = np.max(gap)
@@ -110,12 +95,12 @@ def ks_distance(empirical, law):
     return float(max(best, np.max(gaps(inner[inner < n - 1])[1], initial=0.0)))
 
 
-def oracle_grid_distance(model, frame, limit, x_grid=DEFAULT_X_GRID, y_grid=DEFAULT_Y_GRID):
-    """sup over the grid of |oracle conditional CDF - (1 - e^-x) H(y)|, from
-    one oracle call for the whole grid."""
-    exact = conditional_cdf_oracle(model, frame, x_grid, y_grid)
-    fac = 1.0 - np.exp(-np.asarray(x_grid, dtype=float))
-    return float(np.max(np.abs(exact - np.outer(fac, limit.cdf(y_grid)))))
+def oracle_grid_distance(model, frame, limit):
+    """sup over ``DEFAULT_X_GRID`` x ``DEFAULT_Y_GRID`` of |oracle conditional
+    CDF - (1 - e^-x) H(y)|, from one oracle call for the whole grid."""
+    exact = conditional_cdf_oracle(model, frame, DEFAULT_X_GRID, DEFAULT_Y_GRID)
+    fac = 1.0 - np.exp(-np.asarray(DEFAULT_X_GRID, dtype=float))
+    return float(np.max(np.abs(exact - np.outer(fac, limit.cdf(DEFAULT_Y_GRID)))))
 
 
 @dataclass(frozen=True)
@@ -157,8 +142,7 @@ class SweepReport:
         }
 
 
-def convergence_sweep(model, quantile_levels, n, rng,
-                      x_grid=DEFAULT_X_GRID, y_grid=DEFAULT_Y_GRID):
+def convergence_sweep(model, quantile_levels, n, rng):
     """KS and oracle distances to the limit along rising radial quantiles.
 
     Each level draws from its own child generator spawned from ``rng``, so
@@ -178,7 +162,7 @@ def convergence_sweep(model, quantile_levels, n, rng,
         frame = normalization(model, t)
         sample = sample_conditional(model, t, n, stream)
         emp = empirical_conditional_cdf(sample, frame)
-        dist = oracle_grid_distance(model, frame, limit, x_grid, y_grid)
+        dist = oracle_grid_distance(model, frame, limit)
         return t, ks_distance(emp, limit), sample.effective_size, dist
 
     results = [one_level(q, s) for q, s in zip(levels, streams)]

@@ -148,6 +148,13 @@ def normalization(model, t):
     return ConditionalFrame(t=t, m_t=curve.rho * t, psi_t=psi_t, a_t=a_t)
 
 
+def _side_terms(model):
+    """The two side terms g- c-**(-(1+tau)/kappa) and g+ c+**(-(1+tau)/kappa)."""
+    curve, ang = model.curve, model.angular
+    expo = (1.0 + ang.tau) / curve.kappa
+    return ang.g_minus * curve.c_minus ** (-expo), ang.g_plus * curve.c_plus ** (-expo)
+
+
 def limit_law_of(model):
     """Limit law of the standardized second coordinate given a deep exceedance.
 
@@ -155,26 +162,19 @@ def limit_law_of(model):
     the angular side coefficients with the curve side coefficients.
     """
     curve = model.curve
-    ang = model.angular
-    eta = curve.kappa / curve.delta
-    zeta = (1.0 + ang.tau) / curve.delta
-    expo = (1.0 + ang.tau) / curve.kappa
-    raw_minus = ang.g_minus * curve.c_minus ** (-expo)
-    raw_plus = ang.g_plus * curve.c_plus ** (-expo)
+    raw_minus, raw_plus = _side_terms(model)
     total = raw_minus + raw_plus
     if not total > 0.0:
         raise ConstructionError("degenerate angular law: both side coefficients vanish")
-    return LimitLaw(eta=eta, zeta=zeta,
+    return LimitLaw(eta=curve.kappa / curve.delta, zeta=(1.0 + model.angular.tau) / curve.delta,
                     weight_minus=raw_minus / total, weight_plus=raw_plus / total)
 
 
 def marginal_tail_constant(model):
     """Constant k0 with P(X > x) ~ k0 * (psi(x)/x)**((1+tau)/kappa) * S(x)."""
-    curve = model.curve
-    ang = model.angular
-    expo = (1.0 + ang.tau) / curve.kappa
-    side = ang.g_plus * curve.c_plus ** (-expo) + ang.g_minus * curve.c_minus ** (-expo)
-    return special.gamma(expo) / curve.kappa * side
+    kappa = model.curve.kappa
+    raw_minus, raw_plus = _side_terms(model)
+    return special.gamma((1.0 + model.angular.tau) / kappa) / kappa * (raw_minus + raw_plus)
 
 
 def survival_x_asymptotic(model, x):

@@ -342,13 +342,14 @@ class TabulatedRadial(RadialLaw):
     kind = "numeric"
 
     _LOG_DEPTH = 60.0  # tabulate until survival ~ exp(-60)
+    _N_NODES = 2049  # equispaced tabulation nodes on [0, r_cap]
 
-    def __init__(self, density_fn, n_nodes=2049):
+    def __init__(self, density_fn):
         self._raw_density = density_fn
         r_cap, total = self._find_range(density_fn)
-        nodes = np.linspace(0.0, r_cap, n_nodes)
-        panels = np.empty(n_nodes - 1)
-        for i in range(n_nodes - 1):
+        nodes = np.linspace(0.0, r_cap, self._N_NODES)
+        panels = np.empty(self._N_NODES - 1)
+        for i in range(self._N_NODES - 1):
             panels[i], _ = _quadpack(density_fn, nodes[i], nodes[i + 1], epsrel=1e-12)
         beyond = self._tail_mass(density_fn, r_cap)
         total = float(np.sum(panels) + beyond)

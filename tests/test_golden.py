@@ -200,3 +200,4 @@ if __name__ == "__main__":
                 sys.stdout.write(f'    "{case}.{fmt}":\n        "{digest}",\n')
     moved = sorted(key for key in {*GOLDEN, *table} if GOLDEN.get(key) != table.get(key))
     sys.stdout.write(f"# moved: {', '.join(moved)}\n" if moved else "# no digest moved\n")
+    sys.exit(1 if moved else 0)
