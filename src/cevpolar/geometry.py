@@ -517,14 +517,17 @@ class TabulatedAngular(AngularLaw):
 
     ``density_fn`` maps an array of parameters to the array of densities.
     Used for decomposed models where the density is a curve Jacobian; the
-    density is assumed bounded with a positive limit at t0 (tau = 0).
+    density is assumed bounded with a positive limit at t0 (tau = 0).  The
+    nodes are ``nodes`` (by default 4,097 equispaced on [0, 1]) and t0.
     """
 
     kind = "tabulated"
 
-    def __init__(self, density_fn, t0, n_nodes=4097):
+    def __init__(self, density_fn, t0, nodes=None):
         self.t0 = float(t0)
-        nodes = np.unique(np.concatenate([np.linspace(0.0, 1.0, n_nodes), [self.t0]]))
+        if nodes is None:
+            nodes = np.linspace(0.0, 1.0, 4097)
+        nodes = np.unique(np.concatenate([nodes, [self.t0]]))
         raw = np.maximum(np.asarray(density_fn(nodes), dtype=float), 0.0)
         if not np.all(np.isfinite(raw)):
             raise ConstructionError("angular density must be finite on [0, 1]")
@@ -571,9 +574,11 @@ class TabulatedAngular(AngularLaw):
 
     @classmethod
     def from_grid(cls, grid, t0):
-        """The law of a serialized grid: arrays (t, density), checked."""
+        """The law of a serialized grid: arrays (t, density) on [0, 1], checked."""
         nodes, dens = grid
-        return cls(PchipInterpolator(nodes, dens), t0, n_nodes=len(nodes))
+        if nodes[0] != 0.0 or nodes[-1] != 1.0:
+            raise ConstructionError("tabulated angular grid must run from 0 to 1")
+        return cls(PchipInterpolator(nodes, dens), t0, nodes)
 
 
 def angular_uniform():

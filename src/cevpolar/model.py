@@ -250,12 +250,6 @@ def _radial_level(num, den):
     return np.where(pos, num / np.where(pos, den, 1.0), np.inf)
 
 
-def _survival(radial, level):
-    """Radial survival at each level, exactly 0 at the level +inf."""
-    never = level == np.inf
-    return np.where(never, 0.0, radial.survival(np.where(never, 0.0, level)))
-
-
 def _band_integrand(model, x, y, above):
     """Array integrand of P(X > x, Y > y) (``above``) or of P(X > x, Y <= y).
 
@@ -277,7 +271,7 @@ def _band_integrand(model, x, y, above):
         whole = (v == 0.0) & ((y < 0.0) if above else (y >= 0.0))
         lo = np.where(upper, split, np.where(lower | whole, ru, np.inf))
         hi = np.where(lower, split, np.inf)
-        return (_survival(radial, lo) - _survival(radial, hi)) * ang.density(t)
+        return (radial.survival(lo) - radial.survival(hi)) * ang.density(t)
 
     return integrand
 
@@ -301,7 +295,7 @@ def _marginal_oracle(model, level, coord, scale, hints):
     radial, ang = model.radial, model.angular
 
     def integrand(t):
-        return _survival(radial, _radial_level(level, coord(t))) * ang.density(t)
+        return radial.survival(_radial_level(level, coord(t))) * ang.density(t)
 
     return _oracle_integrate(model, integrand, scale, hints)
 
@@ -448,7 +442,7 @@ def decompose_density(radial_profile, curve, angular_weight=None):
     angle with density proportional to |u v' - u' v| times the weight.
     ``angular_weight`` maps an array of curve parameters to an array.
     """
-    radial = TabulatedRadial(lambda r: r * float(radial_profile(r)))
+    radial = TabulatedRadial.from_density(lambda r: r * float(radial_profile(r)))
 
     step = 1e-5
 

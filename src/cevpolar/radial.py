@@ -180,99 +180,31 @@ class Rayleigh(RadialLaw):
 
 
 class VonMisesRadial(RadialLaw):
-    """Law defined by survival = scale * exp(-integral of 1/psi), capped at 1.
+    """Law with survival scale * exp(-(J(x) - J(x0))), capped at 1, of a table.
 
-    The cumulative integral J(x) = int_0^x ds/psi(s) is tabulated on an
-    adaptive grid with its exact derivative 1/psi at the nodes, and evaluated
-    through a cubic Hermite spline.  The quantiles of one call are one
-    bracketed array solve on the Hermite pieces (``searchsorted`` picks each
-    level's piece, then :func:`bisect_monotone` bisects all pieces at once),
-    so the log-survival of a quantile returns its level to about 1e-12
-    relative.
+    The table ``grid`` holds nodes x, the cumulative integral
+    J(x) = int_0^x ds/psi(s) and its derivative Jp = 1/psi at the nodes (see
+    :func:`build_von_mises`).  J is a cubic Hermite spline on the nodes,
+    extended past the last one by its end slope.  The quantiles of one call
+    are one bracketed array solve on the Hermite pieces (``searchsorted``
+    picks each level's piece, then :func:`bisect_monotone` bisects all pieces
+    at once), so the log-survival of a quantile returns its level to about
+    1e-12 relative.
     """
 
     kind = "von_mises"
 
-    #: stop tabulating once the law has decayed below double precision
-    _J_DEPTH = 750.0
-    _MAX_NODES = 200_000
-
-    def __init__(self, psi, x0=0.0, scale=1.0, _grid=None):
-        if not 0.0 < scale <= 1.0:
-            raise ConstructionError("scale must lie in (0, 1]")
-        if not x0 >= 0.0:
-            raise ConstructionError("x0 must be nonnegative")
-        self.x0 = float(x0)
-        self.scale = float(scale)
-        self._psi = psi
-        if _grid is not None:
-            xs, js, jps = _grid
-        else:
-            xs, js, jps = self._build_grid(psi)
-        self._xs = np.asarray(xs, dtype=float)
-        self._js = np.asarray(js, dtype=float)
-        self._jps = np.asarray(jps, dtype=float)
+    def __init__(self, grid, x0, scale):
+        self.x0, self.scale = _checked_cap(x0, scale)
+        self._xs, self._js, self._jps = (np.asarray(a, dtype=float) for a in grid)
+        if np.any(np.diff(self._js) < 0.0) or np.any(self._jps < 0.0) or not self._jps[-1] > 0.0:
+            raise ConstructionError("von Mises J must be nondecreasing with a positive end slope")
         self._spline = CubicHermiteSpline(self._xs, self._js, self._jps)
+        self._dspline = self._spline.derivative()
         self._j_x0 = float(self._spline(self.x0))
         if self.x0 > self._xs[-1]:
             raise ConstructionError("x0 beyond tabulated range")
 
-    # -- construction ---------------------------------------------------------
-    def _build_grid(self, psi):
-        def inv_psi(x):
-            p = float(psi(x))
-            if not p > 0.0 or not math.isfinite(p):
-                raise ConstructionError(f"psi({x}) = {p} is not a positive finite value")
-            return 1.0 / p
-
-        depth = self._J_DEPTH + max(0.0, -math.log(self.scale)) + 1.0
-        xs = [0.0]
-        jps = [inv_psi(0.0) if self._safe_at_zero(psi) else 0.0]
-        js = [0.0]
-        x = 0.0
-        j = 0.0
-        j_ref = 0.0 if self.x0 == 0.0 else None  # J at x0, set when the grid passes it
-        history = []  # (x, j) pairs for the divergence heuristic
-        while j_ref is None or j - j_ref < depth:
-            p = float(psi(max(x, 1e-300)))
-            if not p > 0.0 or not math.isfinite(p):
-                raise ConstructionError(f"psi({x}) = {p} is not a positive finite value")
-            dx = min(max(0.5 * p, 1e-9 * (1.0 + x)), 0.25 * (1.0 + x))
-            seg, _ = _quadpack(inv_psi, x, x + dx, epsrel=1e-12)
-            if not math.isfinite(seg):
-                raise ConstructionError(
-                    "1/psi is not integrable on the grid; psi vanishes or is singular"
-                )
-            x += dx
-            j += seg
-            xs.append(x)
-            js.append(j)
-            jps.append(inv_psi(x))
-            history.append((x, j))
-            if j_ref is None and x >= self.x0:
-                j_ref = j
-            if len(xs) >= self._MAX_NODES:
-                raise ConstructionError(
-                    "integral of 1/psi grows too slowly; the law does not decay "
-                    "fast enough to tabulate (is the integral divergent?)"
-                )
-            if x > 1e13 and len(history) > 64:
-                _, j_half = history[len(history) // 2]
-                if j - j_half < 1e-6 * max(j, 1.0):
-                    raise ConstructionError(
-                        "integral of 1/psi appears convergent; not a valid light-tailed law"
-                    )
-        return xs, js, jps
-
-    @staticmethod
-    def _safe_at_zero(psi):
-        try:
-            p = float(psi(0.0))
-            return math.isfinite(p) and p > 0.0
-        except (ArithmeticError, ValueError):
-            return False
-
-    # -- evaluation ------------------------------------------------------------
     def _log_survival(self, x):
         j = np.where(
             x <= self._xs[-1],
@@ -282,9 +214,7 @@ class VonMisesRadial(RadialLaw):
         return np.minimum(math.log(self.scale) - (j - self._j_x0), 0.0)
 
     def _aux_psi(self, x):
-        if self._psi is not None:
-            return np.asarray([float(self._psi(v)) for v in x])
-        return 1.0 / self._spline.derivative()(x)
+        return 1.0 / self._dspline(x)
 
     def _density(self, x):
         return np.exp(self._log_survival(x)) / self._aux_psi(np.maximum(x, 1e-300))
@@ -295,11 +225,7 @@ class VonMisesRadial(RadialLaw):
         # levels at or above the cap are the atom at the left edge of the decay region
         out = np.full(logq.shape, self._cap_edge())
         beyond = j_target > self._js[-1]
-        if np.any(beyond):
-            slope = self._jps[-1]
-            if slope <= 0.0:
-                raise DomainError("quantile beyond tabulated range")
-            out[beyond] = self._xs[-1] + (j_target[beyond] - self._js[-1]) / slope
+        out[beyond] = self._xs[-1] + (j_target[beyond] - self._js[-1]) / self._jps[-1]
         inside = (target > 0.0) & ~beyond
         if np.any(inside):
             jt = j_target[inside]
@@ -325,18 +251,89 @@ class VonMisesRadial(RadialLaw):
             },
         }
 
-    @classmethod
-    def from_grid(cls, grid, x0, scale):
-        """The law of a serialized grid cache: arrays (x, J, Jp), checked."""
-        return cls(psi=None, x0=x0, scale=scale, _grid=grid)
+
+def _checked_cap(x0, scale):
+    """(x0, scale) of a von Mises law as floats, checked."""
+    if not 0.0 < scale <= 1.0:
+        raise ConstructionError("scale must lie in (0, 1]")
+    if not x0 >= 0.0:
+        raise ConstructionError("x0 must be nonnegative")
+    return float(x0), float(scale)
+
+
+#: stop tabulating a von Mises law once it has decayed below double precision
+_J_DEPTH = 750.0
+_MAX_NODES = 200_000
+
+
+def build_von_mises(psi, x0=0.0, scale=1.0):
+    """Tabulate the von Mises law of a positive auxiliary-scale function.
+
+    The survival is scale * exp(-int_{x0}^x ds/psi(s)), capped at one.  The
+    integral J of 1/psi is tabulated on an adaptive grid with its exact
+    derivative 1/psi at the nodes, until the law has decayed below double
+    precision.  The integral must diverge; stalling growth raises a
+    construction error.
+    """
+    x0, scale = _checked_cap(x0, scale)
+
+    def inv_psi(x):
+        p = float(psi(x))
+        if not p > 0.0 or not math.isfinite(p):
+            raise ConstructionError(f"psi({x}) = {p} is not a positive finite value")
+        return 1.0 / p
+
+    try:
+        p0 = float(psi(0.0))
+    except (ArithmeticError, ValueError):
+        p0 = math.nan
+    depth = _J_DEPTH + max(0.0, -math.log(scale)) + 1.0
+    xs = [0.0]
+    jps = [1.0 / p0 if math.isfinite(p0) and p0 > 0.0 else 0.0]
+    js = [0.0]
+    x = 0.0
+    j = 0.0
+    j_ref = 0.0 if x0 == 0.0 else None  # J at x0, set when the grid passes it
+    history = []  # (x, j) pairs for the divergence heuristic
+    while j_ref is None or j - j_ref < depth:
+        p = float(psi(max(x, 1e-300)))
+        if not p > 0.0 or not math.isfinite(p):
+            raise ConstructionError(f"psi({x}) = {p} is not a positive finite value")
+        dx = min(max(0.5 * p, 1e-9 * (1.0 + x)), 0.25 * (1.0 + x))
+        seg, _ = _quadpack(inv_psi, x, x + dx, epsrel=1e-12)
+        if not math.isfinite(seg):
+            raise ConstructionError(
+                "1/psi is not integrable on the grid; psi vanishes or is singular"
+            )
+        x += dx
+        j += seg
+        xs.append(x)
+        js.append(j)
+        jps.append(inv_psi(x))
+        history.append((x, j))
+        if j_ref is None and x >= x0:
+            j_ref = j
+        if len(xs) >= _MAX_NODES:
+            raise ConstructionError(
+                "integral of 1/psi grows too slowly; the law does not decay "
+                "fast enough to tabulate (is the integral divergent?)"
+            )
+        if x > 1e13 and len(history) > 64:
+            _, j_half = history[len(history) // 2]
+            if j - j_half < 1e-6 * max(j, 1.0):
+                raise ConstructionError(
+                    "integral of 1/psi appears convergent; not a valid light-tailed law"
+                )
+    return VonMisesRadial((xs, js, jps), x0, scale)
 
 
 class TabulatedRadial(RadialLaw):
-    """Radial law built from an (unnormalized) density function by tabulation.
+    """Radial law of a table of log-survival values at increasing nodes.
 
-    Survival values at the nodes are backward-accumulated tail integrals, so
-    they keep full relative accuracy deep into the tail; log-survival between
-    nodes is a monotone cubic interpolant.
+    Log-survival between nodes is a monotone cubic interpolant, extended past
+    the last node by a line of its end slope (at most -1e-12); the density is
+    minus its slope times the survival.  :meth:`from_density` tabulates an
+    (unnormalized) density function.
     """
 
     kind = "numeric"
@@ -344,26 +341,9 @@ class TabulatedRadial(RadialLaw):
     _LOG_DEPTH = 60.0  # tabulate until survival ~ exp(-60)
     _N_NODES = 2049  # equispaced tabulation nodes on [0, r_cap]
 
-    def __init__(self, density_fn):
-        self._raw_density = density_fn
-        r_cap, total = self._find_range(density_fn)
-        nodes = np.linspace(0.0, r_cap, self._N_NODES)
-        panels = np.empty(self._N_NODES - 1)
-        for i in range(self._N_NODES - 1):
-            panels[i], _ = _quadpack(density_fn, nodes[i], nodes[i + 1], epsrel=1e-12)
-        beyond = self._tail_mass(density_fn, r_cap)
-        total = float(np.sum(panels) + beyond)
-        if not (math.isfinite(total) and total > 0.0):
-            raise ConstructionError("radial density has zero or divergent mass")
-        tails = np.concatenate([np.cumsum(panels[::-1])[::-1], [0.0]]) + beyond
-        surv = np.clip(tails / total, 0.0, 1.0)
-        surv[0] = 1.0
-        positive = surv > 0.0
-        self._total = total
-        self._tabulate(nodes[positive], np.log(surv[positive]))
-
-    def _tabulate(self, nodes, log_surv):
-        """Log-survival spline on the nodes, its derivative and its inverse."""
+    def __init__(self, nodes, log_survival):
+        nodes = np.asarray(nodes, dtype=float)
+        log_surv = np.asarray(log_survival, dtype=float)
         steps = np.diff(log_surv)
         keep = np.concatenate([[True], steps < -1e-14])
         if np.any(steps > 0.0) or np.count_nonzero(keep) < 2:
@@ -376,6 +356,26 @@ class TabulatedRadial(RadialLaw):
         self._tail_slope = min(float(self._dspline(nodes[-1])), -1e-12)
         # quantile interpolant on the strictly decreasing log-survival values
         self._quantile = PchipInterpolator(-log_surv[keep], nodes[keep])
+
+    @classmethod
+    def from_density(cls, density_fn):
+        """The law of a nonnegative (unnormalized) scalar density function.
+
+        Survival values at the nodes are backward-accumulated tail integrals,
+        so they keep full relative accuracy deep into the tail.
+        """
+        nodes = np.linspace(0.0, cls._find_range(density_fn), cls._N_NODES)
+        panels = np.array([_quadpack(density_fn, lo, hi, epsrel=1e-12)[0]
+                           for lo, hi in zip(nodes[:-1], nodes[1:])])
+        beyond = cls._tail_mass(density_fn, nodes[-1])
+        total = float(np.sum(panels) + beyond)
+        if not (math.isfinite(total) and total > 0.0):
+            raise ConstructionError("radial density has zero or divergent mass")
+        tails = np.concatenate([np.cumsum(panels[::-1])[::-1], [0.0]]) + beyond
+        surv = np.clip(tails / total, 0.0, 1.0)
+        surv[0] = 1.0
+        positive = surv > 0.0
+        return cls(nodes[positive], np.log(surv[positive]))
 
     @classmethod
     def _find_range(cls, density_fn):
@@ -405,7 +405,7 @@ class TabulatedRadial(RadialLaw):
                 hi_r = mid
             if hi_r - lo_r < 1e-6 * max(hi_r, 1.0):
                 break
-        return max(hi_r, 1e-6), total
+        return max(hi_r, 1e-6)
 
     @staticmethod
     def _tail_mass(density_fn, r):
@@ -428,11 +428,9 @@ class TabulatedRadial(RadialLaw):
         return np.minimum(np.where(x <= last, inside, beyond), 0.0)
 
     def _density(self, x):
-        if self._raw_density is None:
-            # a serialized law: minus the slope of its log-survival, times its survival
-            last = self._nodes[-1]
-            return -self._dspline(np.minimum(x, last)) * np.exp(self._log_survival(x))
-        return np.asarray([float(self._raw_density(v)) for v in x]) / self._total
+        # minus the slope of the log-survival (held past the last node), times the survival
+        last = self._nodes[-1]
+        return -self._dspline(np.minimum(x, last)) * np.exp(self._log_survival(x))
 
     def _aux_psi(self, x):
         return np.exp(self._log_survival(x)) / np.maximum(self._density(x), 1e-300)
@@ -469,24 +467,6 @@ class TabulatedRadial(RadialLaw):
             "params": {},
             "grid": {"x": self._nodes.tolist(), "log_survival": self._log_surv.tolist()},
         }
-
-    @classmethod
-    def from_grid(cls, grid):
-        """The law of a serialized grid: arrays (x, log_survival), checked."""
-        self = cls.__new__(cls)
-        self._tabulate(*grid)
-        self._raw_density = None
-        return self
-
-
-def build_von_mises(psi, x0=0.0, scale=1.0):
-    """Assemble a radial law from a positive auxiliary-scale function.
-
-    The survival is scale * exp(-int_{x0}^x ds/psi(s)), capped at one.  The
-    integral of 1/psi must diverge; stalling growth raises a construction
-    error.
-    """
-    return VonMisesRadial(psi, x0=x0, scale=scale)
 
 
 @dataclass(frozen=True)
@@ -535,8 +515,8 @@ def radial_from_dict(data):
     """Rebuild a radial law from its JSON dictionary form."""
     grids = {VonMisesRadial.kind: ("x", "J", "Jp"), TabulatedRadial.kind: ("x", "log_survival")}
     kind, params, grid = _read_spec(data, "radial", {**dict.fromkeys(_CATALOG), **grids})
-    builders = {VonMisesRadial.kind: lambda p: VonMisesRadial.from_grid(grid, **p),
-                TabulatedRadial.kind: lambda p: TabulatedRadial.from_grid(grid, **p),
+    builders = {VonMisesRadial.kind: lambda p: VonMisesRadial(grid, **p),
+                TabulatedRadial.kind: lambda p: TabulatedRadial(*grid, **p),
                 **_CATALOG}
     try:
         return builders[kind](params)

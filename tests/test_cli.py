@@ -256,6 +256,12 @@ BAD_INPUTS = {
     "von-mises-unknown-param": ({**_ELL, "radial": {
         "kind": "von_mises", "params": {"x0": 0.0, "scale": 1.0, "shift": 2.0},
         "grid": _VM_GRID}}, _SIMULATE),
+    "von-mises-flat-tail": ({**_ELL, "radial": {
+        "kind": "von_mises", "params": {"x0": 0.0, "scale": 1.0},
+        "grid": {**_VM_GRID, "Jp": [1.0, 1.0, 0.0]}}}, _SIMULATE),
+    "tabulated-grid-short-of-one": ({**_ELL, "angular": {
+        "kind": "tabulated", "params": {"t0": 0.5},
+        "grid": {**_TAB_GRID, "t": [0.0, 0.5, 0.9]}}}, _SIMULATE),
     "mixture-param-string": ({"mixture": {"p": 0.4, "rho": "0.8", "tau_mix": -0.4}},
                              _SIMULATE),
     "mixture-cone-not-numbers": (

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -780,6 +781,23 @@ class TestAngularLaws:
                 and issubclass(obj, cp.geometry.AngularLaw) and obj is not cp.geometry.AngularLaw]
         assert len(laws) == 3
         assert not any("sample" in vars(law) for law in laws)
+
+    def test_tabulated_roundtrip_keeps_its_nodes(self):
+        # t0 = 0.3 lies off the 4,097-point default grid, so the law has 4,098
+        # nodes; a loaded law tabulates on the nodes it was given
+        law = cp.TabulatedAngular(lambda t: 1.0 + t * t, t0=0.3)
+        nodes = law.to_dict()["grid"]["t"]
+        assert len(nodes) == 4098
+        for _ in range(3):
+            law = cp.angular_from_dict(json.loads(json.dumps(law.to_dict())))
+            assert law.to_dict()["grid"]["t"] == nodes
+
+    @pytest.mark.parametrize("ts", [[0.0, 0.5, 0.9], [0.1, 0.5, 1.0]])
+    def test_tabulated_grid_spans_the_unit_interval(self, ts):
+        spec = {"kind": "tabulated", "params": {"t0": 0.5},
+                "grid": {"t": ts, "density": [1.0, 1.0, 1.0]}}
+        with pytest.raises(cp.ConstructionError):
+            cp.angular_from_dict(spec)
 
     def test_angular_serialization(self):
         for law in (cp.angular_uniform(), cp.angular_power(0.3, 0.7, 0.4, 0.2)):

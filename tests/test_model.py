@@ -10,8 +10,7 @@ from scipy.integrate import quad
 from scipy.stats import chi2, norm
 
 import cevpolar as cp
-from cevpolar.cli import (_CSV_BLOCK, _CSV_TASK, _CSV_TASKS_PER_WORKER, _csv_cell, _csv_rows,
-                          _write_csv)
+from cevpolar.cli import _CSV_TASK, _CSV_TASKS_PER_WORKER, _csv_cell, _csv_text, _write_csv
 
 
 class TestPolarModelAssembly:
@@ -138,13 +137,13 @@ _TASK_EDGE = 2 * _CSV_TASKS_PER_WORKER * _CSV_TASK
 
 class TestCsvWriter:
     def test_block_cells_equal_csv_cell(self, tmp_path):
-        n = 65_537  # one row past a block boundary
-        assert n % _CSV_BLOCK == 1
+        n = 65_537  # one row past a task boundary
+        assert n % _CSV_TASK == 1
         rng = np.random.default_rng(3)
         floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
         specials = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5]
         floats[:7] = specials
-        floats[-7:] = specials  # on both sides of the block boundary
+        floats[-7:] = specials  # on both sides of the task boundary
         pool = ["a b", 3, True, np.float64(0.1), 1.5, -7, False, np.float64(-0.0)]
         mixed = [pool[i % len(pool)] for i in range(n)]
         path = tmp_path / "cells.csv"
@@ -169,7 +168,8 @@ class TestCsvWriter:
         columns = _table(n)
         path = tmp_path / "t.csv"
         _write_csv(path, {"seed": 1}, ("array", "list", "mixed"), columns)
-        assert path.read_text() == "# seed=1\narray,list,mixed\n" + "".join(_csv_rows(columns))
+        rows = _csv_text(columns) if n else ""  # an empty table has no task
+        assert path.read_text() == "# seed=1\narray,list,mixed\n" + rows
         assert started == ([(2,)] if n > _SERIAL_MOST else [])
         assert not multiprocessing.active_children()
 
@@ -180,7 +180,7 @@ class TestCsvWriter:
         columns = _table(tasks * _CSV_TASK)
         path = tmp_path / "t.csv"
         _write_csv(path, {}, ("array", "list", "mixed"), columns)
-        assert path.read_text() == "array,list,mixed\n" + "".join(_csv_rows(columns))
+        assert path.read_text() == "array,list,mixed\n" + _csv_text(columns)
         assert started == ([(workers,)] if workers else [])
 
     def test_one_cpu_starts_no_pool(self, tmp_path, monkeypatch):
@@ -188,7 +188,7 @@ class TestCsvWriter:
         columns = _table(_TASK_EDGE + 1)
         path = tmp_path / "t.csv"
         _write_csv(path, {}, ("array", "list", "mixed"), columns)
-        assert path.read_text() == "array,list,mixed\n" + "".join(_csv_rows(columns))
+        assert path.read_text() == "array,list,mixed\n" + _csv_text(columns)
         assert started == []
 
     def test_worker_error_reaches_the_caller(self, tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
+import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ CATALOG = [cp.Exponential(1.0), cp.Exponential(2.0), cp.Weibull(2.0),
 #: tabulated laws, each rebuilt from its serialized form
 SERIALIZED = [
     cp.radial_from_dict(cp.build_von_mises(lambda s: 1.0 / (1.0 + 0.5 * s)).to_dict()),
-    cp.radial_from_dict(cp.TabulatedRadial(lambda r: r * math.exp(-0.5 * r * r)).to_dict()),
+    cp.radial_from_dict(
+        cp.TabulatedRadial.from_density(lambda r: r * math.exp(-0.5 * r * r)).to_dict()),
 ]
 
 
@@ -191,9 +194,58 @@ class TestVonMises:
     def test_serialization_roundtrip(self):
         law = cp.build_von_mises(lambda s: 1.0 / (1.0 + s))
         clone = cp.radial_from_dict(law.to_dict())
-        for x in (0.5, 2.0, 7.0):
-            assert clone.survival(x) == pytest.approx(law.survival(x), rel=1e-9)
-            assert clone.aux_psi(x) == pytest.approx(1.0 / (1.0 + x), rel=1e-6)
+        xs = np.array([0.5, 2.0, 7.0])
+        assert clone.survival(xs).tolist() == law.survival(xs).tolist()
+        assert clone.aux_psi(xs).tolist() == law.aux_psi(xs).tolist()
+        assert law.aux_psi(xs) == pytest.approx(1.0 / (1.0 + xs), rel=1e-6)
+
+    @pytest.mark.parametrize("grid", [
+        ([0.0, 1.0, 2.0], [0.0, 1.0, 0.5], [1.0, 1.0, 1.0]),  # J falls
+        ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [1.0, -1.0, 1.0]),  # a negative slope
+        ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [1.0, 1.0, 0.0]),  # no decay past the table
+    ], ids=["falling", "negative-slope", "flat-tail"])
+    def test_table_checked(self, grid):
+        with pytest.raises(cp.ConstructionError):
+            cp.VonMisesRadial(grid, 0.0, 1.0)
+
+
+#: tabulated laws as built in process: plain and capped von Mises, and numeric
+BUILT = {
+    "von_mises": cp.build_von_mises(lambda s: 1.0 / (1.0 + 0.5 * s)),
+    "von_mises_capped": cp.build_von_mises(lambda s: 1.0 / (1.0 + 0.5 * s), x0=1.0, scale=0.5),
+    "numeric": cp.TabulatedRadial.from_density(lambda r: r * math.exp(-0.5 * r * r)),
+}
+
+
+class TestTabulatedLawIsItsTable:
+    @pytest.mark.parametrize("name", sorted(BUILT))
+    def test_keeps_no_user_callable(self, name):
+        assert not any(isinstance(v, types.FunctionType) for v in vars(BUILT[name]).values())
+
+    @pytest.mark.parametrize("name", sorted(BUILT))
+    def test_json_roundtrip_is_the_same_law(self, name):
+        # bit for bit, inside the table and past its last node
+        law = BUILT[name]
+        clone = cp.radial_from_dict(json.loads(json.dumps(law.to_dict())))
+        last = law.to_dict()["grid"]["x"][-1]
+
+        def same(method, args):
+            a, b = getattr(law, method)(args), getattr(clone, method)(args)
+            assert a.tobytes() == b.tobytes(), method
+
+        @settings(max_examples=40, deadline=None)
+        @given(us=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=30),
+               qs=st.lists(st.floats(-3000.0, 0.0), min_size=1, max_size=30),
+               ts=st.lists(st.floats(1.0, 1e300, exclude_min=True), min_size=1, max_size=30))
+        def check(us, qs, ts):
+            xs = np.array(us) * last
+            for method in ("log_survival", "density"):
+                same(method, xs)
+            same("aux_psi", xs[xs > 0.0])
+            same("inverse_log_survival", np.array(qs))
+            same("quantile_b", np.array(ts))
+
+        check()
 
 
 #: the closed-form laws, von Mises laws, plain and capped (an atom of mass 1/2
