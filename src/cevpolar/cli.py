@@ -28,7 +28,7 @@ from .limits import (ConditionalFrame, LimitLaw, second_order_conditional,
 from .model import (MixtureModel, conditional_cdf_oracle, decompose_density,
                     model_from_dict, quartic_ridge_weight, sample_conditional, sample_joint,
                     standard_normal_profile, survival_x_oracle)
-from .numerics import _is_number
+from .numerics import _is_number, _read_keys, _read_numbers
 
 #: largest number of points a lo:hi:step grid may ask for
 _MAX_GRID_POINTS = 1_000_000
@@ -217,20 +217,9 @@ def _split_config(data):
         _checked_seed(seed, "config seed")
     if "mixture" not in data:
         return model_from_dict(data), seed
-    extra = set(data) - {"mixture"}
-    if extra:
-        raise ConfigError(f"unknown config keys next to 'mixture': {sorted(extra)}")
-    mix = data["mixture"]
-    if not isinstance(mix, dict):
-        raise ConfigError("'mixture' must be a JSON object")
-    bad = set(mix) - {"p", "rho", "tau_mix", "cone"}
-    if bad:
-        raise ConfigError(f"unknown mixture keys: {sorted(bad)}")
-    missing = {"p", "rho", "tau_mix"} - set(mix)
-    if missing:
-        raise ConfigError(f"mixture config lacks the keys {sorted(missing)}")
-    if not all(_is_number(mix[key]) for key in ("p", "rho", "tau_mix")):
-        raise ConfigError("mixture p, rho and tau_mix must be finite numbers")
+    mix = _read_keys(data, "mixture config", ("mixture",))["mixture"]
+    _read_keys(mix, "mixture", ("p", "rho", "tau_mix"), ("cone",))
+    _read_numbers((mix["p"], mix["rho"], mix["tau_mix"]), "mixture p, rho and tau_mix")
     cone = mix.get("cone")
     if cone is not None and not (isinstance(cone, list) and len(cone) == 2
                                  and all(map(_is_number, cone))):
@@ -242,11 +231,7 @@ def _split_config(data):
 def _decompose_model(config):
     """The polar model of a decompose config: a curve, the gaussian radial
     profile and an optional quartic ridge weight along the curve."""
-    bad = set(config) - {"curve", "profile", "ridge_weight"}
-    if bad:
-        raise ConfigError(f"unknown decompose config keys: {sorted(bad)}")
-    if "curve" not in config:
-        raise ConfigError("decompose config requires a 'curve' entry")
+    _read_keys(config, "decompose config", ("curve",), ("profile", "ridge_weight"))
     curve = curve_from_dict(config["curve"])
     profile_name = config.get("profile", "gaussian")
     if profile_name != "gaussian":

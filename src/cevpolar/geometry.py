@@ -603,20 +603,12 @@ def check_angular_normalization(law, tol=1e-10):
 
 
 def curve_from_dict(data):
-    builders = {"elliptical": elliptical_curve, "lp": lp_curve, "power": power_curve}
-    kind, params, _ = _read_spec(data, "curve", dict.fromkeys(builders))
-    try:
-        return builders[kind](**params)
-    except TypeError as exc:
-        raise ConstructionError(f"bad parameters for curve '{kind}': {exc}")
+    builders = {"elliptical": lambda p: elliptical_curve(**p), "lp": lambda p: lp_curve(**p),
+                "power": lambda p: power_curve(**p)}
+    return _read_spec(data, "curve", builders, {})
 
 
 def angular_from_dict(data):
-    kind, params, grid = _read_spec(
-        data, "angular", {"uniform": None, "power": None, "tabulated": ("t", "density")})
-    builders = {"uniform": UniformAngular, "power": PowerAngular,
-                "tabulated": lambda **p: TabulatedAngular.from_grid(grid, **p)}
-    try:
-        return builders[kind](**params)
-    except TypeError as exc:
-        raise ConstructionError(f"bad parameters for angular law '{kind}': {exc}")
+    builders = {"uniform": lambda p: UniformAngular(**p), "power": lambda p: PowerAngular(**p),
+                "tabulated": lambda p, *grid: TabulatedAngular.from_grid(grid, **p)}
+    return _read_spec(data, "angular", builders, {"tabulated": ("t", "density")})

@@ -20,7 +20,7 @@ from .errors import (
     DomainError,
 )
 from .geometry import TabulatedAngular, angular_from_dict, curve_from_dict
-from .numerics import bisect_monotone, integrate_with_breakpoints
+from .numerics import _read_keys, bisect_monotone, integrate_with_breakpoints
 from .radial import TabulatedRadial, radial_from_dict
 
 __all__ = [
@@ -70,11 +70,7 @@ class PolarModel:
 
 
 def model_from_dict(data):
-    keys = set(data)
-    if keys != {"radial", "curve", "angular"}:
-        raise ConstructionError(
-            f"model spec must have exactly the keys radial/curve/angular, got {sorted(keys)}"
-        )
+    _read_keys(data, "model spec", ("radial", "curve", "angular"))
     return PolarModel(
         radial=radial_from_dict(data["radial"]),
         curve=curve_from_dict(data["curve"]),

@@ -1,5 +1,5 @@
 """Small numerical helpers: guarded adaptive quadrature, root bracketing, and
-the checked reading of serialized law specs and their tabulation grids.
+the one checked reader of every config, law spec and tabulation grid.
 
 Quadrature integrands are array functions: ``fn(t)`` takes a 1-D array of
 nodes and returns the integrand at each node.  :func:`integrate_with_breakpoints`
@@ -87,45 +87,61 @@ def _is_number(value):
             and abs(value) <= sys.float_info.max)
 
 
-def _read_spec(data, what, kinds):
-    """(kind, params, grid) of a serialized ``what`` spec, checked.
-
-    ``kinds`` maps each known kind to the keys of its grid, or to None for a
-    kind without one.  The spec must be a mapping with a known ``kind`` and
-    no keys but ``kind``, ``params`` and, for a grid kind, ``grid``; params
-    must map names to finite numbers and pass through unchanged.  ``grid`` is
-    the list of checked arrays (:func:`_checked_grid`), or None.
-    """
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ConstructionError(f"{what} spec must be a mapping with a 'kind' entry")
-    kind = data["kind"]
-    if not isinstance(kind, str) or kind not in kinds:
-        raise ConstructionError(f"unknown {what} kind {kind!r}")
-    grid_keys = kinds[kind]
-    extra = set(data) - {"kind", "params"} - ({"grid"} if grid_keys else set())
+def _read_keys(data, what, required, optional=()):
+    """``data`` once it is a mapping with every key of ``required`` and no key
+    outside ``required`` and ``optional``; ``what`` names it in the error."""
+    if not isinstance(data, dict):
+        raise ConstructionError(f"{what} must be a mapping")
+    extra = set(data) - set(required) - set(optional)
     if extra:
         raise ConstructionError(f"unknown {what} keys: {sorted(extra)}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ConstructionError(f"{what} lacks the keys {missing}")
+    return data
+
+
+def _read_numbers(values, what):
+    """Raise unless every entry of ``values`` is a finite number (:func:`_is_number`)."""
+    bad = [value for value in values if not _is_number(value)]
+    if bad:
+        raise ConstructionError(f"{what} must be finite numbers, got {bad!r}")
+
+
+def _read_spec(data, what, builders, grids):
+    """The ``what`` object of a serialized spec, checked and built.
+
+    The spec is a mapping with a ``kind`` among the keys of ``builders``, an
+    optional ``params`` mapping of finite numbers and, for a kind of
+    ``grids``, a ``grid`` whose keys ``grids[kind]`` hold the checked arrays
+    (:func:`_checked_grid`).  Returns ``builders[kind](params, *arrays)``;
+    a ``TypeError`` of the builder (a param it lacks or does not take) is a
+    :class:`ConstructionError`.
+    """
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if not isinstance(kind, str) or kind not in builders:
+        raise ConstructionError(f"{what} spec must be a mapping whose 'kind' is one of"
+                                f" {sorted(builders)}, got {kind!r}")
+    grid_keys = grids.get(kind)
+    _read_keys(data, f"{kind} {what} spec", ("kind", "grid") if grid_keys else ("kind",),
+               ("params",))
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ConstructionError(f"{what} params must be a mapping")
-    bad = [name for name, value in params.items() if not _is_number(value)]
-    if bad:
-        raise ConstructionError(f"{what} params {bad} must be finite numbers")
-    if not grid_keys:
-        return kind, params, None
-    return kind, params, _checked_grid(data.get("grid"), grid_keys, f"{kind} {what}")
+    _read_numbers(params.values(), f"{what} params")
+    arrays = _checked_grid(data["grid"], grid_keys, f"{kind} {what}") if grid_keys else ()
+    try:
+        return builders[kind](params, *arrays)
+    except TypeError as exc:
+        raise ConstructionError(f"bad parameters for {what} '{kind}': {exc}")
 
 
 def _checked_grid(grid, keys, what):
     """The arrays ``grid[key]`` of a serialized table, checked before any
-    interpolant sees them: all keys present, equal lengths of at least two
+    interpolant sees them: exactly the keys ``keys``, equal lengths of at least two
     finite numbers, and strictly increasing abscissae (the first key).
     """
-    if not isinstance(grid, dict):
-        raise ConstructionError(f"{what} spec needs a 'grid' mapping")
-    missing = [key for key in keys if key not in grid]
-    if missing:
-        raise ConstructionError(f"{what} grid lacks the keys {missing}")
+    _read_keys(grid, f"{what} grid", keys)
     try:
         arrays = [np.asarray(grid[key], dtype=float) for key in keys]
     except (TypeError, ValueError):

@@ -513,12 +513,7 @@ _CATALOG = {
 
 def radial_from_dict(data):
     """Rebuild a radial law from its JSON dictionary form."""
+    builders = {**_CATALOG, VonMisesRadial.kind: lambda p, *grid: VonMisesRadial(grid, **p),
+                TabulatedRadial.kind: lambda p, *grid: TabulatedRadial(*grid, **p)}
     grids = {VonMisesRadial.kind: ("x", "J", "Jp"), TabulatedRadial.kind: ("x", "log_survival")}
-    kind, params, grid = _read_spec(data, "radial", {**dict.fromkeys(_CATALOG), **grids})
-    builders = {VonMisesRadial.kind: lambda p: VonMisesRadial(grid, **p),
-                TabulatedRadial.kind: lambda p: TabulatedRadial(*grid, **p),
-                **_CATALOG}
-    try:
-        return builders[kind](params)
-    except TypeError as exc:
-        raise ConstructionError(f"bad parameters for radial law '{kind}': {exc}")
+    return _read_spec(data, "radial", builders, grids)

@@ -230,6 +230,7 @@ _VM_GRID = {"x": [0.0, 1.0, 2.0], "J": [0.0, 1.0, 2.0], "Jp": [1.0, 1.0, 1.0]}
 _NUM_GRID = {"x": [0.0, 1.0, 2.0], "log_survival": [0.0, -1.0, -2.0]}
 _TAB_GRID = {"t": [0.0, 0.5, 1.0], "density": [1.0, 1.0, 1.0]}
 _SIMULATE = ("simulate", "-c", "{config}", "--n", "10", "--seed", "1")
+_DECOMPOSE = ("decompose", "-c", "{config}", "--points", "3")
 
 
 #: name -> (config written to "{config}", argv); each must exit 1 with one error line
@@ -264,6 +265,41 @@ BAD_INPUTS = {
         "grid": {**_TAB_GRID, "t": [0.0, 0.5, 0.9]}}}, _SIMULATE),
     "mixture-param-string": ({"mixture": {"p": 0.4, "rho": "0.8", "tau_mix": -0.4}},
                              _SIMULATE),
+    # each config reader (curve, angular, radial, model, mixture, decompose) fed a
+    # value that is not a mapping, an unknown key, a missing key and a non-number
+    # param, where no case above does so
+    "curve-not-a-mapping": ({**_ELL, "curve": "elliptical"}, _SIMULATE),
+    "curve-unknown-key": ({**_ELL, "curve": {**_ELL["curve"], "mode": 1}}, _SIMULATE),
+    "curve-without-kind": ({**_ELL, "curve": {"params": {"rho": 0.6}}}, _SIMULATE),
+    "curve-missing-param": ({**_ELL, "curve": {"kind": "lp", "params": {"rho": 0.0}}},
+                            _SIMULATE),
+    "angular-not-a-mapping": ({**_ELL, "angular": ["uniform"]}, _SIMULATE),
+    "tabulated-without-grid": ({**_ELL, "angular": {"kind": "tabulated", "params": {"t0": 0.5}}},
+                               _SIMULATE),
+    "angular-param-not-a-number": ({**_ELL, "angular": {
+        "kind": "power", "params": {"t0": 0.5, "tau": None}}}, _SIMULATE),
+    "radial-not-a-mapping": ({**_ELL, "radial": 1.0}, _SIMULATE),
+    "kind-not-a-string": ({**_ELL, "radial": {"kind": ["rayleigh"]}}, _SIMULATE),
+    "von-mises-without-grid": ({**_ELL, "radial": {
+        "kind": "von_mises", "params": {"x0": 0.0, "scale": 1.0}}}, _SIMULATE),
+    "numeric-grid-unknown-key": ({**_ELL, "radial": {
+        "kind": "numeric", "params": {}, "grid": {**_NUM_GRID, "density": [1.0, 1.0, 1.0]}}},
+        _SIMULATE),
+    "model-not-a-mapping": ([_ELL], _SIMULATE),
+    "model-unknown-key": ({**_ELL, "copula": "gumbel"}, _SIMULATE),
+    "model-missing-key": ({"radial": _ELL["radial"], "curve": _ELL["curve"]}, _SIMULATE),
+    "mixture-not-an-object": ({"mixture": [0.4, 0.8, -0.4]}, _SIMULATE),
+    "mixture-unknown-key": ({"mixture": {"p": 0.4, "rho": 0.8, "tau_mix": -0.4, "nu": 3}},
+                            _SIMULATE),
+    "mixture-beside-a-model": ({**_ELL, "mixture": {"p": 0.4, "rho": 0.8, "tau_mix": -0.4}},
+                               _SIMULATE),
+    "decompose-not-a-mapping": ("gaussian", _DECOMPOSE),
+    "decompose-unknown-key": ({"curve": _ELL["curve"], "radial": {"kind": "rayleigh"}},
+                              _DECOMPOSE),
+    "decompose-without-curve": ({"profile": "gaussian"}, _DECOMPOSE),
+    "decompose-unknown-profile": ({"curve": _ELL["curve"], "profile": "laplace"}, _DECOMPOSE),
+    "decompose-curve-param-not-a-number": ({"curve": {"kind": "elliptical",
+                                                      "params": {"rho": [0.3]}}}, _DECOMPOSE),
     "mixture-cone-not-numbers": (
         {"mixture": {"p": 0.4, "rho": 0.8, "tau_mix": -0.4, "cone": ["a", 1.0]}}, _SIMULATE),
     "negative-seed-flag": (_ELL, ("simulate", "-c", "{config}", "--n", "10",
@@ -273,7 +309,7 @@ BAD_INPUTS = {
     "bool-config-seed": ({**_ELL, "seed": True}, ("simulate", "-c", "{config}", "--n", "10")),
     "ridge-weight-not-bool": (
         {"curve": {"kind": "elliptical", "params": {"rho": 0.0}}, "ridge_weight": "no"},
-        ("decompose", "-c", "{config}", "--points", "3")),
+        _DECOMPOSE),
     "independence-nan-y": (_ELL, ("independence", "-c", "{config}", "--t-grid", "2:2:1",
                                   "--y", "nan", "--format", "json")),
     "independence-overflowing-grid": (_ELL, ("independence", "-c", "{config}",
@@ -305,6 +341,22 @@ class TestBadInputExitsOne:
         path.write_text(json.dumps(config))
         argv = [arg.format(config=path) for arg in argv]
         self._expect_one_error_line(run(argv + ["-o", str(tmp_path / "out")]), capsys)
+
+    def test_config_rules_are_stated_only_in_numerics(self):
+        """Only the reader in numerics.py rejects unknown or missing keys and
+        maps a builder's TypeError."""
+        import inspect
+        import re
+        from pathlib import Path
+
+        from cevpolar import numerics
+
+        rule = re.compile(r"except TypeError|unknown .*keys|lacks the keys|set\(\w+\) -")
+        hits = [(path.name, line) for path in sorted(Path(cp.__file__).parent.glob("*.py"))
+                for line in path.read_text().splitlines() if rule.search(line)]
+        inside = inspect.getsource(numerics._read_keys) + inspect.getsource(numerics._read_spec)
+        assert hits
+        assert all(name == "numerics.py" and line in inside for name, line in hits), hits
 
     def test_mixture_without_weight(self, tmp_path, capsys):
         cfg = tmp_path / "mix.json"

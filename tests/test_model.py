@@ -32,6 +32,10 @@ class TestPolarModelAssembly:
                                 "angular": {"kind": "uniform"},
                                 "color": "blue"})
 
+    def test_model_spec_not_a_mapping(self):
+        with pytest.raises(cp.ConstructionError):
+            cp.model_from_dict(["radial", "curve", "angular"])
+
 
 class TestJointSampling:
     def test_empty(self, round_gauss, rng):
