@@ -513,45 +513,61 @@ class PowerAngular(AngularLaw):
 
 
 class TabulatedAngular(AngularLaw):
-    """Angular law built from a positive density function by tabulation.
+    """Angular law of a table of cdf values at increasing nodes on [0, 1].
 
-    ``density_fn`` maps an array of parameters to the array of densities.
-    Used for decomposed models where the density is a curve Jacobian; the
-    density is assumed bounded with a positive limit at t0 (tau = 0).  The
-    nodes are ``nodes`` (by default 4,097 equispaced on [0, 1]) and t0.
+    The cdf between nodes is a monotone cubic interpolant; the density is its
+    slope, so it integrates to one exactly and stays nonnegative.  The law is
+    taken to be bounded with a positive limit at t0 (tau = 0).
+    :meth:`from_density` tabulates a density function.
     """
 
     kind = "tabulated"
 
-    def __init__(self, density_fn, t0, nodes=None):
+    def __init__(self, nodes, cdf, t0):
+        nodes = np.asarray(nodes, dtype=float)
+        cdf = np.asarray(cdf, dtype=float)
+        if nodes[0] != 0.0 or nodes[-1] != 1.0:
+            raise ConstructionError("tabulated angular grid must run from 0 to 1")
+        if cdf[0] != 0.0 or cdf[-1] != 1.0 or not np.all(np.diff(cdf) >= 0.0):
+            raise ConstructionError("tabulated angular cdf must rise from 0 to 1")
+        if not 0.0 < t0 < 1.0:
+            raise ConstructionError("t0 must be interior to (0, 1)")
         self.t0 = float(t0)
+        self._nodes = nodes
+        self._cdf_vals = cdf
+        self._cdf = PchipInterpolator(nodes, cdf)
+        self._pdf = self._cdf.derivative()
+        keep = np.concatenate([[True], np.diff(cdf) > 1e-15])
+        self._quantile = PchipInterpolator(cdf[keep], nodes[keep])
+        self.tau = 0.0
+        near = 1e-6
+        self.g_minus = float(self.density(self.t0 - near))
+        self.g_plus = float(self.density(self.t0 + near))
+
+    @classmethod
+    def from_density(cls, density_fn, t0, nodes=None):
+        """The law of a nonnegative, bounded density function.
+
+        ``density_fn`` maps an array of parameters to the array of densities
+        (for decomposed models, a curve Jacobian).  The cdf is tabulated by
+        Simpson's rule on each panel between ``nodes`` (by default 4,097
+        equispaced on [0, 1]) and t0.
+        """
         if nodes is None:
             nodes = np.linspace(0.0, 1.0, 4097)
-        nodes = np.unique(np.concatenate([nodes, [self.t0]]))
+        nodes = np.unique(np.concatenate([nodes, [float(t0)]]))
         raw = np.maximum(np.asarray(density_fn(nodes), dtype=float), 0.0)
         if not np.all(np.isfinite(raw)):
             raise ConstructionError("angular density must be finite on [0, 1]")
-        # composite Simpson-like mass per panel via three-point evaluation
         mids = 0.5 * (nodes[:-1] + nodes[1:])
         mid_vals = np.maximum(np.asarray(density_fn(mids), dtype=float), 0.0)
         panel = (nodes[1:] - nodes[:-1]) * (raw[:-1] + 4.0 * mid_vals + raw[1:]) / 6.0
         total = float(np.sum(panel))
         if not total > 0.0:
             raise ConstructionError("angular density integrates to zero")
-        self._nodes = nodes
-        self._dens = raw / total
-        self._cdf_vals = np.concatenate([[0.0], np.cumsum(panel)]) / total
-        self._cdf_vals[-1] = 1.0
-        self._cdf = PchipInterpolator(nodes, self._cdf_vals)
-        # densities read off the monotone cdf interpolant integrate to one
-        # exactly and stay nonnegative
-        self._pdf = self._cdf.derivative()
-        keep = np.concatenate([[True], np.diff(self._cdf_vals) > 1e-15])
-        self._quantile = PchipInterpolator(self._cdf_vals[keep], nodes[keep])
-        self.tau = 0.0
-        near = 1e-6
-        self.g_minus = float(self.density(self.t0 - near))
-        self.g_plus = float(self.density(self.t0 + near))
+        cdf = np.concatenate([[0.0], np.cumsum(panel)]) / total
+        cdf[-1] = 1.0
+        return cls(nodes, cdf, t0)
 
     def density(self, t):
         t = np.asarray(t, dtype=float)
@@ -569,16 +585,8 @@ class TabulatedAngular(AngularLaw):
         return {
             "kind": self.kind,
             "params": {"t0": self.t0},
-            "grid": {"t": self._nodes.tolist(), "density": self._dens.tolist()},
+            "grid": {"t": self._nodes.tolist(), "cdf": self._cdf_vals.tolist()},
         }
-
-    @classmethod
-    def from_grid(cls, grid, t0):
-        """The law of a serialized grid: arrays (t, density) on [0, 1], checked."""
-        nodes, dens = grid
-        if nodes[0] != 0.0 or nodes[-1] != 1.0:
-            raise ConstructionError("tabulated angular grid must run from 0 to 1")
-        return cls(PchipInterpolator(nodes, dens), t0, nodes)
 
 
 def angular_uniform():
@@ -610,5 +618,5 @@ def curve_from_dict(data):
 
 def angular_from_dict(data):
     builders = {"uniform": lambda p: UniformAngular(**p), "power": lambda p: PowerAngular(**p),
-                "tabulated": lambda p, *grid: TabulatedAngular.from_grid(grid, **p)}
-    return _read_spec(data, "angular", builders, {"tabulated": ("t", "density")})
+                "tabulated": lambda p, *grid: TabulatedAngular(*grid, **p)}
+    return _read_spec(data, "angular", builders, {"tabulated": ("t", "cdf")})

@@ -456,7 +456,7 @@ def decompose_density(radial_profile, curve, angular_weight=None):
         def dens(t):
             return jacobian(t) * angular_weight(t)
 
-    angular = TabulatedAngular(dens, t0=curve.t0)
+    angular = TabulatedAngular.from_density(dens, t0=curve.t0)
     return PolarModel(radial=radial, angular=angular, curve=curve)
 
 

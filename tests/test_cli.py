@@ -228,7 +228,7 @@ _ELL = {"radial": {"kind": "rayleigh"},
         "angular": {"kind": "uniform"}}
 _VM_GRID = {"x": [0.0, 1.0, 2.0], "J": [0.0, 1.0, 2.0], "Jp": [1.0, 1.0, 1.0]}
 _NUM_GRID = {"x": [0.0, 1.0, 2.0], "log_survival": [0.0, -1.0, -2.0]}
-_TAB_GRID = {"t": [0.0, 0.5, 1.0], "density": [1.0, 1.0, 1.0]}
+_TAB_GRID = {"t": [0.0, 0.5, 1.0], "cdf": [0.0, 0.5, 1.0]}
 _SIMULATE = ("simulate", "-c", "{config}", "--n", "10", "--seed", "1")
 _DECOMPOSE = ("decompose", "-c", "{config}", "--points", "3")
 

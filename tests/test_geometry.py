@@ -785,7 +785,7 @@ class TestAngularLaws:
     def test_tabulated_roundtrip_keeps_its_nodes(self):
         # t0 = 0.3 lies off the 4,097-point default grid, so the law has 4,098
         # nodes; a loaded law tabulates on the nodes it was given
-        law = cp.TabulatedAngular(lambda t: 1.0 + t * t, t0=0.3)
+        law = cp.TabulatedAngular.from_density(lambda t: 1.0 + t * t, t0=0.3)
         nodes = law.to_dict()["grid"]["t"]
         assert len(nodes) == 4098
         for _ in range(3):
@@ -795,9 +795,19 @@ class TestAngularLaws:
     @pytest.mark.parametrize("ts", [[0.0, 0.5, 0.9], [0.1, 0.5, 1.0]])
     def test_tabulated_grid_spans_the_unit_interval(self, ts):
         spec = {"kind": "tabulated", "params": {"t0": 0.5},
-                "grid": {"t": ts, "density": [1.0, 1.0, 1.0]}}
+                "grid": {"t": ts, "cdf": [0.0, 0.5, 1.0]}}
         with pytest.raises(cp.ConstructionError):
             cp.angular_from_dict(spec)
+
+    @pytest.mark.parametrize("cdf, t0", [
+        ([1e-9, 0.5, 1.0], 0.5),  # starts above 0
+        ([0.0, 0.5, 0.999], 0.5),  # stops short of 1
+        ([0.0, 0.6, 0.5, 1.0], 0.5),  # falls
+        ([0.0, 0.5, 1.0], 1.0),  # t0 on the edge
+    ], ids=["start", "end", "falling", "t0"])
+    def test_tabulated_cdf_checked(self, cdf, t0):
+        with pytest.raises(cp.ConstructionError):
+            cp.TabulatedAngular(np.linspace(0.0, 1.0, len(cdf)), cdf, t0)
 
     def test_angular_serialization(self):
         for law in (cp.angular_uniform(), cp.angular_power(0.3, 0.7, 0.4, 0.2)):

@@ -146,9 +146,9 @@ GOLDEN = {
     "tail-lp3.json":
         "4c3d7bc21c9109f723f7e2ffd187f602d9100bda4c8160a73b267e9dbd9185bf",
     "tail-num.csv":
-        "d06e52fffe6c31ef1301daad82417832772c1e17dc9f134181831e3b7c504aef",
+        "6a8464be4eec0f0720bdc5557675084565b41592196bcd801cdb7c48da87ffba",
     "tail-num.json":
-        "5cc5554cc2705b26412d4f494f7be4e0cd220333d84fd363c23241dcdf426390",
+        "42b75ff885c41b07e8d59826c836b28b824d9ef71a7e28f0cd9d3085fb7f0793",
     "tail-vm.csv":
         "23e40193381964a405206b1327e73e42df48efbd94a583ac5a5f54f48708dbea",
     "tail-vm.json":

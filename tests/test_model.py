@@ -359,13 +359,13 @@ class TestDecomposeDensity:
             jac = abs(float(curve.u(mid)) * dv - du * float(curve.v(mid)))
             return jac * float(weight(t)) if weighted else jac
 
-        reference = cp.TabulatedAngular(np.vectorize(scalar), t0=curve.t0).to_dict()
+        reference = cp.TabulatedAngular.from_density(np.vectorize(scalar), curve.t0).to_dict()
         got = model.angular.to_dict()
         if curve.kind == "elliptical":
             assert got == reference
         else:
             assert got["grid"]["t"] == reference["grid"]["t"]
-            np.testing.assert_allclose(got["grid"]["density"], reference["grid"]["density"],
+            np.testing.assert_allclose(got["grid"]["cdf"], reference["grid"]["cdf"],
                                        rtol=8 * np.finfo(float).eps / (2 * step))
 
     def test_angular_normalization_contract(self):

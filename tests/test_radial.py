@@ -247,6 +247,19 @@ class TestTabulatedLawIsItsTable:
 
         check()
 
+    @pytest.mark.parametrize("curve", [cp.elliptical_curve(0.3),
+                                       cp.power_curve(0.3, 2.0, 1.0, 1.0, 1.0, 1.0, 0.0)],
+                             ids=["circle", "power"])
+    def test_angular_json_roundtrip_is_the_same_law(self, curve):
+        # the tabulated angular law of a decomposed density, bit for bit
+        law = cp.decompose_density(cp.standard_normal_profile, curve).angular
+        clone = cp.angular_from_dict(json.loads(json.dumps(law.to_dict())))
+        ts = np.linspace(0.0, 1.0, 100_001)
+        qs = np.random.default_rng(5).random(100_000)
+        for method, args in (("density", ts), ("cdf", ts), ("quantile", qs)):
+            assert getattr(law, method)(args).tobytes() == getattr(clone, method)(args).tobytes()
+        assert (clone.g_minus, clone.g_plus) == (law.g_minus, law.g_plus)
+
 
 #: the closed-form laws, von Mises laws, plain and capped (an atom of mass 1/2
 #: at x0=1), and a numeric law rebuilt from its serialized form
