@@ -182,7 +182,7 @@ class Rayleigh(RadialLaw):
 class VonMisesRadial(RadialLaw):
     """Law with survival scale * exp(-(J(x) - J(x0))), capped at 1, of a table.
 
-    The table ``grid`` holds nodes x, the cumulative integral
+    The table ``grid`` holds nodes x from 0, the cumulative integral
     J(x) = int_0^x ds/psi(s) and its derivative Jp = 1/psi at the nodes (see
     :func:`build_von_mises`).  J is a cubic Hermite spline on the nodes,
     extended past the last one by its end slope.  The quantiles of one call
@@ -197,6 +197,8 @@ class VonMisesRadial(RadialLaw):
     def __init__(self, grid, x0, scale):
         self.x0, self.scale = _checked_cap(x0, scale)
         self._xs, self._js, self._jps = (np.asarray(a, dtype=float) for a in grid)
+        if self._xs[0] != 0.0:
+            raise ConstructionError("von Mises table must start at x = 0")
         if np.any(np.diff(self._js) < 0.0) or np.any(self._jps < 0.0) or not self._jps[-1] > 0.0:
             raise ConstructionError("von Mises J must be nondecreasing with a positive end slope")
         self._spline = CubicHermiteSpline(self._xs, self._js, self._jps)
@@ -214,7 +216,8 @@ class VonMisesRadial(RadialLaw):
         return np.minimum(math.log(self.scale) - (j - self._j_x0), 0.0)
 
     def _aux_psi(self, x):
-        return 1.0 / self._dspline(x)
+        # 1 over the slope of J, held past the last node as _log_survival holds it
+        return 1.0 / self._dspline(np.minimum(x, self._xs[-1]))
 
     def _density(self, x):
         return np.exp(self._log_survival(x)) / self._aux_psi(np.maximum(x, 1e-300))
@@ -328,7 +331,8 @@ def build_von_mises(psi, x0=0.0, scale=1.0):
 
 
 class TabulatedRadial(RadialLaw):
-    """Radial law of a table of log-survival values at increasing nodes.
+    """Radial law of a table of log-survival values at increasing nodes from
+    x = 0, where the log-survival is 0.
 
     Log-survival between nodes is a monotone cubic interpolant, extended past
     the last node by a line of its end slope (at most -1e-12); the density is
@@ -344,6 +348,8 @@ class TabulatedRadial(RadialLaw):
     def __init__(self, nodes, log_survival):
         nodes = np.asarray(nodes, dtype=float)
         log_surv = np.asarray(log_survival, dtype=float)
+        if nodes[0] != 0.0 or log_surv[0] != 0.0:
+            raise ConstructionError("numeric radial table must start at x = 0 with log-survival 0")
         steps = np.diff(log_surv)
         keep = np.concatenate([[True], steps < -1e-14])
         if np.any(steps > 0.0) or np.count_nonzero(keep) < 2:

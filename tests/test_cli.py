@@ -231,6 +231,7 @@ _NUM_GRID = {"x": [0.0, 1.0, 2.0], "log_survival": [0.0, -1.0, -2.0]}
 _TAB_GRID = {"t": [0.0, 0.5, 1.0], "cdf": [0.0, 0.5, 1.0]}
 _SIMULATE = ("simulate", "-c", "{config}", "--n", "10", "--seed", "1")
 _DECOMPOSE = ("decompose", "-c", "{config}", "--points", "3")
+_TAIL = ("tail", "-c", "{config}", "--x-grid", "0.5:2:0.5")
 
 
 #: name -> (config written to "{config}", argv); each must exit 1 with one error line
@@ -260,6 +261,12 @@ BAD_INPUTS = {
     "von-mises-flat-tail": ({**_ELL, "radial": {
         "kind": "von_mises", "params": {"x0": 0.0, "scale": 1.0},
         "grid": {**_VM_GRID, "Jp": [1.0, 1.0, 0.0]}}}, _SIMULATE),
+    "von-mises-grid-past-zero": ({**_ELL, "radial": {
+        "kind": "von_mises", "params": {"x0": 0.0, "scale": 1.0},
+        "grid": {**_VM_GRID, "x": [1.0, 2.0, 3.0]}}}, _TAIL),
+    "numeric-grid-past-zero": ({**_ELL, "radial": {
+        "kind": "numeric", "params": {},
+        "grid": {"x": [1.0, 2.0, 3.0], "log_survival": [-1.0, -2.0, -3.0]}}}, _TAIL),
     "tabulated-grid-short-of-one": ({**_ELL, "angular": {
         "kind": "tabulated", "params": {"t0": 0.5},
         "grid": {**_TAB_GRID, "t": [0.0, 0.5, 0.9]}}}, _SIMULATE),

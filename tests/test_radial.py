@@ -203,10 +203,18 @@ class TestVonMises:
         ([0.0, 1.0, 2.0], [0.0, 1.0, 0.5], [1.0, 1.0, 1.0]),  # J falls
         ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [1.0, -1.0, 1.0]),  # a negative slope
         ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [1.0, 1.0, 0.0]),  # no decay past the table
-    ], ids=["falling", "negative-slope", "flat-tail"])
+        ([1.0, 2.0, 3.0], [0.0, 1.0, 2.0], [1.0, 1.0, 1.0]),  # starts past x = 0
+    ], ids=["falling", "negative-slope", "flat-tail", "start"])
     def test_table_checked(self, grid):
         with pytest.raises(cp.ConstructionError):
             cp.VonMisesRadial(grid, 0.0, 1.0)
+
+    def test_aux_psi_past_the_table_is_the_end_slope(self):
+        # J continues past the last node by the line of slope Jp[-1], so psi = 1 / Jp[-1]
+        law = SERIALIZED[0]
+        grid = law.to_dict()["grid"]
+        xs = grid["x"][-1] * np.array([1.01, 1.5, 2.0, 10.0])
+        assert law.aux_psi(xs) * grid["Jp"][-1] == pytest.approx(1.0, rel=1e-12)
 
 
 #: tabulated laws as built in process: plain and capped von Mises, and numeric
@@ -218,6 +226,14 @@ BUILT = {
 
 
 class TestTabulatedLawIsItsTable:
+    @pytest.mark.parametrize("nodes, log_survival", [
+        ([1.0, 2.0, 3.0], [-1.0, -2.0, -3.0]),  # starts past x = 0
+        ([0.0, 1.0, 2.0], [-0.5, -1.0, -2.0]),  # starts below survival 1
+    ], ids=["start", "log-survival-start"])
+    def test_numeric_table_starts_at_zero(self, nodes, log_survival):
+        with pytest.raises(cp.ConstructionError):
+            cp.TabulatedRadial(nodes, log_survival)
+
     @pytest.mark.parametrize("name", sorted(BUILT))
     def test_keeps_no_user_callable(self, name):
         assert not any(isinstance(v, types.FunctionType) for v in vars(BUILT[name]).values())
