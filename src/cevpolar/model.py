@@ -108,12 +108,6 @@ class MixtureModel:
             if c1 <= self.tau_mix <= c2:
                 raise ConstructionError("cone must exclude the secondary slope tau_mix")
 
-    def to_dict(self):
-        out = {"p": self.p, "rho": self.rho, "tau_mix": self.tau_mix}
-        if self.cone is not None:
-            out["cone"] = list(self.cone)
-        return out
-
 
 @dataclass(frozen=True)
 class WeightedSample:
