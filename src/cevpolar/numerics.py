@@ -138,7 +138,7 @@ def _read_spec(data, what, builders, grids):
 
 def _checked_grid(grid, keys, what):
     """The arrays ``grid[key]`` of a serialized table, checked before any
-    interpolant sees them: exactly the keys ``keys``, equal lengths of at least two
+    interpolant sees them: exactly ``keys``, equal lengths of at least two
     finite numbers, and strictly increasing abscissae (the first key).
     """
     _read_keys(grid, f"{what} grid", keys)
