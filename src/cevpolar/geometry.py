@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .numerics import _read_spec, integrate_with_breakpoints, refine_zeros
+from .numerics import _checked_table, _read_spec, integrate_with_breakpoints, refine_zeros
 # after numerics, which imports scipy.optimize: imported before it, scipy.interpolate
 # shifted the garbage collector's runs and made start-up about 50 ms slower
 from scipy.interpolate import PchipInterpolator  # isort: skip
@@ -524,8 +524,7 @@ class TabulatedAngular(AngularLaw):
     kind = "tabulated"
 
     def __init__(self, nodes, cdf, t0):
-        nodes = np.asarray(nodes, dtype=float)
-        cdf = np.asarray(cdf, dtype=float)
+        nodes, cdf = _checked_table((nodes, cdf), "tabulated angular")
         if nodes[0] != 0.0 or nodes[-1] != 1.0:
             raise ConstructionError("tabulated angular grid must run from 0 to 1")
         if cdf[0] != 0.0 or cdf[-1] != 1.0 or not np.all(np.diff(cdf) >= 0.0):
@@ -545,17 +544,15 @@ class TabulatedAngular(AngularLaw):
         self.g_plus = float(self.density(self.t0 + near))
 
     @classmethod
-    def from_density(cls, density_fn, t0, nodes=None):
+    def from_density(cls, density_fn, t0):
         """The law of a nonnegative, bounded density function.
 
         ``density_fn`` maps an array of parameters to the array of densities
         (for decomposed models, a curve Jacobian).  The cdf is tabulated by
-        Simpson's rule on each panel between ``nodes`` (by default 4,097
-        equispaced on [0, 1]) and t0.
+        Simpson's rule on each panel between 4,097 equispaced nodes on [0, 1]
+        and t0.
         """
-        if nodes is None:
-            nodes = np.linspace(0.0, 1.0, 4097)
-        nodes = np.unique(np.concatenate([nodes, [float(t0)]]))
+        nodes = np.unique(np.concatenate([np.linspace(0.0, 1.0, 4097), [float(t0)]]))
         raw = np.maximum(np.asarray(density_fn(nodes), dtype=float), 0.0)
         if not np.all(np.isfinite(raw)):
             raise ConstructionError("angular density must be finite on [0, 1]")

@@ -113,9 +113,10 @@ def _read_spec(data, what, builders, grids):
 
     The spec is a mapping with a ``kind`` among the keys of ``builders``, an
     optional ``params`` mapping of finite numbers and, for a kind of
-    ``grids``, a ``grid`` whose keys ``grids[kind]`` hold the checked arrays
-    (:func:`_checked_grid`).  Returns ``builders[kind](params, *arrays)``;
-    a ``TypeError`` of the builder (a param it lacks or does not take) is a
+    ``grids``, a ``grid`` with exactly the keys ``grids[kind]``.  Returns
+    ``builders[kind](params, *columns)``, the grid's columns in that order
+    (the table constructor checks them, :func:`_checked_table`); a
+    ``TypeError`` of the builder (a param it lacks or does not take) is a
     :class:`ConstructionError`.
     """
     kind = data.get("kind") if isinstance(data, dict) else None
@@ -129,30 +130,29 @@ def _read_spec(data, what, builders, grids):
     if not isinstance(params, dict):
         raise ConstructionError(f"{what} params must be a mapping")
     _read_numbers(params.values(), f"{what} params")
-    arrays = _checked_grid(data["grid"], grid_keys, f"{kind} {what}") if grid_keys else ()
+    grid = _read_keys(data["grid"], f"{kind} {what} grid", grid_keys) if grid_keys else {}
     try:
-        return builders[kind](params, *arrays)
+        return builders[kind](params, *(grid[key] for key in grid_keys or ()))
     except TypeError as exc:
         raise ConstructionError(f"bad parameters for {what} '{kind}': {exc}")
 
 
-def _checked_grid(grid, keys, what):
-    """The arrays ``grid[key]`` of a serialized table, checked before any
-    interpolant sees them: exactly ``keys``, equal lengths of at least two
-    finite numbers, and strictly increasing abscissae (the first key).
+def _checked_table(columns, what):
+    """The float arrays of a table's ``columns`` once they hold equal lengths
+    of at least two finite numbers with strictly increasing abscissae (the
+    first column); ``what`` names the table in the error.
     """
-    _read_keys(grid, f"{what} grid", keys)
     try:
-        arrays = [np.asarray(grid[key], dtype=float) for key in keys]
+        arrays = [np.asarray(column, dtype=float) for column in columns]
     except (TypeError, ValueError):
-        raise ConstructionError(f"{what} grid entries must be lists of numbers")
+        raise ConstructionError(f"{what} table entries must be lists of numbers")
     size = arrays[0].size
     if size < 2 or any(a.ndim != 1 or a.size != size for a in arrays):
-        raise ConstructionError(f"{what} grid needs equal-length lists of at least 2 numbers")
+        raise ConstructionError(f"{what} table needs equal-length lists of at least 2 numbers")
     if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise ConstructionError(f"{what} grid values must be finite")
+        raise ConstructionError(f"{what} table values must be finite")
     if not np.all(np.diff(arrays[0]) > 0.0):
-        raise ConstructionError(f"{what} grid abscissae must be strictly increasing")
+        raise ConstructionError(f"{what} table abscissae must be strictly increasing")
     return arrays
 
 

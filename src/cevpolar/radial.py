@@ -16,7 +16,7 @@ import numpy as np
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from .errors import ConstructionError, DomainError
-from .numerics import _quadpack, _read_spec, bisect_monotone
+from .numerics import _checked_table, _quadpack, _read_spec, bisect_monotone
 
 __all__ = [
     "RadialLaw",
@@ -196,7 +196,7 @@ class VonMisesRadial(RadialLaw):
 
     def __init__(self, grid, x0, scale):
         self.x0, self.scale = _checked_cap(x0, scale)
-        self._xs, self._js, self._jps = (np.asarray(a, dtype=float) for a in grid)
+        self._xs, self._js, self._jps = _checked_table(grid, "von Mises")
         if self._xs[0] != 0.0:
             raise ConstructionError("von Mises table must start at x = 0")
         if np.any(np.diff(self._js) < 0.0) or np.any(self._jps < 0.0) or not self._jps[-1] > 0.0:
@@ -346,8 +346,7 @@ class TabulatedRadial(RadialLaw):
     _N_NODES = 2049  # equispaced tabulation nodes on [0, r_cap]
 
     def __init__(self, nodes, log_survival):
-        nodes = np.asarray(nodes, dtype=float)
-        log_surv = np.asarray(log_survival, dtype=float)
+        nodes, log_surv = _checked_table((nodes, log_survival), "numeric radial")
         if nodes[0] != 0.0 or log_surv[0] != 0.0:
             raise ConstructionError("numeric radial table must start at x = 0 with log-survival 0")
         steps = np.diff(log_surv)

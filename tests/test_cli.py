@@ -292,7 +292,7 @@ BAD_INPUTS = {
     "numeric-grid-unknown-key": ({**_ELL, "radial": {
         "kind": "numeric", "params": {}, "grid": {**_NUM_GRID, "density": [1.0, 1.0, 1.0]}}},
         _SIMULATE),
-    "model-not-a-mapping": ([_ELL], _SIMULATE),
+    "config-not-an-object": ([_ELL], _SIMULATE),
     "model-unknown-key": ({**_ELL, "copula": "gumbel"}, _SIMULATE),
     "model-missing-key": ({"radial": _ELL["radial"], "curve": _ELL["curve"]}, _SIMULATE),
     "mixture-not-an-object": ({"mixture": [0.4, 0.8, -0.4]}, _SIMULATE),
@@ -300,7 +300,6 @@ BAD_INPUTS = {
                             _SIMULATE),
     "mixture-beside-a-model": ({**_ELL, "mixture": {"p": 0.4, "rho": 0.8, "tau_mix": -0.4}},
                                _SIMULATE),
-    "decompose-not-a-mapping": ("gaussian", _DECOMPOSE),
     "decompose-unknown-key": ({"curve": _ELL["curve"], "radial": {"kind": "rayleigh"}},
                               _DECOMPOSE),
     "decompose-without-curve": ({"profile": "gaussian"}, _DECOMPOSE),

@@ -809,6 +809,15 @@ class TestAngularLaws:
         with pytest.raises(cp.ConstructionError):
             cp.TabulatedAngular(np.linspace(0.0, 1.0, len(cdf)), cdf, t0)
 
+    @pytest.mark.parametrize("nodes, cdf", [
+        ([0.0, 1.0, 0.5, 1.0], [0.0, 0.3, 0.6, 1.0]),  # nodes not increasing
+        ([0.0, 1.0], [0.0, 0.5, 1.0]),  # lengths differ
+        ([0.0, math.nan, 1.0], [0.0, 0.5, 1.0]),  # a node not finite
+    ], ids=["unordered", "lengths", "nan"])
+    def test_tabulated_table_checked(self, nodes, cdf):
+        with pytest.raises(cp.ConstructionError):
+            cp.TabulatedAngular(nodes, cdf, 0.5)
+
     def test_angular_serialization(self):
         for law in (cp.angular_uniform(), cp.angular_power(0.3, 0.7, 0.4, 0.2)):
             clone = cp.angular_from_dict(law.to_dict())

@@ -204,7 +204,9 @@ class TestVonMises:
         ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [1.0, -1.0, 1.0]),  # a negative slope
         ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [1.0, 1.0, 0.0]),  # no decay past the table
         ([1.0, 2.0, 3.0], [0.0, 1.0, 2.0], [1.0, 1.0, 1.0]),  # starts past x = 0
-    ], ids=["falling", "negative-slope", "flat-tail", "start"])
+        ([0.0, 2.0, 1.0], [0.0, 1.0, 2.0], [1.0, 1.0, 1.0]),  # nodes not increasing
+        ([0.0, 1.0], [0.0, 1.0, 2.0], [1.0, 1.0, 1.0]),  # lengths differ
+    ], ids=["falling", "negative-slope", "flat-tail", "start", "unordered", "lengths"])
     def test_table_checked(self, grid):
         with pytest.raises(cp.ConstructionError):
             cp.VonMisesRadial(grid, 0.0, 1.0)
@@ -231,6 +233,15 @@ class TestTabulatedLawIsItsTable:
         ([0.0, 1.0, 2.0], [-0.5, -1.0, -2.0]),  # starts below survival 1
     ], ids=["start", "log-survival-start"])
     def test_numeric_table_starts_at_zero(self, nodes, log_survival):
+        with pytest.raises(cp.ConstructionError):
+            cp.TabulatedRadial(nodes, log_survival)
+
+    @pytest.mark.parametrize("nodes, log_survival", [
+        ([0.0, 2.0, 1.0], [0.0, -1.0, -2.0]),  # nodes not increasing
+        ([0.0, 1.0], [0.0, -1.0, -2.0]),  # lengths differ
+        ([0.0, 1.0, 2.0], [0.0, -1.0, -math.inf]),  # a value not finite
+    ], ids=["unordered", "lengths", "inf"])
+    def test_numeric_table_checked(self, nodes, log_survival):
         with pytest.raises(cp.ConstructionError):
             cp.TabulatedRadial(nodes, log_survival)
 
