@@ -224,11 +224,13 @@ def joint_exceedance_decay(model, x_std, y_std, levels):
     if not (math.isfinite(x_std) and math.isfinite(y_std)):
         raise DomainError("standardized levels must be finite")
     v_star = model.curve.v_star
+    x_levels, y_levels = [], []
+    for _, bx, by in levels:
+        x_levels.append(bx + float(model.radial.aux_psi(bx)) * x_std)
+        y_levels.append(by + v_star * float(model.radial.aux_psi(by / v_star)) * y_std)
+    probs = joint_exceedance_oracle(model, np.array(x_levels), np.array(y_levels)).tolist()
     products = []
-    for t, bx, by in levels:
-        psi_x = float(model.radial.aux_psi(bx))
-        psi_y = v_star * float(model.radial.aux_psi(by / v_star))
-        prob = joint_exceedance_oracle(model, bx + psi_x * x_std, by + psi_y * y_std)
+    for (t, _, _), prob in zip(levels, probs):
         if prob == 0.0:
             raise DomainError(f"joint exceedance underflows to 0 at t = {t!r}")
         products.append(t * prob)

@@ -20,7 +20,7 @@ from .errors import (
     DomainError,
 )
 from .geometry import TabulatedAngular, angular_from_dict, curve_from_dict
-from .numerics import _read_keys, bisect_monotone, integrate_with_breakpoints
+from .numerics import _integrate_cells, _read_keys, bisect_monotone, integrate_with_breakpoints
 from .radial import TabulatedRadial, radial_from_dict
 
 __all__ = [
@@ -241,7 +241,9 @@ def _radial_level(num, den):
 
 
 def _band_integrand(model, x, y, above):
-    """Array integrand of P(X > x, Y > y) (``above``) or of P(X > x, Y <= y).
+    """Array integrand ``fn(t, cell)`` of P(X > x, Y > y) (``above``) or of
+    P(X > x, Y <= y) for the cells of the arrays ``x`` and ``y``: ``cell``
+    is the index of the cell of every node, or of all of them.
 
     At curve parameter t the event X > x is R > ru = x/u(t), and Y > y is
     R > y/v(t) when v(t) > 0, R < y/v(t) when v(t) < 0, and all R or none
@@ -251,14 +253,15 @@ def _band_integrand(model, x, y, above):
     """
     curve, ang, radial = model.curve, model.angular, model.radial
 
-    def integrand(t):
+    def integrand(t, cell):
+        xc, yc = x[cell], y[cell]
         v = curve.v(t)
-        ru = _radial_level(x, curve.u(t))
+        ru = _radial_level(xc, curve.u(t))
         with np.errstate(divide="ignore", invalid="ignore"):
-            split = np.maximum(ru, y / v)  # only read where v != 0
+            split = np.maximum(ru, yc / v)  # only read where v != 0
         upper = v > 0.0 if above else v < 0.0   # event: R > split
         lower = v < 0.0 if above else v > 0.0   # event: ru < R < split
-        whole = (v == 0.0) & ((y < 0.0) if above else (y >= 0.0))
+        whole = (v == 0.0) & ((yc < 0.0) if above else (yc >= 0.0))
         lo = np.where(upper, split, np.where(lower | whole, ru, np.inf))
         hi = np.where(lower, split, np.inf)
         return (radial.survival(lo) - radial.survival(hi)) * ang.density(t)
@@ -266,15 +269,15 @@ def _band_integrand(model, x, y, above):
     return integrand
 
 
-def _oracle_integrate(model, integrand, scale, extra_breaks=()):
-    curve, ang = model.curve, model.angular
+def _breaks(model, extra_breaks):
+    """Breakpoints of an oracle integral: the curve's and the angular law's,
+    then ``extra_breaks``."""
+    return [*model.curve.breakpoints(), *model.angular.breakpoints(), *extra_breaks]
+
+
+def _check_scale(scale):
     if scale == 0.0:
         raise DomainError("threshold beyond double-precision survival")
-    breaks = list(curve.breakpoints()) + list(ang.breakpoints()) + list(extra_breaks)
-    return integrate_with_breakpoints(
-        integrand, 0.0, 1.0, breakpoints=breaks,
-        abs_scale=scale, singular_points=ang.singular_points(),
-    )
 
 
 def _marginal_oracle(model, level, coord, scale, hints):
@@ -287,7 +290,11 @@ def _marginal_oracle(model, level, coord, scale, hints):
     def integrand(t):
         return radial.survival(_radial_level(level, coord(t))) * ang.density(t)
 
-    return _oracle_integrate(model, integrand, scale, hints)
+    _check_scale(scale)
+    return integrate_with_breakpoints(
+        integrand, 0.0, 1.0, breakpoints=_breaks(model, hints),
+        abs_scale=scale, singular_points=model.angular.singular_points(),
+    )
 
 
 def survival_x_oracle(model, x):
@@ -306,40 +313,52 @@ def survival_y_oracle(model, y):
 
 
 def _band_oracle(model, x, y, above):
-    """P(X > x, Y > y) (``above``) or P(X > x, Y <= y) at each entry of the
-    number or array ``y`` (-inf and +inf allowed), from one set of x hints.
+    """P(X > x, Y > y) (``above``) or P(X > x, Y <= y) at each cell of the
+    broadcast numbers or arrays ``x`` and ``y`` (y may be -inf or +inf).
 
-    The quadrature error is judged against P(X > x), not against the band,
-    so a band far below P(X > x) is less exact relative to itself: on the
-    sheared circle with rho = 0.6, P(X > 4, Y <= -2.5) = 6.8e-15 is off by
-    1.8e-11 relative, and P(X > 4, Y <= -1) = 1.9e-10 by 8.6e-15.
+    Every cell with a finite y is integrated in one loop of quadrature
+    rounds, each cell to the value it has alone; a cell with an infinite y
+    is 0 or the marginal P(X > x).  The hints of each distinct x are found
+    once.  The quadrature error is judged against P(X > x), not against the
+    band, so a band far below P(X > x) is less exact relative to itself: on
+    the sheared circle with rho = 0.6, P(X > 4, Y <= -2.5) = 6.8e-15 is off
+    by 1.8e-11 relative, and P(X > 4, Y <= -1) = 1.9e-10 by 8.6e-15.
     """
-    x = float(x)
-    ys = np.asarray(y, dtype=float)
-    if not x > 0.0 or np.isnan(ys).any():
+    pairs = np.broadcast(x, y)
+    cells = [(float(level), float(cut)) for level, cut in pairs]
+    if not all(level > 0.0 and not math.isnan(cut) for level, cut in cells):
         raise DomainError("x must be positive and y a number or an array of numbers")
-    scale = float(model.radial.survival(x))
-    hints = _u_level_hints(model, x)
-
-    def one(y):
-        if math.isinf(y):
-            if (y < 0.0) != above:
-                return 0.0
-            return _marginal_oracle(model, x, model.curve.u, scale, hints)
-        return _oracle_integrate(model, _band_integrand(model, x, y, above), scale,
-                                 hints + model.curve.crossing(x, y))
-
-    out = np.array([one(float(v)) for v in ys.ravel()]).reshape(ys.shape)
-    return float(out) if out.ndim == 0 else out
+    levels = {}  # x -> (P(X > x) scale, x hints)
+    for level, _ in cells:
+        if level not in levels:
+            levels[level] = float(model.radial.survival(level)), _u_level_hints(model, level)
+    out = [0.0] * len(cells)
+    band, specs = [], []
+    for i, (level, cut) in enumerate(cells):
+        scale, hints = levels[level]
+        if math.isinf(cut) and (cut < 0.0) == above:
+            out[i] = _marginal_oracle(model, level, model.curve.u, scale, hints)
+        elif math.isfinite(cut):
+            _check_scale(scale)
+            band.append(i)
+            specs.append((0.0, 1.0, _breaks(model, hints + model.curve.crossing(level, cut)),
+                          scale))
+    if band:
+        fn = _band_integrand(model, *np.array([cells[i] for i in band]).T, above)
+        for i, value in zip(band, _integrate_cells(fn, specs, model.angular.singular_points())):
+            out[i] = value
+    return np.array(out).reshape(pairs.shape) if pairs.shape else out[0]
 
 
 def joint_exceedance_oracle(model, x, y):
-    """P(X > x, Y > y) with full sign-case handling; y may be an array, -inf or +inf."""
+    """P(X > x, Y > y) with full sign-case handling; x and y broadcast, and y
+    may be -inf or +inf.  One loop of quadrature rounds integrates every cell."""
     return _band_oracle(model, x, y, above=True)
 
 
 def joint_cdf_y_oracle(model, x, y):
-    """P(X > x, Y <= y) by complementation inside the same integrand; y may be an array.
+    """P(X > x, Y <= y) by complementation inside the same integrand; x and y
+    broadcast, and one loop of quadrature rounds integrates every cell.
 
     A deep lower-tail cell is less exact relative to itself than the others
     (see ``_band_oracle``).
@@ -351,22 +370,24 @@ def conditional_cdf_oracle(model, frame, x_std, y_std):
     """Exact P(X <= t + psi_t x, Y <= m_t + a_t y | X > t) for a frame.
 
     ``x_std`` and ``y_std`` may be arrays, giving shape ``x_std.shape +
-    y_std.shape``; the denominator P(X > t) is integrated once per call.
-    Either coordinate may be +inf (marginalized out).  Nondecreasing in each.
+    y_std.shape``.  The denominator P(X > t) is integrated once per call, and
+    the cells P(X > level, Y <= y) of every x level (t itself and each finite
+    t + psi_t x) come from one :func:`joint_cdf_y_oracle` call, so a frame's
+    grid is one loop of quadrature rounds.  Either coordinate may be +inf
+    (marginalized out).  Nondecreasing in each.
     """
     denom = survival_x_oracle(model, frame.t)
     if denom < 1e-300:
         raise DomainError("conditioning event has vanishing double-precision mass")
     ys = np.asarray(y_std, dtype=float)
-    y_cut = np.where(ys == math.inf, math.inf, frame.m_t + frame.a_t * ys)
-    lower = joint_cdf_y_oracle(model, frame.t, y_cut)
-    xs = np.asarray(x_std, dtype=float)
-    upper = np.array([
-        np.zeros(ys.shape) if x == math.inf
-        else joint_cdf_y_oracle(model, frame.t + frame.psi_t * x, y_cut)
-        for x in xs.ravel()
-    ]).reshape(xs.shape + ys.shape)
-    out = np.maximum((lower - upper) / denom, 0.0)
+    y_cut = np.where(ys == math.inf, math.inf, frame.m_t + frame.a_t * ys).ravel()
+    xs = np.asarray(x_std, dtype=float).ravel()
+    finite = xs != math.inf
+    levels = np.concatenate([[frame.t], frame.t + frame.psi_t * xs[finite]])
+    joint = joint_cdf_y_oracle(model, levels[:, None], y_cut[None, :])
+    upper = np.zeros((xs.size, y_cut.size))
+    upper[finite] = joint[1:]
+    out = np.maximum((joint[0] - upper) / denom, 0.0).reshape(np.shape(x_std) + ys.shape)
     return float(out) if out.ndim == 0 else out
 
 

@@ -2,13 +2,21 @@
 the one checked reader of every config, law spec and tabulation grid.
 
 Quadrature integrands are array functions: ``fn(t)`` takes a 1-D array of
-nodes and returns the integrand at each node.  :func:`integrate_with_breakpoints`
-applies QUADPACK's 21-point Gauss-Kronrod rule to every open panel in one
-array call per round and bisects only the panels whose Kronrod-minus-Gauss
-estimate misses the tolerance.  A panel that ends at an endpoint singularity
-``|t - c|**tau`` joins the same rounds in w, with t - c proportional to
-w**(1/(1 + tau)): the Jacobian cancels the singular factor (Davis &
-Rabinowitz, *Methods of Numerical Integration*, section 2.12).
+nodes and returns the integrand at each node.  One loop of rounds,
+``_integrate_cells``, integrates many cells (integrals, each with its own
+interval, breakpoints and tolerance scale) together: each round applies
+QUADPACK's 21-point Gauss-Kronrod rule to the open panels of every cell in
+one array call and bisects only the panels whose Kronrod-minus-Gauss
+estimate misses the tolerance.  Each cell keeps its panels together, in the
+order it gives them alone, with its own weight products and sums: a BLAS
+product's value for a row depends on how many rows share the call, so one
+product over all cells would not give each cell its own value.  Every cell
+is thus bit for bit what it is alone, and
+:func:`integrate_with_breakpoints` is the loop's one-cell call.  A panel
+that ends at an endpoint singularity ``|t - c|**tau`` joins the same rounds
+in w, with t - c proportional to w**(1/(1 + tau)): the Jacobian cancels the
+singular factor (Davis & Rabinowitz, *Methods of Numerical Integration*,
+section 2.12).
 
 :func:`bisect_monotone` picks its method from the shape of the bracket: a
 scalar bracket gets Brent's method, which spends the fewest calls of a costly
@@ -25,6 +33,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from itertools import accumulate
 
 import numpy as np
 from scipy import integrate, optimize
@@ -55,8 +64,9 @@ _G_WEIGHTS = np.zeros(21)
 _G_WEIGHTS[1:10:2] = _WG
 _G_WEIGHTS[11:20:2] = _WG[::-1]
 
-#: bisection stops after this many rounds, or once a round would hold more
-#: panels than _MAX_PANELS; what is left then counts with its error estimate
+#: a cell's bisection stops after this many rounds, or once its next round
+#: would hold more panels than _MAX_PANELS; what is left then counts with its
+#: error estimate
 _MAX_DEPTH = 60
 _MAX_PANELS = 2048
 
@@ -156,11 +166,15 @@ def _checked_table(columns, what):
     return arrays
 
 
-def integrate_panel(fn, lo, hi):
+def integrate_panel(fn, lo, hi, blocks=None):
     """21-point Gauss-Kronrod rule on each panel [lo[i], hi[i]] at once.
 
-    ``fn`` is called once, on the 21 nodes of every panel.  Returns the
-    arrays (value, abserr): the Kronrod value and |K21 - G10|.
+    ``fn`` is called once, on the 21 nodes of every panel.  ``blocks`` lists
+    the lengths of consecutive runs of panels (by default one run of all);
+    each run gets its own weight products, so its values are those of the run
+    on its own (a BLAS product's value for a row depends on how many rows
+    share the call).  Returns the arrays (value, abserr): the Kronrod value
+    and |K21 - G10|.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -168,27 +182,126 @@ def integrate_panel(fn, lo, hi):
     nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES
     vals = np.asarray(fn(nodes.ravel()), dtype=float).reshape(nodes.shape)
     with np.errstate(invalid="ignore"):  # inf * 0 weight; the caller raises on it
-        kronrod = half * (vals @ _GK_WEIGHTS)
-        gauss = half * (vals @ _G_WEIGHTS)
+        kronrod = half * _run_products(vals, _GK_WEIGHTS, blocks)
+        gauss = half * _run_products(vals, _G_WEIGHTS, blocks)
     return kronrod, np.abs(kronrod - gauss)
 
 
-def _edge_integrand(fn, w, edge):
-    """``fn`` on the nodes ``w`` of a round, 21 per panel; a panel whose column
-    (c, ell, tau) of ``edge`` is not nan maps its nodes to t = c + ell * w**q,
-    q = 1/(1 + tau), weighed by dt/dw = q |ell|**(1 + tau) / |t - c|**tau."""
+def _run_products(vals, weights, blocks):
+    """``vals @ weights`` with one product per run of ``blocks`` rows."""
+    if blocks is None or len(blocks) == 1:
+        return vals @ weights
+    stops = list(accumulate(blocks))
+    return np.concatenate([vals[start:stop] @ weights
+                           for start, stop in zip([0, *stops], stops)])
+
+
+def _edge_integrand(fn, w, edge, cell):
+    """``fn(t, cell)`` at the nodes ``w`` of a round, 21 per panel; a panel
+    whose column (c, ell, tau) of ``edge`` is not nan maps its nodes to
+    t = c + ell * w**q, q = 1/(1 + tau), weighed by
+    dt/dw = q |ell|**(1 + tau) / |t - c|**tau."""
     mapped = ~np.isnan(edge[0])
     if not mapped.any():
-        return fn(w)
+        return fn(w, cell)
     t = w.reshape(-1, 21).copy()
     c, ell, tau = edge[:, mapped, None]
     q = 1.0 / (1.0 + tau)
     tm = c + ell * np.maximum(t[mapped] ** q, _EDGE_GAP / np.abs(ell))
     # nodes keep _EDGE_GAP from the edge; one that rounds onto it moves one ulp inside
     t[mapped] = tm = np.where(tm == c, np.nextafter(c, c + ell), tm)
-    out = np.asarray(fn(t.ravel()), dtype=float).reshape(t.shape)
+    out = np.asarray(fn(t.ravel(), cell), dtype=float).reshape(t.shape)
     out[mapped] *= q * np.abs(ell) ** (1.0 + tau) / np.abs(tm - c) ** tau
     return out.ravel()
+
+
+def _cell_panels(lo, hi, breakpoints, abs_scale, singular_points):
+    """The first panels of one cell, as the rows (a, b, c, ell, tau, epsabs)
+    of an array: a panel ending at an edge c of ``singular_points`` holds its
+    w-interval [0, 1], c, its signed length ell and tau, the others nan."""
+    edges = {c: tau for c, tau in singular_points if lo <= c <= hi}
+    pts = sorted({lo, hi, *(p for p in [*breakpoints, *edges] if lo < p < hi)})
+    panels = np.full((6, len(pts) - 1), np.nan)
+    a, b, edge = panels[0], panels[1], panels[2:5]
+    a[:], b[:] = pts[:-1], pts[1:]
+    for c, tau in edges.items():
+        at = (a == c) | (b == c)
+        edge[0, at], edge[1, at], edge[2, at] = c, np.where(a == c, b, a)[at] - c, tau
+    mapped = ~np.isnan(edge[0])
+    a[mapped], b[mapped] = 0.0, 1.0
+    panels[5] = abs_scale * 1e-13
+    return panels
+
+
+def _integrate_cells(fn, cells, singular_points=(), rel_check=1e-7):
+    """Adaptive quadrature of many integrals, the cells, in one loop of rounds.
+
+    Each cell is ``(lo, hi, breakpoints, abs_scale)`` with the meaning of
+    :func:`integrate_with_breakpoints`, whose ``singular_points`` and
+    ``rel_check`` hold for every cell, and ``fn(t, cell)`` is the integrand
+    at the nodes ``t``: ``cell`` is the index of the one open cell, or an
+    array with the cell of each node.  Each round makes one call of ``fn`` on
+    the open panels of every cell.  A cell's panels stay together, in the
+    order the cell alone gives them, and get their own weight products and
+    sums, so each value is bit for bit that of the cell integrated alone.
+    Returns the list of values; raises the :class:`QuadratureError` of the
+    first cell that fails.
+    """
+    singular_points = tuple(singular_points)
+    scales = [abs_scale or 0.0 for _, _, _, abs_scale in cells]
+    firsts = [_cell_panels(lo, hi, breaks, scale, singular_points)
+              for (lo, hi, breaks, _), scale in zip(cells, scales)]
+    panels = np.concatenate(firsts, axis=1)
+    live = [k for k, first in enumerate(firsts) if first.shape[1]]
+    counts = [firsts[k].shape[1] for k in live]
+    total, err = [0.0] * len(cells), [0.0] * len(cells)
+    for depth in range(_MAX_DEPTH + 1):
+        if not live:
+            break
+        cell = live[0] if len(live) == 1 else np.repeat(live, [21 * n for n in counts])
+        a, b, edge, epsabs = panels[0], panels[1], panels[2:5], panels[5]
+        v, e = integrate_panel((lambda w: _edge_integrand(fn, w, edge, cell)) if singular_points
+                               else (lambda t: fn(t, cell)), a, b, counts)
+        mid = 0.5 * (a + b)
+        split = (e > np.maximum(1e-10 * np.abs(v), epsabs)) & (a < mid) & (mid < b)
+        starts = [0, *accumulate(counts[:-1])]
+        kept = (np.add.reduceat(split, starts, dtype=np.intp).tolist() if len(live) > 1
+                else [np.count_nonzero(split)])
+        for k, m in enumerate(kept):  # a cell's last round accepts all its panels
+            if depth == _MAX_DEPTH or 2 * m > _MAX_PANELS:
+                split[starts[k]:starts[k] + counts[k]], kept[k] = False, 0
+        accepted = ~split
+        v, e = v[accepted], e[accepted]
+        stop = 0
+        for k, n, m in zip(live, counts, kept):
+            start, stop = stop, stop + n - m
+            total[k] += float(v[start:stop].sum())
+            err[k] += float(e[start:stop].sum())
+        left = panels[:, split]
+        right = left.copy()
+        left[1] = right[0] = mid[split]
+        # each cell's lefts, then its rights, as the cell alone orders them
+        halves, stop = [], 0
+        for m in kept:
+            if m:
+                start, stop = stop, stop + m
+                halves += [left[:, start:stop], right[:, start:stop]]
+        panels = np.concatenate(halves, axis=1) if halves else left
+        live, counts = [k for k, m in zip(live, kept) if m], [2 * m for m in kept if m]
+    for k, scale in enumerate(scales):
+        if not (math.isfinite(total[k]) and math.isfinite(err[k])):
+            raise QuadratureError(
+                f"quadrature value {total[k]!r} or error estimate {err[k]!r} is not finite",
+                value=total[k], achieved=math.inf, requested=rel_check,
+            )
+        bound = max(abs(total[k]), scale)
+        if bound > 0.0 and err[k] > rel_check * bound:
+            raise QuadratureError(
+                f"quadrature error estimate {err[k]:.3e} exceeds {rel_check:.1e}"
+                f" * scale {bound:.3e}",
+                value=total[k], achieved=err[k] / bound, requested=rel_check,
+            )
+    return total
 
 
 def integrate_with_breakpoints(fn, lo, hi, breakpoints=(), *, abs_scale=None,
@@ -196,7 +309,10 @@ def integrate_with_breakpoints(fn, lo, hi, breakpoints=(), *, abs_scale=None,
     """Piecewise adaptive quadrature of an array integrand with mandatory
     subdivision points.
 
-    A panel is accepted once its |K21 - G10| is at most
+    This is the one-cell call of ``_integrate_cells``, the loop of rounds
+    that integrates many cells together, each to the bits it has alone (each
+    cell gets its own weight products, as a BLAS product's value for a row
+    depends on how many rows share the call).  A panel is accepted once its |K21 - G10| is at most
     ``max(1e-10 * |K21|, abs_scale * 1e-13)``; the others are bisected and
     all open panels are evaluated together.  ``singular_points`` lists the
     integrable endpoint singularities ``|t - c|**tau`` as pairs ``(c, tau)``,
@@ -211,43 +327,8 @@ def integrate_with_breakpoints(fn, lo, hi, breakpoints=(), *, abs_scale=None,
     is not finite, or if that estimate is not small compared to
     ``max(|total|, abs_scale)``.
     """
-    edges = {c: tau for c, tau in singular_points if lo <= c <= hi}
-    pts = sorted({lo, hi, *(p for p in [*breakpoints, *edges] if lo < p < hi)})
-    a, b = np.array(list(zip(pts[:-1], pts[1:])), dtype=float).reshape(-1, 2).T
-    # (c, signed length, tau) of each panel ending at an edge c; nan for the others
-    edge = np.full((3, a.size), np.nan)
-    for c, tau in edges.items():
-        at = (a == c) | (b == c)
-        edge[0, at], edge[1, at], edge[2, at] = c, np.where(a == c, b, a)[at] - c, tau
-    mapped = ~np.isnan(edge[0])
-    a[mapped], b[mapped] = 0.0, 1.0  # the w-interval
-    epsabs = 0.0 if abs_scale is None else abs_scale * 1e-13
-    total, err = 0.0, 0.0
-    for depth in range(_MAX_DEPTH + 1):
-        if not a.size:
-            break
-        v, e = integrate_panel((lambda w: _edge_integrand(fn, w, edge)) if edges else fn, a, b)
-        mid = 0.5 * (a + b)
-        split = (e > np.maximum(1e-10 * np.abs(v), epsabs)) & (a < mid) & (mid < b)
-        if depth == _MAX_DEPTH or 2 * np.count_nonzero(split) > _MAX_PANELS:
-            split[:] = False
-        total += float(np.sum(v[~split]))
-        err += float(np.sum(e[~split]))
-        a, mid, b, edge = a[split], mid[split], b[split], edge[:, split]
-        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-        edge = np.concatenate([edge, edge], axis=1)
-    if not (math.isfinite(total) and math.isfinite(err)):
-        raise QuadratureError(
-            f"quadrature value {total!r} or error estimate {err!r} is not finite",
-            value=total, achieved=math.inf, requested=rel_check,
-        )
-    scale = max(abs(total), abs_scale or 0.0)
-    if scale > 0.0 and err > rel_check * scale:
-        raise QuadratureError(
-            f"quadrature error estimate {err:.3e} exceeds {rel_check:.1e} * scale {scale:.3e}",
-            value=total, achieved=err / scale, requested=rel_check,
-        )
-    return total
+    return _integrate_cells(lambda t, cell: fn(t), [(lo, hi, breakpoints, abs_scale)],
+                            singular_points, rel_check)[0]
 
 
 def bisect_monotone(fn, lo, hi, *, xtol=1e-13, rtol=1e-12):

@@ -227,7 +227,8 @@ class VonMisesRadial(RadialLaw):
         j_target = target + self._j_x0
         # levels at or above the cap are the atom at the left edge of the decay region
         out = np.full(logq.shape, self._cap_edge())
-        beyond = j_target > self._js[-1]
+        # the last node's own level too: its Hermite piece may end an ulp below J[-1]
+        beyond = j_target >= self._js[-1]
         out[beyond] = self._xs[-1] + (j_target[beyond] - self._js[-1]) / self._jps[-1]
         inside = (target > 0.0) & ~beyond
         if np.any(inside):

@@ -6,6 +6,8 @@ import os
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chi2, norm
 
@@ -290,6 +292,53 @@ class TestConditionalCdfOracle:
                          for x in xs])
         assert np.all(np.diff(vals, axis=0) >= -1e-10)
         assert np.all(np.diff(vals, axis=1) >= -1e-10)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+#: a grid cell's value must not depend on the cells beside it: these models
+#: cover closed-form and scanned crossing hints, and edge-mapped panels (singular)
+_GRID_MODELS = ["elliptical_gauss", "lp3_exponential", "asymmetric_power_model",
+                "singular_model"]
+
+
+@pytest.mark.parametrize("model_name", _GRID_MODELS)
+class TestGridCellsAreTheirOwn:
+    def test_conditional_cdf_grid_equals_each_cell_alone(self, model_name, request):
+        model = request.getfixturevalue(model_name)
+
+        @settings(max_examples=15, deadline=None)
+        @given(t=st.sampled_from([2.0, 3.5]),
+               xs=st.lists(st.sampled_from([0.3, 0.5, 1.0, 2.0, 2.5, math.inf]),
+                           min_size=1, max_size=4, unique=True),
+               ys=st.lists(st.sampled_from([-2.0, -1.0, 0.0, 0.5, 2.0, math.inf]),
+                           min_size=1, max_size=4, unique=True))
+        def check(t, xs, ys):
+            frame = cp.ConditionalFrame(t=t, m_t=t * model.curve.rho, psi_t=0.5, a_t=1.0)
+            grid = cp.conditional_cdf_oracle(model, frame, np.array(xs), np.array(ys))
+            alone = [[cp.conditional_cdf_oracle(model, frame, x, y) for y in ys] for x in xs]
+            assert np.array_equal(_bits(grid), _bits(alone))
+
+        check()
+
+    @pytest.mark.parametrize("oracle", [cp.joint_cdf_y_oracle, cp.joint_exceedance_oracle])
+    def test_broadcast_band_oracle_equals_scalar_calls(self, model_name, request, oracle):
+        model = request.getfixturevalue(model_name)
+
+        @settings(max_examples=15, deadline=None)
+        @given(xs=st.lists(st.floats(0.5, 8.0), min_size=1, max_size=3),
+               ys=st.lists(st.one_of(st.floats(-10.0, 10.0),
+                                     st.sampled_from([-math.inf, math.inf])),
+                           min_size=1, max_size=4))
+        def check(xs, ys):
+            grid = oracle(model, np.array(xs)[:, None], np.array(ys)[None, :])
+            alone = [[oracle(model, x, y) for y in ys] for x in xs]
+            assert grid.shape == (len(xs), len(ys))
+            assert np.array_equal(_bits(grid), _bits(alone))
+
+        check()
 
 
 class TestOracleAgainstMonteCarlo:

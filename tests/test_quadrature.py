@@ -1,5 +1,6 @@
 """The batched Gauss-Kronrod rule behind the oracle, against independent references."""
 
+import ast
 import inspect
 import math
 import sys
@@ -15,6 +16,7 @@ from scipy import optimize, special
 import cevpolar as cp
 from cevpolar import model as model_module
 from cevpolar import numerics
+from cevpolar.diagnostics import DEFAULT_X_GRID, DEFAULT_Y_GRID
 from cevpolar.numerics import (bisect_monotone, integrate_panel, integrate_with_breakpoints,
                                refine_zeros)
 
@@ -210,6 +212,23 @@ class TestBisectMonotone:
         assert hits
         assert all(name == "numerics.py" and line in inside for name, line in hits), hits
 
+    def test_one_function_holds_the_round_loop(self):
+        """Only one function of the package loops over the _MAX_DEPTH rounds
+        and calls integrate_panel, so the one-cell call and the cells loop
+        cannot drift into two loops."""
+        loops, panel_calls = set(), set()
+        for path in sorted(Path(cp.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                for inner in ast.walk(node):
+                    if isinstance(inner, ast.For) and "_MAX_DEPTH" in ast.unparse(inner.iter):
+                        loops.add((path.name, node.name))
+                    if (isinstance(inner, ast.Call) and isinstance(inner.func, ast.Name)
+                            and inner.func.id == "integrate_panel"):
+                        panel_calls.add((path.name, node.name))
+        assert loops == panel_calls == {("numerics.py", "_integrate_cells")}
+
     @pytest.mark.parametrize("name, scans", [("elliptical_gauss", 0), ("lp3_exponential", 0),
                                              ("asymmetric_power_model", 1)])
     def test_crossing_hints_scan_only_on_power(self, request, monkeypatch, name, scans):
@@ -242,6 +261,45 @@ class TestBisectMonotone:
         monkeypatch.setattr(model_module, "survival_y_oracle", counted)
         cp.solve_b_y(model, 100.0)
         assert len(oracle_calls) > 1 and len(calls) == scans * len(oracle_calls)
+
+
+def _counted_panels(monkeypatch):
+    """The [calls, nodes] of every later integrate_panel round of the package."""
+    count = [0, 0]
+
+    def counted(fn, *args, **kwargs):
+        def nodes_fn(t):
+            count[1] += t.size
+            return fn(t)
+        count[0] += 1
+        return integrate_panel(nodes_fn, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "integrate_panel", counted)
+    return count
+
+
+def test_grid_cells_together_cost_what_they_cost_alone(elliptical_gauss, monkeypatch):
+    """A frame's 31 oracle cells (the denominator, 5 lower-row and 25 grid
+    cells) evaluate as many integrand nodes in one loop as one at a time: no
+    cell refines further for sharing its rounds.  The grid takes as many
+    rounds as its deepest cell, and the denominator its own."""
+    model = elliptical_gauss
+    frame = cp.normalization(model, 4.0)
+    count = _counted_panels(monkeypatch)
+
+    def alone(oracle, *args):
+        count[:] = 0, 0
+        oracle(model, *args)
+        return tuple(count)
+
+    denom = alone(cp.survival_x_oracle, frame.t)
+    levels = [frame.t] + [frame.t + frame.psi_t * x for x in DEFAULT_X_GRID]
+    cells = [alone(cp.joint_cdf_y_oracle, level, frame.m_t + frame.a_t * y)
+             for level in levels for y in DEFAULT_Y_GRID]
+    assert len(cells) == 30
+    together = alone(cp.conditional_cdf_oracle, frame, DEFAULT_X_GRID, DEFAULT_Y_GRID)
+    assert together[1] == denom[1] + sum(nodes for _, nodes in cells)
+    assert together[0] <= denom[0] + max(rounds for rounds, _ in cells)
 
 
 class TestEllipticalRayleigh:

@@ -178,6 +178,16 @@ class TestVonMises:
         for t in (2.0, 1e3, 1e9):
             assert law.survival(law.quantile_b(t)) * t == pytest.approx(1.0, rel=1e-11)
 
+    def test_level_of_the_last_node_inverts_to_the_node(self):
+        # the last Hermite piece ends an ulp below the table's J there, so the
+        # level J[-1] itself has no sign change on that piece
+        law = cp.build_von_mises(lambda s: 1.0 / (1.0 + 0.5 * s))
+        grid = law.to_dict()["grid"]
+        assert law.inverse_log_survival(-grid["J"][-1]) == grid["x"][-1]
+        shallower, deeper = np.nextafter(-grid["J"][-1], [0.0, -np.inf])
+        assert (law.inverse_log_survival(shallower) <= grid["x"][-1]
+                <= law.inverse_log_survival(deeper))
+
     def test_nonpositive_psi_rejected(self):
         with pytest.raises(cp.ConstructionError):
             cp.build_von_mises(lambda s: -1.0)
