@@ -102,13 +102,6 @@ def _open_output(path):
         raise ConfigError(f"cannot write output: {exc}")
 
 
-def _csv_cell(value):
-    # repr of a float reads back bit for bit; ints and strings print as they are
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 #: rows per task of the CSV writer
 _CSV_TASK = 1 << 13
 #: fewest tasks per worker at which the parallel writer beats the serial one
@@ -118,12 +111,14 @@ _CSV_TASKS_PER_WORKER = 2
 
 
 def _csv_block(block):
-    """The cells of a column (a list or an array), each equal to ``_csv_cell``
-    of its value."""
-    if isinstance(block, np.ndarray) and block.dtype.kind == "f":
+    """The cells of a column (a list or an array): a float column as the repr
+    of each float, which reads back bit for bit, any other column as the str
+    of each entry."""
+    block = np.asarray(block)
+    if block.dtype.kind == "f":
         # the repr of a list of floats holds float.__repr__ of each, made in C
         return repr(block.tolist())[1:-1].split(", ")
-    return list(map(_csv_cell, block))
+    return list(map(str, block.tolist()))
 
 
 def _csv_text(columns):

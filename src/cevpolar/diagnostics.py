@@ -22,7 +22,7 @@ from .model import (
     solve_b_x,
     solve_b_y,
 )
-from .numerics import integrate_with_breakpoints
+from .numerics import _shaped, integrate_with_breakpoints
 
 __all__ = [
     "EmpiricalCDF",
@@ -65,9 +65,11 @@ class EmpiricalCDF:
         self.cumulative[-1] = 1.0
 
     def __call__(self, y):
-        idx = np.searchsorted(self.points, np.asarray(y, dtype=float), side="right")
-        out = np.where(idx > 0, self.cumulative[idx - 1], 0.0)
-        return float(out) if np.isscalar(y) else out
+        return _shaped(self._step, y)
+
+    def _step(self, y):
+        idx = np.searchsorted(self.points, y, side="right")
+        return np.where(idx > 0, self.cumulative[idx - 1], 0.0)
 
 
 def empirical_conditional_cdf(sample, frame):
@@ -158,7 +160,7 @@ def convergence_sweep(model, quantile_levels, n, rng):
 
     def one_level(q, stream):
         # one scope per level, so its sample is freed before the next is drawn
-        t = float(model.radial.quantile_b(1.0 / (1.0 - q)))
+        t = model.radial.quantile_b(1.0 / (1.0 - q))
         frame = normalization(model, t)
         sample = sample_conditional(model, t, n, stream)
         emp = empirical_conditional_cdf(sample, frame)
@@ -200,7 +202,7 @@ def independence_condition_check(model, y, levels):
     ratios = []
     for _, bx, by in levels:
         frame = normalization(model, bx)
-        psi_y = v_star * float(model.radial.aux_psi(by / v_star))
+        psi_y = v_star * model.radial.aux_psi(by / v_star)
         ratios.append((by - frame.m_t + psi_y * y) / frame.a_t)
     tail = ratios[len(ratios) // 2:]
     monotone_tail = all(b > a for a, b in zip(tail, tail[1:]))
@@ -226,8 +228,8 @@ def joint_exceedance_decay(model, x_std, y_std, levels):
     v_star = model.curve.v_star
     x_levels, y_levels = [], []
     for _, bx, by in levels:
-        x_levels.append(bx + float(model.radial.aux_psi(bx)) * x_std)
-        y_levels.append(by + v_star * float(model.radial.aux_psi(by / v_star)) * y_std)
+        x_levels.append(bx + model.radial.aux_psi(bx) * x_std)
+        y_levels.append(by + v_star * model.radial.aux_psi(by / v_star) * y_std)
     probs = joint_exceedance_oracle(model, np.array(x_levels), np.array(y_levels)).tolist()
     products = []
     for (t, _, _), prob in zip(levels, probs):
@@ -251,7 +253,7 @@ def lemma2_integral_check(law, angular, z, x):
         raise DomainError("z must be nonnegative")
     t0 = angular.t0 if angular.t0 is not None else 0.5
     tau = angular.tau
-    psi = float(law.aux_psi(x))
+    psi = law.aux_psi(x)
     c = psi / x
     log_base = float(law.log_survival(x))
     # one-sided germ profile, constant past the end of the parameter interval; as t0 + s

@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .numerics import _checked_table, _read_spec, integrate_with_breakpoints, refine_zeros
+from .numerics import (_checked_table, _read_spec, _shaped, integrate_with_breakpoints,
+                       refine_zeros)
 # after numerics, which imports scipy.optimize: imported before it, scipy.interpolate
 # shifted the garbage collector's runs and made start-up about 50 ms slower
 from scipy.interpolate import PchipInterpolator  # isort: skip
@@ -93,9 +94,9 @@ class CurveGerm:
         self._gap_offset = gap_offset
         self.crossing = crossing
         self.v_level = v_level
-        if abs(float(u_fn(t0)) - 1.0) > 1e-12:
+        if abs(self.u(self.t0) - 1.0) > 1e-12:
             raise ConstructionError("u(t0) must equal 1")
-        if abs(float(v_fn(t_at_vstar)) - self.v_star) > 1e-12:
+        if abs(self.v(self.t_at_vstar) - self.v_star) > 1e-12:
             raise ConstructionError("v(t_at_vstar) must equal v_star")
         if not self.v_star > self.rho:
             raise ConstructionError("the maximum of v must exceed rho = v(t0)")
@@ -105,16 +106,16 @@ class CurveGerm:
         # of [0, 1]): the gap 1 - u at the far end of each branch
         lo = max((z for z in self._zeros_u if z < self.t0), default=0.0)
         hi = min((z for z in self._zeros_u if z > self.t0), default=1.0)
-        edge = float(u_fn(hi))
-        self._max_gap = {"left": 1.0 - float(u_fn(lo)), "right": 1.0 - edge}
+        edge = self.u(hi)
+        self._max_gap = {"left": 1.0 - self.u(lo), "right": 1.0 - edge}
         self.h_window_max = 1e12 if edge <= 1e-12 else 1.0 / edge - 1.0
 
-    # -- evaluation -----------------------------------------------------------
+    # -- evaluation: the family's kernels take a 1-D array --------------------
     def u(self, t):
-        return self._u_fn(np.asarray(t, dtype=float))
+        return _shaped(self._u_fn, t)
 
     def v(self, t):
-        return self._v_fn(np.asarray(t, dtype=float))
+        return _shaped(self._v_fn, t)
 
     # -- inverse machinery ------------------------------------------------------
     def u_inverse(self, g, side):
@@ -151,7 +152,7 @@ class CurveGerm:
         t = self.u_inverse(min(x / (1.0 + x), self._max_gap["right"]), "right")
         # v/u with the exact level u = 1/(1 + x): u recomputed at the rounded t
         # loses digits near the end of the branch
-        return (1.0 + x) * float(self._v_fn(t)) - self.rho
+        return (1.0 + x) * self.v(t) - self.rho
 
     # -- quadrature support ------------------------------------------------------
     def breakpoints(self):
@@ -182,10 +183,10 @@ def elliptical_curve(rho):
     sign = math.copysign(1.0, rho)  # sign - rho is exact where the shear is thin
 
     def u_fn(t):
-        return np.cos(_TWO_PI * (np.asarray(t, dtype=float) - 0.5))
+        return np.cos(_TWO_PI * (t - 0.5))
 
     def v_fn(t):
-        th = _TWO_PI * (np.asarray(t, dtype=float) - 0.5)
+        th = _TWO_PI * (t - 0.5)
         return rho * np.cos(th) + sigma * np.sin(th)
 
     window = 0.2
@@ -239,11 +240,10 @@ def lp_curve(p, rho=0.0):
         c, sn = np.cos(phi), np.sin(phi)
         return -np.abs(c) ** (2.0 / p), np.sign(sn) * np.abs(sn) ** (2.0 / p)
 
-    def base_xy(t):  # each node evaluates only its own half (a 0-d t: no item assignment)
-        t = np.asarray(t, dtype=float)
+    def base_xy(t):  # each node evaluates only its own half
         mid = (t >= 0.125) & (t <= 0.875)
-        if (k := np.count_nonzero(mid)) in (0, t.size):  # a quadrature panel, or a 0-d t
-            return tuple(map(np.asarray, (visible_xy if k else hidden_xy)(t)))
+        if (k := np.count_nonzero(mid)) in (0, t.size):  # a quadrature panel: one half
+            return (visible_xy if k else hidden_xy)(t)
         x, y = np.empty_like(t), np.empty_like(t)
         x[mid], y[mid] = visible_xy(t[mid])
         x[~mid], y[~mid] = hidden_xy(t[~mid])
@@ -317,7 +317,7 @@ def power_curve(t0, kappa, delta, c_minus, c_plus, lambda_v, rho, window=None):
     window = float(window)
 
     def u_fn(t):
-        s = np.asarray(t, dtype=float) - t0
+        s = t - t0
         a = np.abs(s)
         c = np.where(s >= 0.0, c_plus, c_minus)
         inside = 1.0 - c * a ** kappa
@@ -325,7 +325,7 @@ def power_curve(t0, kappa, delta, c_minus, c_plus, lambda_v, rho, window=None):
         return np.where(a <= window, inside, np.maximum(outside, -0.5))
 
     def v_fn(t):
-        s = np.asarray(t, dtype=float) - t0
+        s = t - t0
         a = np.abs(s)
         sgn = np.sign(s)
         inside = rho + lambda_v * sgn * a ** delta
@@ -342,7 +342,7 @@ def power_curve(t0, kappa, delta, c_minus, c_plus, lambda_v, rho, window=None):
     def crossing(x, y):  # v/u is not monotone here: scan for every root
         return refine_zeros(lambda s: x * v_fn(s) - y * u_fn(s), 0.0, 1.0)
 
-    v_star, v_low = float(v_fn(1.0)), float(v_fn(0.0))
+    v_low, v_star = v_fn(np.array([0.0, 1.0])).tolist()
 
     def v_level(g):  # v rises on all of [0, 1]: one root, on the side of rho where v_star - g lies
         if g > v_star - v_low:  # the level is below v(0)
@@ -370,7 +370,11 @@ def power_curve(t0, kappa, delta, c_minus, c_plus, lambda_v, rho, window=None):
 # ---------------------------------------------------------------------------
 
 class AngularLaw:
-    """Density of the curve parameter T on [0, 1]."""
+    """Density of the curve parameter T on [0, 1].
+
+    The public methods shape their arguments once; a law supplies the 1-D
+    array kernels ``_density``, ``_cdf`` and ``_quantile``.
+    """
 
     kind = "abstract"
     t0 = None          # anchor of the local power behaviour (None: anywhere)
@@ -379,20 +383,20 @@ class AngularLaw:
     g_plus = 1.0
 
     def density(self, t):
-        raise NotImplementedError
+        return _shaped(self._density, t)
 
     def cdf(self, t):
-        raise NotImplementedError
+        return _shaped(self._cdf, t)
 
     def quantile(self, q):
-        """Array of the t with cdf(t) = q, for an array of q in [0, 1)."""
-        raise NotImplementedError
+        """The t with cdf(t) = q, for q in [0, 1)."""
+        return _shaped(self._quantile, q)
 
     def sample(self, n, rng):
         """n i.i.d. draws by inverse transform."""
         if n < 0:
             raise DomainError("sample size must be nonnegative")
-        return self.quantile(rng.random(n))
+        return self._quantile(rng.random(n))
 
     def breakpoints(self):
         return []
@@ -410,14 +414,13 @@ class UniformAngular(AngularLaw):
 
     kind = "uniform"
 
-    def density(self, t):
-        t = np.asarray(t, dtype=float)
+    def _density(self, t):
         return np.where((t >= 0.0) & (t <= 1.0), 1.0, 0.0)
 
-    def cdf(self, t):
-        return np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+    def _cdf(self, t):
+        return np.clip(t, 0.0, 1.0)
 
-    def quantile(self, q):
+    def _quantile(self, q):
         return q
 
     def to_dict(self):
@@ -454,8 +457,7 @@ class PowerAngular(AngularLaw):
         self.g_minus = self._amp[-1]
         self.g_plus = self._amp[+1]
 
-    def density(self, t):
-        t = np.asarray(t, dtype=float)
+    def _density(self, t):
         s = t - self.t0
         a = np.abs(s)
         amp = np.where(s >= 0.0, self._amp[+1], self._amp[-1])
@@ -465,8 +467,7 @@ class PowerAngular(AngularLaw):
         out = np.where(a <= self.window, inner, outer)
         return np.where((t >= 0.0) & (t <= 1.0), out, 0.0)
 
-    def cdf(self, t):
-        t = np.asarray(t, dtype=float)
+    def _cdf(self, t):
         w, tau1 = self.window, self.tau + 1.0
         a_m, a_p = self._amp[-1], self._amp[+1]
         flat_m = a_m * w ** self.tau
@@ -483,8 +484,7 @@ class PowerAngular(AngularLaw):
         ]
         return np.select(conds, vals, default=1.0)
 
-    def quantile(self, q):
-        q = np.asarray(q, dtype=float)
+    def _quantile(self, q):
         w, tau1 = self.window, self.tau + 1.0
         a_m, a_p = self._amp[-1], self._amp[+1]
         flat_m = a_m * w ** self.tau
@@ -534,14 +534,14 @@ class TabulatedAngular(AngularLaw):
         self.t0 = float(t0)
         self._nodes = nodes
         self._cdf_vals = cdf
-        self._cdf = PchipInterpolator(nodes, cdf)
-        self._pdf = self._cdf.derivative()
+        self._cdf_spline = PchipInterpolator(nodes, cdf)
+        self._pdf_spline = self._cdf_spline.derivative()
         keep = np.concatenate([[True], np.diff(cdf) > 1e-15])
-        self._quantile = PchipInterpolator(cdf[keep], nodes[keep])
+        self._quantile_spline = PchipInterpolator(cdf[keep], nodes[keep])
         self.tau = 0.0
         near = 1e-6
-        self.g_minus = float(self.density(self.t0 - near))
-        self.g_plus = float(self.density(self.t0 + near))
+        self.g_minus = self.density(self.t0 - near)
+        self.g_plus = self.density(self.t0 + near)
 
     @classmethod
     def from_density(cls, density_fn, t0):
@@ -566,17 +566,16 @@ class TabulatedAngular(AngularLaw):
         cdf[-1] = 1.0
         return cls(nodes, cdf, t0)
 
-    def density(self, t):
-        t = np.asarray(t, dtype=float)
+    def _density(self, t):
         inside = (t >= 0.0) & (t <= 1.0)
-        out = np.maximum(self._pdf(np.clip(t, 0.0, 1.0)), 0.0)
+        out = np.maximum(self._pdf_spline(np.clip(t, 0.0, 1.0)), 0.0)
         return np.where(inside, out, 0.0)
 
-    def cdf(self, t):
-        return np.clip(self._cdf(np.clip(np.asarray(t, dtype=float), 0.0, 1.0)), 0.0, 1.0)
+    def _cdf(self, t):
+        return np.clip(self._cdf_spline(np.clip(t, 0.0, 1.0)), 0.0, 1.0)
 
-    def quantile(self, q):
-        return np.clip(self._quantile(q), 0.0, 1.0)
+    def _quantile(self, q):
+        return np.clip(self._quantile_spline(q), 0.0, 1.0)
 
     def to_dict(self):
         return {

@@ -15,6 +15,7 @@ import numpy as np
 from scipy import special
 
 from .errors import ConstructionError, DomainError, UnsupportedModelError
+from .numerics import _shaped
 
 __all__ = [
     "LimitLaw",
@@ -68,44 +69,41 @@ class LimitLaw:
         return self.zeta / self.eta
 
     def cdf(self, y):
-        y = np.asarray(y, dtype=float)
-        arg = np.abs(y) ** self.eta / self.eta
-        p = special.gammainc(self._a, arg)
-        out = np.where(y >= 0.0,
-                       self.weight_minus + self.weight_plus * p,
-                       self.weight_minus * (1.0 - p))
-        return float(out) if out.ndim == 0 else out
+        return _shaped(self._cdf, y)
 
     def pdf(self, y):
-        y = np.asarray(y, dtype=float)
+        return _shaped(self._pdf, y)
+
+    def quantile(self, q):
+        return _shaped(self._quantile, q, lambda a: ~((a > 0.0) & (a < 1.0)),
+                       "quantile levels must lie in (0, 1)")
+
+    def _cdf(self, y):
+        p = special.gammainc(self._a, np.abs(y) ** self.eta / self.eta)
+        return np.where(y >= 0.0,
+                        self.weight_minus + self.weight_plus * p,
+                        self.weight_minus * (1.0 - p))
+
+    def _pdf(self, y):
         coeff = self.eta ** (1.0 - self._a) / special.gamma(self._a)
         with np.errstate(divide="ignore"):
             base = np.exp(-np.abs(y) ** self.eta / self.eta) * np.abs(y) ** (self.zeta - 1.0)
-        out = coeff * np.where(y >= 0.0, self.weight_plus, self.weight_minus) * base
-        return float(out) if out.ndim == 0 else out
+        return coeff * np.where(y >= 0.0, self.weight_plus, self.weight_minus) * base
 
-    def quantile(self, q):
-        scalar = np.isscalar(q)
-        q = np.asarray(q, dtype=float)
-        if not np.all((q > 0.0) & (q < 1.0)):
-            raise DomainError("quantile levels must lie in (0, 1)")
+    def _quantile(self, q):
         wm, wp = self.weight_minus, self.weight_plus
         with np.errstate(divide="ignore", invalid="ignore"):
             right = special.gammaincinv(self._a, np.minimum((q - wm) / max(wp, 1e-300), 1.0))
             left = special.gammaincinv(self._a, np.minimum(1.0 - q / max(wm, 1e-300), 1.0))
-        out = np.where(q >= wm,
-                       (self.eta * right) ** (1.0 / self.eta),
-                       -((self.eta * left) ** (1.0 / self.eta)))
-        return float(out) if scalar else out
+        return np.where(q >= wm,
+                        (self.eta * right) ** (1.0 / self.eta),
+                        -((self.eta * left) ** (1.0 / self.eta)))
 
     def sample(self, n, rng):
         if n < 0:
             raise DomainError("sample size must be nonnegative")
-        if n == 0:
-            return np.empty(0)
         eps = 2.0 ** -53
-        q = np.clip(rng.random(n), eps, 1.0 - eps)
-        return self.quantile(q)
+        return self._quantile(np.clip(rng.random(n), eps, 1.0 - eps))
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,7 @@ def normalization(model, t):
     if not t > 0.0:
         raise DomainError("threshold must be positive")
     curve = model.curve
-    psi_t = float(model.radial.aux_psi(t))
+    psi_t = model.radial.aux_psi(t)
     w = psi_t / t
     if w > curve.h_window_max:
         raise DomainError(
@@ -187,11 +185,11 @@ def survival_x_asymptotic(model, x):
     if not x > 0.0:
         raise DomainError("x must be positive")
     curve = model.curve
-    w = float(model.radial.aux_psi(x)) / x
+    w = model.radial.aux_psi(x) / x
     if w > curve.h_window_max:
         raise DomainError(f"psi(x)/x = {w:.3g} outside the curve window")
     expo = (1.0 + model.angular.tau) / curve.kappa
-    return marginal_tail_constant(model) * w ** expo * float(model.radial.survival(x))
+    return marginal_tail_constant(model) * w ** expo * model.radial.survival(x)
 
 
 def product_tail_asymptotic(radial, b_max, g_at, tau, x):
@@ -204,10 +202,10 @@ def product_tail_asymptotic(radial, b_max, g_at, tau, x):
     b = float(b_max)
     if not (b > 0.0 and x > 0.0):
         raise DomainError("b_max and x must be positive")
-    psi_b = float(radial.aux_psi(x / b))
+    psi_b = radial.aux_psi(x / b)
     point = 1.0 / (1.0 / b + psi_b / x)
     return (b * b * special.gamma(tau + 1.0) * (psi_b / x)
-            * float(g_at(point)) * float(radial.survival(x / b)))
+            * float(g_at(point)) * radial.survival(x / b))
 
 
 def quantile_y_asymptotic(model, t):
@@ -215,7 +213,7 @@ def quantile_y_asymptotic(model, t):
     t = float(t)
     if not t > 1.0:
         raise DomainError("t must exceed 1")
-    return model.curve.v_star * float(model.radial.quantile_b(t))
+    return model.curve.v_star * model.radial.quantile_b(t)
 
 
 @dataclass(frozen=True)
@@ -250,7 +248,7 @@ def second_order_conditional(model, x, z):
     if not x > 0.0 or math.isnan(z):
         raise DomainError("x must be positive and z a number")
     sigma_c = math.sqrt(2.0 * curve.c_plus)
-    psi_x = float(model.radial.aux_psi(x))
+    psi_x = model.radial.aux_psi(x)
     scale = curve.lambda_v / sigma_c * math.sqrt(x * psi_x)
     shift = curve.rho * psi_x
     first = float(special.ndtr(z))

@@ -176,7 +176,7 @@ def sample_conditional(model, t, n, rng):
         return WeightedSample(np.empty(0), np.empty(0), np.empty(0), t)
     rng_t, rng_u = rng.spawn(2)
     angles = model.angular.sample(n, rng_t)
-    u_vals = np.asarray(model.curve.u(angles), dtype=float)
+    u_vals = model.curve.u(angles)
     keep = u_vals > 0.0
     if not np.any(keep):
         raise DegenerateWeightsError(
@@ -197,7 +197,7 @@ def sample_conditional(model, t, n, rng):
     )
     x = radii * u_vals
     x = np.where(x <= t, np.nextafter(t, np.inf), x)  # guard 1-ulp roundoff
-    y = radii * np.asarray(model.curve.v(angles), dtype=float)
+    y = radii * model.curve.v(angles)
     w = np.exp(log_w - top)
     w /= np.sum(w)
     return WeightedSample(x, y, w, t)
@@ -210,7 +210,7 @@ def sample_conditional(model, t, n, rng):
 def _u_level_hints(model, x):
     """Parameters where the normalized radial argument reaches fixed depths."""
     curve = model.curve
-    psi = float(model.radial.aux_psi(x))
+    psi = model.radial.aux_psi(x)
     hints = []
     for omega in (4.0, 45.0):
         gap = omega * psi / (x + omega * psi)  # 1 - u at the radius x + omega psi
@@ -226,7 +226,7 @@ def _v_level_hints(model, y):
     """Parameters where v crosses the levels that localize the Y-tail mass."""
     curve = model.curve
     r0 = y / curve.v_star
-    psi = float(model.radial.aux_psi(r0))
+    psi = model.radial.aux_psi(r0)
     hints = []
     for omega in (4.0, 45.0):
         # v_star - v at the level y / (r0 + omega psi), where the radius is r0 + omega psi
@@ -308,7 +308,7 @@ def survival_y_oracle(model, y):
     if not y > 0.0:
         raise DomainError("the Y-tail oracle requires y > 0")
     curve = model.curve
-    return _marginal_oracle(model, y, curve.v, float(model.radial.survival(y / curve.v_star)),
+    return _marginal_oracle(model, y, curve.v, model.radial.survival(y / curve.v_star),
                             _v_level_hints(model, y))
 
 
@@ -331,7 +331,7 @@ def _band_oracle(model, x, y, above):
     levels = {}  # x -> (P(X > x) scale, x hints)
     for level, _ in cells:
         if level not in levels:
-            levels[level] = float(model.radial.survival(level)), _u_level_hints(model, level)
+            levels[level] = model.radial.survival(level), _u_level_hints(model, level)
     out = [0.0] * len(cells)
     band, specs = [], []
     for i, (level, cut) in enumerate(cells):
@@ -402,7 +402,7 @@ def _solve_level(model, oracle, t_level, v_max, axis):
     if not t_level > 1.0:
         raise DomainError("t_level must exceed 1")
     target = math.log(t_level)
-    cap = v_max * float(model.radial.quantile_b(t_level))
+    cap = v_max * model.radial.quantile_b(t_level)
 
     last = [None, None]  # (level, fn(level)): Brent's method starts where the loop stopped
 

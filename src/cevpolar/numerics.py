@@ -1,5 +1,6 @@
-"""Small numerical helpers: guarded adaptive quadrature, root bracketing, and
-the one checked reader of every config, law spec and tabulation grid.
+"""Small numerical helpers: guarded adaptive quadrature, root bracketing, the
+one checked reader of every config, law spec and tabulation grid, and the one
+boundary (``_shaped``) between a number or an array and an array kernel.
 
 Quadrature integrands are array functions: ``fn(t)`` takes a 1-D array of
 nodes and returns the integrand at each node.  One loop of rounds,
@@ -72,6 +73,10 @@ _MAX_PANELS = 2048
 
 #: least distance of a mapped node from its edge: gap**(2 * tau) is finite for tau > -1
 _EDGE_GAP = math.sqrt(sys.float_info.min)
+
+#: Brent's steps on a scalar bracket: a multiple root (power_curve's v near t0 with
+#: rho = 0 and delta >= 2) takes about three per halving, up to 110 on a scan cell
+_BRENT_STEPS = 200
 
 
 def _quadpack(fn, lo, hi, *, epsrel):
@@ -164,6 +169,18 @@ def _checked_table(columns, what):
     if not np.all(np.diff(arrays[0]) > 0.0):
         raise ConstructionError(f"{what} table abscissae must be strictly increasing")
     return arrays
+
+
+def _shaped(kernel, x, bad=None, message=None):
+    """``kernel`` on the flat float array of ``x`` once no entry is ``bad``
+    (else a :class:`DomainError` of ``message``): a float for a number, with
+    the bits of its one-element array, else an array of the shape of ``x``."""
+    arr = np.asarray(x, dtype=float)
+    flat = arr.reshape(-1)
+    if bad is not None and bad(flat).any():
+        raise DomainError(message)
+    out = kernel(flat)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def integrate_panel(fn, lo, hi, blocks=None):
@@ -347,7 +364,8 @@ def bisect_monotone(fn, lo, hi, *, xtol=1e-13, rtol=1e-12):
     if np.ndim(lo) or np.ndim(hi):
         return _bisect_arrays(fn, lo, hi, xtol, rtol)
     try:
-        return float(optimize.brentq(fn, lo, hi, xtol=xtol, rtol=max(rtol, 4.5e-16)))
+        return float(optimize.brentq(fn, lo, hi, xtol=xtol, rtol=max(rtol, 4.5e-16),
+                                     maxiter=_BRENT_STEPS))
     except CevError:
         raise
     except ValueError as exc:  # brentq: f(a) and f(b) must have different signs
@@ -377,13 +395,14 @@ def _bisect_arrays(fn, lo, hi, xtol, rtol):
 def refine_zeros(fn, grid_lo, grid_hi, n_scan=1025):
     """All sign-change roots of the array function ``fn`` on [grid_lo, grid_hi].
 
-    One array call scans the grid; :func:`bisect_monotone` refines each bracket.
+    One array call scans the grid; :func:`bisect_monotone` refines each
+    bracket, each step a one-element array call.
     """
     ts = np.linspace(grid_lo, grid_hi, n_scan)
     vals = np.asarray(fn(ts), dtype=float)
     zeros = [float(t) for t in ts[vals == 0.0]]
     # brackets of consecutive scan values of opposite sign
     for i in np.nonzero((vals[:-1] != 0.0) & (vals[:-1] * vals[1:] < 0.0))[0]:
-        zeros.append(bisect_monotone(lambda s: float(fn(s)), ts[i], ts[i + 1],
+        zeros.append(bisect_monotone(lambda s: _shaped(fn, s), ts[i], ts[i + 1],
                                      xtol=1e-14, rtol=4.0 * np.finfo(float).eps))
     return sorted(zeros)

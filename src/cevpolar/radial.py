@@ -16,7 +16,7 @@ import numpy as np
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from .errors import ConstructionError, DomainError
-from .numerics import _checked_table, _quadpack, _read_spec, bisect_monotone
+from .numerics import _checked_table, _quadpack, _read_spec, _shaped, bisect_monotone
 
 __all__ = [
     "RadialLaw",
@@ -32,17 +32,6 @@ __all__ = [
 ]
 
 
-def _checked(kernel, x, bad, message):
-    """``kernel`` on the flat float array of ``x`` once no entry is ``bad``:
-    a float for a number, else an array of the shape of ``x``."""
-    arr = np.asarray(x, dtype=float)
-    flat = arr.reshape(-1)
-    if np.any(bad(flat)):
-        raise DomainError(message)
-    out = kernel(flat)
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-
 class RadialLaw:
     """Base class: nonnegative radius with infinite support and light tail.
 
@@ -56,29 +45,29 @@ class RadialLaw:
     # -- checked boundary --------------------------------------------------
     def log_survival(self, x):
         """log P(R > x), for x >= 0."""
-        return _checked(self._log_survival, x, lambda a: ~(a >= 0.0), "x must be nonnegative")
+        return _shaped(self._log_survival, x, lambda a: ~(a >= 0.0), "x must be nonnegative")
 
     def density(self, x):
-        return _checked(self._density, x, lambda a: ~(a >= 0.0), "x must be nonnegative")
+        return _shaped(self._density, x, lambda a: ~(a >= 0.0), "x must be nonnegative")
 
     def aux_psi(self, x):
         """Canonical auxiliary scale survival/density, positive for x > 0."""
-        return _checked(self._aux_psi, x, lambda a: ~(a > 0.0), "x must be positive")
+        return _shaped(self._aux_psi, x, lambda a: ~(a > 0.0), "x must be positive")
 
     def inverse_log_survival(self, logq):
         """x such that log survival(x) = logq, for logq <= 0."""
-        return _checked(self._inverse_log_survival, logq, lambda a: ~(a <= 0.0),
-                        "log survival levels must be <= 0")
+        return _shaped(self._inverse_log_survival, logq, lambda a: ~(a <= 0.0),
+                       "log survival levels must be <= 0")
 
     # -- derived operations --------------------------------------------------
     def survival(self, x):
-        out = np.exp(self.log_survival(x))
-        return float(out) if out.ndim == 0 else out
+        """P(R > x), from the public log_survival."""
+        return _shaped(lambda a: np.exp(self.log_survival(a)), x)
 
     def quantile_b(self, t):
         """Level b(t) with survival(b(t)) = 1/t, defined for t > 1."""
-        return _checked(lambda a: self._inverse_log_survival(-np.log(a)), t,
-                        lambda a: ~(a > 1.0), "quantile_b requires t > 1")
+        return _shaped(lambda a: self._inverse_log_survival(-np.log(a)), t,
+                       lambda a: ~(a > 1.0), "quantile_b requires t > 1")
 
     def sample(self, n, rng):
         """n i.i.d. draws by inverse transform on the survival scale."""
@@ -86,19 +75,6 @@ class RadialLaw:
             raise DomainError("sample size must be nonnegative")
         v = 1.0 - rng.random(n)  # in (0, 1]
         return self._inverse_log_survival(np.log(v))
-
-    # -- kernels ---------------------------------------------------------------
-    def _log_survival(self, x):
-        raise NotImplementedError
-
-    def _density(self, x):
-        raise NotImplementedError
-
-    def _aux_psi(self, x):
-        raise NotImplementedError
-
-    def _inverse_log_survival(self, logq):
-        raise NotImplementedError
 
     # -- serialization -------------------------------------------------------
     def to_dict(self):
@@ -234,8 +210,15 @@ class VonMisesRadial(RadialLaw):
         if np.any(inside):
             jt = j_target[inside]
             k = np.clip(np.searchsorted(self._js, jt, side="left"), 1, len(self._js) - 1)
-            out[inside] = bisect_monotone(lambda v: self._spline(v) - jt,
-                                          self._xs[k - 1], self._xs[k])
+            lo, hi, c = self._xs[k - 1], self._xs[k], self._spline.c[:, k - 1]
+            at_hi = self._spline(hi)  # the spline's right-node value may be the next piece's
+
+            def piece(v):  # each level's own Hermite piece, summed as the spline sums it
+                s = v - lo
+                own = ((c[3] + c[2] * s) + c[1] * (s * s)) + c[0] * (s * s * s)
+                return np.where(v < hi, own, at_hi) - jt
+
+            out[inside] = bisect_monotone(piece, lo, hi)
         return out
 
     def _cap_edge(self):
@@ -434,9 +417,10 @@ class TabulatedRadial(RadialLaw):
         return np.minimum(np.where(x <= last, inside, beyond), 0.0)
 
     def _density(self, x):
-        # minus the slope of the log-survival (held past the last node), times the survival
+        # minus the slope of the log-survival, its tail slope past the last node, times the survival
         last = self._nodes[-1]
-        return -self._dspline(np.minimum(x, last)) * np.exp(self._log_survival(x))
+        slope = np.where(x <= last, self._dspline(np.minimum(x, last)), self._tail_slope)
+        return -slope * np.exp(self._log_survival(x))
 
     def _aux_psi(self, x):
         return np.exp(self._log_survival(x)) / np.maximum(self._density(x), 1e-300)

@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -535,3 +538,14 @@ class TestDispatch:
         for step in steps:
             callers = [name for name, fn in functions.items() if step in fn.__code__.co_names]
             assert len(callers) == 1, (step, callers)
+
+
+def test_benchmark_self_test_passes():
+    # the harness wraps the public functions and the law methods from outside the
+    # package, and its self-test fails on a traced method that moved or a function
+    # the tracer cannot wrap
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--self-test"], cwd=root,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "self-test passed"

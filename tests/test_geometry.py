@@ -116,10 +116,14 @@ class TestLpHalves:
         edges = [np.nextafter(k, d) for k in (0.125, 0.875) for d in (0.0, 1.0)]
         scalars = [*grid[::64].tolist(), 0.125, 0.875, *edges, np.float64(0.3), np.array(0.9)]
         for t in [grid, grid[1:].reshape(64, 128), grid[::7], grid[3:4], grid[:0], *scalars]:
-            for got, want in zip((c.u(t), c.v(t)), _lp_both_halves(p, rho, t)):
-                assert type(got) is type(want)
-                assert (got.dtype, got.shape) == (want.dtype, want.shape)
-                assert got.tobytes() == want.tobytes(), t
+            # a number takes the path of its one-element array, and comes back as a float
+            wants = (w.reshape(np.shape(t)) for w in _lp_both_halves(p, rho, np.reshape(t, -1)))
+            for got, want in zip((c.u(t), c.v(t)), wants):
+                if np.ndim(t):
+                    assert (type(got), got.dtype, got.shape) == (np.ndarray, want.dtype, want.shape)
+                else:
+                    assert type(got) is float
+                assert np.asarray(got).tobytes() == want.tobytes(), t
 
 
 class TestPowerCurve:
@@ -148,6 +152,13 @@ class TestPowerCurve:
     def test_invalid_exponents(self):
         with pytest.raises(cp.ConstructionError):
             self.make(kappa=1.0, delta=1.0)
+
+    @pytest.mark.parametrize("delta", [2.0, 3.0, 3.6])
+    def test_multiple_zero_of_v_off_the_scan_grid(self, delta):
+        # with rho = 0, v = |t - t0|**delta sign(t - t0) has a multiple zero at t0, which
+        # Brent's method refines in about 110 steps when t0 is off the scan grid
+        c = self.make(t0=0.3543885724673781, kappa=4.0, delta=delta)
+        assert c._zeros_v == pytest.approx([c.t0], abs=1e-14)
 
     def test_asymmetric_sides(self):
         c = self.make(c_minus=0.25, c_plus=0.75)

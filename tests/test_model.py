@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from scipy.stats import chi2, norm
 
 import cevpolar as cp
-from cevpolar.cli import _CSV_TASK, _CSV_TASKS_PER_WORKER, _csv_cell, _csv_text, _write_csv
+from cevpolar.cli import _CSV_TASK, _CSV_TASKS_PER_WORKER, _csv_text, _write_csv
 
 
 class TestPolarModelAssembly:
@@ -142,7 +142,7 @@ _TASK_EDGE = 2 * _CSV_TASKS_PER_WORKER * _CSV_TASK
 
 
 class TestCsvWriter:
-    def test_block_cells_equal_csv_cell(self, tmp_path):
+    def test_float_cells_are_their_repr_and_others_their_str(self, tmp_path):
         n = 65_537  # one row past a task boundary
         assert n % _CSV_TASK == 1
         rng = np.random.default_rng(3)
@@ -160,10 +160,10 @@ class TestCsvWriter:
         assert lines[-1] == ""
         rows = [line.split(",") for line in lines[2:-1]]
         assert len(rows) == n
-        want = [_csv_cell(v) for v in floats]
+        want = [repr(float(v)) for v in floats]
         assert [row[0] for row in rows] == want
         assert [row[1] for row in rows] == want
-        assert [row[2] for row in rows] == [_csv_cell(v) for v in mixed]
+        assert [row[2] for row in rows] == [str(v) for v in mixed]
         back = np.array([float(row[0]) for row in rows])
         assert np.array_equal(back.view(np.int64), floats.view(np.int64))
 

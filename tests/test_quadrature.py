@@ -99,15 +99,16 @@ class TestRule:
             integrate_with_breakpoints(lambda t: 1.0 / (t - 0.3), 0.0, 1.0)
 
     def test_refine_zeros_scans_with_one_array_call(self):
-        scans = []
+        shapes = []
 
         def fn(t):
-            if np.ndim(t):
-                scans.append(np.size(t))
+            shapes.append(np.shape(t))
             return np.cos(3.0 * t)
 
         zeros = refine_zeros(fn, 0.0, 3.0)
-        assert scans == [1025]
+        # one scan, then each Brent step on a one-element array (the scan's path)
+        assert shapes[0] == (1025,)
+        assert set(shapes[1:]) == {(1,)}
         assert zeros == pytest.approx([math.pi / 6, math.pi / 2, 5 * math.pi / 6], abs=1e-13)
 
 

@@ -188,6 +188,13 @@ class TestVonMises:
         assert (law.inverse_log_survival(shallower) <= grid["x"][-1]
                 <= law.inverse_log_survival(deeper))
 
+    def test_level_of_every_node_inverts_to_the_node(self):
+        # the bisection of a level's own Hermite piece reads the spline's value at the
+        # piece's right node, which is the next piece's: the own piece may miss it by an ulp
+        law = cp.build_von_mises(lambda s: 1.0 / (1.0 + 0.5 * s))
+        grid = law.to_dict()["grid"]
+        assert np.array_equal(law.inverse_log_survival(-np.array(grid["J"][1:])), grid["x"][1:])
+
     def test_nonpositive_psi_rejected(self):
         with pytest.raises(cp.ConstructionError):
             cp.build_von_mises(lambda s: -1.0)
@@ -254,6 +261,15 @@ class TestTabulatedLawIsItsTable:
     def test_numeric_table_checked(self, nodes, log_survival):
         with pytest.raises(cp.ConstructionError):
             cp.TabulatedRadial(nodes, log_survival)
+
+    def test_numeric_density_past_the_table_has_the_tail_slope(self):
+        # the table ends flat, so past x = 2 its log-survival falls at the floor slope
+        # 1e-12, and the density and psi follow that line, not the flat end slope
+        law = cp.TabulatedRadial([0.0, 1.0, 2.0], [0.0, -1.0, -1.0])
+        xs = np.array([3.0, 10.0, 1e6])
+        assert law.aux_psi(xs) == pytest.approx(1e12, rel=1e-12)
+        assert law.density(xs) == pytest.approx(1e-12 * law.survival(xs), rel=1e-12)
+        assert law.aux_psi(3.0) == pytest.approx(1e12, rel=1e-12)
 
     @pytest.mark.parametrize("name", sorted(BUILT))
     def test_keeps_no_user_callable(self, name):
