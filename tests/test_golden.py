@@ -56,6 +56,9 @@ CASES = {
                                    "--threshold", "4.5"),
     "simulate-conditional-vm": ("simulate", "-c", "{vm}", "--n", "2000", "--seed", "7",
                                 "--threshold", "3.0"),
+    # the numeric radial law's inversion: no other case samples it
+    "simulate-conditional-num": ("simulate", "-c", "{num}", "--n", "2000", "--seed", "7",
+                                 "--threshold", "3.0"),
     "simulate-mixture": ("simulate", "-c", "{mix}", "--n", "2000", "--seed", "7"),
     "verify": ("verify", "-c", "{ell}", "--levels", "0.99,0.999", "--n", "2000",
                "--seed", "11"),
@@ -125,6 +128,10 @@ GOLDEN = {
         "862ab98f22de77887ad75c1d61ce59627e3e6211b97141571f42e06252cad387",
     "simulate-conditional-vm.json":
         "5743dfb047c79b56a421d566e6c2e2fe233fa75814b494d52d495a8560bbc8a2",
+    "simulate-conditional-num.csv":
+        "0cbbbeeed90c04fc118be969bd02f778fcf95ccf0aa06ae4365e4a1c2083196a",
+    "simulate-conditional-num.json":
+        "af372e3400d6994235f26654b05cc17bf1e3ffc65178c02f458607ae046a0d7f",
     "simulate-joint.csv":
         "5bc0c9ffca3320ebe79bbdb228564b8c5285c72224817eb778d325c72e153535",
     "simulate-joint.json":
