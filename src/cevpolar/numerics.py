@@ -22,8 +22,8 @@ section 2.12).
 :func:`bisect_monotone` picks its method from the shape of the bracket: a
 scalar bracket gets Brent's method, which spends the fewest calls of a costly
 scalar function (oracle level solves, zero brackets), and an array of brackets
-gets one bisection over all of them, one array call per round (the von Mises
-quantiles of a conditional sample).
+gets one bisection over all of them, one array call per round (the quantiles
+of a tabulated radial law that Newton's method leaves unconverged).
 
 Everything here is deterministic and stateless so the callers stay pure and
 thread-safe.
@@ -357,8 +357,9 @@ def bisect_monotone(fn, lo, hi, *, xtol=1e-13, rtol=1e-12):
     (about eight per oracle level solve) and calls it once at each end.
     Array ``lo`` and ``hi`` are solved together by bisection: the array
     ``fn`` is called once per round on every midpoint, and each element stops
-    once ``|hi - lo| <= xtol + rtol * |mid|`` (the von Mises quantiles of a
-    whole sample are one such call).  Raises :class:`DomainError` if any
+    once ``|hi - lo| <= xtol + rtol * |mid|`` or its bracket holds adjacent
+    floats (the unconverged quantiles of a tabulated radial law are one such
+    call).  Raises :class:`DomainError` if any
     bracket does not hold a sign change; an error of ``fn`` passes unchanged.
     """
     if np.ndim(lo) or np.ndim(hi):

@@ -161,64 +161,82 @@ class VonMisesRadial(RadialLaw):
     The table ``grid`` holds nodes x from 0, the cumulative integral
     J(x) = int_0^x ds/psi(s) and its derivative Jp = 1/psi at the nodes (see
     :func:`build_von_mises`).  J is a cubic Hermite spline on the nodes,
-    extended past the last one by its end slope.  The quantiles of one call
-    are one bracketed array solve on the Hermite pieces (``searchsorted``
-    picks each level's piece, then :func:`bisect_monotone` bisects all pieces
-    at once), so the log-survival of a quantile returns its level to about
-    1e-12 relative.
+    extended from the last one by the line of its end slope; the density is
+    J' times the survival and psi = 1/J'.  The quantiles of one call are one
+    array solve: an inverse interpolant of the table guesses them, two Newton
+    sweeps on J refine them, and the levels Newton leaves off by more than
+    1e-14 relative are bisected on their own piece to adjacent floats.  So
+    the log-survival of a quantile returns its level to 1e-14 relative, where
+    the table's floats allow it (to 5e-16 on a sampler's levels of a
+    :func:`build_von_mises` law).
     """
 
     kind = "von_mises"
 
     def __init__(self, grid, x0, scale):
-        self.x0, self.scale = _checked_cap(x0, scale)
-        self._xs, self._js, self._jps = _checked_table(grid, "von Mises")
-        if self._xs[0] != 0.0:
+        xs, js, jps = _checked_table(grid, "von Mises")
+        if xs[0] != 0.0:
             raise ConstructionError("von Mises table must start at x = 0")
-        if np.any(np.diff(self._js) < 0.0) or np.any(self._jps < 0.0) or not self._jps[-1] > 0.0:
+        if np.any(np.diff(js) < 0.0) or np.any(jps < 0.0) or not jps[-1] > 0.0:
             raise ConstructionError("von Mises J must be nondecreasing with a positive end slope")
-        self._spline = CubicHermiteSpline(self._xs, self._js, self._jps)
-        self._dspline = self._spline.derivative()
-        self._j_x0 = float(self._spline(self.x0))
-        if self.x0 > self._xs[-1]:
+        self._tabulate(xs, js, CubicHermiteSpline(xs, js, jps), *_checked_cap(x0, scale))
+        self._jps, self._tail = jps, float(jps[-1])
+
+    def _tabulate(self, xs, js, spline, x0, scale):
+        """Hold J on the nodes; the caller sets ``_tail``, its slope past the last node."""
+        if x0 > xs[-1]:
             raise ConstructionError("x0 beyond tabulated range")
+        self.x0, self.scale = x0, scale
+        self._xs, self._js, self._spline = xs, js, spline
+        self._dspline = spline.derivative()
+        self._j_x0 = float(spline(x0))
+        # the inverse interpolant on the rising J values guesses the quantiles
+        rising = np.concatenate([[True], np.diff(js) > 1e-14])
+        self._guess = PchipInterpolator(js[rising], xs[rising]) if np.sum(rising) > 1 else None
+
+    def _j(self, x):
+        # the last node's value is the table's, not its Hermite piece's end
+        last = self._xs[-1]
+        return np.where(x >= last, self._js[-1] + (x - last) * self._tail,
+                        self._spline(np.minimum(x, last)))
+
+    def _jp(self, x):
+        last = self._xs[-1]
+        return np.where(x >= last, self._tail, self._dspline(np.minimum(x, last)))
 
     def _log_survival(self, x):
-        j = np.where(
-            x <= self._xs[-1],
-            self._spline(np.clip(x, 0.0, self._xs[-1])),
-            self._js[-1] + (x - self._xs[-1]) * self._jps[-1],
-        )
-        return np.minimum(math.log(self.scale) - (j - self._j_x0), 0.0)
-
-    def _aux_psi(self, x):
-        # 1 over the slope of J, held past the last node as _log_survival holds it
-        return 1.0 / self._dspline(np.minimum(x, self._xs[-1]))
+        return np.minimum(math.log(self.scale) - (self._j(x) - self._j_x0), 0.0)
 
     def _density(self, x):
-        return np.exp(self._log_survival(x)) / self._aux_psi(np.maximum(x, 1e-300))
+        return self._jp(x) * np.exp(self._log_survival(x))
+
+    def _aux_psi(self, x):
+        return 1.0 / np.maximum(self._jp(x), 1e-300)
 
     def _inverse_log_survival(self, logq):
         target = math.log(self.scale) - logq  # required J(x) - J(x0)
-        j_target = target + self._j_x0
+        jt = target + self._j_x0
+        last, j_last = self._xs[-1], self._js[-1]
+        beyond = jt >= j_last
         # levels at or above the cap are the atom at the left edge of the decay region
+        solve = beyond | (target > 0.0)
         out = np.full(logq.shape, self._cap_edge())
-        # the last node's own level too: its Hermite piece may end an ulp below J[-1]
-        beyond = j_target >= self._js[-1]
-        out[beyond] = self._xs[-1] + (j_target[beyond] - self._js[-1]) / self._jps[-1]
-        inside = (target > 0.0) & ~beyond
-        if np.any(inside):
-            jt = j_target[inside]
-            k = np.clip(np.searchsorted(self._js, jt, side="left"), 1, len(self._js) - 1)
-            lo, hi, c = self._xs[k - 1], self._xs[k], self._spline.c[:, k - 1]
-            at_hi = self._spline(hi)  # the spline's right-node value may be the next piece's
-
-            def piece(v):  # each level's own Hermite piece, summed as the spline sums it
-                s = v - lo
-                own = ((c[3] + c[2] * s) + c[1] * (s * s)) + c[0] * (s * s * s)
-                return np.where(v < hi, own, at_hi) - jt
-
-            out[inside] = bisect_monotone(piece, lo, hi)
+        jt, q, inside = jt[solve], logq[solve], ~beyond[solve]
+        # the tail line past the table, the inverse interpolant inside it (a table
+        # whose J never rises by more than 1e-14 has none: its levels start from 0)
+        x = last + (jt - j_last) / self._tail
+        x[inside] = 0.0 if self._guess is None else np.clip(self._guess(jt[inside]), 0.0, None)
+        for _ in range(2):
+            x = np.clip(x - (self._j(x) - jt) / np.maximum(self._jp(x), 1e-300), 0.0, None)
+        # Newton stalls where J is flat (near a density that vanishes at the origin)
+        # or bends hard; those levels are bisected on their own piece to adjacent floats
+        stalled = np.abs(self._log_survival(x) - q) > 1e-14 * np.maximum(1.0, -q)
+        if np.any(stalled):
+            j = jt[stalled]
+            k = np.clip(np.searchsorted(self._js, j), 1, len(self._xs) - 1)
+            x[stalled] = bisect_monotone(lambda v: j - self._j(v), self._xs[k - 1], self._xs[k],
+                                         xtol=0.0, rtol=0.0)
+        out[solve] = x
         return out
 
     def _cap_edge(self):
@@ -314,14 +332,14 @@ def build_von_mises(psi, x0=0.0, scale=1.0):
     return VonMisesRadial((xs, js, jps), x0, scale)
 
 
-class TabulatedRadial(RadialLaw):
+class TabulatedRadial(VonMisesRadial):
     """Radial law of a table of log-survival values at increasing nodes from
     x = 0, where the log-survival is 0.
 
-    Log-survival between nodes is a monotone cubic interpolant, extended past
-    the last node by a line of its end slope (at most -1e-12); the density is
-    minus its slope times the survival.  :meth:`from_density` tabulates an
-    (unnormalized) density function.
+    It is the von Mises law of J = -log-survival with x0 = 0 and scale = 1:
+    J between nodes is a monotone cubic interpolant, extended past the last
+    node by a line of its end slope (at least 1e-12).  :meth:`from_density`
+    tabulates an (unnormalized) density function.
     """
 
     kind = "numeric"
@@ -334,17 +352,12 @@ class TabulatedRadial(RadialLaw):
         if nodes[0] != 0.0 or log_surv[0] != 0.0:
             raise ConstructionError("numeric radial table must start at x = 0 with log-survival 0")
         steps = np.diff(log_surv)
-        keep = np.concatenate([[True], steps < -1e-14])
-        if np.any(steps > 0.0) or np.count_nonzero(keep) < 2:
+        if np.any(steps > 0.0) or not np.any(steps < -1e-14):
             raise ConstructionError(
                 "numeric radial log-survival must be nonincreasing and fall along the grid")
-        self._nodes = nodes
-        self._log_surv = log_surv
-        self._spline = PchipInterpolator(nodes, log_surv)
-        self._dspline = self._spline.derivative()
-        self._tail_slope = min(float(self._dspline(nodes[-1])), -1e-12)
-        # quantile interpolant on the strictly decreasing log-survival values
-        self._quantile = PchipInterpolator(-log_surv[keep], nodes[keep])
+        js = -log_surv
+        self._tabulate(nodes, js, PchipInterpolator(nodes, js), 0.0, 1.0)
+        self._tail = max(float(self._dspline(nodes[-1])), 1e-12)
 
     @classmethod
     def from_density(cls, density_fn):
@@ -410,52 +423,11 @@ class TabulatedRadial(RadialLaw):
                 break
         return total
 
-    def _log_survival(self, x):
-        last = self._nodes[-1]
-        inside = self._spline(np.clip(x, 0.0, last))
-        beyond = self._log_surv[-1] + self._tail_slope * (x - last)
-        return np.minimum(np.where(x <= last, inside, beyond), 0.0)
-
-    def _density(self, x):
-        # minus the slope of the log-survival, its tail slope past the last node, times the survival
-        last = self._nodes[-1]
-        slope = np.where(x <= last, self._dspline(np.minimum(x, last)), self._tail_slope)
-        return -slope * np.exp(self._log_survival(x))
-
-    def _aux_psi(self, x):
-        return np.exp(self._log_survival(x)) / np.maximum(self._density(x), 1e-300)
-
-    def _inverse_log_survival(self, logq):
-        deepest = -self._log_surv[-1]
-        out = np.where(
-            -logq <= deepest,
-            np.clip(self._quantile(np.minimum(-logq, deepest)), 0.0, None),
-            self._nodes[-1] + (logq - self._log_surv[-1]) / self._tail_slope,
-        )
-        # two Newton sweeps against the forward spline tighten self-consistency
-        for _ in range(2):
-            inside = out <= self._nodes[-1]
-            f = np.where(inside, self._spline(np.clip(out, 0.0, self._nodes[-1])),
-                         self._log_surv[-1] + self._tail_slope * (out - self._nodes[-1]))
-            df = np.where(inside, self._dspline(np.clip(out, 0.0, self._nodes[-1])),
-                          self._tail_slope)
-            step = (f - logq) / np.minimum(df, -1e-300)
-            out = np.clip(out - step, 0.0, None)
-        # Newton stalls where the log-survival is flat (near a density that
-        # vanishes at the origin); those levels are solved on their grid piece
-        stalled = np.abs(self._log_survival(out) - logq) > 1e-12 * np.maximum(1.0, -logq)
-        if np.any(stalled):
-            q = logq[stalled]
-            k = np.clip(np.searchsorted(-self._log_surv, -q), 1, len(self._nodes) - 1)
-            out[stalled] = bisect_monotone(lambda v: self._spline(v) - q,
-                                           self._nodes[k - 1], self._nodes[k])
-        return out
-
     def to_dict(self):
         return {
             "kind": self.kind,
             "params": {},
-            "grid": {"x": self._nodes.tolist(), "log_survival": self._log_surv.tolist()},
+            "grid": {"x": self._xs.tolist(), "log_survival": (-self._js).tolist()},
         }
 
 

@@ -125,9 +125,9 @@ GOLDEN = {
     "simulate-conditional-large.json":
         "876f26e6c7906133fc9e0743230ff62dc14bf934b9c312ac5c8e8822b2cc4f5f",
     "simulate-conditional-vm.csv":
-        "862ab98f22de77887ad75c1d61ce59627e3e6211b97141571f42e06252cad387",
+        "994dfd5ab192f2aa254fc748f11df0a69d719a46c58892303a87a747e7307476",
     "simulate-conditional-vm.json":
-        "5743dfb047c79b56a421d566e6c2e2fe233fa75814b494d52d495a8560bbc8a2",
+        "a3a1ec0b842d91c686902967bbaae81dc9c2bb34a4eec0b114a2ef216e5c9f4d",
     "simulate-conditional-num.csv":
         "0cbbbeeed90c04fc118be969bd02f778fcf95ccf0aa06ae4365e4a1c2083196a",
     "simulate-conditional-num.json":
@@ -153,9 +153,9 @@ GOLDEN = {
     "tail-lp3.json":
         "4c3d7bc21c9109f723f7e2ffd187f602d9100bda4c8160a73b267e9dbd9185bf",
     "tail-num.csv":
-        "6a8464be4eec0f0720bdc5557675084565b41592196bcd801cdb7c48da87ffba",
+        "2efd880361098f870a684f69d5ec1455599d1f35017168e2a8961b4b10f1eb03",
     "tail-num.json":
-        "42b75ff885c41b07e8d59826c836b28b824d9ef71a7e28f0cd9d3085fb7f0793",
+        "6afc17fa914ae7116499bd2230e06b84427d1e76a41f76b394fa4701cd65b050",
     "tail-vm.csv":
         "23e40193381964a405206b1327e73e42df48efbd94a583ac5a5f54f48708dbea",
     "tail-vm.json":

@@ -114,6 +114,14 @@ class TestNormalization:
             vals.append(frame.a_t / (t * (1.0 / t) ** (1.0 / 3.0)))
         assert vals[1] == pytest.approx(vals[0], rel=0.01)
 
+    def test_numeric_radial_law_far_past_its_table(self):
+        # the decomposed Gaussian's log-survival table ends near x = 11; at t = 80
+        # its survival underflows, but psi keeps the end slope of the table
+        model = cp.decompose_density(cp.standard_normal_profile, cp.elliptical_curve(0.3))
+        frame = cp.normalization(model, 80.0)
+        assert frame.psi_t == model.radial.aux_psi(80.0) > 0.0
+        assert frame.a_t > 0.0
+
     def test_threshold_too_small(self):
         curve = cp.power_curve(t0=0.5, kappa=2.0, delta=1.0, c_minus=0.5,
                                c_plus=0.5, lambda_v=1.0, rho=0.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 import cevpolar as cp
 
@@ -107,13 +108,13 @@ class TestAuxiliary:
         assert math.exp(-val) == pytest.approx(law.survival(x), rel=1e-7)
 
     def test_serialized_numeric_density_is_the_spline_slope(self):
-        # per element: minus the log-survival slope (held past the last node)
+        # per element: the slope of J = -log-survival (held past the last node)
         # times the survival; np.exp and math.exp may differ by an ulp
         law = SERIALIZED[1]
+        last = law.to_dict()["grid"]["x"][-1]
         xs = np.linspace(0.01, 12.0, 1000)
-        assert xs[-1] > law._nodes[-1]
-        want = [-float(law._dspline(min(x, law._nodes[-1]))) * math.exp(law.log_survival(x))
-                for x in xs]
+        assert xs[-1] > last
+        want = [float(law._dspline(min(x, last))) * math.exp(law.log_survival(x)) for x in xs]
         assert np.allclose(law.density(xs), want, rtol=4 * np.finfo(float).eps, atol=0.0)
 
 
@@ -228,12 +229,29 @@ class TestVonMises:
         with pytest.raises(cp.ConstructionError):
             cp.VonMisesRadial(grid, 0.0, 1.0)
 
+    def test_table_of_flat_j_is_accepted(self):
+        # survival 1 up to the last node, then the tail line of slope 1
+        law = cp.VonMisesRadial(([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), 0.0, 1.0)
+        assert law.inverse_log_survival(-1.0) == 3.0
+        assert law.log_survival(3.0) == -1.0
+
     def test_aux_psi_past_the_table_is_the_end_slope(self):
         # J continues past the last node by the line of slope Jp[-1], so psi = 1 / Jp[-1]
         law = SERIALIZED[0]
         grid = law.to_dict()["grid"]
         xs = grid["x"][-1] * np.array([1.01, 1.5, 2.0, 10.0])
         assert law.aux_psi(xs) * grid["Jp"][-1] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_numeric_aux_psi_far_past_the_table_is_the_end_slope():
+    # the decomposed Gaussian's table ends near x = 11 with log-survival -60; at
+    # x = 70 the survival underflows, and psi = 1/J' still holds the end slope of J
+    law = cp.decompose_density(cp.standard_normal_profile, cp.elliptical_curve(0.3)).radial
+    grid = law.to_dict()["grid"]
+    j = PchipInterpolator(grid["x"], -np.array(grid["log_survival"]))
+    end_psi = 1.0 / j.derivative()(grid["x"][-1])
+    assert law.log_survival(70.0) < -690.0
+    assert law.aux_psi(np.array([70.0, 80.0])) == pytest.approx(end_psi, rel=1e-12)
 
 
 #: tabulated laws as built in process: plain and capped von Mises, and numeric
@@ -326,6 +344,31 @@ INVERTIBLE = {
 }
 
 
+def _inversion_error(law, qs):
+    """Largest error of log-survival at the quantiles of levels qs, relative past 1."""
+    back = law.log_survival(law.inverse_log_survival(qs))
+    return np.max(np.abs(back - qs) / np.maximum(1.0, np.abs(qs)))
+
+
+@st.composite
+def _tables(draw):
+    """Nodes from 0, J from 0 and its slopes Jp between 0.5 and 2 at the nodes.
+
+    Each step of J is the trapezoid of its end slopes, so every Hermite piece
+    is monotone. J' x / J stays below 12 (a numeric table's PCHIP slopes are
+    at most 6), so an ulp of x moves J by at most 12 ulps of J, and 1e-14
+    relative is within reach of a float quantile.
+    """
+    n = draw(st.integers(2, 12))
+    steps = draw(st.lists(st.floats(0.05, 2.0), min_size=n - 1, max_size=n - 1))
+    jps = draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+    xs, js = [0.0], [0.0]
+    for dx, a, b in zip(steps, jps, jps[1:]):
+        xs.append(xs[-1] + dx)
+        js.append(js[-1] + 0.5 * dx * (a + b))
+    return xs, js, jps
+
+
 class TestInverseLogSurvival:
     @pytest.mark.parametrize("name", sorted(INVERTIBLE))
     def test_log_survival_inverts_it(self, name):
@@ -338,6 +381,33 @@ class TestInverseLogSurvival:
             qs = np.array(qs)
             back = law.log_survival(law.inverse_log_survival(qs))
             assert np.max(np.abs(back - qs)) <= 1e-9
+
+        check()
+
+    @pytest.mark.parametrize("name", sorted(INVERTIBLE))
+    def test_log_survival_inverts_it_to_rounding(self, name):
+        law = INVERTIBLE[name]
+        top = math.log(getattr(law, "scale", 1.0))
+
+        @settings(max_examples=40, deadline=None)
+        @given(qs=st.lists(st.floats(-800.0, top), min_size=1, max_size=40))
+        def check(qs):
+            assert _inversion_error(law, np.array(qs)) <= 1e-14
+
+        check()
+
+    @pytest.mark.parametrize("kind", ["von_mises", "numeric"])
+    def test_random_tables_invert_to_rounding(self, kind):
+        @settings(max_examples=60, deadline=None)
+        @given(table=_tables(), us=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+        def check(table, us):
+            xs, js, jps = table
+            if kind == "von_mises":
+                law = cp.VonMisesRadial((xs, js, jps), 0.0, 1.0)
+            else:
+                law = cp.TabulatedRadial(xs, [-j for j in js])
+            # levels inside the table and up to 50 past its end
+            assert _inversion_error(law, -np.array(us) * (js[-1] + 50.0)) <= 1e-14
 
         check()
 
@@ -425,6 +495,13 @@ class TestSerialization:
     def test_unknown_key_rejected(self):
         with pytest.raises(cp.ConstructionError):
             cp.radial_from_dict({"kind": "rayleigh", "params": {}, "mode": "x"})
+
+
+def test_numeric_law_is_the_von_mises_law_of_its_table():
+    # the numeric law evaluates and inverts through the von Mises kernels on J = -log S
+    assert issubclass(cp.TabulatedRadial, cp.VonMisesRadial)
+    kernels = {"_log_survival", "_density", "_aux_psi", "_inverse_log_survival"}
+    assert not kernels & set(vars(cp.TabulatedRadial))
 
 
 def test_laws_define_only_kernels():
