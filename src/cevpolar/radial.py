@@ -164,11 +164,12 @@ class VonMisesRadial(RadialLaw):
     extended from the last one by the line of its end slope; the density is
     J' times the survival and psi = 1/J'.  The quantiles of one call are one
     array solve: an inverse interpolant of the table guesses them, two Newton
-    sweeps on J refine them, and the levels Newton leaves off by more than
-    1e-14 relative are bisected on their own piece to adjacent floats.  So
-    the log-survival of a quantile returns its level to 1e-14 relative, where
-    the table's floats allow it (to 5e-16 on a sampler's levels of a
-    :func:`build_von_mises` law).
+    sweeps on J refine them, and the levels inside the table that Newton
+    leaves off by more than 1e-14 relative, and by more than an ulp of x
+    moves J, are bisected on their own piece to adjacent floats.  Levels past
+    the table lie on the tail line.  So the log-survival of a quantile
+    returns its level to 1e-14 relative, where the table's floats allow it
+    (to 5e-16 on a sampler's levels of a :func:`build_von_mises` law).
     """
 
     kind = "von_mises"
@@ -179,15 +180,16 @@ class VonMisesRadial(RadialLaw):
             raise ConstructionError("von Mises table must start at x = 0")
         if np.any(np.diff(js) < 0.0) or np.any(jps < 0.0) or not jps[-1] > 0.0:
             raise ConstructionError("von Mises J must be nondecreasing with a positive end slope")
-        self._tabulate(xs, js, CubicHermiteSpline(xs, js, jps), *_checked_cap(x0, scale))
-        self._jps, self._tail = jps, float(jps[-1])
+        self._jps = jps
+        self._tabulate(xs, js, CubicHermiteSpline(xs, js, jps), float(jps[-1]),
+                       *_checked_cap(x0, scale))
 
-    def _tabulate(self, xs, js, spline, x0, scale):
-        """Hold J on the nodes; the caller sets ``_tail``, its slope past the last node."""
+    def _tabulate(self, xs, js, spline, tail, x0, scale):
+        """Hold J on the nodes, and the slope ``tail`` of its line past the last one."""
         if x0 > xs[-1]:
             raise ConstructionError("x0 beyond tabulated range")
         self.x0, self.scale = x0, scale
-        self._xs, self._js, self._spline = xs, js, spline
+        self._xs, self._js, self._spline, self._tail = xs, js, spline, tail
         self._dspline = spline.derivative()
         self._j_x0 = float(spline(x0))
         # the inverse interpolant on the rising J values guesses the quantiles
@@ -227,10 +229,17 @@ class VonMisesRadial(RadialLaw):
         x = last + (jt - j_last) / self._tail
         x[inside] = 0.0 if self._guess is None else np.clip(self._guess(jt[inside]), 0.0, None)
         for _ in range(2):
-            x = np.clip(x - (self._j(x) - jt) / np.maximum(self._jp(x), 1e-300), 0.0, None)
+            jp = np.maximum(self._jp(x), 1e-300)
+            x = np.clip(x - (self._j(x) - jt) / jp, 0.0, None)
         # Newton stalls where J is flat (near a density that vanishes at the origin)
-        # or bends hard; those levels are bisected on their own piece to adjacent floats
-        stalled = np.abs(self._log_survival(x) - q) > 1e-14 * np.maximum(1.0, -q)
+        # or bends hard; such levels inside the table (past it, x is on the tail
+        # line) are bisected on their own piece to adjacent floats, unless Newton
+        # is off by no more than the floats resolve: an ulp of x along J', and a
+        # few ulps of J
+        eps = np.finfo(float).eps
+        floor = eps * (2.0 * jp * x + 4.0 * np.abs(jt))
+        stalled = inside & (np.abs(self._log_survival(x) - q)
+                            > np.maximum(1e-14 * np.maximum(1.0, -q), floor))
         if np.any(stalled):
             j = jt[stalled]
             k = np.clip(np.searchsorted(self._js, j), 1, len(self._xs) - 1)
@@ -356,8 +365,9 @@ class TabulatedRadial(VonMisesRadial):
             raise ConstructionError(
                 "numeric radial log-survival must be nonincreasing and fall along the grid")
         js = -log_surv
-        self._tabulate(nodes, js, PchipInterpolator(nodes, js), 0.0, 1.0)
-        self._tail = max(float(self._dspline(nodes[-1])), 1e-12)
+        spline = PchipInterpolator(nodes, js)
+        tail = max(float(spline.derivative()(nodes[-1])), 1e-12)
+        self._tabulate(nodes, js, spline, tail, 0.0, 1.0)
 
     @classmethod
     def from_density(cls, density_fn):

@@ -411,6 +411,20 @@ class TestInverseLogSurvival:
 
         check()
 
+    @pytest.mark.parametrize("x0", [1.5, 1.99])
+    def test_steep_table_inverts_as_far_as_its_floats_resolve(self, x0):
+        # J(x0) near 2000 dwarfs the levels: an ulp of J (2.3e-13) and an ulp of x
+        # moved along J' = 1000 (4.4e-13) exceed 1e-14 of a level, inside the table
+        # and on its tail line past x = 2
+        law = cp.VonMisesRadial(([0.0, 1.0, 2.0], [0.0, 1000.0, 2000.0], [1000.0] * 3), x0, 1.0)
+        assert _inversion_error(law, -np.linspace(0.01, 50.0, 500)) <= 1e-12
+
+    def test_levels_past_the_table_of_a_deep_x0_invert(self):
+        # the capped law with x0 half a unit before its last node, where J is ~750
+        grid = INVERTIBLE["von_mises_capped"].to_dict()["grid"]
+        law = cp.VonMisesRadial((grid["x"], grid["J"], grid["Jp"]), grid["x"][-1] - 0.5, 0.5)
+        assert _inversion_error(law, math.log(0.5) - np.linspace(0.01, 100.0, 500)) <= 1e-12
+
     def test_levels_at_or_above_the_cap_are_the_atom(self):
         law = INVERTIBLE["von_mises_capped"]
         assert law.inverse_log_survival(np.array([math.log(0.5), -0.3, 0.0])).tolist() == [1.0] * 3
