@@ -16,9 +16,6 @@ import numpy as np
 from .errors import ConstructionError, DomainError
 from .numerics import (_checked_table, _read_spec, _shaped, integrate_with_breakpoints,
                        refine_zeros)
-# after numerics, which imports scipy.optimize: imported before it, scipy.interpolate
-# shifted the garbage collector's runs and made start-up about 50 ms slower
-from scipy.interpolate import PchipInterpolator  # isort: skip
 
 __all__ = [
     "CurveGerm",
@@ -534,6 +531,7 @@ class TabulatedAngular(AngularLaw):
         self.t0 = float(t0)
         self._nodes = nodes
         self._cdf_vals = cdf
+        from scipy.interpolate import PchipInterpolator  # here: only tables interpolate
         self._cdf_spline = PchipInterpolator(nodes, cdf)
         self._pdf_spline = self._cdf_spline.derivative()
         keep = np.concatenate([[True], np.diff(cdf) > 1e-15])

@@ -160,7 +160,9 @@ def sample_conditional(model, t, n, rng):
     Angles are proposed from the angular law; each proposal T gets weight
     proportional to S(t / u(T)) (zero when u(T) <= 0), and the radius is
     drawn from R | R > t/u(T) by inverse transform on the survival scale.
-    Zero-weight proposals carry no information and are dropped.
+    Zero-weight proposals carry no information and are dropped.  Each
+    proposal array is freed at its last use and the arithmetic runs in place,
+    which keeps the peak memory of a large draw low.
     """
     t = float(t)
     if not t > 0.0:
@@ -184,7 +186,9 @@ def sample_conditional(model, t, n, rng):
             {"threshold": t, "proposals": n},
         )
     angles, u_vals = angles[keep], u_vals[keep]
-    uniforms = 1.0 - rng_u.random(n)[keep]  # in (0, 1]
+    levels = rng_u.random(n)[keep]
+    del keep
+    np.subtract(1.0, levels, out=levels)  # uniforms in (0, 1]
     log_w = np.asarray(model.radial.log_survival(t / u_vals), dtype=float)
     top = float(np.max(log_w))
     if not math.isfinite(top):
@@ -192,13 +196,19 @@ def sample_conditional(model, t, n, rng):
             "all importance weights underflowed",
             {"threshold": t, "max_log_weight": top, "proposals": n},
         )
-    radii = np.asarray(
-        model.radial.inverse_log_survival(np.log(uniforms) + log_w), dtype=float
-    )
+    np.log(levels, out=levels)
+    levels += log_w
+    radii = np.asarray(model.radial.inverse_log_survival(levels), dtype=float)
+    del levels
     x = radii * u_vals
-    x = np.where(x <= t, np.nextafter(t, np.inf), x)  # guard 1-ulp roundoff
-    y = radii * model.curve.v(angles)
-    w = np.exp(log_w - top)
+    del u_vals
+    np.copyto(x, np.nextafter(t, np.inf), where=x <= t)  # guard 1-ulp roundoff
+    y = model.curve.v(angles)
+    del angles
+    y *= radii
+    del radii
+    log_w -= top
+    w = np.exp(log_w, out=log_w)
     w /= np.sum(w)
     return WeightedSample(x, y, w, t)
 
@@ -371,10 +381,11 @@ def conditional_cdf_oracle(model, frame, x_std, y_std):
 
     ``x_std`` and ``y_std`` may be arrays, giving shape ``x_std.shape +
     y_std.shape``.  The denominator P(X > t) is integrated once per call, and
-    the cells P(X > level, Y <= y) of every x level (t itself and each finite
-    t + psi_t x) come from one :func:`joint_cdf_y_oracle` call, so a frame's
-    grid is one loop of quadrature rounds.  Either coordinate may be +inf
-    (marginalized out).  Nondecreasing in each.
+    it is also the cell P(X > t, Y <= +inf).  The other cells P(X > level,
+    Y <= y) of every x level (t itself and each finite t + psi_t x) come from
+    one :func:`joint_cdf_y_oracle` call, so a frame's grid is one loop of
+    quadrature rounds.  Either coordinate may be +inf (marginalized out).
+    Nondecreasing in each.
     """
     denom = survival_x_oracle(model, frame.t)
     if denom < 1e-300:
@@ -383,11 +394,17 @@ def conditional_cdf_oracle(model, frame, x_std, y_std):
     y_cut = np.where(ys == math.inf, math.inf, frame.m_t + frame.a_t * ys).ravel()
     xs = np.asarray(x_std, dtype=float).ravel()
     finite = xs != math.inf
-    levels = np.concatenate([[frame.t], frame.t + frame.psi_t * xs[finite]])
-    joint = joint_cdf_y_oracle(model, levels[:, None], y_cut[None, :])
+    levels = frame.t + frame.psi_t * xs[finite]
+    cut = y_cut != math.inf  # the t row's +inf cells are the denominator
+    n_cut = np.count_nonzero(cut)
+    joint = joint_cdf_y_oracle(
+        model, np.concatenate([np.full(n_cut, frame.t), np.repeat(levels, y_cut.size)]),
+        np.concatenate([y_cut[cut], np.tile(y_cut, levels.size)]))
+    lower = np.full(y_cut.size, denom)
+    lower[cut] = joint[:n_cut]
     upper = np.zeros((xs.size, y_cut.size))
-    upper[finite] = joint[1:]
-    out = np.maximum((joint[0] - upper) / denom, 0.0).reshape(np.shape(x_std) + ys.shape)
+    upper[finite] = joint[n_cut:].reshape(levels.size, y_cut.size)
+    out = np.maximum((lower - upper) / denom, 0.0).reshape(np.shape(x_std) + ys.shape)
     return float(out) if out.ndim == 0 else out
 
 

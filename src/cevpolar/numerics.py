@@ -37,7 +37,6 @@ import warnings
 from itertools import accumulate
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import CevError, ConstructionError, DomainError, QuadratureError
 
@@ -89,6 +88,7 @@ def _quadpack(fn, lo, hi, *, epsrel):
     """
     if hi <= lo:
         return 0.0, 0.0
+    from scipy import integrate  # here, not at the top: only law construction integrates
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         value, abserr = integrate.quad(fn, lo, hi, epsabs=0.0, epsrel=epsrel, limit=200)
@@ -364,6 +364,7 @@ def bisect_monotone(fn, lo, hi, *, xtol=1e-13, rtol=1e-12):
     """
     if np.ndim(lo) or np.ndim(hi):
         return _bisect_arrays(fn, lo, hi, xtol, rtol)
+    from scipy import optimize  # here, not at the top: the import would slow every start-up
     try:
         return float(optimize.brentq(fn, lo, hi, xtol=xtol, rtol=max(rtol, 4.5e-16),
                                      maxiter=_BRENT_STEPS))

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from .errors import ConstructionError, DomainError
 from .numerics import _checked_table, _quadpack, _read_spec, _shaped, bisect_monotone
@@ -181,6 +180,7 @@ class VonMisesRadial(RadialLaw):
         if np.any(np.diff(js) < 0.0) or np.any(jps < 0.0) or not jps[-1] > 0.0:
             raise ConstructionError("von Mises J must be nondecreasing with a positive end slope")
         self._jps = jps
+        from scipy.interpolate import CubicHermiteSpline  # here: only tables interpolate
         self._tabulate(xs, js, CubicHermiteSpline(xs, js, jps), float(jps[-1]),
                        *_checked_cap(x0, scale))
 
@@ -194,6 +194,7 @@ class VonMisesRadial(RadialLaw):
         self._j_x0 = float(spline(x0))
         # the inverse interpolant on the rising J values guesses the quantiles
         rising = np.concatenate([[True], np.diff(js) > 1e-14])
+        from scipy.interpolate import PchipInterpolator  # here: only tables interpolate
         self._guess = PchipInterpolator(js[rising], xs[rising]) if np.sum(rising) > 1 else None
 
     def _j(self, x):
@@ -365,6 +366,7 @@ class TabulatedRadial(VonMisesRadial):
             raise ConstructionError(
                 "numeric radial log-survival must be nonincreasing and fall along the grid")
         js = -log_surv
+        from scipy.interpolate import PchipInterpolator  # here: only tables interpolate
         spline = PchipInterpolator(nodes, js)
         tail = max(float(spline.derivative()(nodes[-1])), 1e-12)
         self._tabulate(nodes, js, spline, tail, 0.0, 1.0)

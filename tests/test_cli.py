@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -549,3 +550,29 @@ def test_benchmark_self_test_passes():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "self-test passed"
+
+
+_DEFERRED_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.interpolate")
+
+
+def _deferred_imports(code):
+    """The deferred scipy modules that a fresh interpreter holds after running ``code``."""
+    src = str(Path(cp.__file__).resolve().parents[1])
+    script = f"{code}\nimport sys\nprint(*[m for m in {_DEFERRED_SCIPY!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_start_up_imports_no_deferred_scipy_module():
+    # each serves one narrow path and is imported there: brentq for a scalar
+    # bracket, QUADPACK for a law built from a density, splines for a table
+    assert _deferred_imports("import cevpolar.cli") == []
+
+
+def test_parametric_simulate_neither_integrates_nor_interpolates(model_config, tmp_path):
+    argv = ["simulate", "-c", str(model_config), "--n", "200", "--seed", "3",
+            "--threshold", "3.0", "-o", str(tmp_path / "cond.csv")]
+    loaded = _deferred_imports(f"from cevpolar.cli import run\nassert run({argv!r}) == 0")
+    assert not {"scipy.integrate", "scipy.interpolate"} & set(loaded)

@@ -13,6 +13,7 @@ from scipy.stats import chi2, norm
 
 import cevpolar as cp
 from cevpolar.cli import _CSV_TASK, _CSV_TASKS_PER_WORKER, _csv_text, _write_csv
+from cevpolar.numerics import integrate_with_breakpoints
 
 
 class TestPolarModelAssembly:
@@ -280,6 +281,22 @@ class TestConditionalCdfOracle:
         got = cp.conditional_cdf_oracle(round_gauss, frame, 1.0, math.inf)
         exact = 1.0 - norm.sf(t + 1.0 / t) / norm.sf(t)
         assert got == pytest.approx(exact, rel=1e-8)
+
+    def test_infinite_y_at_t_is_the_denominator(self, elliptical_gauss, monkeypatch):
+        # P(X > t, Y <= +inf) is P(X > t), so it costs no second integral
+        model = elliptical_gauss
+        frame = cp.normalization(model, 4.0)
+        xs, ys = np.array([0.5, 1.5]), np.array([0.0, math.inf])
+        levels = np.concatenate([[frame.t], frame.t + frame.psi_t * xs])
+        y_cut = np.where(ys == math.inf, math.inf, frame.m_t + frame.a_t * ys)
+        joint = cp.joint_cdf_y_oracle(model, levels[:, None], y_cut[None, :])
+        want = np.maximum((joint[0] - joint[1:]) / cp.survival_x_oracle(model, frame.t), 0.0)
+        calls = []
+        monkeypatch.setattr("cevpolar.model.integrate_with_breakpoints", lambda *args, **kw:
+                            calls.append(args) or integrate_with_breakpoints(*args, **kw))
+        got = cp.conditional_cdf_oracle(model, frame, xs, ys)
+        assert len(calls) == 3  # P(X > t) and P(X > level) at the two x levels
+        assert np.array_equal(_bits(got), _bits(want))
 
     @pytest.mark.parametrize("model_name", ["elliptical_gauss", "lp3_exponential"])
     def test_monotone_in_both_arguments(self, model_name, request):
