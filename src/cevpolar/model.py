@@ -496,23 +496,22 @@ def decompose_density(radial_profile, curve, angular_weight=None):
 # Gaussian mixture reference model
 # ---------------------------------------------------------------------------
 
-def _truncated_normal_mean(fn, x):
-    """E[fn(X) | X > x] for standard normal X and an array function ``fn``,
-    stable at deep thresholds.
+def _truncated_normal_means(fns, x):
+    """E[fn(X) | X > x] for standard normal X and each array function of
+    ``fns``, stable at deep thresholds.
 
     Factoring exp(-x^2/2) out of both numerator and denominator leaves
-    integrals of exp(-x e - e^2/2) over the excess e >= 0.
+    integrals of exp(-x e - e^2/2) over the excess e >= 0; the denominator
+    is one integral for all of them.
     """
     upper = (math.sqrt(x * x + 160.0) - x) if x > 0.0 else 13.0
 
     def weight(e):
         return np.exp(-x * e - 0.5 * e * e)
 
-    num = integrate_with_breakpoints(
-        lambda e: fn(x + e) * weight(e), 0.0, upper, abs_scale=1.0, rel_check=1e-6,
-    )
     den = integrate_with_breakpoints(weight, 0.0, upper, abs_scale=1.0, rel_check=1e-6)
-    return num / den
+    return [integrate_with_breakpoints(lambda e: fn(x + e) * weight(e), 0.0, upper,
+                                       abs_scale=1.0, rel_check=1e-6) / den for fn in fns]
 
 
 def _interval_normal_prob(lo, hi):
@@ -544,10 +543,9 @@ def mixture_conditional_cdf(mix, x, z):
         return lambda s: special.ndtr((y_cut - slope * s) / noise)
 
     if mix.cone is None:
-        f_rho = component_cdf(rho, s_rho)
-        f_tau = component_cdf(tau, s_tau)
-        return (p * _truncated_normal_mean(f_rho, x)
-                + (1.0 - p) * _truncated_normal_mean(f_tau, x))
+        m_rho, m_tau = _truncated_normal_means(
+            [component_cdf(rho, s_rho), component_cdf(tau, s_tau)], x)
+        return p * m_rho + (1.0 - p) * m_tau
 
     c1, c2 = mix.cone
 
@@ -560,10 +558,11 @@ def mixture_conditional_cdf(mix, x, z):
             return _interval_normal_prob((lo - slope * s) / noise, (hi - slope * s) / noise)
         return fn
 
-    num = (p * _truncated_normal_mean(component_interval(rho, s_rho, True), x)
-           + (1.0 - p) * _truncated_normal_mean(component_interval(tau, s_tau, True), x))
-    den = (p * _truncated_normal_mean(component_interval(rho, s_rho, False), x)
-           + (1.0 - p) * _truncated_normal_mean(component_interval(tau, s_tau, False), x))
+    n_rho, n_tau, d_rho, d_tau = _truncated_normal_means(
+        [component_interval(slope, noise, capped) for capped in (True, False)
+         for slope, noise in ((rho, s_rho), (tau, s_tau))], x)
+    num = p * n_rho + (1.0 - p) * n_tau
+    den = p * d_rho + (1.0 - p) * d_tau
     if den <= 0.0:
         raise DomainError("cone carries no conditional mass at this threshold")
     return min(num / den, 1.0)

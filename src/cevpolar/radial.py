@@ -155,43 +155,45 @@ class Rayleigh(RadialLaw):
 
 
 class VonMisesRadial(RadialLaw):
-    """Law with survival scale * exp(-(J(x) - J(x0))), capped at 1, of a table.
+    """Law with survival exp(-(J(x) - J(0))), capped at 1, of a table.
 
     The table ``grid`` holds nodes x from 0, the cumulative integral
-    J(x) = int_0^x ds/psi(s) and its derivative Jp = 1/psi at the nodes (see
-    :func:`build_von_mises`).  J is a cubic Hermite spline on the nodes,
-    extended from the last one by the line of its end slope; the density is
-    J' times the survival and psi = 1/J'.  The quantiles of one call are one
-    array solve: an inverse interpolant of the table guesses them, two Newton
-    sweeps on J refine them, and the levels inside the table that Newton
-    leaves off by more than 1e-14 relative, and by more than an ulp of x
-    moves J, are bisected on their own piece to adjacent floats.  Levels past
-    the table lie on the tail line.  So the log-survival of a quantile
-    returns its level to 1e-14 relative, where the table's floats allow it
-    (to 5e-16 on a sampler's levels of a :func:`build_von_mises` law).
+    J(x) = int_0^x ds/psi(s), shifted by any constant, and its derivative
+    Jp = 1/psi at the nodes (see :func:`build_von_mises`).  J is a cubic
+    Hermite spline on the nodes, monotone on each piece (no node slope
+    exceeds 3 times the secant of a piece it bounds), extended from the last
+    node by the line of its end slope; the density is J' times the survival
+    and psi = 1/J'.  The quantiles of one call are one array solve: an
+    inverse interpolant of the table guesses them, two Newton sweeps on J
+    refine them, and the levels inside the table that Newton leaves off by
+    more than 1e-14 relative, and by more than an ulp of x moves J, are
+    bisected on their own piece to adjacent floats.  Levels past the table
+    lie on the tail line.  So the log-survival of a quantile returns its
+    level to 1e-14 relative, where the table's floats allow it (to 5e-16 on
+    a sampler's levels of a :func:`build_von_mises` law).
     """
 
     kind = "von_mises"
 
-    def __init__(self, grid, x0, scale):
+    def __init__(self, grid):
         xs, js, jps = _checked_table(grid, "von Mises")
         if xs[0] != 0.0:
             raise ConstructionError("von Mises table must start at x = 0")
         if np.any(np.diff(js) < 0.0) or np.any(jps < 0.0) or not jps[-1] > 0.0:
             raise ConstructionError("von Mises J must be nondecreasing with a positive end slope")
+        # a cubic Hermite piece is monotone if no end slope exceeds 3 times its
+        # secant (Fritsch & Carlson 1980)
+        bound = 3.0 * np.diff(js) / np.diff(xs)
+        if np.any(jps[:-1] > bound) or np.any(jps[1:] > bound):
+            raise ConstructionError("von Mises Jp must be at most 3 times the secant of each piece")
         self._jps = jps
         from scipy.interpolate import CubicHermiteSpline  # here: only tables interpolate
-        self._tabulate(xs, js, CubicHermiteSpline(xs, js, jps), float(jps[-1]),
-                       *_checked_cap(x0, scale))
+        self._tabulate(xs, js, CubicHermiteSpline(xs, js, jps), float(jps[-1]))
 
-    def _tabulate(self, xs, js, spline, tail, x0, scale):
+    def _tabulate(self, xs, js, spline, tail):
         """Hold J on the nodes, and the slope ``tail`` of its line past the last one."""
-        if x0 > xs[-1]:
-            raise ConstructionError("x0 beyond tabulated range")
-        self.x0, self.scale = x0, scale
         self._xs, self._js, self._spline, self._tail = xs, js, spline, tail
         self._dspline = spline.derivative()
-        self._j_x0 = float(spline(x0))
         # the inverse interpolant on the rising J values guesses the quantiles
         rising = np.concatenate([[True], np.diff(js) > 1e-14])
         from scipy.interpolate import PchipInterpolator  # here: only tables interpolate
@@ -208,7 +210,7 @@ class VonMisesRadial(RadialLaw):
         return np.where(x >= last, self._tail, self._dspline(np.minimum(x, last)))
 
     def _log_survival(self, x):
-        return np.minimum(math.log(self.scale) - (self._j(x) - self._j_x0), 0.0)
+        return np.minimum(self._js[0] - self._j(x), 0.0)
 
     def _density(self, x):
         return self._jp(x) * np.exp(self._log_survival(x))
@@ -217,14 +219,9 @@ class VonMisesRadial(RadialLaw):
         return 1.0 / np.maximum(self._jp(x), 1e-300)
 
     def _inverse_log_survival(self, logq):
-        target = math.log(self.scale) - logq  # required J(x) - J(x0)
-        jt = target + self._j_x0
+        jt = self._js[0] - logq  # the required J(x)
         last, j_last = self._xs[-1], self._js[-1]
-        beyond = jt >= j_last
-        # levels at or above the cap are the atom at the left edge of the decay region
-        solve = beyond | (target > 0.0)
-        out = np.full(logq.shape, self._cap_edge())
-        jt, q, inside = jt[solve], logq[solve], ~beyond[solve]
+        inside = jt < j_last
         # the tail line past the table, the inverse interpolant inside it (a table
         # whose J never rises by more than 1e-14 has none: its levels start from 0)
         x = last + (jt - j_last) / self._tail
@@ -239,26 +236,19 @@ class VonMisesRadial(RadialLaw):
         # few ulps of J
         eps = np.finfo(float).eps
         floor = eps * (2.0 * jp * x + 4.0 * np.abs(jt))
-        stalled = inside & (np.abs(self._log_survival(x) - q)
-                            > np.maximum(1e-14 * np.maximum(1.0, -q), floor))
+        stalled = inside & (np.abs(self._log_survival(x) - logq)
+                            > np.maximum(1e-14 * np.maximum(1.0, -logq), floor))
         if np.any(stalled):
             j = jt[stalled]
             k = np.clip(np.searchsorted(self._js, j), 1, len(self._xs) - 1)
             x[stalled] = bisect_monotone(lambda v: j - self._j(v), self._xs[k - 1], self._xs[k],
                                          xtol=0.0, rtol=0.0)
-        out[solve] = x
-        return out
-
-    def _cap_edge(self):
-        if self.scale < 1.0:
-            return self.x0
-        k = int(np.searchsorted(self._js, self._j_x0, side="right"))
-        return float(self._xs[max(0, k - 1)])
+        return x
 
     def to_dict(self):
         return {
             "kind": self.kind,
-            "params": {"x0": self.x0, "scale": self.scale},
+            "params": {},
             "grid": {
                 "x": self._xs.tolist(),
                 "J": self._js.tolist(),
@@ -267,31 +257,20 @@ class VonMisesRadial(RadialLaw):
         }
 
 
-def _checked_cap(x0, scale):
-    """(x0, scale) of a von Mises law as floats, checked."""
-    if not 0.0 < scale <= 1.0:
-        raise ConstructionError("scale must lie in (0, 1]")
-    if not x0 >= 0.0:
-        raise ConstructionError("x0 must be nonnegative")
-    return float(x0), float(scale)
-
-
 #: stop tabulating a von Mises law once it has decayed below double precision
-_J_DEPTH = 750.0
+#: (exp(-745) is the least double), with a unit to spare
+_J_DEPTH = 751.0
 _MAX_NODES = 200_000
 
 
-def build_von_mises(psi, x0=0.0, scale=1.0):
+def build_von_mises(psi):
     """Tabulate the von Mises law of a positive auxiliary-scale function.
 
-    The survival is scale * exp(-int_{x0}^x ds/psi(s)), capped at one.  The
-    integral J of 1/psi is tabulated on an adaptive grid with its exact
-    derivative 1/psi at the nodes, until the law has decayed below double
-    precision.  The integral must diverge; stalling growth raises a
-    construction error.
+    The survival is exp(-int_0^x ds/psi(s)).  The integral J of 1/psi is
+    tabulated on an adaptive grid with its exact derivative 1/psi at the
+    nodes, until the law has decayed below double precision.  The integral
+    must diverge; stalling growth raises a construction error.
     """
-    x0, scale = _checked_cap(x0, scale)
-
     def inv_psi(x):
         p = float(psi(x))
         if not p > 0.0 or not math.isfinite(p):
@@ -302,15 +281,12 @@ def build_von_mises(psi, x0=0.0, scale=1.0):
         p0 = float(psi(0.0))
     except (ArithmeticError, ValueError):
         p0 = math.nan
-    depth = _J_DEPTH + max(0.0, -math.log(scale)) + 1.0
     xs = [0.0]
     jps = [1.0 / p0 if math.isfinite(p0) and p0 > 0.0 else 0.0]
     js = [0.0]
     x = 0.0
     j = 0.0
-    j_ref = 0.0 if x0 == 0.0 else None  # J at x0, set when the grid passes it
-    history = []  # (x, j) pairs for the divergence heuristic
-    while j_ref is None or j - j_ref < depth:
+    while j < _J_DEPTH:
         p = float(psi(max(x, 1e-300)))
         if not p > 0.0 or not math.isfinite(p):
             raise ConstructionError(f"psi({x}) = {p} is not a positive finite value")
@@ -325,31 +301,26 @@ def build_von_mises(psi, x0=0.0, scale=1.0):
         xs.append(x)
         js.append(j)
         jps.append(inv_psi(x))
-        history.append((x, j))
-        if j_ref is None and x >= x0:
-            j_ref = j
         if len(xs) >= _MAX_NODES:
             raise ConstructionError(
                 "integral of 1/psi grows too slowly; the law does not decay "
                 "fast enough to tabulate (is the integral divergent?)"
             )
-        if x > 1e13 and len(history) > 64:
-            _, j_half = history[len(history) // 2]
-            if j - j_half < 1e-6 * max(j, 1.0):
-                raise ConstructionError(
-                    "integral of 1/psi appears convergent; not a valid light-tailed law"
-                )
-    return VonMisesRadial((xs, js, jps), x0, scale)
+        if x > 1e13 and len(xs) > 65 and j - js[(len(xs) + 1) // 2] < 1e-6 * max(j, 1.0):
+            raise ConstructionError(
+                "integral of 1/psi appears convergent; not a valid light-tailed law"
+            )
+    return VonMisesRadial((xs, js, jps))
 
 
 class TabulatedRadial(VonMisesRadial):
     """Radial law of a table of log-survival values at increasing nodes from
     x = 0, where the log-survival is 0.
 
-    It is the von Mises law of J = -log-survival with x0 = 0 and scale = 1:
-    J between nodes is a monotone cubic interpolant, extended past the last
-    node by a line of its end slope (at least 1e-12).  :meth:`from_density`
-    tabulates an (unnormalized) density function.
+    It is the von Mises law of J = -log-survival: J between nodes is a
+    monotone cubic interpolant, extended past the last node by a line of its
+    end slope (at least 1e-12).  :meth:`from_density` tabulates an
+    (unnormalized) density function.
     """
 
     kind = "numeric"
@@ -369,7 +340,7 @@ class TabulatedRadial(VonMisesRadial):
         from scipy.interpolate import PchipInterpolator  # here: only tables interpolate
         spline = PchipInterpolator(nodes, js)
         tail = max(float(spline.derivative()(nodes[-1])), 1e-12)
-        self._tabulate(nodes, js, spline, tail, 0.0, 1.0)
+        self._tabulate(nodes, js, spline, tail)
 
     @classmethod
     def from_density(cls, density_fn):

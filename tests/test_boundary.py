@@ -76,7 +76,7 @@ def _angular_laws(draw):
 
 @functools.cache
 def _tabulated_radials():
-    return (cp.build_von_mises(lambda s: 1.0 / (1.0 + 0.5 * s), x0=0.5, scale=0.8),
+    return (cp.build_von_mises(lambda s: 1.0 / (1.0 + 0.5 * s)),
             cp.TabulatedRadial.from_density(lambda r: r * np.exp(-0.5 * r * r)))
 
 

@@ -255,19 +255,15 @@ BAD_INPUTS = {
     "tabulated-unknown-key": ({**_ELL, "angular": {
         "kind": "tabulated", "params": {"t0": 0.5}, "grid": _TAB_GRID, "mode": 1}}, _SIMULATE),
     "von-mises-unknown-key": ({**_ELL, "radial": {
-        "kind": "von_mises", "params": {"x0": 0.0, "scale": 1.0}, "grid": _VM_GRID,
-        "mode": 1}}, _SIMULATE),
+        "kind": "von_mises", "grid": _VM_GRID, "mode": 1}}, _SIMULATE),
     "numeric-unknown-key": ({**_ELL, "radial": {
         "kind": "numeric", "params": {}, "grid": _NUM_GRID, "mode": 1}}, _SIMULATE),
     "von-mises-unknown-param": ({**_ELL, "radial": {
-        "kind": "von_mises", "params": {"x0": 0.0, "scale": 1.0, "shift": 2.0},
-        "grid": _VM_GRID}}, _SIMULATE),
+        "kind": "von_mises", "params": {"shift": 2.0}, "grid": _VM_GRID}}, _SIMULATE),
     "von-mises-flat-tail": ({**_ELL, "radial": {
-        "kind": "von_mises", "params": {"x0": 0.0, "scale": 1.0},
-        "grid": {**_VM_GRID, "Jp": [1.0, 1.0, 0.0]}}}, _SIMULATE),
+        "kind": "von_mises", "grid": {**_VM_GRID, "Jp": [1.0, 1.0, 0.0]}}}, _SIMULATE),
     "von-mises-grid-past-zero": ({**_ELL, "radial": {
-        "kind": "von_mises", "params": {"x0": 0.0, "scale": 1.0},
-        "grid": {**_VM_GRID, "x": [1.0, 2.0, 3.0]}}}, _TAIL),
+        "kind": "von_mises", "grid": {**_VM_GRID, "x": [1.0, 2.0, 3.0]}}}, _TAIL),
     "numeric-grid-past-zero": ({**_ELL, "radial": {
         "kind": "numeric", "params": {},
         "grid": {"x": [1.0, 2.0, 3.0], "log_survival": [-1.0, -2.0, -3.0]}}}, _TAIL),
@@ -291,8 +287,7 @@ BAD_INPUTS = {
         "kind": "power", "params": {"t0": 0.5, "tau": None}}}, _SIMULATE),
     "radial-not-a-mapping": ({**_ELL, "radial": 1.0}, _SIMULATE),
     "kind-not-a-string": ({**_ELL, "radial": {"kind": ["rayleigh"]}}, _SIMULATE),
-    "von-mises-without-grid": ({**_ELL, "radial": {
-        "kind": "von_mises", "params": {"x0": 0.0, "scale": 1.0}}}, _SIMULATE),
+    "von-mises-without-grid": ({**_ELL, "radial": {"kind": "von_mises"}}, _SIMULATE),
     "numeric-grid-unknown-key": ({**_ELL, "radial": {
         "kind": "numeric", "params": {}, "grid": {**_NUM_GRID, "density": [1.0, 1.0, 1.0]}}},
         _SIMULATE),
@@ -402,10 +397,16 @@ class TestBadInputExitsOne:
                   "grid": {"x": [0.0, 1.0, 2.0], "log_survival": [0.0, math.nan, -2.0]}}
         self._expect_one_error_line(self._tail_with_radial(tmp_path, radial), capsys)
 
-    def test_von_mises_without_x0(self, tmp_path, capsys):
-        radial = {"kind": "von_mises", "params": {"scale": 1.0},
-                  "grid": {"x": [0.0, 1.0, 2.0], "J": [0.0, 1.0, 2.0], "Jp": [1.0, 1.0, 1.0]}}
+    @pytest.mark.parametrize("params", [{"x0": 0.0}, {"scale": 1.0}, {"x0": 0.0, "scale": 1.0}],
+                             ids=["x0", "scale", "both"])
+    def test_von_mises_takes_no_params(self, tmp_path, capsys, params):
+        # the start point and constant of a von Mises tail only shift J: a spec
+        # carrying them is rejected, and one with no params or empty ones runs
+        radial = {"kind": "von_mises", "params": params, "grid": _VM_GRID}
         self._expect_one_error_line(self._tail_with_radial(tmp_path, radial), capsys)
+        for spec in ({"kind": "von_mises", "grid": _VM_GRID},
+                     {"kind": "von_mises", "params": {}, "grid": _VM_GRID}):
+            assert self._tail_with_radial(tmp_path, spec) == 0
 
     def test_decompose_nonpositive_points(self, tmp_path, capsys):
         cfg = tmp_path / "dec.json"

@@ -125,9 +125,9 @@ GOLDEN = {
     "simulate-conditional-large.json":
         "876f26e6c7906133fc9e0743230ff62dc14bf934b9c312ac5c8e8822b2cc4f5f",
     "simulate-conditional-vm.csv":
-        "994dfd5ab192f2aa254fc748f11df0a69d719a46c58892303a87a747e7307476",
+        "6a11a916097ac0cde6fe1e291ee9b8ac22def5965d2d23c1a755d439d0c63b98",
     "simulate-conditional-vm.json":
-        "a3a1ec0b842d91c686902967bbaae81dc9c2bb34a4eec0b114a2ef216e5c9f4d",
+        "5dad4ed57f595d52dbeb2ef7933f3623e3f67df659d058efdcda5bdab4e58444",
     "simulate-conditional-num.csv":
         "0cbbbeeed90c04fc118be969bd02f778fcf95ccf0aa06ae4365e4a1c2083196a",
     "simulate-conditional-num.json":
@@ -157,9 +157,9 @@ GOLDEN = {
     "tail-num.json":
         "6afc17fa914ae7116499bd2230e06b84427d1e76a41f76b394fa4701cd65b050",
     "tail-vm.csv":
-        "23e40193381964a405206b1327e73e42df48efbd94a583ac5a5f54f48708dbea",
+        "dbbb903a71252925ab82cea5f2c7f67ea101d89c2ebd91a2dd7e7ce6f75fb9fd",
     "tail-vm.json":
-        "b2cee797415efbb6aea1d7332eb281db1be9c12bb00ba8dbc9a5c4be4abca7d3",
+        "5e112b38c1bd1226c650863dcf4df44964dfb7091727a7ecfa4ec9aa09ab303a",
     "verify.csv":
         "c07905d3901aeab6314365dc5774859eae6432b0b359c06087a0e74595c5d0b5",
     "verify.json":

@@ -525,6 +525,17 @@ class TestMixture:
         assert cp.mixture_conditional_cdf(mix, 5.0, math.inf) == 1.0
         assert cp.mixture_conditional_cdf(mix, 5.0, -math.inf) == 0.0
 
+    @pytest.mark.parametrize("cone, integrals", [(None, 3), ((0.5, 1.1), 5)],
+                             ids=["plain", "cone"])
+    def test_weight_is_integrated_once(self, monkeypatch, cone, integrals):
+        # one mean per component (and per cone bound) over one shared denominator
+        mix = cp.MixtureModel(p=0.4, rho=0.8, tau_mix=-0.4, cone=cone)
+        calls = []
+        monkeypatch.setattr("cevpolar.model.integrate_with_breakpoints", lambda *args, **kw:
+                            calls.append(args) or integrate_with_breakpoints(*args, **kw))
+        cp.mixture_conditional_cdf(mix, 8.0, 0.5)
+        assert len(calls) == integrals
+
     def test_against_direct_quadrature(self):
         # moderate threshold where a naive integral is still representable
         mix = cp.MixtureModel(p=0.4, rho=0.8, tau_mix=-0.4)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import types
@@ -204,11 +205,6 @@ class TestVonMises:
         with pytest.raises(cp.ConstructionError):
             cp.build_von_mises(lambda s: (1.0 + s) ** 2)
 
-    def test_scale_cap(self):
-        law = cp.build_von_mises(lambda s: 1.0, x0=1.0, scale=0.5)
-        assert law.survival(0.2) == 1.0
-        assert law.survival(2.0) == pytest.approx(0.5 * math.exp(-1.0), rel=1e-9)
-
     def test_serialization_roundtrip(self):
         law = cp.build_von_mises(lambda s: 1.0 / (1.0 + s))
         clone = cp.radial_from_dict(law.to_dict())
@@ -224,16 +220,25 @@ class TestVonMises:
         ([1.0, 2.0, 3.0], [0.0, 1.0, 2.0], [1.0, 1.0, 1.0]),  # starts past x = 0
         ([0.0, 2.0, 1.0], [0.0, 1.0, 2.0], [1.0, 1.0, 1.0]),  # nodes not increasing
         ([0.0, 1.0], [0.0, 1.0, 2.0], [1.0, 1.0, 1.0]),  # lengths differ
-    ], ids=["falling", "negative-slope", "flat-tail", "start", "unordered", "lengths"])
+        # flat J with slope 1: its Hermite pieces dip and rise again (survival 0.91
+        # at x = 0.25, 1.0 at 0.5, and the density -0.5 there)
+        ([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
+        # a node slope within 3 secants of one piece it bounds, not of the other
+        ([0.0, 1.0, 2.0], [0.0, 0.1, 2.0], [0.0, 1.0, 1.0]),
+        ([0.0, 1.0, 2.0], [0.0, 1.9, 2.0], [0.0, 1.0, 0.1]),
+    ], ids=["falling", "negative-slope", "flat-tail", "start", "unordered", "lengths",
+            "slope-past-3-secants", "past-left-secant", "past-right-secant"])
     def test_table_checked(self, grid):
         with pytest.raises(cp.ConstructionError):
-            cp.VonMisesRadial(grid, 0.0, 1.0)
+            cp.VonMisesRadial(grid)
 
     def test_table_of_flat_j_is_accepted(self):
-        # survival 1 up to the last node, then the tail line of slope 1
-        law = cp.VonMisesRadial(([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), 0.0, 1.0)
-        assert law.inverse_log_survival(-1.0) == 3.0
-        assert law.log_survival(3.0) == -1.0
+        # J rises by no more than 1e-14, so the table has no inverse interpolant and
+        # its levels start from 0, where the survival is 1 to rounding
+        law = cp.VonMisesRadial(([0.0, 1.0, 2.0], [0.0, 0.0, 1e-15], [0.0, 0.0, 1e-15]))
+        assert law._guess is None
+        assert law.inverse_log_survival(-5e-16) == 0.0
+        assert law.log_survival(2.0) == -1e-15
 
     def test_aux_psi_past_the_table_is_the_end_slope(self):
         # J continues past the last node by the line of slope Jp[-1], so psi = 1 / Jp[-1]
@@ -254,10 +259,9 @@ def test_numeric_aux_psi_far_past_the_table_is_the_end_slope():
     assert law.aux_psi(np.array([70.0, 80.0])) == pytest.approx(end_psi, rel=1e-12)
 
 
-#: tabulated laws as built in process: plain and capped von Mises, and numeric
+#: tabulated laws as built in process: von Mises and numeric
 BUILT = {
     "von_mises": cp.build_von_mises(lambda s: 1.0 / (1.0 + 0.5 * s)),
-    "von_mises_capped": cp.build_von_mises(lambda s: 1.0 / (1.0 + 0.5 * s), x0=1.0, scale=0.5),
     "numeric": cp.TabulatedRadial.from_density(lambda r: r * math.exp(-0.5 * r * r)),
 }
 
@@ -332,14 +336,13 @@ class TestTabulatedLawIsItsTable:
         assert (clone.g_minus, clone.g_plus) == (law.g_minus, law.g_plus)
 
 
-#: the closed-form laws, von Mises laws, plain and capped (an atom of mass 1/2
-#: at x0=1), and a numeric law rebuilt from its serialized form
+#: the closed-form laws, and a von Mises and a numeric law rebuilt from their
+#: serialized forms
 INVERTIBLE = {
     "exponential": cp.Exponential(1.0),
     "weibull": cp.Weibull(0.8),
     "rayleigh": cp.Rayleigh(),
     "von_mises": SERIALIZED[0],
-    "von_mises_capped": cp.build_von_mises(lambda s: 1.0 / (1.0 + 0.5 * s), x0=1.0, scale=0.5),
     "numeric": SERIALIZED[1],
 }
 
@@ -369,14 +372,40 @@ def _tables(draw):
     return xs, js, jps
 
 
+@st.composite
+def _steep_tables(draw):
+    """Nodes from 0, J from anywhere between 0 and 100, flat pieces among
+    rising ones (the last one rises), and each node slope anywhere up to 3
+    times the secant of each piece it bounds (the end slope positive).
+    """
+    n = draw(st.integers(2, 9))
+    xs = np.cumsum([0.0] + draw(st.lists(st.floats(0.05, 2.0), min_size=n - 1, max_size=n - 1)))
+    rises = draw(st.lists(st.floats(0.0, 5.0), min_size=n - 2, max_size=n - 2))
+    js = draw(st.floats(0.0, 100.0)) + np.cumsum([0.0] + rises + [draw(st.floats(0.1, 5.0))])
+    bound = 3.0 * np.diff(js) / np.diff(xs)
+    bound = np.minimum(np.append(bound, np.inf), np.insert(bound, 0, np.inf))
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=n - 1, max_size=n - 1))
+    return xs, js, np.array(fractions + [draw(st.floats(0.01, 1.0))]) * bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=_steep_tables())
+def test_tables_within_three_secants_decrease(table):
+    # such a table is accepted, and its Hermite pieces are monotone: the survival
+    # never rises and the density is never negative, to rounding of J
+    law = cp.VonMisesRadial(table)
+    xs = np.linspace(0.0, 1.5 * table[0][-1], 3001)
+    assert np.all(np.diff(law.log_survival(xs)) <= 4.0 * np.finfo(float).eps * table[1][-1])
+    assert np.all(law.density(xs) >= 0.0)
+
+
 class TestInverseLogSurvival:
     @pytest.mark.parametrize("name", sorted(INVERTIBLE))
     def test_log_survival_inverts_it(self, name):
         law = INVERTIBLE[name]
-        top = math.log(getattr(law, "scale", 1.0))
 
         @settings(max_examples=40, deadline=None)
-        @given(qs=st.lists(st.floats(-800.0, top), min_size=1, max_size=40))
+        @given(qs=st.lists(st.floats(-800.0, 0.0), min_size=1, max_size=40))
         def check(qs):
             qs = np.array(qs)
             back = law.log_survival(law.inverse_log_survival(qs))
@@ -387,10 +416,9 @@ class TestInverseLogSurvival:
     @pytest.mark.parametrize("name", sorted(INVERTIBLE))
     def test_log_survival_inverts_it_to_rounding(self, name):
         law = INVERTIBLE[name]
-        top = math.log(getattr(law, "scale", 1.0))
 
         @settings(max_examples=40, deadline=None)
-        @given(qs=st.lists(st.floats(-800.0, top), min_size=1, max_size=40))
+        @given(qs=st.lists(st.floats(-800.0, 0.0), min_size=1, max_size=40))
         def check(qs):
             assert _inversion_error(law, np.array(qs)) <= 1e-14
 
@@ -403,7 +431,7 @@ class TestInverseLogSurvival:
         def check(table, us):
             xs, js, jps = table
             if kind == "von_mises":
-                law = cp.VonMisesRadial((xs, js, jps), 0.0, 1.0)
+                law = cp.VonMisesRadial((xs, js, jps))
             else:
                 law = cp.TabulatedRadial(xs, [-j for j in js])
             # levels inside the table and up to 50 past its end
@@ -411,29 +439,35 @@ class TestInverseLogSurvival:
 
         check()
 
-    @pytest.mark.parametrize("x0", [1.5, 1.99])
-    def test_steep_table_inverts_as_far_as_its_floats_resolve(self, x0):
-        # J(x0) near 2000 dwarfs the levels: an ulp of J (2.3e-13) and an ulp of x
+    @pytest.mark.parametrize("xs, js", [
+        ([0.0, 0.5, 1.0], [1500.0, 2000.0, 2500.0]),
+        ([0.0, 0.01], [1990.0, 2000.0]),  # levels below -10 lie past the table
+    ], ids=["1500", "1990"])
+    def test_steep_table_inverts_as_far_as_its_floats_resolve(self, xs, js):
+        # J near 2000 dwarfs the levels: an ulp of J (2.3e-13) and an ulp of x
         # moved along J' = 1000 (4.4e-13) exceed 1e-14 of a level, inside the table
-        # and on its tail line past x = 2
-        law = cp.VonMisesRadial(([0.0, 1.0, 2.0], [0.0, 1000.0, 2000.0], [1000.0] * 3), x0, 1.0)
+        # and on its tail line past its end
+        law = cp.VonMisesRadial((xs, js, [1000.0] * len(xs)))
         assert _inversion_error(law, -np.linspace(0.01, 50.0, 500)) <= 1e-12
 
-    def test_levels_past_the_table_of_a_deep_x0_invert(self):
-        # the capped law with x0 half a unit before its last node, where J is ~750
-        grid = INVERTIBLE["von_mises_capped"].to_dict()["grid"]
-        law = cp.VonMisesRadial((grid["x"], grid["J"], grid["Jp"]), grid["x"][-1] - 0.5, 0.5)
-        assert _inversion_error(law, math.log(0.5) - np.linspace(0.01, 100.0, 500)) <= 1e-12
-
-    def test_levels_at_or_above_the_cap_are_the_atom(self):
-        law = INVERTIBLE["von_mises_capped"]
-        assert law.inverse_log_survival(np.array([math.log(0.5), -0.3, 0.0])).tolist() == [1.0] * 3
-        assert law.inverse_log_survival(-0.3) == 1.0
+    def test_levels_past_the_table_of_a_deep_start_invert(self):
+        # the von Mises law from a tenth of a unit before its last node on, as a
+        # table of its own: J starts near 750 and rises by about 2.7, so an ulp of J
+        # exceeds 1e-14 of the levels inside the table and just past it
+        law = INVERTIBLE["von_mises"]
+        grid = law.to_dict()["grid"]
+        x0 = grid["x"][-1] - 0.1
+        keep = np.array(grid["x"]) > x0
+        table = (np.concatenate([[x0], np.array(grid["x"])[keep]]) - x0,
+                 np.concatenate([[-law.log_survival(x0)], np.array(grid["J"])[keep]]),
+                 np.concatenate([[1.0 / law.aux_psi(x0)], np.array(grid["Jp"])[keep]]))
+        deep = cp.VonMisesRadial(table)
+        assert _inversion_error(deep, -np.linspace(0.01, 100.0, 500)) <= 1e-12
 
     def test_levels_past_the_grid_are_linear(self):
         law = INVERTIBLE["von_mises"]
         grid = law.to_dict()["grid"]
-        depth = grid["J"][-1]  # -log survival at the last node, as x0 = 0 and scale = 1
+        depth = grid["J"][-1]  # -log survival at the last node, as J starts at 0
         gaps = np.array([1.0, 10.0, 100.0])
         got = law.inverse_log_survival(-(depth + gaps))
         assert np.all(got > grid["x"][-1])
@@ -516,6 +550,13 @@ def test_numeric_law_is_the_von_mises_law_of_its_table():
     assert issubclass(cp.TabulatedRadial, cp.VonMisesRadial)
     kernels = {"_log_survival", "_density", "_aux_psi", "_inverse_log_survival"}
     assert not kernels & set(vars(cp.TabulatedRadial))
+
+
+def test_von_mises_law_is_its_table():
+    # a von Mises tail's constant and start point only shift J: no knob sets them
+    assert list(inspect.signature(cp.build_von_mises).parameters) == ["psi"]
+    assert list(inspect.signature(cp.VonMisesRadial).parameters) == ["grid"]
+    assert SERIALIZED[0].to_dict()["params"] == {}
 
 
 def test_laws_define_only_kernels():
