@@ -33,6 +33,10 @@ from .numerics import _is_number, _read_keys, _read_numbers
 #: largest number of points a lo:hi:step grid may ask for
 _MAX_GRID_POINTS = 1_000_000
 
+#: largest --n and --points: exact as a float, and small enough that numpy tries to
+#: allocate its array of floats (64 PiB) instead of refusing the size
+_MAX_COUNT = 2 ** 53
+
 #: flags whose values may start with '-' (grids, lists); glued before parsing
 _VALUE_FLAGS = ("--grid", "--x-grid", "--z-grid", "--t-grid", "--levels")
 
@@ -52,6 +56,14 @@ def _finite_float(text):
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _count(text):
+    """argparse type of --n and --points: a decimal integer from 0 to ``_MAX_COUNT``."""
+    value = int(text) if text.strip().isdecimal() else -1
+    if not 0 <= value <= _MAX_COUNT:
+        raise argparse.ArgumentTypeError(f"expected a count from 0 to {_MAX_COUNT}, got {text!r}")
     return value
 
 
@@ -279,8 +291,7 @@ def _require_seed(args, config_seed):
 # ---------------------------------------------------------------------------
 
 def _cmd_limit(args, model, meta):
-    law = LimitLaw(args.eta, args.zeta,
-                   weight_minus=args.weight_minus, weight_plus=1.0 - args.weight_minus)
+    law = LimitLaw(args.eta, args.zeta, weight_minus=args.weight_minus)
     grid = parse_grid(args.grid)
     return (("y", "cdf", "pdf"),
             [grid, [float(law.cdf(y)) for y in grid], [float(law.pdf(y)) for y in grid]])
@@ -296,8 +307,6 @@ def _sample_mixture(mix, n, rng):
 
 
 def _cmd_simulate(args, model, meta):
-    if args.n < 0:
-        raise ConfigError("--n must be nonnegative")
     rng = np.random.default_rng(args.seed)
     if isinstance(model, MixtureModel):
         if args.threshold is not None:
@@ -312,7 +321,10 @@ def _cmd_simulate(args, model, meta):
 
 def _cmd_verify(args, model, meta):
     report = convergence_sweep(model, args.levels, args.n, np.random.default_rng(args.seed))
-    return (*report.csv_table(), {**report.to_json_dict(), "pass": report.passed})
+    columns = [report.thresholds, report.ks_distances, report.effective_sizes,
+               report.oracle_distances]
+    body = dict(zip(("thresholds", "ks", "eff_size", "oracle_dist"), columns))
+    return ("threshold", "ks", "eff_size", "oracle_dist"), columns, {**body, "pass": report.passed}
 
 
 def _cmd_tail(args, model, meta):
@@ -405,7 +417,7 @@ def _build_parser():
     common(p, _cmd_limit, None)
 
     p = sub.add_parser("simulate", help="draw joint or conditional samples")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--threshold", type=_finite_float, default=None)
     common(p, _cmd_simulate, "polar or mixture")
@@ -413,7 +425,7 @@ def _build_parser():
     p = sub.add_parser("verify", help="convergence sweep toward the limit law")
     p.add_argument("--levels", type=_float_list, required=True,
                    help="comma list of quantile levels")
-    p.add_argument("--n", type=int, default=100_000)
+    p.add_argument("--n", type=_count, default=100_000)
     p.add_argument("--seed", type=int, default=None)
     common(p, _cmd_verify, "polar")
 
@@ -434,7 +446,7 @@ def _build_parser():
     common(p, _cmd_second_order, "polar")
 
     p = sub.add_parser("decompose", help="split a profile density into radius and angle")
-    p.add_argument("--points", type=int, default=201)
+    p.add_argument("--points", type=_count, default=201)
     common(p, _cmd_decompose, "decompose")
 
     return parser
@@ -478,6 +490,9 @@ def run(argv=None):
         return 2
     except CevError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -129,20 +129,6 @@ class SweepReport:
         dist = self.oracle_distances
         return bool(dist) and all(b < a for a, b in zip(dist, dist[1:])) and dist[-1] <= 0.1
 
-    def csv_table(self):
-        """Header and columns of the report's CSV artifact."""
-        return (("threshold", "ks", "eff_size", "oracle_dist"),
-                [self.thresholds, self.ks_distances, self.effective_sizes,
-                 self.oracle_distances])
-
-    def to_json_dict(self):
-        return {
-            "thresholds": list(self.thresholds),
-            "ks": list(self.ks_distances),
-            "eff_size": list(self.effective_sizes),
-            "oracle_dist": list(self.oracle_distances),
-        }
-
 
 def convergence_sweep(model, quantile_levels, n, rng):
     """KS and oracle distances to the limit along rising radial quantiles.
@@ -284,7 +270,7 @@ def lemma2_integral_check(law, angular, z, x):
     singular = [(0.0, tau)] if (tau < 0.0 and z == 0.0) else []
     lhs = integrate_with_breakpoints(
         integrand, z, t_max, breakpoints=breaks, abs_scale=1.0,
-        singular_points=singular, rel_check=1e-6,
+        singular_points=singular,
     )
     rhs = float(special.gamma(tau + 1.0) * special.gammaincc(tau + 1.0, z))  # Q(a, 0) = 1
     return lhs, rhs

@@ -45,24 +45,22 @@ def density_normalizer(eta, zeta):
 class LimitLaw:
     """Weibull-type law with shape eta > 1, power weight zeta > 0.
 
-    ``weight_minus`` and ``weight_plus`` are the masses of the negative and
-    positive half lines; asymmetric germs produce unequal weights.
+    ``weight_minus`` is the mass of the negative half line, ``weight_plus``
+    that of the positive one; asymmetric germs produce unequal weights.
     """
 
     eta: float
     zeta: float
     weight_minus: float = 0.5
-    weight_plus: float = 0.5
+    weight_plus = property(lambda self: 1.0 - self.weight_minus)
 
     def __post_init__(self):
         if not self.eta > 1.0:
             raise ConstructionError("eta must exceed 1")
         if not self.zeta > 0.0:
             raise ConstructionError("zeta must be positive")
-        if not (self.weight_minus >= 0.0 and self.weight_plus >= 0.0):
-            raise ConstructionError("tail weights must be nonnegative")
-        if abs(self.weight_minus + self.weight_plus - 1.0) > 1e-12:
-            raise ConstructionError("tail weights must sum to 1")
+        if not 0.0 <= self.weight_minus <= 1.0:
+            raise ConstructionError("weight_minus must lie in [0, 1]")
 
     @property
     def _a(self):
@@ -165,7 +163,7 @@ def limit_law_of(model):
     if not total > 0.0:
         raise ConstructionError("degenerate angular law: both side coefficients vanish")
     return LimitLaw(eta=curve.kappa / curve.delta, zeta=(1.0 + model.angular.tau) / curve.delta,
-                    weight_minus=raw_minus / total, weight_plus=raw_plus / total)
+                    weight_minus=raw_minus / total)
 
 
 def marginal_tail_constant(model):

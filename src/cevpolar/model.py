@@ -509,9 +509,9 @@ def _truncated_normal_means(fns, x):
     def weight(e):
         return np.exp(-x * e - 0.5 * e * e)
 
-    den = integrate_with_breakpoints(weight, 0.0, upper, abs_scale=1.0, rel_check=1e-6)
+    den = integrate_with_breakpoints(weight, 0.0, upper, abs_scale=1.0)
     return [integrate_with_breakpoints(lambda e: fn(x + e) * weight(e), 0.0, upper,
-                                       abs_scale=1.0, rel_check=1e-6) / den for fn in fns]
+                                       abs_scale=1.0) / den for fn in fns]
 
 
 def _interval_normal_prob(lo, hi):

@@ -12,12 +12,12 @@ estimate misses the tolerance.  Each cell keeps its panels together, in the
 order it gives them alone, with its own weight products and sums: a BLAS
 product's value for a row depends on how many rows share the call, so one
 product over all cells would not give each cell its own value.  Every cell
-is thus bit for bit what it is alone, and
-:func:`integrate_with_breakpoints` is the loop's one-cell call.  A panel
-that ends at an endpoint singularity ``|t - c|**tau`` joins the same rounds
-in w, with t - c proportional to w**(1/(1 + tau)): the Jacobian cancels the
-singular factor (Davis & Rabinowitz, *Methods of Numerical Integration*,
-section 2.12).
+is thus bit for bit what it is alone, :func:`integrate_with_breakpoints` is
+the loop's one-cell call, and every integral has the one tolerance
+``_REL_TOL``.  A panel that ends at an endpoint singularity ``|t - c|**tau``
+joins the same rounds in w, with t - c proportional to w**(1/(1 + tau)): the
+Jacobian cancels the singular factor (Davis & Rabinowitz, *Methods of
+Numerical Integration*, section 2.12).
 
 :func:`bisect_monotone` picks its method from the shape of the bracket: a
 scalar bracket gets Brent's method, which spends the fewest calls of a costly
@@ -69,6 +69,9 @@ _G_WEIGHTS[11:20:2] = _WG[::-1]
 #: error estimate
 _MAX_DEPTH = 60
 _MAX_PANELS = 2048
+
+#: the one tolerance of every integral's error estimate, relative to max(|value|, abs_scale)
+_REL_TOL = 1e-7
 
 #: least distance of a mapped node from its edge: gap**(2 * tau) is finite for tau > -1
 _EDGE_GAP = math.sqrt(sys.float_info.min)
@@ -131,8 +134,8 @@ def _read_spec(data, what, builders, grids):
     ``grids``, a ``grid`` with exactly the keys ``grids[kind]``.  Returns
     ``builders[kind](params, *columns)``, the grid's columns in that order
     (the table constructor checks them, :func:`_checked_table`); a
-    ``TypeError`` of the builder (a param it lacks or does not take) is a
-    :class:`ConstructionError`.
+    ``TypeError`` or ``ArithmeticError`` of the builder (a param it lacks,
+    does not take or overflows with) is a :class:`ConstructionError`.
     """
     kind = data.get("kind") if isinstance(data, dict) else None
     if not isinstance(kind, str) or kind not in builders:
@@ -148,7 +151,7 @@ def _read_spec(data, what, builders, grids):
     grid = _read_keys(data["grid"], f"{kind} {what} grid", grid_keys) if grid_keys else {}
     try:
         return builders[kind](params, *(grid[key] for key in grid_keys or ()))
-    except TypeError as exc:
+    except (TypeError, ArithmeticError) as exc:
         raise ConstructionError(f"bad parameters for {what} '{kind}': {exc}")
 
 
@@ -250,19 +253,18 @@ def _cell_panels(lo, hi, breakpoints, abs_scale, singular_points):
     return panels
 
 
-def _integrate_cells(fn, cells, singular_points=(), rel_check=1e-7):
+def _integrate_cells(fn, cells, singular_points=()):
     """Adaptive quadrature of many integrals, the cells, in one loop of rounds.
 
     Each cell is ``(lo, hi, breakpoints, abs_scale)`` with the meaning of
-    :func:`integrate_with_breakpoints`, whose ``singular_points`` and
-    ``rel_check`` hold for every cell, and ``fn(t, cell)`` is the integrand
-    at the nodes ``t``: ``cell`` is the index of the one open cell, or an
-    array with the cell of each node.  Each round makes one call of ``fn`` on
-    the open panels of every cell.  A cell's panels stay together, in the
-    order the cell alone gives them, and get their own weight products and
-    sums, so each value is bit for bit that of the cell integrated alone.
-    Returns the list of values; raises the :class:`QuadratureError` of the
-    first cell that fails.
+    :func:`integrate_with_breakpoints`, whose ``singular_points`` hold for
+    every cell, and ``fn(t, cell)`` is the integrand at the nodes ``t``:
+    ``cell`` is the index of the one open cell, or an array with the cell of
+    each node.  Each round makes one call of ``fn`` on the open panels of
+    every cell.  A cell's panels stay together, in the order the cell alone
+    gives them, and get their own weight products and sums, so each value is
+    bit for bit that of the cell integrated alone.  Returns the list of
+    values; raises the :class:`QuadratureError` of the first failing cell.
     """
     singular_points = tuple(singular_points)
     scales = [abs_scale or 0.0 for _, _, _, abs_scale in cells]
@@ -309,20 +311,20 @@ def _integrate_cells(fn, cells, singular_points=(), rel_check=1e-7):
         if not (math.isfinite(total[k]) and math.isfinite(err[k])):
             raise QuadratureError(
                 f"quadrature value {total[k]!r} or error estimate {err[k]!r} is not finite",
-                value=total[k], achieved=math.inf, requested=rel_check,
+                value=total[k], achieved=math.inf, requested=_REL_TOL,
             )
         bound = max(abs(total[k]), scale)
-        if bound > 0.0 and err[k] > rel_check * bound:
+        if bound > 0.0 and err[k] > _REL_TOL * bound:
             raise QuadratureError(
-                f"quadrature error estimate {err[k]:.3e} exceeds {rel_check:.1e}"
+                f"quadrature error estimate {err[k]:.3e} exceeds {_REL_TOL:.1e}"
                 f" * scale {bound:.3e}",
-                value=total[k], achieved=err[k] / bound, requested=rel_check,
+                value=total[k], achieved=err[k] / bound, requested=_REL_TOL,
             )
     return total
 
 
 def integrate_with_breakpoints(fn, lo, hi, breakpoints=(), *, abs_scale=None,
-                               singular_points=(), rel_check=1e-7):
+                               singular_points=()):
     """Piecewise adaptive quadrature of an array integrand with mandatory
     subdivision points.
 
@@ -341,11 +343,11 @@ def integrate_with_breakpoints(fn, lo, hi, breakpoints=(), *, abs_scale=None,
     convergence check are measured (typically the maximum of the integrand);
     when omitted the check is purely relative to the accumulated value.
     Raises :class:`QuadratureError` if the value or the summed error estimate
-    is not finite, or if that estimate is not small compared to
-    ``max(|total|, abs_scale)``.
+    is not finite, or if that estimate exceeds 1e-7 of
+    ``max(|total|, abs_scale)``, the one tolerance of every integral.
     """
     return _integrate_cells(lambda t, cell: fn(t), [(lo, hi, breakpoints, abs_scale)],
-                            singular_points, rel_check)[0]
+                            singular_points)[0]
 
 
 def bisect_monotone(fn, lo, hi, *, xtol=1e-13, rtol=1e-12):

@@ -159,55 +159,53 @@ class VonMisesRadial(RadialLaw):
 
     The table ``grid`` holds nodes x from 0, the cumulative integral
     J(x) = int_0^x ds/psi(s), shifted by any constant, and its derivative
-    Jp = 1/psi at the nodes (see :func:`build_von_mises`).  J is a cubic
-    Hermite spline on the nodes, monotone on each piece (no node slope
-    exceeds 3 times the secant of a piece it bounds), extended from the last
-    node by the line of its end slope; the density is J' times the survival
-    and psi = 1/J'.  The quantiles of one call are one array solve: an
-    inverse interpolant of the table guesses them, two Newton sweeps on J
-    refine them, and the levels inside the table that Newton leaves off by
-    more than 1e-14 relative, and by more than an ulp of x moves J, are
-    bisected on their own piece to adjacent floats.  Levels past the table
-    lie on the tail line.  So the log-survival of a quantile returns its
-    level to 1e-14 relative, where the table's floats allow it (to 5e-16 on
-    a sampler's levels of a :func:`build_von_mises` law).
+    Jp = 1/psi at the nodes (see :func:`build_von_mises`).  Every radial
+    table, a numeric one too (:class:`TabulatedRadial`), is checked and held
+    here.  J is a nondecreasing cubic Hermite spline on the nodes, monotone on
+    each piece (no node slope exceeds 3 times the secant of a piece it
+    bounds), extended from the last node by the line of its end slope, which
+    must be positive; the density is J' times the survival and psi = 1/J'.
+    The quantiles of one call are one array solve: an inverse interpolant of
+    the table guesses them, two Newton sweeps on J refine them, and the
+    levels inside the table that Newton leaves off by more than 1e-14
+    relative, and by more than an ulp of x moves J, are bisected on their own
+    piece to adjacent floats.  Levels past the table lie on the tail line.
+    So the log-survival of a quantile returns its level to 1e-14 relative,
+    where the table's floats allow it (to 5e-16 on a sampler's levels of a
+    :func:`build_von_mises` law).
     """
 
     kind = "von_mises"
 
     def __init__(self, grid):
-        xs, js, jps = _checked_table(grid, "von Mises")
+        xs, js, jps = _checked_table(grid, "radial")
         if xs[0] != 0.0:
-            raise ConstructionError("von Mises table must start at x = 0")
+            raise ConstructionError("radial table must start at x = 0")
         if np.any(np.diff(js) < 0.0) or np.any(jps < 0.0) or not jps[-1] > 0.0:
-            raise ConstructionError("von Mises J must be nondecreasing with a positive end slope")
+            raise ConstructionError("radial table J must be nondecreasing, its end slope positive")
         # a cubic Hermite piece is monotone if no end slope exceeds 3 times its
         # secant (Fritsch & Carlson 1980)
         bound = 3.0 * np.diff(js) / np.diff(xs)
         if np.any(jps[:-1] > bound) or np.any(jps[1:] > bound):
-            raise ConstructionError("von Mises Jp must be at most 3 times the secant of each piece")
-        self._jps = jps
-        from scipy.interpolate import CubicHermiteSpline  # here: only tables interpolate
-        self._tabulate(xs, js, CubicHermiteSpline(xs, js, jps), float(jps[-1]))
-
-    def _tabulate(self, xs, js, spline, tail):
-        """Hold J on the nodes, and the slope ``tail`` of its line past the last one."""
-        self._xs, self._js, self._spline, self._tail = xs, js, spline, tail
-        self._dspline = spline.derivative()
+            raise ConstructionError("radial table Jp must be within 3 times each piece's secant")
+        self._xs, self._js, self._jps = xs, js, jps
+        # here: only tables interpolate
+        from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
+        self._spline = CubicHermiteSpline(xs, js, jps)
+        self._dspline = self._spline.derivative()
         # the inverse interpolant on the rising J values guesses the quantiles
         rising = np.concatenate([[True], np.diff(js) > 1e-14])
-        from scipy.interpolate import PchipInterpolator  # here: only tables interpolate
         self._guess = PchipInterpolator(js[rising], xs[rising]) if np.sum(rising) > 1 else None
 
     def _j(self, x):
         # the last node's value is the table's, not its Hermite piece's end
         last = self._xs[-1]
-        return np.where(x >= last, self._js[-1] + (x - last) * self._tail,
+        return np.where(x >= last, self._js[-1] + (x - last) * self._jps[-1],
                         self._spline(np.minimum(x, last)))
 
     def _jp(self, x):
         last = self._xs[-1]
-        return np.where(x >= last, self._tail, self._dspline(np.minimum(x, last)))
+        return np.where(x >= last, self._jps[-1], self._dspline(np.minimum(x, last)))
 
     def _log_survival(self, x):
         return np.minimum(self._js[0] - self._j(x), 0.0)
@@ -224,7 +222,7 @@ class VonMisesRadial(RadialLaw):
         inside = jt < j_last
         # the tail line past the table, the inverse interpolant inside it (a table
         # whose J never rises by more than 1e-14 has none: its levels start from 0)
-        x = last + (jt - j_last) / self._tail
+        x = last + (jt - j_last) / self._jps[-1]
         x[inside] = 0.0 if self._guess is None else np.clip(self._guess(jt[inside]), 0.0, None)
         for _ in range(2):
             jp = np.maximum(self._jp(x), 1e-300)
@@ -315,12 +313,9 @@ def build_von_mises(psi):
 
 class TabulatedRadial(VonMisesRadial):
     """Radial law of a table of log-survival values at increasing nodes from
-    x = 0, where the log-survival is 0.
-
-    It is the von Mises law of J = -log-survival: J between nodes is a
-    monotone cubic interpolant, extended past the last node by a line of its
-    end slope (at least 1e-12).  :meth:`from_density` tabulates an
-    (unnormalized) density function.
+    x = 0, where the log-survival is 0: the von Mises law of J = -log-survival
+    with the slopes of J's PCHIP interpolant at the nodes, so the table must
+    end falling.  :meth:`from_density` tabulates an (unnormalized) density.
     """
 
     kind = "numeric"
@@ -329,18 +324,12 @@ class TabulatedRadial(VonMisesRadial):
     _N_NODES = 2049  # equispaced tabulation nodes on [0, r_cap]
 
     def __init__(self, nodes, log_survival):
-        nodes, log_surv = _checked_table((nodes, log_survival), "numeric radial")
-        if nodes[0] != 0.0 or log_surv[0] != 0.0:
-            raise ConstructionError("numeric radial table must start at x = 0 with log-survival 0")
-        steps = np.diff(log_surv)
-        if np.any(steps > 0.0) or not np.any(steps < -1e-14):
-            raise ConstructionError(
-                "numeric radial log-survival must be nonincreasing and fall along the grid")
+        nodes, log_surv = _checked_table((nodes, log_survival), "radial")
+        if log_surv[0] != 0.0 or not np.any(np.diff(log_surv) < -1e-14):
+            raise ConstructionError("radial log-survival must start at 0 and fall along the grid")
         js = -log_surv
         from scipy.interpolate import PchipInterpolator  # here: only tables interpolate
-        spline = PchipInterpolator(nodes, js)
-        tail = max(float(spline.derivative()(nodes[-1])), 1e-12)
-        self._tabulate(nodes, js, spline, tail)
+        super().__init__((nodes, js, PchipInterpolator(nodes, js).derivative()(nodes)))
 
     @classmethod
     def from_density(cls, density_fn):

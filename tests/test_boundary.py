@@ -111,7 +111,7 @@ def test_angular_number_is_its_array(law, t, q):
 @given(st.floats(1.0, 8.0, exclude_min=True), st.floats(0.05, 6.0), _unit,
        st.floats(-6.0, 6.0), _interior_levels)
 def test_limit_law_number_is_its_array(eta, zeta, weight_minus, y, q):
-    law = cp.LimitLaw(eta, zeta, weight_minus, 1.0 - weight_minus)
+    law = cp.LimitLaw(eta, zeta, weight_minus)
     _same_at_every_shape(law.cdf, y)
     _same_at_every_shape(law.pdf, y)
     _same_at_every_shape(law.quantile, q)

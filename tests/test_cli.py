@@ -327,6 +327,23 @@ BAD_INPUTS = {
                                 "--weight-minus", "nan")),
     "simulate-nan-threshold": (_ELL, _SIMULATE + ("--threshold", "nan")),
     "simulate-inf-threshold": (_ELL, _SIMULATE + ("--threshold", "inf")),
+    "numeric-flat-tail": ({**_ELL, "radial": {
+        "kind": "numeric", "grid": {**_NUM_GRID, "log_survival": [0.0, -1.0, -1.0]}}}, _TAIL),
+    # a builder's arithmetic error: speed ** p overflows, the power normalizer underflows
+    "lp-p-overflows": ({**_ELL, "curve": {"kind": "lp", "params": {"p": 1e308}}}, _SIMULATE),
+    "power-tau-underflows": ({**_ELL, "angular": {
+        "kind": "power", "params": {"t0": 0.5, "tau": 1e300}}}, _SIMULATE),
+    # counts no array can hold
+    "simulate-n-past-arrays": (_ELL, ("simulate", "-c", "{config}", "--n", str(10 ** 20),
+                                      "--seed", "1")),
+    "simulate-conditional-n-past-arrays": (_ELL, ("simulate", "-c", "{config}", "--n",
+                                                  str(10 ** 20), "--seed", "1",
+                                                  "--threshold", "3")),
+    "verify-n-past-arrays": (_ELL, ("verify", "-c", "{config}", "--levels", "0.99",
+                                    "--n", str(10 ** 20), "--seed", "1")),
+    "decompose-points-past-arrays": ({"curve": _ELL["curve"]},
+                                     ("decompose", "-c", "{config}", "--points", str(10 ** 20))),
+    "simulate-negative-n": (_ELL, ("simulate", "-c", "{config}", "--n", "-1", "--seed", "1")),
 }
 
 
@@ -349,14 +366,15 @@ class TestBadInputExitsOne:
 
     def test_config_rules_are_stated_only_in_numerics(self):
         """Only the reader in numerics.py rejects unknown or missing keys and
-        maps a builder's TypeError."""
+        maps a builder's TypeError or ArithmeticError."""
         import inspect
         import re
         from pathlib import Path
 
         from cevpolar import numerics
 
-        rule = re.compile(r"except TypeError|unknown .*keys|lacks the keys|set\(\w+\) -")
+        rule = re.compile(r"except \(TypeError, ArithmeticError\)|unknown .*keys|lacks the keys"
+                          r"|set\(\w+\) -")
         hits = [(path.name, line) for path in sorted(Path(cp.__file__).parent.glob("*.py"))
                 for line in path.read_text().splitlines() if rule.search(line)]
         inside = inspect.getsource(numerics._read_keys) + inspect.getsource(numerics._read_spec)
@@ -407,6 +425,27 @@ class TestBadInputExitsOne:
         for spec in ({"kind": "von_mises", "grid": _VM_GRID},
                      {"kind": "von_mises", "params": {}, "grid": _VM_GRID}):
             assert self._tail_with_radial(tmp_path, spec) == 0
+
+    def test_out_of_memory_is_one_error_line(self, model_config, tmp_path, capsys, monkeypatch):
+        # a count an array can hold may still not fit in memory
+        import cevpolar.cli
+
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        monkeypatch.setattr(cevpolar.cli, "sample_joint", no_memory)
+        code = run(["simulate", "-c", str(model_config), "--n", "10000000000000", "--seed", "1",
+                    "-o", str(tmp_path / "x.csv")])
+        self._expect_one_error_line(code, capsys)
+
+    def test_counts_share_one_rule(self):
+        from cevpolar import cli
+
+        # --n of simulate and verify and --points of decompose: one argparse type
+        commands = cli._build_parser()._subparsers._group_actions[0].choices
+        types = {action.type for parser in commands.values() for action in parser._actions
+                 if action.dest in ("n", "points")}
+        assert types == {cli._count}
 
     def test_decompose_nonpositive_points(self, tmp_path, capsys):
         cfg = tmp_path / "dec.json"

@@ -45,7 +45,7 @@ def ks_cases(draw):
     n = draw(st.sampled_from([100_000, 75_000, 64 * 900 + 2, 20_000, 5_000, 1_000, 130, 129,
                               100, 65, 64, 7, 2, 1]))
     w_minus = draw(st.sampled_from([0.0, 1.0, 0.5, 0.3]))
-    law = cp.LimitLaw(draw(st.floats(1.05, 6.0)), draw(st.floats(0.2, 3.0)), w_minus, 1.0 - w_minus)
+    law = cp.LimitLaw(draw(st.floats(1.05, 6.0)), draw(st.floats(0.2, 3.0)), w_minus)
     points = law.sample(n, rng) * draw(st.floats(0.5, 2.0)) + draw(st.floats(-0.5, 0.5))
     digits = draw(st.sampled_from([None, 5, 3]))
     if digits is not None:

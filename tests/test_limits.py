@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -44,7 +45,7 @@ class TestLimitLawCdf:
             assert num == pytest.approx(law.pdf(y), rel=1e-6)
 
     def test_bounds_and_monotonicity(self):
-        law = cp.LimitLaw(3.0, 0.5, weight_minus=0.3, weight_plus=0.7)
+        law = cp.LimitLaw(3.0, 0.5, weight_minus=0.3)
         ys = np.linspace(-3.5, 3.5, 301)
         cdf = law.cdf(ys)
         assert np.all(np.diff(cdf) > 0.0)  # strict where increments are representable
@@ -55,8 +56,18 @@ class TestLimitLawCdf:
             cp.LimitLaw(1.0, 1.0)
         with pytest.raises(cp.ConstructionError):
             cp.LimitLaw(2.0, 0.0)
-        with pytest.raises(cp.ConstructionError):
-            cp.LimitLaw(2.0, 1.0, weight_minus=0.7, weight_plus=0.7)
+        for weight_minus in (-0.1, 1.1, math.nan):
+            with pytest.raises(cp.ConstructionError):
+                cp.LimitLaw(2.0, 1.0, weight_minus=weight_minus)
+
+    def test_one_weight_sets_both_half_lines(self):
+        # weight_plus is the complement of weight_minus, not a second argument
+        assert list(inspect.signature(cp.LimitLaw).parameters) == ["eta", "zeta", "weight_minus"]
+        law = cp.LimitLaw(2.0, 1.0, weight_minus=0.3)
+        assert law.weight_plus == 1.0 - 0.3
+        assert law.cdf(0.0) == 0.3
+        with pytest.raises(TypeError):
+            cp.LimitLaw(2.0, 1.0, weight_minus=0.3, weight_plus=0.7)
 
 
 class TestLimitLawQuantileAndSampling:
@@ -68,7 +79,7 @@ class TestLimitLawQuantileAndSampling:
             == pytest.approx(1.0, abs=1e-8)
 
     def test_roundtrip(self):
-        law = cp.LimitLaw(3.0, 1.0, weight_minus=0.35, weight_plus=0.65)
+        law = cp.LimitLaw(3.0, 1.0, weight_minus=0.35)
         for q in (0.01, 0.2, 0.35, 0.5, 0.9, 0.999):
             assert law.cdf(law.quantile(q)) == pytest.approx(q, abs=1e-10)
 

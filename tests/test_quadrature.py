@@ -98,6 +98,14 @@ class TestRule:
         with pytest.raises(cp.QuadratureError):
             integrate_with_breakpoints(lambda t: 1.0 / (t - 0.3), 0.0, 1.0)
 
+    def test_every_integral_has_one_tolerance(self):
+        # no caller loosens or tightens the 1e-7 check: it is not a parameter
+        for fn in (integrate_with_breakpoints, numerics._integrate_cells):
+            assert "rel_check" not in inspect.signature(fn).parameters
+        with pytest.raises(cp.QuadratureError) as info:
+            integrate_with_breakpoints(lambda t: 1.0 / (t - 0.3), 0.0, 1.0)
+        assert info.value.payload()["requested_tolerance"] == 1e-7
+
     def test_refine_zeros_scans_with_one_array_call(self):
         shapes = []
 
@@ -110,6 +118,30 @@ class TestRule:
         assert shapes[0] == (1025,)
         assert set(shapes[1:]) == {(1,)}
         assert zeros == pytest.approx([math.pi / 6, math.pi / 2, 5 * math.pi / 6], abs=1e-13)
+
+
+@pytest.mark.parametrize("cone", [None, (0.5, 1.1)], ids=["plain", "cone"])
+@pytest.mark.parametrize("x", [8.0, 64.0, 1000.0])
+def test_mixture_oracle_meets_the_one_tolerance(cone, x):
+    # the mixture oracle once checked its integrals at 1e-6; each meets 1e-7
+    mix = cp.MixtureModel(p=0.4, rho=0.8, tau_mix=-0.4, cone=cone)
+    values = [cp.mixture_conditional_cdf(mix, x, z) for z in (-2.0, -0.5, 0.0, 0.5, 2.0)]
+    assert all(0.0 < a < b < 1.0 for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("law, angular, z", [
+    (cp.Exponential(1.0), cp.angular_uniform(), 0.0),
+    (cp.Rayleigh(), cp.angular_uniform(), 1.0),
+    (cp.Rayleigh(), cp.angular_power(0.5, 1.0, window=0.25), 0.0),
+    (cp.Rayleigh(), cp.angular_power(0.5, -0.5, window=0.25), 0.0),
+    (cp.Rayleigh(), cp.angular_power(0.5, -0.9, window=0.25), 0.0),
+    (cp.Rayleigh(), cp.angular_power(0.5, -0.999, window=0.25), 0.0),
+], ids=["exponential", "rayleigh", "power-1", "power-0.5", "power-0.9", "power-0.999"])
+def test_lemma2_check_meets_the_one_tolerance(law, angular, z):
+    # lemma2_integral_check once checked its integral at 1e-6; at x = 100 it meets 1e-7,
+    # and the lemma's two sides agree to 1e-3 there
+    lhs, rhs = cp.lemma2_integral_check(law, angular, z, 100.0)
+    assert lhs == pytest.approx(rhs, rel=1e-3)
 
 
 class TestBisectMonotone:
@@ -385,7 +417,7 @@ class TestSingularAngle:
         assert cp.survival_x_oracle(model, 4.0) == pytest.approx(reference, rel=1e-8)
 
 
-#: the oracle enforces error estimate <= rel_check * max(value, S(x)) per integral
+#: every integral enforces error estimate <= 1e-7 * max(value, S(x)), the one tolerance
 ORACLE_REL_CHECK = 1e-7
 
 

@@ -284,14 +284,22 @@ class TestTabulatedLawIsItsTable:
         with pytest.raises(cp.ConstructionError):
             cp.TabulatedRadial(nodes, log_survival)
 
-    def test_numeric_density_past_the_table_has_the_tail_slope(self):
-        # the table ends flat, so past x = 2 its log-survival falls at the floor slope
-        # 1e-12, and the density and psi follow that line, not the flat end slope
-        law = cp.TabulatedRadial([0.0, 1.0, 2.0], [0.0, -1.0, -1.0])
-        xs = np.array([3.0, 10.0, 1e6])
-        assert law.aux_psi(xs) == pytest.approx(1e12, rel=1e-12)
-        assert law.density(xs) == pytest.approx(1e-12 * law.survival(xs), rel=1e-12)
-        assert law.aux_psi(3.0) == pytest.approx(1e12, rel=1e-12)
+    @pytest.mark.parametrize("spec", [
+        {"kind": "numeric", "grid": {"x": [0.0, 1.0, 2.0], "log_survival": [0.0, -1.0, -1.0]}},
+        {"kind": "von_mises", "grid": {"x": [0.0, 1.0, 2.0], "J": [0.0, 1.0, 1.0],
+                                       "Jp": [1.0, 0.0, 0.0]}},
+    ], ids=["numeric", "von_mises"])
+    def test_table_that_ends_flat_is_rejected(self, spec):
+        # a table's tail is the line of its end slope: a flat end has no tail to decay
+        # along, whichever kind the table is, built in process or read from JSON
+        grid = spec["grid"]
+        with pytest.raises(cp.ConstructionError, match="radial table J .* end slope positive"):
+            if spec["kind"] == "numeric":
+                cp.TabulatedRadial(grid["x"], grid["log_survival"])
+            else:
+                cp.VonMisesRadial((grid["x"], grid["J"], grid["Jp"]))
+        with pytest.raises(cp.ConstructionError, match="radial table J .* end slope positive"):
+            cp.radial_from_dict(json.loads(json.dumps(spec)))
 
     @pytest.mark.parametrize("name", sorted(BUILT))
     def test_keeps_no_user_callable(self, name):
@@ -550,6 +558,18 @@ def test_numeric_law_is_the_von_mises_law_of_its_table():
     assert issubclass(cp.TabulatedRadial, cp.VonMisesRadial)
     kernels = {"_log_survival", "_density", "_aux_psi", "_inverse_log_survival"}
     assert not kernels & set(vars(cp.TabulatedRadial))
+
+
+def test_every_radial_table_is_held_by_the_von_mises_constructor():
+    # a numeric table is checked and held as the von Mises table (x, J, PCHIP slopes)
+    # by VonMisesRadial.__init__ alone, with no spline, slope or tail of its own
+    assert not hasattr(cp.VonMisesRadial, "_tabulate")
+    held = {"_spline", "_dspline", "_jps", "_tail", "_tabulate"}
+    assert not held & set(vars(cp.TabulatedRadial))
+    law = BUILT["numeric"]
+    grid = law.to_dict()["grid"]
+    js = -np.array(grid["log_survival"])
+    assert law._jps.tolist() == PchipInterpolator(grid["x"], js).derivative()(grid["x"]).tolist()
 
 
 def test_von_mises_law_is_its_table():
