@@ -59,12 +59,15 @@ def _finite_float(text):
     return value
 
 
-def _count(text):
-    """argparse type of --n and --points: a decimal integer from 0 to ``_MAX_COUNT``."""
-    value = int(text) if text.strip().isdecimal() else -1
-    if not 0 <= value <= _MAX_COUNT:
-        raise argparse.ArgumentTypeError(f"expected a count from 0 to {_MAX_COUNT}, got {text!r}")
-    return value
+def _count(least):
+    """argparse type of --n and --points: a decimal integer from ``least`` to ``_MAX_COUNT``."""
+    def count(text):
+        value = int(text) if text.strip().isdecimal() else -1
+        if not least <= value <= _MAX_COUNT:
+            raise argparse.ArgumentTypeError(
+                f"expected a count from {least} to {_MAX_COUNT}, got {text!r}")
+        return value
+    return count
 
 
 def parse_grid(spec):
@@ -367,8 +370,6 @@ def _cmd_second_order(args, model, meta):
 
 
 def _cmd_decompose(args, model, meta):
-    if args.points <= 0:
-        raise ConfigError("--points must be positive")
     ts = np.linspace(0.0, 1.0, args.points)
     xs = np.linspace(0.0, float(model.radial.quantile_b(1e6)), args.points)
     ang, surv = model.angular.density(ts).tolist(), model.radial.survival(xs).tolist()
@@ -417,7 +418,7 @@ def _build_parser():
     common(p, _cmd_limit, None)
 
     p = sub.add_parser("simulate", help="draw joint or conditional samples")
-    p.add_argument("--n", type=_count, required=True)
+    p.add_argument("--n", type=_count(0), required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--threshold", type=_finite_float, default=None)
     common(p, _cmd_simulate, "polar or mixture")
@@ -425,7 +426,7 @@ def _build_parser():
     p = sub.add_parser("verify", help="convergence sweep toward the limit law")
     p.add_argument("--levels", type=_float_list, required=True,
                    help="comma list of quantile levels")
-    p.add_argument("--n", type=_count, default=100_000)
+    p.add_argument("--n", type=_count(1), default=100_000)
     p.add_argument("--seed", type=int, default=None)
     common(p, _cmd_verify, "polar")
 
@@ -446,7 +447,7 @@ def _build_parser():
     common(p, _cmd_second_order, "polar")
 
     p = sub.add_parser("decompose", help="split a profile density into radius and angle")
-    p.add_argument("--points", type=_count, default=201)
+    p.add_argument("--points", type=_count(1), default=201)
     common(p, _cmd_decompose, "decompose")
 
     return parser

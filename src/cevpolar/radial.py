@@ -314,8 +314,8 @@ def build_von_mises(psi):
 class TabulatedRadial(VonMisesRadial):
     """Radial law of a table of log-survival values at increasing nodes from
     x = 0, where the log-survival is 0: the von Mises law of J = -log-survival
-    with the slopes of J's PCHIP interpolant at the nodes, so the table must
-    end falling.  :meth:`from_density` tabulates an (unnormalized) density.
+    with the slopes of J's PCHIP interpolant at the nodes; the last slope must
+    be positive.  :meth:`from_density` tabulates an (unnormalized) density.
     """
 
     kind = "numeric"

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -344,6 +345,11 @@ BAD_INPUTS = {
     "decompose-points-past-arrays": ({"curve": _ELL["curve"]},
                                      ("decompose", "-c", "{config}", "--points", str(10 ** 20))),
     "simulate-negative-n": (_ELL, ("simulate", "-c", "{config}", "--n", "-1", "--seed", "1")),
+    # a sweep and a decomposition need at least one draw and one point
+    "verify-zero-n": (_ELL, ("verify", "-c", "{config}", "--levels", "0.99", "--n", "0",
+                             "--seed", "1")),
+    "decompose-zero-points": ({"curve": _ELL["curve"]},
+                              ("decompose", "-c", "{config}", "--points", "0")),
 }
 
 
@@ -373,8 +379,8 @@ class TestBadInputExitsOne:
 
         from cevpolar import numerics
 
-        rule = re.compile(r"except \(TypeError, ArithmeticError\)|unknown .*keys|lacks the keys"
-                          r"|set\(\w+\) -")
+        rule = re.compile(r"except TypeError\b|except \(TypeError, ArithmeticError\)"
+                          r"|unknown .*keys|lacks the keys|set\(\w+\) -")
         hits = [(path.name, line) for path in sorted(Path(cp.__file__).parent.glob("*.py"))
                 for line in path.read_text().splitlines() if rule.search(line)]
         inside = inspect.getsource(numerics._read_keys) + inspect.getsource(numerics._read_spec)
@@ -441,11 +447,19 @@ class TestBadInputExitsOne:
     def test_counts_share_one_rule(self):
         from cevpolar import cli
 
-        # --n of simulate and verify and --points of decompose: one argparse type
+        # --n of simulate and verify and --points of decompose: one argparse type, which
+        # alone states each command's least count (an empty sample only for simulate)
         commands = cli._build_parser()._subparsers._group_actions[0].choices
-        types = {action.type for parser in commands.values() for action in parser._actions
-                 if action.dest in ("n", "points")}
-        assert types == {cli._count}
+        types = {name: action.type for name, parser in commands.items()
+                 for action in parser._actions if action.dest in ("n", "points")}
+        assert {t.__code__ for t in types.values()} == {cli._count(0).__code__}
+        least = {}
+        for name, count in types.items():
+            try:
+                least[name] = count("0")
+            except argparse.ArgumentTypeError:
+                least[name] = count("1")
+        assert least == {"simulate": 0, "verify": 1, "decompose": 1}
 
     def test_decompose_nonpositive_points(self, tmp_path, capsys):
         cfg = tmp_path / "dec.json"
