@@ -486,8 +486,7 @@ def run(argv=None):
         _emit(args, meta, *args.fn(args, model, meta))
         return 0
     except NumericError as exc:
-        payload = exc.payload() if hasattr(exc, "payload") else {"error": str(exc)}
-        print(json.dumps(payload), file=sys.stderr)
+        print(json.dumps(exc.payload()), file=sys.stderr)
         return 2
     except CevError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -176,24 +176,25 @@ class ConditionCheckReport:
     """Growth of the separation ratio driving asymptotic independence."""
 
     ratios: list
-    passed: bool
+
+    @property
+    def passed(self):
+        """PASS: the second half rises strictly, the last exceeds ten times the first."""
+        tail = self.ratios[len(self.ratios) // 2:]
+        return all(b > a for a, b in zip(tail, tail[1:])) and tail[-1] > 10.0 * self.ratios[0]
 
 
 def independence_condition_check(model, y, levels):
     """Separation ratios (b_Y - m(b_X) + psi_Y(b_Y) y) / a(b_X) along an
     ``oracle_quantiles`` table, with psi_Y the v_star-scaled radial auxiliary
-    function.  PASS means the last ratio exceeds ten times the first and the
-    second half is monotone."""
+    function (PASS: :attr:`ConditionCheckReport.passed`)."""
     v_star = model.curve.v_star
     ratios = []
     for _, bx, by in levels:
         frame = normalization(model, bx)
         psi_y = v_star * model.radial.aux_psi(by / v_star)
         ratios.append((by - frame.m_t + psi_y * y) / frame.a_t)
-    tail = ratios[len(ratios) // 2:]
-    monotone_tail = all(b > a for a, b in zip(tail, tail[1:]))
-    passed = monotone_tail and ratios[-1] > 10.0 * ratios[0]
-    return ConditionCheckReport(ratios, passed)
+    return ConditionCheckReport(ratios)
 
 
 @dataclass(frozen=True)
@@ -201,14 +202,18 @@ class DecayReport:
     """t * P(joint exceedance) along a quantile table; vanishing means independence."""
 
     products: list
-    passed: bool
+
+    @property
+    def passed(self):
+        """PASS means the last product is below one tenth of the first."""
+        return self.products[-1] < 0.1 * self.products[0]
 
 
 def joint_exceedance_decay(model, x_std, y_std, levels):
     """t * P(X > b_X + psi x, Y > b_Y + psi_Y y) along an ``oracle_quantiles``
     table, via the oracle.  Requires finite standardized levels and a joint
-    exceedance that does not underflow to 0, which would read as decay.  PASS
-    means the final product is below one tenth of the initial one."""
+    exceedance that does not underflow to 0, which would read as decay (PASS:
+    :attr:`DecayReport.passed`)."""
     if not (math.isfinite(x_std) and math.isfinite(y_std)):
         raise DomainError("standardized levels must be finite")
     v_star = model.curve.v_star
@@ -222,8 +227,7 @@ def joint_exceedance_decay(model, x_std, y_std, levels):
         if prob == 0.0:
             raise DomainError(f"joint exceedance underflows to 0 at t = {t!r}")
         products.append(t * prob)
-    passed = products[-1] < 0.1 * products[0]
-    return DecayReport(products, passed)
+    return DecayReport(products)
 
 
 def lemma2_integral_check(law, angular, z, x):

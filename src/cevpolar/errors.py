@@ -18,41 +18,33 @@ class UnsupportedModelError(CevError):
 
 
 class NumericError(CevError):
-    """Base class for runtime numerical failures."""
+    """Base class for runtime numerical failures; :meth:`payload` is the one
+    report of every kind: its ``kind``, the message, then its ``details``."""
+
+    kind = "numeric"
+
+    def __init__(self, message, details=None):
+        super().__init__(message)
+        self.details = dict(details or {})
+
+    def payload(self):
+        return {"error": self.kind, "message": str(self), **self.details}
 
 
 class QuadratureError(NumericError):
     """Adaptive quadrature failed to reach the requested tolerance.
 
-    Carries the partial result and the achieved error estimate so callers
-    can report diagnostics instead of silently trusting a bad value.
+    Its details carry the partial value and the achieved and requested tolerances,
+    so callers can report diagnostics instead of silently trusting a bad value.
     """
 
-    def __init__(self, message, value=None, achieved=None, requested=None):
-        super().__init__(message)
-        self.value = value
-        self.achieved = achieved
-        self.requested = requested
-
-    def payload(self):
-        return {
-            "error": "quadrature",
-            "message": str(self),
-            "value": self.value,
-            "achieved_tolerance": self.achieved,
-            "requested_tolerance": self.requested,
-        }
+    kind = "quadrature"
 
 
 class DegenerateWeightsError(NumericError):
     """All importance weights underflowed; the threshold is too deep."""
 
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = dict(diagnostics or {})
-
-    def payload(self):
-        return {"error": "degenerate_weights", "message": str(self), **self.diagnostics}
+    kind = "degenerate_weights"
 
 
 class ConfigError(CevError, ValueError):

@@ -146,7 +146,7 @@ class CurveGerm:
         if x == 0.0:
             return 0.0
         # the gap of the level; min() takes up the rounding of x = h_window_max
-        t = self.u_inverse(min(x / (1.0 + x), self._max_gap["right"]), "right")
+        t = self.t0 + float(self._gap_offset(min(x / (1.0 + x), self._max_gap["right"]), "right"))
         # v/u with the exact level u = 1/(1 + x): u recomputed at the rounded t
         # loses digits near the end of the branch
         return (1.0 + x) * self.v(t) - self.rho
@@ -425,10 +425,10 @@ class UniformAngular(AngularLaw):
 
 
 class PowerAngular(AngularLaw):
-    """One-sided power density |t - t0|**tau inside a window, flat tails.
+    """One-sided power density g_side |t - t0|**tau inside a window, flat tails.
 
     Exactly normalized; the fraction of total mass on the left of t0 is a
-    construction parameter.
+    construction parameter; the side coefficients are the only amplitudes.
     """
 
     kind = "power"
@@ -444,56 +444,55 @@ class PowerAngular(AngularLaw):
         self.tau = float(tau)
         self.window = float(window)
         self.mass_minus = float(g_minus_frac)
-        self.mass_plus = 1.0 - self.mass_minus
         w, tau1 = self.window, self.tau + 1.0
-        self._side_len = {-1: self.t0, +1: 1.0 - self.t0}
-        self._amp = {}
-        for sgn, mass in ((-1, self.mass_minus), (+1, self.mass_plus)):
-            denom = w ** tau1 / tau1 + w ** self.tau * (self._side_len[sgn] - w)
-            self._amp[sgn] = mass / denom if mass > 0.0 else 0.0
-        self.g_minus = self._amp[-1]
-        self.g_plus = self._amp[+1]
+        # each side's mass over its integral of |s|**tau, flat past the window
+        self.g_minus, self.g_plus = (
+            mass / (w ** tau1 / tau1 + w ** self.tau * (side_len - w)) if mass > 0.0 else 0.0
+            for mass, side_len in ((self.mass_minus, self.t0), (self.mass_plus, 1.0 - self.t0)))
+        self._flat_minus = self.g_minus * w ** self.tau
+        self._flat_plus = self.g_plus * w ** self.tau
+        self._cdf_right_edge = self.mass_minus + self.g_plus * w ** tau1 / tau1
+
+    @property
+    def mass_plus(self):
+        """The fraction of mass on the right of t0, 1 - mass_minus."""
+        return 1.0 - self.mass_minus
 
     def _density(self, t):
         s = t - self.t0
         a = np.abs(s)
-        amp = np.where(s >= 0.0, self._amp[+1], self._amp[-1])
+        right = s >= 0.0
         with np.errstate(divide="ignore"):
-            inner = amp * a ** self.tau
-        outer = amp * self.window ** self.tau
+            inner = np.where(right, self.g_plus, self.g_minus) * a ** self.tau
+        outer = np.where(right, self._flat_plus, self._flat_minus)
         out = np.where(a <= self.window, inner, outer)
         return np.where((t >= 0.0) & (t <= 1.0), out, 0.0)
 
     def _cdf(self, t):
-        w, tau1 = self.window, self.tau + 1.0
-        a_m, a_p = self._amp[-1], self._amp[+1]
-        flat_m = a_m * w ** self.tau
-        flat_p = a_p * w ** self.tau
-        left_edge = self.t0 - w
-        right_edge = self.t0 + w
-        conds = [t <= 0.0, t <= left_edge, t <= self.t0, t <= right_edge, t <= 1.0]
+        tau1 = self.tau + 1.0
+        right_edge = self.t0 + self.window
+        conds = [t <= 0.0, t <= self.t0 - self.window, t <= self.t0, t <= right_edge, t <= 1.0]
         vals = [
             0.0,
-            flat_m * t,
-            self.mass_minus - a_m * np.abs(self.t0 - t) ** tau1 / tau1,
-            self.mass_minus + a_p * np.abs(t - self.t0) ** tau1 / tau1,
-            self.mass_minus + a_p * w ** tau1 / tau1 + flat_p * (t - right_edge),
+            self._flat_minus * t,
+            self.mass_minus - self.g_minus * np.abs(self.t0 - t) ** tau1 / tau1,
+            self.mass_minus + self.g_plus * np.abs(t - self.t0) ** tau1 / tau1,
+            self._cdf_right_edge + self._flat_plus * (t - right_edge),
         ]
         return np.select(conds, vals, default=1.0)
 
     def _quantile(self, q):
-        w, tau1 = self.window, self.tau + 1.0
-        a_m, a_p = self._amp[-1], self._amp[+1]
-        flat_m = a_m * w ** self.tau
-        flat_p = a_p * w ** self.tau
-        q_left_edge = flat_m * (self.t0 - w)
-        q_right_edge = self.mass_minus + a_p * w ** tau1 / tau1
+        tau1 = self.tau + 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            in_left_tail = q / np.maximum(flat_m, 1e-300)
-            in_left_win = self.t0 - (np.maximum(self.mass_minus - q, 0.0) * tau1 / max(a_m, 1e-300)) ** (1.0 / tau1)
-            in_right_win = self.t0 + (np.maximum(q - self.mass_minus, 0.0) * tau1 / max(a_p, 1e-300)) ** (1.0 / tau1)
-            in_right_tail = self.t0 + w + (q - q_right_edge) / np.maximum(flat_p, 1e-300)
-        conds = [q <= q_left_edge, q <= self.mass_minus, q <= q_right_edge]
+            in_left_tail = q / np.maximum(self._flat_minus, 1e-300)
+            in_left_win = self.t0 - (np.maximum(self.mass_minus - q, 0.0) * tau1
+                                     / max(self.g_minus, 1e-300)) ** (1.0 / tau1)
+            in_right_win = self.t0 + (np.maximum(q - self.mass_minus, 0.0) * tau1
+                                      / max(self.g_plus, 1e-300)) ** (1.0 / tau1)
+            in_right_tail = (self.t0 + self.window
+                             + (q - self._cdf_right_edge) / np.maximum(self._flat_plus, 1e-300))
+        conds = [q <= self._flat_minus * (self.t0 - self.window), q <= self.mass_minus,
+                 q <= self._cdf_right_edge]
         return np.select(conds, [in_left_tail, in_left_win, in_right_win], default=in_right_tail)
 
     def breakpoints(self):
@@ -514,7 +513,8 @@ class TabulatedAngular(AngularLaw):
 
     The cdf between nodes is a monotone cubic interpolant; the density is its
     slope, so it integrates to one exactly and stays nonnegative.  The law is
-    taken to be bounded with a positive limit at t0 (tau = 0).
+    taken to be bounded with a positive limit at t0 (tau = 0), and its cdf is
+    C^1: both side coefficients are the density at t0.
     :meth:`from_density` tabulates a density function.
     """
 
@@ -537,9 +537,7 @@ class TabulatedAngular(AngularLaw):
         keep = np.concatenate([[True], np.diff(cdf) > 1e-15])
         self._quantile_spline = PchipInterpolator(cdf[keep], nodes[keep])
         self.tau = 0.0
-        near = 1e-6
-        self.g_minus = self.density(self.t0 - near)
-        self.g_plus = self.density(self.t0 + near)
+        self.g_minus = self.g_plus = self.density(self.t0)
 
     @classmethod
     def from_density(cls, density_fn, t0):

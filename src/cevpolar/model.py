@@ -144,9 +144,7 @@ class WeightedSample:
 
 def sample_joint(model, n, rng):
     """n i.i.d. pairs (R u(T), R v(T)); radius and angle use separate streams."""
-    if n < 0:
-        raise DomainError("sample size must be nonnegative")
-    if n == 0:
+    if n == 0:  # the laws' sample rejects a negative n
         return np.empty((0, 2))
     rng_t, rng_r = rng.spawn(2)
     t = model.angular.sample(n, rng_t)
@@ -167,14 +165,13 @@ def sample_conditional(model, t, n, rng):
     t = float(t)
     if not t > 0.0:
         raise DomainError("threshold must be positive")
-    if float(model.radial.log_survival(t)) < _LOG_TINY:
+    log_surv = float(model.radial.log_survival(t))
+    if log_surv < _LOG_TINY:
         raise DegenerateWeightsError(
             "radial survival underflows at the threshold",
-            {"threshold": t, "log_survival": float(model.radial.log_survival(t))},
+            {"threshold": t, "log_survival": log_surv},
         )
-    if n < 0:
-        raise DomainError("sample size must be nonnegative")
-    if n == 0:
+    if n == 0:  # the angular law's sample rejects a negative n
         return WeightedSample(np.empty(0), np.empty(0), np.empty(0), t)
     rng_t, rng_u = rng.spawn(2)
     angles = model.angular.sample(n, rng_t)

@@ -82,20 +82,23 @@ _BRENT_STEPS = 200
 
 
 def _quadpack(fn, lo, hi, *, epsrel):
-    """Integrate the scalar function ``fn`` on [lo, hi] with QUADPACK (QAGS).
+    """Integral of the scalar function ``fn`` on [lo, hi] by QUADPACK (QAGS).
 
-    Returns (value, abserr).  Integration warnings are silenced; convergence
-    is judged by the caller from the returned error estimate (a roundoff
-    warning on a panel whose error is already far below the target is not a
-    failure).
+    Raises :class:`ConstructionError`, naming the interval, when the error
+    estimate exceeds ``epsrel`` times the value.  QUADPACK's warnings are
+    silenced: a roundoff warning on a panel already far below the target is
+    not a failure.
     """
     if hi <= lo:
-        return 0.0, 0.0
+        return 0.0
     from scipy import integrate  # here, not at the top: only law construction integrates
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         value, abserr = integrate.quad(fn, lo, hi, epsabs=0.0, epsrel=epsrel, limit=200)
-    return value, abserr
+    if abserr > epsrel * abs(value):
+        raise ConstructionError(f"the integral on [{lo!r}, {hi!r}] misses its tolerance"
+                                f" {epsrel:.0e}: value {value:.6e}, error estimate {abserr:.3e}")
+    return value
 
 
 def _is_number(value):
@@ -135,7 +138,8 @@ def _read_spec(data, what, builders, grids):
     ``builders[kind](params, *columns)``, the grid's columns in that order
     (the table constructor checks them, :func:`_checked_table`); a
     ``TypeError`` or ``ArithmeticError`` of the builder (a param it lacks,
-    does not take or overflows with) is a :class:`ConstructionError`.
+    does not take or overflows with) is a :class:`ConstructionError` naming its
+    type and text.
     """
     kind = data.get("kind") if isinstance(data, dict) else None
     if not isinstance(kind, str) or kind not in builders:
@@ -151,8 +155,9 @@ def _read_spec(data, what, builders, grids):
     grid = _read_keys(data["grid"], f"{kind} {what} grid", grid_keys) if grid_keys else {}
     try:
         return builders[kind](params, *(grid[key] for key in grid_keys or ()))
-    except (TypeError, ArithmeticError) as exc:
-        raise ConstructionError(f"bad parameters for {what} '{kind}': {exc}")
+    except (TypeError, ArithmeticError) as exc:  # an errno overflow's args are (errno, text)
+        raise ConstructionError(f"bad parameters for {what} '{kind}':"
+                                f" {type(exc).__name__}: {exc.args[-1] if exc.args else ''}")
 
 
 def _checked_table(columns, what):
@@ -311,14 +316,16 @@ def _integrate_cells(fn, cells, singular_points=()):
         if not (math.isfinite(total[k]) and math.isfinite(err[k])):
             raise QuadratureError(
                 f"quadrature value {total[k]!r} or error estimate {err[k]!r} is not finite",
-                value=total[k], achieved=math.inf, requested=_REL_TOL,
+                {"value": total[k], "achieved_tolerance": math.inf,
+                 "requested_tolerance": _REL_TOL},
             )
         bound = max(abs(total[k]), scale)
         if bound > 0.0 and err[k] > _REL_TOL * bound:
             raise QuadratureError(
                 f"quadrature error estimate {err[k]:.3e} exceeds {_REL_TOL:.1e}"
                 f" * scale {bound:.3e}",
-                value=total[k], achieved=err[k] / bound, requested=_REL_TOL,
+                {"value": total[k], "achieved_tolerance": err[k] / bound,
+                 "requested_tolerance": _REL_TOL},
             )
     return total
 

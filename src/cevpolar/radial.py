@@ -60,8 +60,9 @@ class RadialLaw:
 
     # -- derived operations --------------------------------------------------
     def survival(self, x):
-        """P(R > x), from the public log_survival."""
-        return _shaped(lambda a: np.exp(self.log_survival(a)), x)
+        """P(R > x), for x >= 0: exp of the ``_log_survival`` kernel."""
+        return _shaped(lambda a: np.exp(self._log_survival(a)), x, lambda a: ~(a >= 0.0),
+                       "x must be nonnegative")
 
     def quantile_b(self, t):
         """Level b(t) with survival(b(t)) = 1/t, defined for t > 1."""
@@ -289,7 +290,7 @@ def build_von_mises(psi):
         if not p > 0.0 or not math.isfinite(p):
             raise ConstructionError(f"psi({x}) = {p} is not a positive finite value")
         dx = min(max(0.5 * p, 1e-9 * (1.0 + x)), 0.25 * (1.0 + x))
-        seg, _ = _quadpack(inv_psi, x, x + dx, epsrel=1e-12)
+        seg = _quadpack(inv_psi, x, x + dx, epsrel=1e-12)
         if not math.isfinite(seg):
             raise ConstructionError(
                 "1/psi is not integrable on the grid; psi vanishes or is singular"
@@ -339,7 +340,7 @@ class TabulatedRadial(VonMisesRadial):
         so they keep full relative accuracy deep into the tail.
         """
         nodes = np.linspace(0.0, cls._find_range(density_fn), cls._N_NODES)
-        panels = np.array([_quadpack(density_fn, lo, hi, epsrel=1e-12)[0]
+        panels = np.array([_quadpack(density_fn, lo, hi, epsrel=1e-12)
                            for lo, hi in zip(nodes[:-1], nodes[1:])])
         beyond = cls._tail_mass(density_fn, nodes[-1])
         total = float(np.sum(panels) + beyond)
@@ -353,10 +354,10 @@ class TabulatedRadial(VonMisesRadial):
 
     @classmethod
     def _find_range(cls, density_fn):
-        total, _ = _quadpack(density_fn, 0.0, 1.0, epsrel=1e-12)
+        total = _quadpack(density_fn, 0.0, 1.0, epsrel=1e-12)
         hi = 1.0
         for _ in range(80):
-            seg, _ = _quadpack(density_fn, hi, 2.0 * hi, epsrel=1e-10)
+            seg = _quadpack(density_fn, hi, 2.0 * hi, epsrel=1e-10)
             if not math.isfinite(seg):
                 raise ConstructionError("radial density is not integrable")
             total += seg
@@ -387,7 +388,7 @@ class TabulatedRadial(VonMisesRadial):
         lo = r
         width = max(r, 1.0)
         for _ in range(200):
-            seg, _ = _quadpack(density_fn, lo, lo + width, epsrel=1e-10)
+            seg = _quadpack(density_fn, lo, lo + width, epsrel=1e-10)
             total += seg
             lo += width
             width *= 2.0

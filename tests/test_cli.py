@@ -370,6 +370,20 @@ class TestBadInputExitsOne:
         argv = [arg.format(config=path) for arg in argv]
         self._expect_one_error_line(run(argv + ["-o", str(tmp_path / "out")]), capsys)
 
+    @pytest.mark.parametrize("name, line", [
+        ("lp-p-overflows",
+         "error: bad parameters for curve 'lp': OverflowError: Numerical result out of range"),
+        ("power-tau-underflows",
+         "error: bad parameters for angular 'power': ZeroDivisionError: float division by zero"),
+    ])
+    def test_builder_arithmetic_error_is_named(self, name, line, tmp_path, capsys):
+        # the exception's type and text, not the errno tuple an overflow carries
+        config, argv = BAD_INPUTS[name]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        run([arg.format(config=path) for arg in argv] + ["-o", str(tmp_path / "out")])
+        assert capsys.readouterr().err == line + "\n"
+
     def test_config_rules_are_stated_only_in_numerics(self):
         """Only the reader in numerics.py rejects unknown or missing keys and
         maps a builder's TypeError or ArithmeticError."""
@@ -470,11 +484,10 @@ class TestBadInputExitsOne:
 
 
 class _NanBeyondSix(cp.Rayleigh):
-    """Rayleigh law whose log survival turns NaN past radius 6."""
+    """Rayleigh law whose log survival kernel turns NaN past radius 6."""
 
-    def log_survival(self, x):
-        arr = np.asarray(x, dtype=float)
-        return np.where(arr > 6.0, np.nan, -0.5 * arr * arr)
+    def _log_survival(self, x):
+        return np.where(x > 6.0, np.nan, -0.5 * x * x)
 
 
 def test_non_finite_oracle_exits_two(model_config, tmp_path, capsys, monkeypatch):
@@ -487,6 +500,25 @@ def test_non_finite_oracle_exits_two(model_config, tmp_path, capsys, monkeypatch
     payload = json.loads(capsys.readouterr().err)
     assert payload["error"] == "quadrature"
     assert not math.isfinite(payload["achieved_tolerance"])
+
+
+@pytest.mark.parametrize("cls", [cp.NumericError, cp.QuadratureError, cp.DegenerateWeightsError])
+def test_every_numeric_failure_reports_by_one_rule(cls, model_config, tmp_path, capsys,
+                                                   monkeypatch):
+    # the stderr report is the error's kind, its message, then its details, in order
+    assert cls.payload is cp.NumericError.payload
+    details = {"value": 1.5, "threshold": 3.0}
+    assert list(cls("went wrong", details).payload().items()) == [
+        ("error", cls.kind), ("message", "went wrong"), *details.items()]
+
+    def fail(*args, **kwargs):
+        raise cls("went wrong")
+
+    monkeypatch.setattr(cp.cli, "survival_x_oracle", fail)
+    code = run(["tail", "-c", str(model_config), "--x-grid", "3:3:1",
+                "-o", str(tmp_path / "tail.csv")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err) == {"error": cls.kind, "message": "went wrong"}
 
 
 def _artifact(tmp_path, config, argv, out="out.csv", fmt="csv"):

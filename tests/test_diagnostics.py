@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -255,6 +256,33 @@ class TestIndependenceDiagnostics:
         expected = (all(b > a for a, b in zip(tail, tail[1:]))
                     and rep.ratios[-1] > 10.0 * rep.ratios[0])
         assert rep.passed == expected
+
+    @pytest.mark.parametrize("ratios, expected", [
+        ([1.0, 2.0, 11.0], True), ([3.0, 1.0, 40.0], True), ([1.0, 20.0, 11.0], False),
+        ([1.0, 5.0, 9.0], False), ([1.0, 10.0], False)])
+    def test_ratio_flag_is_a_function_of_the_ratios(self, ratios, expected):
+        """PASS: the second half rises strictly and the last exceeds ten times the first."""
+        assert cp.ConditionCheckReport(ratios).passed is expected
+
+    @pytest.mark.parametrize("products, expected", [
+        ([1.0, 0.05], True), ([1.0, 2.0, 0.01], True), ([1.0, 0.1], False), ([1.0, 0.5], False)])
+    def test_decay_flag_is_a_function_of_the_products(self, products, expected):
+        """PASS: the last product is below one tenth of the first."""
+        assert cp.DecayReport(products).passed is expected
+
+    def test_flags_follow_edited_sequences(self, elliptical_gauss):
+        # no field stores a flag: a report edited after the fact reports its own numbers
+        assert [f.name for f in dataclasses.fields(cp.ConditionCheckReport)] == ["ratios"]
+        assert [f.name for f in dataclasses.fields(cp.DecayReport)] == ["products"]
+        levels = cp.oracle_quantiles(elliptical_gauss, [1e2, 1e3, 1e4])
+        cond = cp.independence_condition_check(elliptical_gauss, 1.0, levels)
+        decay = cp.joint_exceedance_decay(elliptical_gauss, 1.0, 1.0, levels)
+        grown = [r * 10.0 ** k for k, r in enumerate(cond.ratios)]
+        assert dataclasses.replace(cond, ratios=grown).passed
+        assert not dataclasses.replace(cond, ratios=grown[::-1]).passed
+        shrunk = [p * 10.0 ** -k for k, p in enumerate(decay.products)]
+        assert dataclasses.replace(decay, products=shrunk).passed
+        assert not dataclasses.replace(decay, products=shrunk[::-1]).passed
 
     def test_grid_validation(self, elliptical_gauss):
         with pytest.raises(cp.DomainError):

@@ -278,6 +278,17 @@ class TestInverseAndGap:
                 want = float((1 + mp.mpf(x)) * (1 - (1 + mp.mpf(x)) ** -3) ** (mp.mpf(1) / 3))
             assert abs(c.h_fn(x) - want) <= 1e-12 * want, x
 
+    @pytest.mark.parametrize("make", ALL_CURVES, ids=["elliptical", "lp3", "power"])
+    def test_h_checks_its_level_once(self, make, monkeypatch):
+        # h_fn checks x against the window and hands the clamped gap to the family's
+        # kernel, the value u_inverse gives on the right, without u_inverse's checks
+        c = make()
+        xs = [1e-7, 0.01, c.h_window_max]
+        want = [(1.0 + x) * c.v(c.u_inverse(min(x / (1.0 + x), c._max_gap["right"]), "right"))
+                - c.rho for x in xs]
+        monkeypatch.setattr(c, "u_inverse", lambda g, side: pytest.fail("called"))
+        assert [c.h_fn(x) for x in xs] == want
+
     def test_h_outside_window(self):
         c = cp.power_curve(t0=0.5, kappa=2.0, delta=1.0, c_minus=0.5, c_plus=0.5,
                            lambda_v=1.0, rho=0.0)
@@ -744,6 +755,68 @@ class TestAngularLaws:
         assert np.all(g.density(ts) == 1.0)
         total, _ = quad(lambda t: float(g.density(t)), 0.0, 1.0)
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_power_side_coefficients_are_its_only_amplitudes(self):
+        g = cp.angular_power(0.4, 0.5, g_minus_frac=0.3, window=0.2)
+        assert not {"_amp", "_side_len", "mass_plus"} & set(vars(g))
+        assert g.mass_plus == 1.0 - g.mass_minus
+
+    @settings(max_examples=200, deadline=None)
+    @given(t0=st.floats(0.1, 0.9), tau=st.floats(-1.0, 3.0, exclude_min=True),
+           frac=st.one_of(st.just(0.0), st.floats(1e-100, 1.0)), width=st.floats(0.05, 0.95),
+           ts=st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=20),
+           qs=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                       min_size=1, max_size=20))
+    def test_power_kernels_are_the_piecewise_formulas(self, t0, tau, frac, width, ts, qs):
+        # each side holds its mass as g |s|**tau inside the window and g w**tau past it;
+        # a side's mass is 0 or at least 1e-100, as the kernels floor amplitudes at 1e-300
+        w, tau1 = width * min(t0, 1.0 - t0), tau + 1.0
+        gm, gp = [mass / (w ** tau1 / tau1 + w ** tau * (length - w)) if mass > 0.0 else 0.0
+                  for mass, length in ((frac, t0), (1.0 - frac, 1.0 - t0))]
+        law = cp.angular_power(t0, tau, g_minus_frac=frac, window=w)
+        assert (law.g_minus, law.g_plus) == (gm, gp)
+
+        def density(t):
+            s = t - t0
+            if not 0.0 <= t <= 1.0:
+                return 0.0
+            return math.inf if s == 0.0 and tau < 0.0 else (gp if s >= 0.0 else gm) * min(
+                abs(s), w) ** tau
+
+        def cdf(t):
+            s = t - t0
+            if t <= 0.0 or t >= 1.0:
+                return float(t >= 1.0)
+            if s < -w:
+                return t * gm * w ** tau
+            if s > w:
+                return 1.0 - (1.0 - t) * gp * w ** tau
+            return frac + math.copysign((gp if s > 0.0 else gm) * abs(s) ** tau1 / tau1, s)
+
+        def quantile(q):
+            if q <= gm * w ** tau * (t0 - w):
+                return q / (gm * w ** tau)
+            if q <= frac:
+                return t0 - ((frac - q) * tau1 / gm) ** (1.0 / tau1)
+            if q <= frac + gp * w ** tau1 / tau1:
+                return t0 + ((q - frac) * tau1 / gp) ** (1.0 / tau1)
+            return 1.0 - (1.0 - q) / (gp * w ** tau)
+
+        eps = np.finfo(float).eps
+        for t in ts:
+            if t != t0:
+                assert float(law.density(t)) == pytest.approx(density(t), rel=1e-12)
+            assert float(law.cdf(t)) == pytest.approx(cdf(t), rel=1e-12, abs=1e-15)
+        for q in qs:
+            # within 1e-12 of probability, or a few ulps of t where the density is steep
+            ref = quantile(q)
+            slope = density(ref)
+            assert abs(float(law.quantile(q)) - ref) <= 4.0 * eps + 1e-12 / max(slope, 1e-300)
+
+    def test_tabulated_side_coefficients_are_its_density_at_t0(self):
+        # the cdf interpolant is C^1: both one-sided limits are its slope at t0
+        law = cp.decompose_density(cp.standard_normal_profile, cp.elliptical_curve(0.3)).angular
+        assert law.g_minus == law.g_plus == float(law.density(law.t0)) > 0.0
 
     def test_power_ratio(self):
         g = cp.angular_power(0.5, 1.0)

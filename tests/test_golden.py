@@ -153,9 +153,9 @@ GOLDEN = {
     "tail-lp3.json":
         "4c3d7bc21c9109f723f7e2ffd187f602d9100bda4c8160a73b267e9dbd9185bf",
     "tail-num.csv":
-        "2efd880361098f870a684f69d5ec1455599d1f35017168e2a8961b4b10f1eb03",
+        "c9654647ab27fd19ba538c139c74ab0ae93fa1a1ff37d96901af6610e473653c",
     "tail-num.json":
-        "6afc17fa914ae7116499bd2230e06b84427d1e76a41f76b394fa4701cd65b050",
+        "03235feaaa9425e5235d4f17d7a0864a555b7fa8ef2886144e84d1dec8a6a3f7",
     "tail-vm.csv":
         "dbbb903a71252925ab82cea5f2c7f67ea101d89c2ebd91a2dd7e7ce6f75fb9fd",
     "tail-vm.json":

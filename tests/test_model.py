@@ -44,6 +44,10 @@ class TestJointSampling:
     def test_empty(self, round_gauss, rng):
         assert cp.sample_joint(round_gauss, 0, rng).shape == (0, 2)
 
+    def test_negative_size_is_the_laws_error(self, round_gauss, rng):
+        with pytest.raises(cp.DomainError, match="sample size must be nonnegative"):
+            cp.sample_joint(round_gauss, -1, rng)
+
     def test_round_model_is_standard_normal_pair(self, round_gauss):
         xy = cp.sample_joint(round_gauss, 1_000_000, np.random.default_rng(3))
         assert abs(np.corrcoef(xy[:, 0], xy[:, 1])[0, 1]) < 0.005
@@ -91,9 +95,20 @@ class TestConditionalSampling:
         b = cp.sample_conditional(elliptical_gauss, 4.0, 5000, np.random.default_rng(2))
         assert np.array_equal(a.x, b.x) and np.array_equal(a.weights, b.weights)
 
-    def test_degenerate_threshold(self, round_gauss, rng):
-        with pytest.raises(cp.DegenerateWeightsError):
+    def test_negative_size_is_the_laws_error(self, round_gauss, rng):
+        with pytest.raises(cp.DomainError, match="sample size must be nonnegative"):
+            cp.sample_conditional(round_gauss, 2.0, -1, rng)
+
+    def test_degenerate_threshold(self, round_gauss, rng, monkeypatch):
+        # the threshold's log survival is read once, for the check and the report
+        calls = []
+        law = round_gauss.radial
+        monkeypatch.setattr(law, "log_survival",
+                            lambda x: calls.append(x) or cp.Rayleigh.log_survival(law, x))
+        with pytest.raises(cp.DegenerateWeightsError) as info:
             cp.sample_conditional(round_gauss, 60.0, 100, rng)
+        assert calls == [60.0]
+        assert info.value.payload()["log_survival"] == -1800.0
 
     @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
     def test_threshold_must_be_positive(self, round_gauss, rng, t):

@@ -5,7 +5,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
@@ -33,9 +33,22 @@ class TestSurvival:
     def test_weibull_closed_form(self):
         assert cp.Weibull(2.0).survival(2.0) == pytest.approx(math.exp(-4.0), rel=1e-14)
 
-    def test_negative_argument_rejected(self):
-        with pytest.raises(cp.DomainError):
-            cp.Exponential(1.0).survival(-0.5)
+    @pytest.mark.parametrize("x", [-0.5, math.nan, [1.0, -0.5]])
+    def test_negative_argument_rejected(self, x):
+        with pytest.raises(cp.DomainError, match="x must be nonnegative"):
+            cp.Exponential(1.0).survival(x)
+
+    def test_one_domain_check_per_evaluation(self, monkeypatch):
+        # survival is exp of the _log_survival kernel: one check and shaping of its
+        # argument, not a second pass through the public log_survival
+        law = cp.Rayleigh()
+        calls = []
+        monkeypatch.setattr(cp.radial, "_shaped",
+                            lambda *args: calls.append(args) or cp.numerics._shaped(*args))
+        monkeypatch.setattr(cp.Rayleigh, "log_survival", lambda self, x: pytest.fail("called"))
+        xs = np.array([[0.0, 1.0], [2.0, math.inf]])
+        assert law.survival(xs).tolist() == np.exp(-0.5 * xs * xs).tolist()
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("law", CATALOG + SERIALIZED, ids=lambda l: f"{l.kind}")
     def test_monotone_to_zero(self, law):
@@ -205,6 +218,17 @@ class TestVonMises:
         with pytest.raises(cp.ConstructionError):
             cp.build_von_mises(lambda s: (1.0 + s) ** 2)
 
+    def test_integral_off_its_tolerance_rejected(self):
+        # 1/psi oscillates faster than QUADPACK resolves: its error estimates miss 1e-12
+        with pytest.raises(cp.ConstructionError, match=r"integral on \[.*misses its tolerance"):
+            cp.build_von_mises(lambda s: 1.0 / (2.0 + math.sin(1e5 * s)))
+
+    def test_density_integral_off_its_tolerance_rejected(self):
+        # the density oscillates too fast: the integral on [0, 1] reads an error
+        # estimate of 1.5% of its value, against 1e-12
+        with pytest.raises(cp.ConstructionError, match=r"integral on \[0.0, 1.0\] misses"):
+            cp.TabulatedRadial.from_density(lambda r: (1.0 + math.sin(1e4 * r)) * math.exp(-r))
+
     def test_serialization_roundtrip(self):
         law = cp.build_von_mises(lambda s: 1.0 / (1.0 + s))
         clone = cp.radial_from_dict(law.to_dict())
@@ -287,9 +311,11 @@ class TestTabulatedLawIsItsTable:
     @pytest.mark.parametrize("spec", [
         {"kind": "numeric", "grid": {"x": [0.0, 1.0, 2.0], "log_survival": [0.0, -1.0, -1.0]}},
         {"kind": "numeric", "grid": {"x": [0.0, 1.0, 2.0], "log_survival": [0.0, -3.0, -3.5]}},
+        {"kind": "numeric", "grid": {"x": [0.0, 1.0, 1.5, 2.5],
+                                     "log_survival": [0.0, -1.5, -2.125, -2.625]}},
         {"kind": "von_mises", "grid": {"x": [0.0, 1.0, 2.0], "J": [0.0, 1.0, 1.0],
                                        "Jp": [1.0, 0.0, 0.0]}},
-    ], ids=["numeric", "numeric-falling-slowly", "von_mises"])
+    ], ids=["numeric", "numeric-falling-slowly", "numeric-trapezoid-table", "von_mises"])
     def test_table_that_ends_flat_is_rejected(self, spec):
         # a table's tail is the line of its end slope: a flat end has no tail to decay
         # along, whichever kind the table is, built in process or read from JSON.  A
@@ -443,7 +469,8 @@ class TestInverseLogSurvival:
             xs, js, jps = table
             if kind == "von_mises":
                 law = cp.VonMisesRadial((xs, js, jps))
-            else:
+            else:  # only a table whose PCHIP end slope is positive is a numeric law
+                assume(PchipInterpolator(xs, js).derivative()(xs[-1]) > 0.0)
                 law = cp.TabulatedRadial(xs, [-j for j in js])
             # levels inside the table and up to 50 past its end
             assert _inversion_error(law, -np.array(us) * (js[-1] + 50.0)) <= 1e-14
