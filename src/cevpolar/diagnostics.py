@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 from .limits import limit_law_of, normalization
@@ -276,5 +275,6 @@ def lemma2_integral_check(law, angular, z, x):
         integrand, z, t_max, breakpoints=breaks, abs_scale=1.0,
         singular_points=singular,
     )
+    from scipy import special  # here, not at the top: only the lemma's right side uses it
     rhs = float(special.gamma(tau + 1.0) * special.gammaincc(tau + 1.0, z))  # Q(a, 0) = 1
     return lhs, rhs

@@ -462,8 +462,10 @@ class PowerAngular(AngularLaw):
         s = t - self.t0
         a = np.abs(s)
         right = s >= 0.0
-        with np.errstate(divide="ignore"):
-            inner = np.where(right, self.g_plus, self.g_minus) * a ** self.tau
+        amp = np.where(right, self.g_plus, self.g_minus)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # a side without mass is 0 at t0 too, where 0 * 0**tau would be nan for tau < 0
+            inner = np.where(amp > 0.0, amp * a ** self.tau, 0.0)
         outer = np.where(right, self._flat_plus, self._flat_minus)
         out = np.where(a <= self.window, inner, outer)
         return np.where((t >= 0.0) & (t <= 1.0), out, 0.0)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ConstructionError, DomainError, UnsupportedModelError
 from .numerics import _shaped
@@ -37,6 +36,7 @@ def density_normalizer(eta, zeta):
     Equals 2 * eta**(zeta/eta - 1) * Gamma(zeta/eta); for zeta = 1 this is
     the familiar 2 * eta**(1/eta - 1) * Gamma(1/eta).
     """
+    from scipy import special  # here, not at the top: only limit laws and asymptotics use it
     a = zeta / eta
     return 2.0 * eta ** (a - 1.0) * special.gamma(a)
 
@@ -77,18 +77,21 @@ class LimitLaw:
                        "quantile levels must lie in (0, 1)")
 
     def _cdf(self, y):
+        from scipy import special  # here, not at the top
         p = special.gammainc(self._a, np.abs(y) ** self.eta / self.eta)
         return np.where(y >= 0.0,
                         self.weight_minus + self.weight_plus * p,
                         self.weight_minus * (1.0 - p))
 
     def _pdf(self, y):
+        from scipy import special  # here, not at the top
         coeff = self.eta ** (1.0 - self._a) / special.gamma(self._a)
         with np.errstate(divide="ignore"):
             base = np.exp(-np.abs(y) ** self.eta / self.eta) * np.abs(y) ** (self.zeta - 1.0)
         return coeff * np.where(y >= 0.0, self.weight_plus, self.weight_minus) * base
 
     def _quantile(self, q):
+        from scipy import special  # here, not at the top
         wm, wp = self.weight_minus, self.weight_plus
         with np.errstate(divide="ignore", invalid="ignore"):
             right = special.gammaincinv(self._a, np.minimum((q - wm) / max(wp, 1e-300), 1.0))
@@ -168,6 +171,7 @@ def limit_law_of(model):
 
 def marginal_tail_constant(model):
     """Constant k0 with P(X > x) ~ k0 * (psi(x)/x)**((1+tau)/kappa) * S(x)."""
+    from scipy import special  # here, not at the top
     kappa = model.curve.kappa
     raw_minus, raw_plus = _side_terms(model)
     return special.gamma((1.0 + model.angular.tau) / kappa) / kappa * (raw_minus + raw_plus)
@@ -200,6 +204,7 @@ def product_tail_asymptotic(radial, b_max, g_at, tau, x):
     b = float(b_max)
     if not (b > 0.0 and x > 0.0):
         raise DomainError("b_max and x must be positive")
+    from scipy import special  # here, not at the top
     psi_b = radial.aux_psi(x / b)
     point = 1.0 / (1.0 / b + psi_b / x)
     return (b * b * special.gamma(tau + 1.0) * (psi_b / x)
@@ -249,6 +254,7 @@ def second_order_conditional(model, x, z):
     psi_x = model.radial.aux_psi(x)
     scale = curve.lambda_v / sigma_c * math.sqrt(x * psi_x)
     shift = curve.rho * psi_x
+    from scipy import special  # here, not at the top
     first = float(special.ndtr(z))
     corrected = float(special.ndtr(z - shift / scale))
     return SecondOrder(

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     ConstructionError,
@@ -512,6 +511,7 @@ def _truncated_normal_means(fns, x):
 
 
 def _interval_normal_prob(lo, hi):
+    from scipy import special  # here, not at the top: only the mixture uses it
     return np.where(hi > lo, special.ndtr(hi) - special.ndtr(lo), 0.0)
 
 
@@ -522,6 +522,7 @@ def mixture_conditional_cdf(mix, x, z):
     staying between the lines y = c1 x and y = c2 x.  No sampling: both
     numerator and denominator are one-dimensional Gaussian integrals.
     """
+    from scipy import special  # here, not at the top
     x, z = float(x), float(z)
     if not x > 0.0 or math.isnan(z):
         raise DomainError("threshold must be positive and z a number")

@@ -23,7 +23,10 @@ Numerical Integration*, section 2.12).
 scalar bracket gets Brent's method, which spends the fewest calls of a costly
 scalar function (oracle level solves, zero brackets), and an array of brackets
 gets one bisection over all of them, one array call per round (the quantiles
-of a tabulated radial law that Newton's method leaves unconverged).
+of a tabulated radial law that Newton's method leaves unconverged).  Brent's
+method is scipy's C ``brentq`` written out in Python (Brent 1973,
+*Algorithms for Minimization without Derivatives*, ch. 4), root for root
+the same bits, so no path of the package imports ``scipy.optimize``.
 
 Everything here is deterministic and stateless so the callers stay pure and
 thread-safe.
@@ -38,7 +41,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import CevError, ConstructionError, DomainError, QuadratureError
+from .errors import ConstructionError, DomainError, NumericError, QuadratureError
 
 # QUADPACK's QK21 rule on [-1, 1]: nonnegative Kronrod nodes, outermost first,
 # with their weights; the nodes at odd positions are the 10-point Gauss nodes.
@@ -362,25 +365,79 @@ def bisect_monotone(fn, lo, hi, *, xtol=1e-13, rtol=1e-12):
     decreasing.
 
     The shape of the bracket picks the method.  Scalar ``lo`` and ``hi`` use
-    Brent's method, which needs the fewest calls of a costly scalar ``fn``
-    (about eight per oracle level solve) and calls it once at each end.
-    Array ``lo`` and ``hi`` are solved together by bisection: the array
-    ``fn`` is called once per round on every midpoint, and each element stops
-    once ``|hi - lo| <= xtol + rtol * |mid|`` or its bracket holds adjacent
-    floats (the unconverged quantiles of a tabulated radial law are one such
-    call).  Raises :class:`DomainError` if any
-    bracket does not hold a sign change; an error of ``fn`` passes unchanged.
+    Brent's method (:func:`_brent`), which needs the fewest calls of a costly
+    scalar ``fn`` (about eight per oracle level solve) and calls it once at
+    each end; ``rtol`` is at least ``4 * eps`` there.  Array ``lo`` and ``hi``
+    are solved together by bisection: the array ``fn`` is called once per
+    round on every midpoint, and each element stops once ``|hi - lo| <= xtol
+    + rtol * |mid|`` or its bracket holds adjacent floats (the unconverged
+    quantiles of a tabulated radial law are one such call).  Raises
+    :class:`DomainError` if any bracket does not hold a sign change, or if
+    the scalar ``fn`` is nan at a point, and :class:`NumericError` if
+    Brent's method has not converged after ``_BRENT_STEPS`` steps; an error
+    of ``fn`` passes unchanged.
     """
     if np.ndim(lo) or np.ndim(hi):
         return _bisect_arrays(fn, lo, hi, xtol, rtol)
-    from scipy import optimize  # here, not at the top: the import would slow every start-up
-    try:
-        return float(optimize.brentq(fn, lo, hi, xtol=xtol, rtol=max(rtol, 4.5e-16),
-                                     maxiter=_BRENT_STEPS))
-    except CevError:
-        raise
-    except ValueError as exc:  # brentq: f(a) and f(b) must have different signs
-        raise DomainError("root not bracketed") from exc
+    return _brent(fn, float(lo), float(hi), float(xtol),
+                  max(float(rtol), 4.0 * sys.float_info.epsilon))  # brentq's least rtol
+
+
+def _brent(fn, xa, xb, xtol, rtol):
+    """Brent's method on [xa, xb], statement by statement scipy's C
+    ``brentq``: the same float operations in the same order, so each root
+    keeps its bits.  ``fn`` gets a float and returns a number or a
+    one-element array."""
+
+    def value(x):
+        fx = np.asarray(fn(x), dtype=float).item()
+        if math.isnan(fx):
+            raise DomainError(f"the function is nan at {x!r}")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    # no value is nan, and a zero has returned: the sign bit of a value is value < 0
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise DomainError("root not bracketed")
+    for _ in range(_BRENT_STEPS):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # near underflow: C's step is inf or nan, so it bisects
+                stry = math.nan
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise NumericError(f"Brent's method did not converge in {_BRENT_STEPS} steps"
+                       f" on [{xa!r}, {xb!r}]", {"bracket": [xa, xb], "steps": _BRENT_STEPS})
 
 
 def _bisect_arrays(fn, lo, hi, xtol, rtol):

@@ -521,6 +521,19 @@ def test_every_numeric_failure_reports_by_one_rule(cls, model_config, tmp_path, 
     assert json.loads(capsys.readouterr().err) == {"error": cls.kind, "message": "went wrong"}
 
 
+def test_unconverged_brent_exits_two(model_config, tmp_path, capsys, monkeypatch):
+    # Brent's method out of steps (here in the curve's zero scans) is a numeric failure:
+    # one payload line naming its bracket, no traceback
+    monkeypatch.setattr(cp.numerics, "_BRENT_STEPS", 2)
+    code = run(["independence", "-c", str(model_config), "--t-grid", "2:6:1",
+                "-o", str(tmp_path / "indep.csv")])
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "numeric" and payload["steps"] == 2
+    assert len(payload["bracket"]) == 2
+
+
 def _artifact(tmp_path, config, argv, out="out.csv", fmt="csv"):
     """(metadata, data rows) of one run on ``config`` written to "{config}"."""
     path = tmp_path / "config.json"
@@ -638,27 +651,48 @@ def test_benchmark_self_test_passes():
     assert proc.stdout.splitlines()[-1] == "self-test passed"
 
 
-_DEFERRED_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.interpolate")
+#: the scipy modules a command loads where it uses them: special with a limit law, the
+#: asymptotics or a mixture, integrate with a law built from a density, interpolate with
+#: a table; no path loads scipy.optimize, and start-up loads none of them
+_DEFERRED_SCIPY = ("scipy.special", "scipy.integrate", "scipy.interpolate")
 
 
 def _deferred_imports(code):
-    """The deferred scipy modules that a fresh interpreter holds after running ``code``."""
+    """The modules among scipy itself, scipy.optimize and ``_DEFERRED_SCIPY`` that
+    a fresh interpreter holds after running ``code``."""
     src = str(Path(cp.__file__).resolve().parents[1])
-    script = f"{code}\nimport sys\nprint(*[m for m in {_DEFERRED_SCIPY!r} if m in sys.modules])"
+    watched = ("scipy", "scipy.optimize", *_DEFERRED_SCIPY)
+    script = f"{code}\nimport sys\nprint(*[m for m in {watched!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
 
 
+def _run_in_fresh_interpreter(argv):
+    return f"from cevpolar.cli import run\nassert run({argv!r}) == 0"
+
+
 def test_start_up_imports_no_deferred_scipy_module():
-    # each serves one narrow path and is imported there: brentq for a scalar
-    # bracket, QUADPACK for a law built from a density, splines for a table
+    # numpy only: Brent's method is the package's own, and each scipy module is
+    # imported where it serves its one narrow path
     assert _deferred_imports("import cevpolar.cli") == []
 
 
 def test_parametric_simulate_neither_integrates_nor_interpolates(model_config, tmp_path):
     argv = ["simulate", "-c", str(model_config), "--n", "200", "--seed", "3",
             "--threshold", "3.0", "-o", str(tmp_path / "cond.csv")]
-    loaded = _deferred_imports(f"from cevpolar.cli import run\nassert run({argv!r}) == 0")
-    assert not {"scipy.integrate", "scipy.interpolate"} & set(loaded)
+    assert _deferred_imports(_run_in_fresh_interpreter(argv)) == []
+
+
+def test_parametric_independence_loads_no_scipy_module(model_config, tmp_path):
+    argv = ["independence", "-c", str(model_config), "--t-grid", "2:6:1",
+            "-o", str(tmp_path / "indep.csv")]
+    assert _deferred_imports(_run_in_fresh_interpreter(argv)) == []
+
+
+def test_verify_loads_special_but_not_optimize(model_config, tmp_path):
+    # the limit law's cdf needs the incomplete gamma function; nothing needs scipy.optimize
+    argv = ["verify", "-c", str(model_config), "--levels", "0.99", "--n", "2000",
+            "--seed", "3", "-o", str(tmp_path / "verify.csv")]
+    assert _deferred_imports(_run_in_fresh_interpreter(argv)) == ["scipy", "scipy.special"]

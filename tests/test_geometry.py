@@ -844,6 +844,17 @@ class TestAngularLaws:
         g = cp.angular_power(0.5, 0.5, g_minus_frac=0.25, window=0.2)
         assert float(g.cdf(0.5)) == pytest.approx(0.25, abs=1e-13)
 
+    def test_power_side_without_mass_is_zero_at_t0(self):
+        # t0 belongs to the right side: its amplitude 0 times 0**tau = inf was nan for tau < 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            left_only = cp.angular_power(0.5, -0.5, g_minus_frac=1.0, window=0.2)
+            assert left_only.density(0.5) == 0.0
+            assert left_only.density(np.nextafter(0.5, 0.0)) > 0.0
+            right_only = cp.angular_power(0.5, -0.5, g_minus_frac=0.0, window=0.2)
+            assert right_only.density(0.5) == math.inf
+            assert right_only.density(np.nextafter(0.5, 0.0)) == 0.0
+
     @pytest.mark.parametrize("law,ident", [
         (cp.angular_uniform(), "uniform"),
         (cp.angular_power(0.5, 1.0), "power-steep"),

@@ -144,6 +144,18 @@ def test_lemma2_check_meets_the_one_tolerance(law, angular, z):
     assert lhs == pytest.approx(rhs, rel=1e-3)
 
 
+#: monotone families with their root at c, built from (c, k): the fourth and
+#: the last read -0.0 there
+_MONOTONE = (
+    lambda c, k: lambda x: math.exp(k * x) - math.exp(k * c),
+    lambda c, k: lambda x: k * (x - c) ** 3,
+    lambda c, k: lambda x: math.atan(k * (x - c)),
+    lambda c, k: lambda x: -(x - c) * abs(x - c) ** k,
+    lambda c, k: lambda x: math.tanh(k * (x - c)) + 1e-3 * (x - c),
+    lambda c, k: lambda x: -k * (x - c),
+)
+
+
 class TestBisectMonotone:
     def test_array_brackets_rising_and_falling_in_one_call(self):
         # roots of +-(x**3 - c): cube roots, from brackets wider than most of them
@@ -210,6 +222,52 @@ class TestBisectMonotone:
             bisect_monotone(fn, 0.0, 2.0)
         assert info.value is raised
 
+    @settings(max_examples=200, deadline=None)
+    @given(family=st.integers(0, len(_MONOTONE) - 1), seed=st.integers(0, 2 ** 32 - 1),
+           end=st.sampled_from([None, "lo", "hi"]),
+           xtol=st.sampled_from([1e-13, 1e-14, 2e-12]),
+           rtol=st.sampled_from([1e-12, 4.0 * np.finfo(float).eps, 1e-10]),
+           scale=st.sampled_from([1.0, 1e-310]), as_array=st.booleans())
+    def test_scalar_bracket_is_brentq_bit_for_bit(self, family, seed, end, xtol, rtol, scale,
+                                                  as_array):
+        """The scalar path is scipy's brentq to the bit, on 25 random roots c
+        and brackets of widths 1e-8 to 10 per example: ``end`` puts c at an
+        end, where two families read -0.0; subnormal values make C's
+        quotients inf or nan; a one-element array counts as its one value."""
+        rng = np.random.default_rng(seed)
+        for c, k, width, below in zip(rng.uniform(-2.0, 2.0, 25), rng.uniform(0.1, 5.0, 25),
+                                      10.0 ** rng.uniform(-8.0, 1.0, 25), rng.random(25)):
+            base = _MONOTONE[family](c, k)
+            fn = lambda x: scale * base(x)
+            below = {None: below, "lo": 0.0, "hi": 1.0}[end]
+            lo = c - below * width
+            hi = lo + width if below < 1.0 else c
+            want = optimize.brentq(fn, lo, hi, xtol=xtol, rtol=rtol, maxiter=200)
+            got = bisect_monotone((lambda x: np.array([fn(x)])) if as_array else fn, lo, hi,
+                                  xtol=xtol, rtol=rtol)
+            assert type(got) is float
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64), (c, k)
+
+    def test_unconverged_scalar_bracket_reports_its_bracket(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_BRENT_STEPS", 2)
+        with pytest.raises(cp.NumericError) as info:
+            bisect_monotone(lambda x: math.exp(x) - 3.0, 0.0, 2.0)
+        assert info.value.payload() == {
+            "error": "numeric", "message": str(info.value), "bracket": [0.0, 2.0], "steps": 2}
+
+    def test_least_relative_tolerance_is_brentqs(self):
+        fn = lambda x: math.exp(x) - 3.0
+        want = optimize.brentq(fn, 0.0, 2.0, xtol=1e-13, rtol=4.0 * np.finfo(float).eps)
+        assert bisect_monotone(fn, 0.0, 2.0, rtol=5e-16) == want
+        assert bisect_monotone(fn, 0.0, 2.0, rtol=0.0) == want
+
+    @pytest.mark.parametrize("nan_at", [0.0, 2.0, 1.0])
+    def test_nan_value_names_its_point(self, nan_at):
+        # the ends, then the first Brent step of x - 1 on [0, 2]
+        fn = lambda x: math.nan if x == nan_at else x - 1.0
+        with pytest.raises(cp.DomainError, match=f"nan at {nan_at!r}"):
+            bisect_monotone(fn, 0.0, 2.0)
+
     def test_refine_zeros_matches_brentq_per_bracket(self):
         fn = lambda t: np.sin(7.0 * t + 0.2) - 0.3 * t
         ts = np.linspace(0.0, 3.0, 1025)
@@ -238,12 +296,27 @@ class TestBisectMonotone:
             assert len(levels) == calls
             assert len(set(levels)) == calls
 
-    def test_brentq_is_named_only_in_bisect_monotone(self):
-        inside = inspect.getsource(numerics.bisect_monotone)
-        hits = [(path.name, line) for path in sorted(Path(cp.__file__).parent.glob("*.py"))
-                for line in path.read_text().splitlines() if "brentq" in line]
-        assert hits
-        assert all(name == "numerics.py" and line in inside for name, line in hits), hits
+    def test_brent_loop_lives_only_in_numerics(self):
+        """Brent's method is written out once, in numerics, and no module of
+        the package imports scipy.optimize."""
+        loops, optimize_imports = set(), []
+        for path in sorted(Path(cp.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef) and any(
+                        isinstance(inner, ast.Name) and inner.id == "_BRENT_STEPS"
+                        for inner in ast.walk(node)):
+                    loops.add((path.name, node.name))
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    module = node.module or ""  # None in a relative import
+                    names = [module, *(f"{module}.{alias.name}" for alias in node.names)]
+                else:
+                    continue
+                optimize_imports += [(path.name, name) for name in names
+                                     if name.split(".")[:2] == ["scipy", "optimize"]]
+        assert loops == {("numerics.py", "_brent")}
+        assert optimize_imports == []
 
     def test_one_function_holds_the_round_loop(self):
         """Only one function of the package loops over the _MAX_DEPTH rounds
