@@ -14,8 +14,8 @@ import math
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .numerics import (_checked_table, _read_spec, _shaped, integrate_with_breakpoints,
-                       refine_zeros)
+from .numerics import (_checked_table, _Hermite, _read_spec, _shaped,
+                       integrate_with_breakpoints, refine_zeros)
 
 __all__ = [
     "CurveGerm",
@@ -485,15 +485,19 @@ class PowerAngular(AngularLaw):
 
     def _quantile(self, q):
         tau1 = self.tau + 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            in_left_tail = q / np.maximum(self._flat_minus, 1e-300)
-            in_left_win = self.t0 - (np.maximum(self.mass_minus - q, 0.0) * tau1
-                                     / max(self.g_minus, 1e-300)) ** (1.0 / tau1)
-            in_right_win = self.t0 + (np.maximum(q - self.mass_minus, 0.0) * tau1
-                                      / max(self.g_plus, 1e-300)) ** (1.0 / tau1)
-            in_right_tail = (self.t0 + self.window
-                             + (q - self._cdf_right_edge) / np.maximum(self._flat_plus, 1e-300))
-        conds = [q <= self._flat_minus * (self.t0 - self.window), q <= self.mass_minus,
+        w, left_edge = self.window, self.t0 - self.window
+        # a divisor is 0 only on a side without mass, whose branches then take
+        # only q at their edge; each branch keeps t inside its own interval, as a
+        # side of subnormal mass can round its t past it
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            in_left_tail = np.minimum(q / (self._flat_minus or 1.0), left_edge)
+            in_left_win = self.t0 - np.minimum((np.maximum(self.mass_minus - q, 0.0) * tau1
+                                                / (self.g_minus or 1.0)) ** (1.0 / tau1), w)
+            in_right_win = self.t0 + np.minimum((np.maximum(q - self.mass_minus, 0.0) * tau1
+                                                 / (self.g_plus or 1.0)) ** (1.0 / tau1), w)
+            in_right_tail = np.minimum(self.t0 + w + (q - self._cdf_right_edge)
+                                       / (self._flat_plus or 1.0), 1.0)
+        conds = [q <= self._flat_minus * left_edge, q <= self.mass_minus,
                  q <= self._cdf_right_edge]
         return np.select(conds, [in_left_tail, in_left_win, in_right_win], default=in_right_tail)
 
@@ -533,11 +537,9 @@ class TabulatedAngular(AngularLaw):
         self.t0 = float(t0)
         self._nodes = nodes
         self._cdf_vals = cdf
-        from scipy.interpolate import PchipInterpolator  # here: only tables interpolate
-        self._cdf_spline = PchipInterpolator(nodes, cdf)
-        self._pdf_spline = self._cdf_spline.derivative()
+        self._cdf_spline = _Hermite(nodes, cdf)
         keep = np.concatenate([[True], np.diff(cdf) > 1e-15])
-        self._quantile_spline = PchipInterpolator(cdf[keep], nodes[keep])
+        self._quantile_spline = _Hermite(cdf[keep], nodes[keep])
         self.tau = 0.0
         self.g_minus = self.g_plus = self.density(self.t0)
 
@@ -566,7 +568,7 @@ class TabulatedAngular(AngularLaw):
 
     def _density(self, t):
         inside = (t >= 0.0) & (t <= 1.0)
-        out = np.maximum(self._pdf_spline(np.clip(t, 0.0, 1.0)), 0.0)
+        out = np.maximum(self._cdf_spline.slope(np.clip(t, 0.0, 1.0)), 0.0)
         return np.where(inside, out, 0.0)
 
     def _cdf(self, t):

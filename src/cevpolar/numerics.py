@@ -28,6 +28,16 @@ method is scipy's C ``brentq`` written out in Python (Brent 1973,
 *Algorithms for Minimization without Derivatives*, ch. 4), root for root
 the same bits, so no path of the package imports ``scipy.optimize``.
 
+The tabulated laws are built and evaluated here with numpy alone, each value
+with the bits scipy gave it.  A law built from a function integrates it by
+:func:`_quadpack`, QUADPACK's QAGS (Piessens et al. 1983): its first step,
+the QK21 rule on the whole interval (:func:`_qk21`), is written out in
+Python, and only an interval whose first panel misses QAGS's test imports
+``scipy.integrate`` for QAGS's bisection.  Every table is a cubic Hermite
+spline (:class:`_Hermite`), built and evaluated as scipy's
+``CubicHermiteSpline`` and ``PchipInterpolator`` are, so no path of the
+package imports ``scipy.interpolate``.
+
 Everything here is deterministic and stateless so the callers stay pure and
 thread-safe.
 """
@@ -87,6 +97,13 @@ _BRENT_STEPS = 200
 def _quadpack(fn, lo, hi, *, epsrel):
     """Integral of the scalar function ``fn`` on [lo, hi] by QUADPACK (QAGS).
 
+    QAGS's first step is :func:`_qk21` on the whole interval, and its value is
+    QAGS's whenever QAGS's own test accepts it (the error estimate within
+    ``epsrel`` of the value and not the whole spread of ``fn``, or zero), as
+    on every panel of ``build_von_mises(lambda s: 1 / (1 + s / 2))``, whose
+    panels span half the scale of ``psi``.  Only an interval whose first
+    panel misses that test goes on to QAGS's bisection and extrapolation,
+    ``scipy.integrate.quad`` (imported there), which computes the value anew.
     Raises :class:`ConstructionError`, naming the interval, when the error
     estimate exceeds ``epsrel`` times the value.  QUADPACK's warnings are
     silenced: a roundoff warning on a panel already far below the target is
@@ -94,14 +111,58 @@ def _quadpack(fn, lo, hi, *, epsrel):
     """
     if hi <= lo:
         return 0.0
-    from scipy import integrate  # here, not at the top: only law construction integrates
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        value, abserr = integrate.quad(fn, lo, hi, epsabs=0.0, epsrel=epsrel, limit=200)
+    value, abserr, resasc = _qk21(fn, lo, hi)
+    # an infinite or nan value takes QAGS's path too, where C's min and max decide
+    if not (math.isfinite(value)
+            and ((abserr <= epsrel * abs(value) and abserr != resasc) or abserr == 0.0)):
+        from scipy import integrate  # here, not at the top: only QAGS's bisection needs it
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            value, abserr = integrate.quad(fn, lo, hi, epsabs=0.0, epsrel=epsrel, limit=200)
     if abserr > epsrel * abs(value):
         raise ConstructionError(f"the integral on [{lo!r}, {hi!r}] misses its tolerance"
                                 f" {epsrel:.0e}: value {value:.6e}, error estimate {abserr:.3e}")
     return value
+
+
+def _qk21(fn, a, b):
+    """QUADPACK's QK21 on [a, b], statement by statement (Piessens et al. 1983,
+    the first step of QAGS): the same float operations in the same order, so
+    each value keeps its bits.  ``fn`` is called on floats, the centre first,
+    then the Gauss nodes and the other Kronrod nodes in pairs, and each value
+    is taken as ``float``.  Returns (result, abserr, resasc)."""
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    dhlgth = abs(hlgth)
+    resg = 0.0
+    fc = float(fn(centr))
+    resk = _WK[10] * fc
+    resabs = abs(resk)
+    fv1, fv2 = [0.0] * 10, [0.0] * 10
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # the Gauss nodes, then the Kronrod ones
+        absc = hlgth * _XK[j]
+        fval1 = float(fn(centr - absc))
+        fval2 = float(fn(centr + absc))
+        fv1[j], fv2[j] = fval1, fval2
+        fsum = fval1 + fval2
+        if j % 2:
+            resg = resg + _WG[j // 2] * fsum
+        resk = resk + _WK[j] * fsum
+        resabs = resabs + _WK[j] * (abs(fval1) + abs(fval2))
+    reskh = resk * 0.5
+    resasc = _WK[10] * abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + _WK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    result = resk * hlgth
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        ratio = 200.0 * abserr / resasc  # min(1, ratio**1.5), where Python's pow cannot overflow
+        abserr = resasc * (ratio ** 1.5 if ratio < 1.0 else 1.0)
+    if resabs > sys.float_info.min / (50.0 * sys.float_info.epsilon):
+        abserr = max((sys.float_info.epsilon * 50.0) * resabs, abserr)
+    return result, abserr, resasc
 
 
 def _is_number(value):
@@ -192,6 +253,86 @@ def _shaped(kernel, x, bad=None, message=None):
         raise DomainError(message)
     out = kernel(flat)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+class _Hermite:
+    """The cubic Hermite spline of a checked table (x, y, slopes), built and
+    evaluated as scipy's ``CubicHermiteSpline`` builds and evaluates it, so
+    each value keeps its bits; without ``slopes``, the node slopes are PCHIP's
+    (:func:`_pchip_slopes`), as in scipy's ``PchipInterpolator``.
+
+    A point lies on the piece of the last node at or below it, and a point
+    past either end on the end piece's cubic.  Each piece is the power sum
+    ``c3 + c2 s + c1 s**2 + c0 s**3`` in ``s = t - x``, its terms added in
+    that order with ``s**k`` by repeated products (scipy's ``evaluate_poly1``);
+    the slope's coefficients are ``c0, c1, c2`` times 3, 2, 1.
+    """
+
+    def __init__(self, x, y, slopes=None):
+        d = _pchip_slopes(x, y) if slopes is None else slopes
+        h = np.diff(x)
+        m = np.diff(y) / h
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self._x = x
+        # highest power first; a sum starts at 0.0, which turns a -0.0 constant into 0.0
+        self._c = (t / h, (m - d[:-1]) / h - t, d[:-1], 0.0 + y[:-1])
+        self._dc = (3.0 * self._c[0], 2.0 * self._c[1], 0.0 + d[:-1])
+
+    def __call__(self, at):
+        """The spline at the points of the 1-D array ``at``."""
+        return self._power_sum(self._c, *self._piece(at))
+
+    def slope(self, at):
+        """The spline's slope at the points of the 1-D array ``at``."""
+        return self._power_sum(self._dc, *self._piece(at))
+
+    def with_slope(self, at):
+        """The spline and its slope at the points of ``at``, one piece search for both."""
+        piece = self._piece(at)
+        return self._power_sum(self._c, *piece), self._power_sum(self._dc, *piece)
+
+    def _piece(self, at):
+        i = np.searchsorted(self._x, at, side="right")
+        i -= 1
+        np.clip(i, 0, self._x.size - 2, out=i)
+        return i, at - self._x.take(i)
+
+    @staticmethod
+    def _power_sum(coeffs, i, s):
+        out, power = coeffs[-1][i], s
+        for c in coeffs[-2::-1]:  # the lowest power first
+            out = out + c[i] * power
+            power = power * s
+        return out
+
+
+def _pchip_slopes(x, y):
+    """The node slopes of the PCHIP interpolant of a checked table, as scipy's
+    ``PchipInterpolator`` finds them (``_find_derivatives``, ``_edge_case``):
+    the weighted harmonic mean of the two secants at an interior node, 0 where
+    they differ in sign or one is 0, Moler's one-sided estimate at the ends,
+    and the secant on a two-node table (Fritsch & Carlson 1980)."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if m.size == 1:
+        return np.concatenate([m, m])
+    sign = np.sign(m)
+    flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d = np.zeros_like(y)
+    d[1:-1][~flat] = 1.0 / whmean[~flat]
+    for end, (h0, h1, m0, m1) in ((0, (h[0], h[1], m[0], m[1])),
+                                  (-1, (h[-1], h[-2], m[-1], m[-2]))):
+        edge = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(edge) != np.sign(m0):
+            edge = 0.0
+        elif np.sign(m0) != np.sign(m1) and abs(edge) > 3.0 * abs(m0):
+            edge = 3.0 * m0
+        d[end] = edge
+    return d
 
 
 def integrate_panel(fn, lo, hi, blocks=None):

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .numerics import _checked_table, _quadpack, _read_spec, _shaped, bisect_monotone
+from .numerics import (_checked_table, _Hermite, _quadpack, _read_spec, _shaped,
+                       bisect_monotone)
 
 __all__ = [
     "RadialLaw",
@@ -190,32 +191,37 @@ class VonMisesRadial(RadialLaw):
         if np.any(jps[:-1] > bound) or np.any(jps[1:] > bound):
             raise ConstructionError("radial table Jp must be within 3 times each piece's secant")
         self._xs, self._js, self._jps = xs, js, jps
-        # here: only tables interpolate
-        from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
-        self._spline = CubicHermiteSpline(xs, js, jps)
-        self._dspline = self._spline.derivative()
+        self._spline = _Hermite(xs, js, jps)
         # the inverse interpolant on the rising J values guesses the quantiles
         rising = np.concatenate([[True], np.diff(js) > 1e-14])
-        self._guess = PchipInterpolator(js[rising], xs[rising]) if np.sum(rising) > 1 else None
+        self._guess = _Hermite(js[rising], xs[rising]) if np.sum(rising) > 1 else None
 
     def _j(self, x):
         # the last node's value is the table's, not its Hermite piece's end
         last = self._xs[-1]
-        return np.where(x >= last, self._js[-1] + (x - last) * self._jps[-1],
-                        self._spline(np.minimum(x, last)))
+        j = self._spline(np.minimum(x, last))
+        past = x >= last
+        j[past] = self._js[-1] + (x[past] - last) * self._jps[-1]
+        return j
 
-    def _jp(self, x):
+    def _j_jp(self, x):
+        """J and J' at x with one piece search; J' is the end slope past the table."""
         last = self._xs[-1]
-        return np.where(x >= last, self._jps[-1], self._dspline(np.minimum(x, last)))
+        j, jp = self._spline.with_slope(np.minimum(x, last))
+        past = x >= last
+        j[past] = self._js[-1] + (x[past] - last) * self._jps[-1]
+        jp[past] = self._jps[-1]
+        return j, jp
 
     def _log_survival(self, x):
         return np.minimum(self._js[0] - self._j(x), 0.0)
 
     def _density(self, x):
-        return self._jp(x) * np.exp(self._log_survival(x))
+        j, jp = self._j_jp(x)
+        return jp * np.exp(np.minimum(self._js[0] - j, 0.0))
 
     def _aux_psi(self, x):
-        return 1.0 / np.maximum(self._jp(x), 1e-300)
+        return 1.0 / np.maximum(self._j_jp(x)[1], 1e-300)
 
     def _inverse_log_survival(self, logq):
         jt = self._js[0] - logq  # the required J(x)
@@ -226,8 +232,9 @@ class VonMisesRadial(RadialLaw):
         x = last + (jt - j_last) / self._jps[-1]
         x[inside] = 0.0 if self._guess is None else np.clip(self._guess(jt[inside]), 0.0, None)
         for _ in range(2):
-            jp = np.maximum(self._jp(x), 1e-300)
-            x = np.clip(x - (self._j(x) - jt) / jp, 0.0, None)
+            j, jp = self._j_jp(x)
+            jp = np.maximum(jp, 1e-300)
+            x = np.clip(x - (j - jt) / jp, 0.0, None)
         # Newton stalls where J is flat (near a density that vanishes at the origin)
         # or bends hard; such levels inside the table (past it, x is on the tail
         # line) are bisected on their own piece to adjacent floats, unless Newton
@@ -329,8 +336,7 @@ class TabulatedRadial(VonMisesRadial):
         if log_surv[0] != 0.0 or not np.any(np.diff(log_surv) < -1e-14):
             raise ConstructionError("radial log-survival must start at 0 and fall along the grid")
         js = -log_surv
-        from scipy.interpolate import PchipInterpolator  # here: only tables interpolate
-        super().__init__((nodes, js, PchipInterpolator(nodes, js).derivative()(nodes)))
+        super().__init__((nodes, js, _Hermite(nodes, js).slope(nodes)))
 
     @classmethod
     def from_density(cls, density_fn):

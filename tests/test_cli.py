@@ -652,16 +652,17 @@ def test_benchmark_self_test_passes():
 
 
 #: the scipy modules a command loads where it uses them: special with a limit law, the
-#: asymptotics or a mixture, integrate with a law built from a density, interpolate with
-#: a table; no path loads scipy.optimize, and start-up loads none of them
-_DEFERRED_SCIPY = ("scipy.special", "scipy.integrate", "scipy.interpolate")
+#: asymptotics or a mixture, integrate only where a law built from a density has a panel
+#: that needs QAGS's bisection; no path loads scipy.optimize or scipy.interpolate (the
+#: tables are the package's own Hermite splines), and start-up loads none of them
+_DEFERRED_SCIPY = ("scipy.special", "scipy.integrate")
 
 
 def _deferred_imports(code):
-    """The modules among scipy itself, scipy.optimize and ``_DEFERRED_SCIPY`` that
-    a fresh interpreter holds after running ``code``."""
+    """The modules among scipy itself, scipy.optimize, scipy.interpolate and
+    ``_DEFERRED_SCIPY`` that a fresh interpreter holds after running ``code``."""
     src = str(Path(cp.__file__).resolve().parents[1])
-    watched = ("scipy", "scipy.optimize", *_DEFERRED_SCIPY)
+    watched = ("scipy", "scipy.optimize", "scipy.interpolate", *_DEFERRED_SCIPY)
     script = f"{code}\nimport sys\nprint(*[m for m in {watched!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, env={**os.environ, "PYTHONPATH": src})
@@ -696,3 +697,28 @@ def test_verify_loads_special_but_not_optimize(model_config, tmp_path):
     argv = ["verify", "-c", str(model_config), "--levels", "0.99", "--n", "2000",
             "--seed", "3", "-o", str(tmp_path / "verify.csv")]
     assert _deferred_imports(_run_in_fresh_interpreter(argv)) == ["scipy", "scipy.special"]
+
+
+def test_von_mises_build_loads_no_scipy_module():
+    # QAGS's first step is numerics._qk21, and every panel of this table passes its
+    # test; "scipy" itself is watched, so no scipy module at all is loaded
+    code = "import cevpolar as cp\ncp.build_von_mises(lambda s: 1.0 / (1.0 + 0.5 * s))"
+    assert _deferred_imports(code) == []
+
+
+def _tabulated_config(name):
+    if name == "vm":
+        return {"radial": cp.build_von_mises(lambda s: 1.0 / (1.0 + 0.5 * s)).to_dict(),
+                "curve": {"kind": "elliptical", "params": {"rho": 0.6}},
+                "angular": {"kind": "uniform"}}
+    return cp.decompose_density(cp.standard_normal_profile, cp.elliptical_curve(0.3)).to_dict()
+
+
+@pytest.mark.parametrize("name", ["vm", "num"])
+def test_tabulated_simulate_loads_no_scipy_module(name, tmp_path):
+    # a serialized table evaluates and inverts on the package's own Hermite splines
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_tabulated_config(name)))
+    argv = ["simulate", "-c", str(path), "--n", "200", "--seed", "3", "--threshold", "3.0",
+            "-o", str(tmp_path / "cond.csv")]
+    assert _deferred_imports(_run_in_fresh_interpreter(argv)) == []

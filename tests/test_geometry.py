@@ -813,6 +813,21 @@ class TestAngularLaws:
             slope = density(ref)
             assert abs(float(law.quantile(q)) - ref) <= 4.0 * eps + 1e-12 / max(slope, 1e-300)
 
+    @pytest.mark.parametrize("frac", [5e-324, 1e-320, 1e-315])
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 2.0, -0.5])
+    def test_power_quantile_of_a_subnormal_side_returns_its_level(self, frac, tau):
+        # only a divisor of exactly 0 is floored, and each branch keeps t inside its
+        # interval: quantile(5e-324) was 4.9e-24 at frac = 5e-324 and tau = 0, whose
+        # cdf is 0; the amplitude of a tau < 0 side can underflow, so there only the
+        # interval is checked
+        law = cp.angular_power(0.75, tau, g_minus_frac=frac, window=0.125)
+        qs = np.concatenate([[5e-324, frac / 3.0, frac / 2.0, frac, law.cdf(0.625)],
+                             np.random.default_rng(5).random(200) * frac])
+        ts = law.quantile(qs)
+        assert np.all((ts >= 0.0) & (ts <= 0.75))
+        if tau >= 0.0:
+            assert law.cdf(ts).tolist() == qs.tolist()
+
     def test_tabulated_side_coefficients_are_its_density_at_t0(self):
         # the cdf interpolant is C^1: both one-sided limits are its slope at t0
         law = cp.decompose_density(cp.standard_normal_profile, cp.elliptical_curve(0.3)).angular

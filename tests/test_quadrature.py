@@ -4,6 +4,7 @@ import ast
 import inspect
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath as mp
@@ -11,11 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import optimize, special
+from scipy import integrate, optimize, special
 
 import cevpolar as cp
 from cevpolar import model as model_module
 from cevpolar import numerics
+from cevpolar import radial as radial_module
 from cevpolar.diagnostics import DEFAULT_X_GRID, DEFAULT_Y_GRID
 from cevpolar.numerics import (bisect_monotone, integrate_panel, integrate_with_breakpoints,
                                refine_zeros)
@@ -367,6 +369,121 @@ class TestBisectMonotone:
         monkeypatch.setattr(model_module, "survival_y_oracle", counted)
         cp.solve_b_y(model, 100.0)
         assert len(oracle_calls) > 1 and len(calls) == scans * len(oracle_calls)
+
+
+
+def _qags(fn, lo, hi, *, epsrel):
+    """``numerics._quadpack`` as it was on scipy alone: QAGS on every interval,
+    then the same check of its error estimate."""
+    if hi <= lo:
+        return 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        value, abserr = integrate.quad(fn, lo, hi, epsabs=0.0, epsrel=epsrel, limit=200)
+    if abserr > epsrel * abs(value):
+        raise cp.ConstructionError("misses its tolerance")
+    return value
+
+
+def _outcome(quadpack, fn, lo, hi, epsrel):
+    """The bits of the value of one call, a failed check, or an error of ``fn``
+    (a node that rounds onto a log's or a root's edge)."""
+    try:
+        return float.hex(quadpack(fn, lo, hi, epsrel=epsrel))
+    except cp.ConstructionError:
+        return "ConstructionError"
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _first_step_passes(fn, lo, hi, epsrel):
+    value, abserr, resasc = numerics._qk21(fn, lo, hi)
+    return (abserr <= epsrel * abs(value) and abserr != resasc) or abserr == 0.0
+
+
+class TestQuadpack:
+    def test_law_builders_get_qags_bit_for_bit(self, monkeypatch):
+        """Every call of build_von_mises and of a decomposed law's radial table
+        returns QAGS's bits, or fails as QAGS's check failed; the von Mises
+        calls all stop at QK21, and some of the decomposed ones go on."""
+        calls = []
+
+        def recorded(fn, lo, hi, *, epsrel):
+            calls.append((fn, lo, hi, epsrel))
+            return numerics._quadpack(fn, lo, hi, epsrel=epsrel)
+
+        monkeypatch.setattr(radial_module, "_quadpack", recorded)
+        cp.build_von_mises(lambda s: 1.0 / (1.0 + 0.5 * s))
+        built = len(calls)
+        cp.decompose_density(cp.standard_normal_profile, cp.elliptical_curve(0.3))
+        assert built == 1502 and len(calls) > built
+        for fn, lo, hi, epsrel in calls:
+            assert (_outcome(numerics._quadpack, fn, lo, hi, epsrel)
+                    == _outcome(_qags, fn, lo, hi, epsrel)), (lo, hi, epsrel)
+        assert all(_first_step_passes(*call) for call in calls[:built])
+        for fn, lo, hi, epsrel in calls[:built]:  # QK21 is QAGS's first step, error estimate too
+            assert numerics._qk21(fn, lo, hi)[:2] == integrate.quad(
+                fn, lo, hi, epsabs=0.0, epsrel=epsrel, limit=200)
+        assert not all(_first_step_passes(*call) for call in calls[built:])
+
+    @pytest.mark.parametrize("fn,lo,hi", [
+        (lambda x: 1.0 / (1e-6 + x * x), -1.0, 2.0),
+        (lambda x: math.sqrt(x), 0.0, 1.0),
+        (lambda x: math.log(x), 0.0, 3.0),
+        (lambda x: math.exp(-x * x / 2.0), 0.0, 40.0),
+        # an error estimate within the tolerance, but as large as the spread of fn
+        (lambda x: 1.0 + 1e-9 * math.sin(1e4 * x), 0.0, 1.0),
+    ], ids=["peak", "sqrt-edge", "log-edge", "wide-gaussian", "ripple"])
+    def test_a_first_panel_that_misses_goes_on_to_qags(self, fn, lo, hi):
+        assert not _first_step_passes(fn, lo, hi, 1e-7)
+        assert _outcome(numerics._quadpack, fn, lo, hi, 1e-7) == _outcome(_qags, fn, lo, hi, 1e-7)
+
+    @pytest.mark.parametrize("hi", [4.0, 10.0, 12.0])
+    def test_a_first_panel_that_passes_is_qags_first_step(self, hi):
+        # up to 8 the error estimate is 50 eps times the spread, past it QK21's
+        # (200 |K21 - G10| / spread)**1.5 law
+        assert _first_step_passes(math.sin, 0.0, hi, 1e-7)
+        assert numerics._qk21(math.sin, 0.0, hi)[:2] == integrate.quad(
+            math.sin, 0.0, hi, epsabs=0.0, epsrel=1e-7, limit=200)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["poly", "exp", "sine", "ripple", "peak", "sqrt", "log"]),
+           lo=st.floats(-50.0, 50.0), width=st.floats(1e-9, 100.0), k=st.floats(0.01, 30.0),
+           epsrel=st.sampled_from([1e-12, 1e-10, 1e-7]), raises=st.booleans())
+    def test_random_integrands_get_qags_bit_for_bit(self, kind, lo, width, k, epsrel, raises):
+        """Smooth integrands stop at QK21, with QAGS's value and error estimate; a
+        ripple that QK21 does not resolve (its error estimate is its whole
+        spread), a peak and an edge singularity go on to QAGS's bisection; an
+        error of fn at the centre node, its first call, passes unchanged."""
+        hi = lo + width
+        mid = lo + 0.5 * width
+        integrand = {
+            "poly": lambda x: 1.0 + k * x - x ** 3 / k,
+            "exp": lambda x: math.exp(-k * (x - lo)),
+            "sine": lambda x: math.sin(k * x),
+            "ripple": lambda x: 1.0 + 1e-9 * math.sin(1e4 * k * x),
+            "peak": lambda x: 1.0 / (10.0 ** -k + (x - mid) ** 2),
+            "sqrt": lambda x: math.sqrt(x - lo),
+            "log": lambda x: math.log(x - lo),
+        }[kind]
+        error = ValueError(f"no value at {0.5 * (lo + hi)!r}")
+
+        def fn(x):
+            if raises and x == 0.5 * (lo + hi):
+                raise error
+            return integrand(x)
+
+        if raises:
+            for quadpack in (numerics._quadpack, _qags):
+                with pytest.raises(ValueError) as info:
+                    quadpack(fn, lo, hi, epsrel=epsrel)
+                assert info.value is error
+        else:
+            assert _outcome(numerics._quadpack, fn, lo, hi, epsrel) == _outcome(
+                _qags, fn, lo, hi, epsrel)
+            if kind in ("poly", "exp", "sine") and _first_step_passes(fn, lo, hi, epsrel):
+                assert numerics._qk21(fn, lo, hi)[:2] == integrate.quad(
+                    fn, lo, hi, epsabs=0.0, epsrel=epsrel, limit=200)
 
 
 def _counted_panels(monkeypatch):

@@ -5,11 +5,12 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 import cevpolar as cp
+from cevpolar.numerics import _Hermite
 
 
 CATALOG = [cp.Exponential(1.0), cp.Exponential(2.0), cp.Weibull(2.0),
@@ -128,7 +129,8 @@ class TestAuxiliary:
         last = law.to_dict()["grid"]["x"][-1]
         xs = np.linspace(0.01, 12.0, 1000)
         assert xs[-1] > last
-        want = [float(law._dspline(min(x, last))) * math.exp(law.log_survival(x)) for x in xs]
+        want = [float(law._spline.slope(np.array([min(x, last)]))[0])
+                * math.exp(law.log_survival(x)) for x in xs]
         assert np.allclose(law.density(xs), want, rtol=4 * np.finfo(float).eps, atol=0.0)
 
 
@@ -594,7 +596,7 @@ def test_every_radial_table_is_held_by_the_von_mises_constructor():
     # a numeric table is checked and held as the von Mises table (x, J, PCHIP slopes)
     # by VonMisesRadial.__init__ alone, with no spline, slope or tail of its own
     assert not hasattr(cp.VonMisesRadial, "_tabulate")
-    held = {"_spline", "_dspline", "_jps", "_tail", "_tabulate"}
+    held = {"_spline", "_jps", "_tail", "_tabulate"}
     assert not held & set(vars(cp.TabulatedRadial))
     law = BUILT["numeric"]
     grid = law.to_dict()["grid"]
@@ -617,3 +619,38 @@ def test_laws_define_only_kernels():
     assert len(laws) == 5
     for law in laws:
         assert not public & set(vars(law)), law.__name__
+
+
+@st.composite
+def _hermite_tables(draw):
+    """A valid table of 2 to 12 nodes: strictly increasing x, finite y (ties and
+    -0.0 among them) and finite slopes."""
+    n = draw(st.integers(2, 12))
+    start = draw(st.floats(-1e3, 1e3))
+    steps = draw(st.lists(st.floats(1e-3, 1e2), min_size=n - 1, max_size=n - 1))
+    x = np.cumsum([start, *steps])
+    values = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 1.0]))
+    y = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    slopes = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    return x, y, slopes
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_hermite_tables(), u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+@example(table=(np.array([0.0, 1.0]), np.array([-0.0, -1.0]), np.array([-0.4, -2.0])), u=[0.5])
+def test_hermite_tables_are_scipys_bit_for_bit(table, u):
+    """numerics._Hermite is CubicHermiteSpline, its derivative and
+    PchipInterpolator to the bit: at every node, its next float, points inside
+    and points past both ends (the example's power sum at 0 is 0.0, not -0.0)."""
+    x, y, slopes = table
+    span = x[-1] - x[0]
+    at = np.concatenate([x, np.nextafter(x, np.inf), x[0] + span * np.array(u),
+                         [x[0] - 0.5 * span, np.nextafter(x[0], -np.inf), x[-1] + 0.5 * span]])
+    with np.errstate(over="ignore"):  # a tiny secant overflows PCHIP's harmonic mean in both
+        pairs = [(_Hermite(x, y, slopes), CubicHermiteSpline(x, y, slopes)),
+                 (_Hermite(x, y), PchipInterpolator(x, y))]
+    for ours, theirs in pairs:
+        for got, want in ((ours(at), theirs(at)), (ours.slope(at), theirs.derivative()(at))):
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        value, slope = ours.with_slope(at)
+        assert value.tobytes() == ours(at).tobytes() and slope.tobytes() == ours.slope(at).tobytes()
