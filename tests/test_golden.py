@@ -26,6 +26,10 @@ CONFIGS = {
     "lp3": {"radial": {"kind": "weibull", "params": {"shape": 1.0}},
             "curve": {"kind": "lp", "params": {"p": 3.0, "rho": 0.0}},
             "angular": {"kind": "uniform"}},
+    # the only sheared lp curve: its levels of v have no closed form
+    "lp3s": {"radial": {"kind": "weibull", "params": {"shape": 1.0}},
+             "curve": {"kind": "lp", "params": {"p": 3.0, "rho": 0.4}},
+             "angular": {"kind": "uniform"}},
     "mix": {"mixture": {"p": 0.4, "rho": 0.8, "tau_mix": -0.4}},
     "dec": {"curve": {"kind": "elliptical", "params": {"rho": 0.3}},
             "profile": "gaussian", "ridge_weight": True},
@@ -64,6 +68,8 @@ CASES = {
                "--seed", "11"),
     "verify-lp3": ("verify", "-c", "{lp3}", "--levels", "0.99,0.999", "--n", "2000",
                    "--seed", "11"),
+    "verify-lp3s": ("verify", "-c", "{lp3s}", "--levels", "0.99,0.999", "--n", "2000",
+                    "--seed", "11"),
     # exp needs deep levels: at 0.99, psi(t)/t falls outside its curve's window
     "verify-exp": ("verify", "-c", "{exp}", "--levels", "0.9999,0.99999", "--n", "2000",
                    "--seed", "11"),
@@ -74,6 +80,7 @@ CASES = {
     "tail-num": ("tail", "-c", "{num}", "--x-grid", "2:6:2"),
     "independence": ("independence", "-c", "{ell}", "--t-grid", "2:3:1"),
     "independence-lp3": ("independence", "-c", "{lp3}", "--t-grid", "2:3:1"),
+    "independence-lp3s": ("independence", "-c", "{lp3s}", "--t-grid", "2:3:1"),
     "independence-exp": ("independence", "-c", "{exp}", "--t-grid", "4:5:1"),
     # the benchmark's depth: levels up to 1e6, where the Y-tail hints sit closest to the top of v
     "independence-deep": ("independence", "-c", "{ell}", "--t-grid", "4:6:1"),
@@ -108,6 +115,10 @@ GOLDEN = {
         "b9e0d806e2eb13f10c3ed5008cfce343f295d953e057f03b4a6132657d7f2120",
     "independence-lp3-deep.json":
         "d50c39ad2f47ad85ff0fbb35336579ce3777da45397118423f49918dfa479cdb",
+    "independence-lp3s.csv":
+        "87ad03e275878dc235e52574e42870192f5d92d83973dc0e3a58364ea98a3842",
+    "independence-lp3s.json":
+        "1e9f3628d480c2755febb3a1148b3879275df233b1530a3e4cc6baab297ff628",
     "limit.csv":
         "370cf0edb55574acac4153fd827f94258bd63f3519737d06d770274e31c720a6",
     "limit.json":
@@ -172,6 +183,10 @@ GOLDEN = {
         "c6ac3a8535a3a7d0e556b9dc566f037bb0e1d2f642e16cdbad989f71c75e60c3",
     "verify-lp3.json":
         "971ac4190555940a2d9345c100a4d5dbccdd0696a6ee4bc2df2e730d0d4c3b5c",
+    "verify-lp3s.csv":
+        "c4c2ce71ede06d4f9aa1f45d76e5b230d0699116621b8ad11cdc2f5adb3ab357",
+    "verify-lp3s.json":
+        "5933d4853401de927cd3049de711dc292d0c9b0bf184e206d23b77e432717657",
 }
 
 
