@@ -40,13 +40,14 @@ class CurveGerm:
 
     Each curve family states its geometry in closed form: the germ at t0,
     the top of v, the inverse of u on each side, where a ray from the origin
-    meets the curve and where v reaches a level.  The constructor checks them
-    and finds only the zeros of u and v, by a scan.
+    meets the curve and where v reaches a level.  The constructor checks them,
+    reads rho = v(t0) and finds only the zeros of u and v, by a scan: with the
+    germ's points, these are the oracle's breakpoints, so a kink must be one.
 
     Attributes
     ----------
     t0 : location of the unique maximum of u, interior to (0, 1)
-    rho : v(t0)
+    rho : v(t0); the conditional law of Y given X > t is centred at rho t
     kappa, delta : local growth exponents of 1 - u and v - rho (delta < kappa)
     c_minus, c_plus : leading coefficients of 1 - u on each side of t0
     lambda_v : leading coefficient of v - rho on the right side
@@ -62,9 +63,9 @@ class CurveGerm:
         the invertible branch
     """
 
-    def __init__(self, kind, params, u_fn, v_fn, *, t0, rho, kappa, delta,
+    def __init__(self, kind, params, u_fn, v_fn, *, t0, kappa, delta,
                  c_minus, c_plus, lambda_v, window, v_star, t_at_vstar, gap_offset, crossing,
-                 v_level, kinks=()):
+                 v_level):
         if not 0.0 < t0 < 1.0:
             raise ConstructionError("t0 must be interior to (0, 1)")
         if not 0.0 < delta < kappa:
@@ -78,7 +79,6 @@ class CurveGerm:
         self._u_fn = u_fn
         self._v_fn = v_fn
         self.t0 = float(t0)
-        self.rho = float(rho)
         self.kappa = float(kappa)
         self.delta = float(delta)
         self.c_minus = float(c_minus)
@@ -87,12 +87,12 @@ class CurveGerm:
         self.window = float(window)
         self.v_star = float(v_star)
         self.t_at_vstar = float(t_at_vstar)
-        self._kinks = tuple(kinks)
         self._gap_offset = gap_offset
         self.crossing = crossing
         self.v_level = v_level
         if abs(self.u(self.t0) - 1.0) > 1e-12:
             raise ConstructionError("u(t0) must equal 1")
+        self.rho = self.v(self.t0)
         if abs(self.v(self.t_at_vstar) - self.v_star) > 1e-12:
             raise ConstructionError("v(t_at_vstar) must equal v_star")
         if not self.v_star > self.rho:
@@ -157,7 +157,6 @@ class CurveGerm:
         pts = {self.t0, self.t0 - self.window, self.t0 + self.window, self.t_at_vstar}
         pts.update(self._zeros_u)
         pts.update(self._zeros_v)
-        pts.update(self._kinks)
         return sorted(p for p in pts if 0.0 <= p <= 1.0)
 
     def to_dict(self):
@@ -195,7 +194,7 @@ def elliptical_curve(rho):
 
     return CurveGerm(
         "elliptical", {"rho": rho}, u_fn, v_fn,
-        t0=0.5, rho=rho, kappa=2.0, delta=1.0,
+        t0=0.5, kappa=2.0, delta=1.0,
         c_minus=_TWO_PI ** 2 / 2.0, c_plus=_TWO_PI ** 2 / 2.0,
         lambda_v=_TWO_PI * sigma,
         window=window, v_star=1.0, t_at_vstar=t_top,
@@ -291,10 +290,10 @@ def lp_curve(p, rho=0.0):
 
     return CurveGerm(
         "lp", {"p": p, "rho": rho}, u_fn, v_fn,
-        t0=0.5, rho=rho, kappa=p, delta=1.0,
+        t0=0.5, kappa=p, delta=1.0,
         c_minus=speed ** p / p, c_plus=speed ** p / p, lambda_v=speed * shear,
         window=0.25, v_star=v_star, t_at_vstar=t_top, gap_offset=gap_offset, crossing=crossing,
-        v_level=v_level, kinks=(0.125, 0.875),
+        v_level=v_level,
     )
 
 
@@ -307,8 +306,6 @@ def power_curve(t0, kappa, delta, c_minus, c_plus, lambda_v, rho, window=None):
     v rises on all of [0, 1], so its maximum is v(1).
     """
     t0, kappa, delta = float(t0), float(kappa), float(delta)
-    if delta >= kappa:
-        raise ConstructionError("germ exponents must satisfy delta < kappa")
     if window is None:
         window = 0.5 * min(t0, 1.0 - t0)
     window = float(window)
@@ -355,10 +352,10 @@ def power_curve(t0, kappa, delta, c_minus, c_plus, lambda_v, rho, window=None):
         {"t0": t0, "kappa": kappa, "delta": delta, "c_minus": c_minus,
          "c_plus": c_plus, "lambda_v": lambda_v, "rho": rho, "window": window},
         u_fn, v_fn,
-        t0=t0, rho=rho, kappa=kappa, delta=delta,
+        t0=t0, kappa=kappa, delta=delta,
         c_minus=c_minus, c_plus=c_plus, lambda_v=lambda_v,
         window=window, v_star=v_star, t_at_vstar=1.0, gap_offset=gap_offset,
-        crossing=crossing, v_level=v_level, kinks=(t0 - window, t0 + window),
+        crossing=crossing, v_level=v_level,
     )
 
 

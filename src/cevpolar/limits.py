@@ -94,8 +94,9 @@ class LimitLaw:
         from scipy import special  # here, not at the top
         wm, wp = self.weight_minus, self.weight_plus
         with np.errstate(divide="ignore", invalid="ignore"):
-            right = special.gammaincinv(self._a, np.minimum((q - wm) / max(wp, 1e-300), 1.0))
-            left = special.gammaincinv(self._a, np.minimum(1.0 - q / max(wm, 1e-300), 1.0))
+            # a side without mass divides by 1: its branch is never taken
+            right = special.gammaincinv(self._a, np.minimum((q - wm) / (wp or 1.0), 1.0))
+            left = special.gammaincinv(self._a, np.minimum(1.0 - q / (wm or 1.0), 1.0))
         return np.where(q >= wm,
                         (self.eta * right) ** (1.0 / self.eta),
                         -((self.eta * left) ** (1.0 / self.eta)))

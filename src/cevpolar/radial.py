@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .numerics import (_checked_table, _Hermite, _quadpack, _read_spec, _shaped,
-                       bisect_monotone)
+from .numerics import (_checked_table, _Hermite, _pchip_slopes, _quadpack, _read_spec,
+                       _shaped, bisect_monotone)
 
 __all__ = [
     "RadialLaw",
@@ -166,7 +166,8 @@ class VonMisesRadial(RadialLaw):
     here.  J is a nondecreasing cubic Hermite spline on the nodes, monotone on
     each piece (no node slope exceeds 3 times the secant of a piece it
     bounds), extended from the last node by the line of its end slope, which
-    must be positive; the density is J' times the survival and psi = 1/J'.
+    must be positive.  Every kernel reads J and J' with one piece search; the
+    density is J' times the survival and psi = 1/J'.
     The quantiles of one call are one array solve: an inverse interpolant of
     the table guesses them, two Newton sweeps on J refine them, and the
     levels inside the table that Newton leaves off by more than 1e-14
@@ -196,16 +197,9 @@ class VonMisesRadial(RadialLaw):
         rising = np.concatenate([[True], np.diff(js) > 1e-14])
         self._guess = _Hermite(js[rising], xs[rising]) if np.sum(rising) > 1 else None
 
-    def _j(self, x):
-        # the last node's value is the table's, not its Hermite piece's end
-        last = self._xs[-1]
-        j = self._spline(np.minimum(x, last))
-        past = x >= last
-        j[past] = self._js[-1] + (x[past] - last) * self._jps[-1]
-        return j
-
     def _j_jp(self, x):
-        """J and J' at x with one piece search; J' is the end slope past the table."""
+        """J and J' at x with one piece search; past the last node (whose value is
+        the table's, not its Hermite piece's end) J is the line of the end slope."""
         last = self._xs[-1]
         j, jp = self._spline.with_slope(np.minimum(x, last))
         past = x >= last
@@ -214,7 +208,7 @@ class VonMisesRadial(RadialLaw):
         return j, jp
 
     def _log_survival(self, x):
-        return np.minimum(self._js[0] - self._j(x), 0.0)
+        return np.minimum(self._js[0] - self._j_jp(x)[0], 0.0)
 
     def _density(self, x):
         j, jp = self._j_jp(x)
@@ -247,8 +241,8 @@ class VonMisesRadial(RadialLaw):
         if np.any(stalled):
             j = jt[stalled]
             k = np.clip(np.searchsorted(self._js, j), 1, len(self._xs) - 1)
-            x[stalled] = bisect_monotone(lambda v: j - self._j(v), self._xs[k - 1], self._xs[k],
-                                         xtol=0.0, rtol=0.0)
+            x[stalled] = bisect_monotone(lambda v: j - self._j_jp(v)[0], self._xs[k - 1],
+                                         self._xs[k], xtol=0.0, rtol=0.0)
         return x
 
     def to_dict(self):
@@ -274,14 +268,15 @@ def build_von_mises(psi):
 
     The survival is exp(-int_0^x ds/psi(s)).  The integral J of 1/psi is
     tabulated on an adaptive grid with its exact derivative 1/psi at the
-    nodes, until the law has decayed below double precision.  The integral
-    must diverge; stalling growth raises a construction error.
+    nodes, until the law has decayed below double precision.  Each node reads
+    psi once, for its slope and the next step.  The integral must diverge;
+    stalling growth raises a construction error.
     """
-    def inv_psi(x):
+    def checked_psi(x):
         p = float(psi(x))
         if not p > 0.0 or not math.isfinite(p):
             raise ConstructionError(f"psi({x}) = {p} is not a positive finite value")
-        return 1.0 / p
+        return p
 
     try:
         p0 = float(psi(0.0))
@@ -292,21 +287,20 @@ def build_von_mises(psi):
     js = [0.0]
     x = 0.0
     j = 0.0
+    p = checked_psi(1e-300)
     while j < _J_DEPTH:
-        p = float(psi(max(x, 1e-300)))
-        if not p > 0.0 or not math.isfinite(p):
-            raise ConstructionError(f"psi({x}) = {p} is not a positive finite value")
         dx = min(max(0.5 * p, 1e-9 * (1.0 + x)), 0.25 * (1.0 + x))
-        seg = _quadpack(inv_psi, x, x + dx, epsrel=1e-12)
+        seg = _quadpack(lambda s: 1.0 / checked_psi(s), x, x + dx, epsrel=1e-12)
         if not math.isfinite(seg):
             raise ConstructionError(
                 "1/psi is not integrable on the grid; psi vanishes or is singular"
             )
         x += dx
         j += seg
+        p = checked_psi(x)
         xs.append(x)
         js.append(j)
-        jps.append(inv_psi(x))
+        jps.append(1.0 / p)
         if len(xs) >= _MAX_NODES:
             raise ConstructionError(
                 "integral of 1/psi grows too slowly; the law does not decay "
@@ -336,7 +330,7 @@ class TabulatedRadial(VonMisesRadial):
         if log_surv[0] != 0.0 or not np.any(np.diff(log_surv) < -1e-14):
             raise ConstructionError("radial log-survival must start at 0 and fall along the grid")
         js = -log_surv
-        super().__init__((nodes, js, _Hermite(nodes, js).slope(nodes)))
+        super().__init__((nodes, js, _pchip_slopes(nodes, js)))
 
     @classmethod
     def from_density(cls, density_fn):

@@ -715,6 +715,22 @@ class TestFamilyGeometry:
 
 
 class TestCurveValidation:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["elliptical", "lp", "power"]), rho=st.floats(-0.9, 0.9),
+           p=st.floats(1.1, 8.0), t0=st.floats(0.2, 0.8), width=st.floats(0.05, 0.95))
+    def test_rho_and_kinks_come_from_the_curve(self, kind, rho, p, t0, width):
+        # rho is v(t0), and each family's kinks are among the germ's points and the zeros of u
+        if kind == "elliptical":
+            c = cp.elliptical_curve(rho)
+        elif kind == "lp":  # the junctions of the visible half and the hidden arc
+            c = cp.lp_curve(p, rho)
+            assert {0.125, 0.875} <= set(c.breakpoints())
+        else:  # the window's edges, where both powers continue linearly
+            w = width * min(t0, 1.0 - t0)
+            c = cp.power_curve(t0, p, 0.5 * p, 0.5, 0.8, 1.2, rho, window=w)
+            assert {t0 - w, t0 + w} <= set(c.breakpoints())
+        assert c.rho == rho
+
     def test_v_max_must_exceed_rho(self):
         # a second coordinate peaking at t0 violates the germ requirements
         with pytest.raises(cp.ConstructionError):
@@ -722,7 +738,7 @@ class TestCurveValidation:
                 "custom", {},
                 lambda t: np.cos(TWO_PI * (np.asarray(t) - 0.5)),
                 lambda t: -np.abs(np.asarray(t) - 0.5),
-                t0=0.5, rho=0.0, kappa=2.0, delta=1.0, c_minus=1.0, c_plus=1.0,
+                t0=0.5, kappa=2.0, delta=1.0, c_minus=1.0, c_plus=1.0,
                 lambda_v=1.0, window=0.2, v_star=0.0, t_at_vstar=0.5,
                 gap_offset=lambda g, side: np.arcsin(np.sqrt(0.5 * g)) / math.pi,
                 crossing=lambda x, y: [], v_level=lambda g: [],
@@ -769,7 +785,8 @@ class TestAngularLaws:
                        min_size=1, max_size=20))
     def test_power_kernels_are_the_piecewise_formulas(self, t0, tau, frac, width, ts, qs):
         # each side holds its mass as g |s|**tau inside the window and g w**tau past it;
-        # a side's mass is 0 or at least 1e-100, as the kernels floor amplitudes at 1e-300
+        # a side's mass is 0 or at least 1e-100: the reference quantile below does not keep
+        # each branch's t inside its interval, as the kernel does for a vanishing side
         w, tau1 = width * min(t0, 1.0 - t0), tau + 1.0
         gm, gp = [mass / (w ** tau1 / tau1 + w ** tau * (length - w)) if mass > 0.0 else 0.0
                   for mass, length in ((frac, t0), (1.0 - frac, 1.0 - t0))]

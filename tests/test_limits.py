@@ -87,6 +87,15 @@ class TestLimitLawQuantileAndSampling:
         with pytest.raises(cp.DomainError):
             cp.LimitLaw(2.0, 1.0).quantile(0.0)
 
+    @pytest.mark.parametrize("weight", [1e-300, 1e-305, 1e-310, 1e-320])
+    def test_quantile_of_a_tiny_side_returns_its_level(self, weight):
+        # half the left mass lies below the left half line's median, however small
+        # the mass: a weight is divided as it is, with no floor
+        law = cp.LimitLaw(2.0, 1.0, weight_minus=weight)
+        y = law.quantile(0.5 * weight)
+        assert y == pytest.approx(norm.ppf(0.25), rel=1e-12)
+        assert law.cdf(y) == pytest.approx(0.5 * weight, rel=1e-3)
+
     def test_sampler_self_consistency(self):
         law = cp.LimitLaw(3.0, 1.0)
         draws = np.sort(law.sample(1_000_000, np.random.default_rng(13)))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 import cevpolar as cp
-from cevpolar.numerics import _Hermite
+from cevpolar.numerics import _Hermite, _pchip_slopes
 
 
 CATALOG = [cp.Exponential(1.0), cp.Exponential(2.0), cp.Weibull(2.0),
@@ -472,7 +472,7 @@ class TestInverseLogSurvival:
             if kind == "von_mises":
                 law = cp.VonMisesRadial((xs, js, jps))
             else:  # only a table whose PCHIP end slope is positive is a numeric law
-                assume(PchipInterpolator(xs, js).derivative()(xs[-1]) > 0.0)
+                assume(_pchip_slopes(np.array(xs), np.array(js))[-1] > 0.0)
                 law = cp.TabulatedRadial(xs, [-j for j in js])
             # levels inside the table and up to 50 past its end
             assert _inversion_error(law, -np.array(us) * (js[-1] + 50.0)) <= 1e-14
@@ -602,6 +602,22 @@ def test_every_radial_table_is_held_by_the_von_mises_constructor():
     grid = law.to_dict()["grid"]
     js = -np.array(grid["log_survival"])
     assert law._jps.tolist() == PchipInterpolator(grid["x"], js).derivative()(grid["x"]).tolist()
+
+
+def test_numeric_slopes_are_the_pchip_rule():
+    # the last node's slope is PCHIP's one-sided rule, not the end slope of the
+    # last Hermite piece, which differs from it in the last bits on this table
+    xs, js = np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.1, 0.7])
+    law = cp.TabulatedRadial(xs, -js)
+    assert law._jps.tolist() == _pchip_slopes(xs, js).tolist()
+    assert law._jps[-1] == 0.8499999999999999 != _Hermite(xs, js).slope(xs)[-1]
+
+
+def test_von_mises_build_reads_psi_once_per_node():
+    # each node's psi gives its slope and the next step; the integrals read psi too
+    calls = []
+    cp.build_von_mises(lambda s: calls.append(s) or 1.0 / (1.0 + 0.5 * s))
+    assert len(calls) == 33_046
 
 
 def test_von_mises_law_is_its_table():
