@@ -106,6 +106,12 @@ class CurveGerm:
         edge = self.u(hi)
         self._max_gap = {"left": 1.0 - self.u(lo), "right": 1.0 - edge}
         self.h_window_max = 1e12 if edge <= 1e-12 else 1.0 / edge - 1.0
+        # the arcs between the zeros of u where u > 0, each widened by a cell of the
+        # zero scan, so that they hold every t where the computed u(t) > 0
+        ends = [0.0, *self._zeros_u, 1.0]
+        mids = u_fn(0.5 * (np.array(ends[:-1]) + ends[1:]))
+        self._u_arcs = [(a - 2.0 ** -10, b + 2.0 ** -10)
+                        for a, b, mid in zip(ends, ends[1:], mids) if mid > 0.0]
 
     # -- evaluation: the family's kernels take a 1-D array --------------------
     def u(self, t):

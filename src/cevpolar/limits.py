@@ -93,13 +93,13 @@ class LimitLaw:
     def _quantile(self, q):
         from scipy import special  # here, not at the top
         wm, wp = self.weight_minus, self.weight_plus
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # a side without mass divides by 1: its branch is never taken
+        with np.errstate(all="ignore"):
+            # a side without mass divides by 1; the branch np.where discards may overflow or be nan
             right = special.gammaincinv(self._a, np.minimum((q - wm) / (wp or 1.0), 1.0))
             left = special.gammaincinv(self._a, np.minimum(1.0 - q / (wm or 1.0), 1.0))
-        return np.where(q >= wm,
-                        (self.eta * right) ** (1.0 / self.eta),
-                        -((self.eta * left) ** (1.0 / self.eta)))
+            return np.where(q >= wm,
+                            (self.eta * right) ** (1.0 / self.eta),
+                            -((self.eta * left) ** (1.0 / self.eta)))
 
     def sample(self, n, rng):
         if n < 0:

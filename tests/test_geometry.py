@@ -714,6 +714,48 @@ class TestFamilyGeometry:
         assert c.v_star == pytest.approx(v_top, rel=1e-15)
 
 
+class TestPositiveArcs:
+    """The sampler evaluates u only on ``_u_arcs``: they must hold every t where u(t) > 0."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["elliptical", "lp", "power"]), rho=st.floats(-0.95, 0.95),
+           p=st.floats(1.05, 8.0), t0=st.floats(0.1, 0.9), delta_frac=st.floats(0.05, 0.95),
+           log_c=st.tuples(st.floats(-2.0, 2.5), st.floats(-2.0, 2.5)),
+           lambda_v=st.floats(0.1, 5.0), width=st.floats(0.05, 0.95))
+    def test_arcs_hold_every_positive_u(self, kind, rho, p, t0, delta_frac, log_c, lambda_v,
+                                        width):
+        if kind == "elliptical":
+            c = cp.elliptical_curve(rho)
+        elif kind == "lp":
+            try:
+                c = cp.lp_curve(p, rho)
+            except cp.ConstructionError:  # too flat at its top to represent
+                assume(False)
+        else:  # c_minus != c_plus, and side coefficients from 0.01 to about 300
+            c_minus, c_plus = 10.0 ** log_c[0], 10.0 ** log_c[1]
+            c = cp.power_curve(t0, p, delta_frac * p, c_minus, c_plus, lambda_v, rho,
+                               window=width * min(t0, 1.0 - t0))
+        zeros = np.array(c._zeros_u)
+        near = np.concatenate([zeros, np.nextafter(zeros, -np.inf), np.nextafter(zeros, np.inf),
+                               np.nextafter(np.nextafter(zeros, -np.inf), -np.inf),
+                               np.nextafter(np.nextafter(zeros, np.inf), np.inf)])
+        ts = np.concatenate([np.linspace(0.0, 1.0, 2 ** 16), near[(near >= 0.0) & (near <= 1.0)]])
+        on = np.zeros(ts.shape, dtype=bool)
+        for lo, hi in c._u_arcs:
+            on |= (ts >= lo) & (ts <= hi)
+        assert np.all(on[c.u(ts) > 0.0])
+
+    @pytest.mark.parametrize("curve, ends", [
+        (cp.elliptical_curve(0.6), (0.25, 0.75)),
+        (cp.lp_curve(3.0), (0.125, 0.875)),
+        (cp.lp_curve(1.5, -0.3), (0.125, 0.875)),
+        (cp.power_curve(0.5, 2.0, 1.0, 0.4, 0.6, 1.0, 0.3), (0.0, 1.0)),  # u > 0 on [0, 1]
+    ], ids=["ell", "lp3", "lp1.5s", "power"])
+    def test_one_arc_between_the_zeros(self, curve, ends):
+        # u > 0 exactly between its zeros (or on all of [0, 1]): one arc, widened by 2**-10
+        assert curve._u_arcs == [(ends[0] - 2.0 ** -10, ends[1] + 2.0 ** -10)]
+
+
 class TestCurveValidation:
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(["elliptical", "lp", "power"]), rho=st.floats(-0.9, 0.9),

@@ -1,5 +1,6 @@
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,28 @@ class TestLimitLawQuantileAndSampling:
         y = law.quantile(0.5 * weight)
         assert y == pytest.approx(norm.ppf(0.25), rel=1e-12)
         assert law.cdf(y) == pytest.approx(0.5 * weight, rel=1e-3)
+
+    @pytest.mark.parametrize("eta, zeta, weight_minus", [
+        (2.0, 1.0, 0.3), (2.0, 1.0, 0.5), (3.0, 0.5, 0.0), (1.5, 2.0, 1.0), (4.0, 1.5, 0.8),
+        (2.5, 0.25, 1e-310),
+    ])
+    def test_quantile_warns_of_no_branch_it_discards(self, eta, zeta, weight_minus):
+        # the branch np.where does not take may be below 0 (gammaincinv(0.5, -1.15) is
+        # -0.22): its power is nan, which must not warn; each value keeps its bits
+        from scipy import special
+        law = cp.LimitLaw(eta, zeta, weight_minus=weight_minus)
+        qs = np.concatenate([np.linspace(0.0, 1.0, 2001)[1:-1], [0.639, 1e-300, 1.0 - 2.0 ** -53]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = law.quantile(qs)
+            singles = [law.quantile(q) for q in qs[::50]]
+        a, wm, wp = zeta / eta, weight_minus, 1.0 - weight_minus
+        with np.errstate(all="ignore"):  # the same expression, every warning silenced
+            right = special.gammaincinv(a, np.minimum((qs - wm) / (wp or 1.0), 1.0))
+            left = special.gammaincinv(a, np.minimum(1.0 - qs / (wm or 1.0), 1.0))
+            want = np.where(qs >= wm, (eta * right) ** (1.0 / eta), -((eta * left) ** (1.0 / eta)))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(np.array(singles).view(np.uint64), want[::50].view(np.uint64))
 
     def test_sampler_self_consistency(self):
         law = cp.LimitLaw(3.0, 1.0)

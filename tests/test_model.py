@@ -116,6 +116,51 @@ class TestConditionalSampling:
             cp.sample_conditional(round_gauss, t, 100, rng)
 
 
+def _unfiltered_sample(model, t, n, rng):
+    """The reference for the arc filter: u on every proposal, then u > 0."""
+    rng_t, rng_u = rng.spawn(2)
+    angles = model.angular.sample(n, rng_t)
+    u_vals = model.curve.u(angles)
+    keep = u_vals > 0.0
+    angles, u_vals = angles[keep], u_vals[keep]
+    levels = 1.0 - rng_u.random(n)[keep]
+    log_w = model.radial.log_survival(t / u_vals)
+    radii = model.radial.inverse_log_survival(np.log(levels) + log_w)
+    x = radii * u_vals
+    x = np.where(x <= t, np.nextafter(t, np.inf), x)
+    w = np.exp(log_w - np.max(log_w))
+    return x, model.curve.v(angles) * radii, w / np.sum(w)
+
+
+def _von_mises_model():
+    radial = cp.build_von_mises(lambda s: 1.0 / (1.0 + 0.5 * s))
+    return cp.PolarModel(radial, cp.angular_uniform(), cp.elliptical_curve(0.3))
+
+
+#: the conftest models, two sheared lp curves and a von Mises radius
+_ARC_MODELS = {
+    "ell": "elliptical_gauss", "round": "round_gauss", "lp3": "lp3_exponential",
+    "power": "asymmetric_power_model", "singular": "singular_model",
+    "lp3s": lambda: cp.PolarModel(cp.Weibull(1.0), cp.angular_uniform(), cp.lp_curve(3.0, 0.4)),
+    "lp1.5s": lambda: cp.PolarModel(cp.Rayleigh(), cp.angular_uniform(), cp.lp_curve(1.5, -0.3)),
+    "vm": _von_mises_model,
+}
+
+
+@pytest.mark.parametrize("name", list(_ARC_MODELS))
+def test_sampler_on_the_arcs_of_u_keeps_every_bit(request, name):
+    # u is evaluated only on the arcs where it can be positive: the kept proposals,
+    # their order and every x, y and weight are those of u on all proposals
+    make = _ARC_MODELS[name]
+    model = request.getfixturevalue(make) if isinstance(make, str) else make()
+    for t in (1.5, 3.0):
+        for seed in (3, 11):
+            ws = cp.sample_conditional(model, t, 20_000, np.random.default_rng(seed))
+            want = _unfiltered_sample(model, t, 20_000, np.random.default_rng(seed))
+            for got, ref in zip((ws.x, ws.y, ws.weights), want):
+                assert np.array_equal(_bits(got), _bits(ref))
+
+
 class _CellError(Exception):
     pass
 
