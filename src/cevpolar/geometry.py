@@ -43,6 +43,8 @@ class CurveGerm:
     meets the curve and where v reaches a level.  The constructor checks them,
     reads rho = v(t0) and finds only the zeros of u and v, by a scan: with the
     germ's points, these are the oracle's breakpoints, so a kink must be one.
+    The sampler evaluates u only on the arcs between these zeros where u > 0,
+    so the scan's 1025 points must show every sign change of u.
 
     Attributes
     ----------
@@ -106,8 +108,7 @@ class CurveGerm:
         edge = self.u(hi)
         self._max_gap = {"left": 1.0 - self.u(lo), "right": 1.0 - edge}
         self.h_window_max = 1e12 if edge <= 1e-12 else 1.0 / edge - 1.0
-        # the arcs between the zeros of u where u > 0, each widened by a cell of the
-        # zero scan, so that they hold every t where the computed u(t) > 0
+        # the arcs between the zeros of u where u > 0, widened by a cell of the zero scan
         ends = [0.0, *self._zeros_u, 1.0]
         mids = u_fn(0.5 * (np.array(ends[:-1]) + ends[1:]))
         self._u_arcs = [(a - 2.0 ** -10, b + 2.0 ** -10)
@@ -119,6 +120,10 @@ class CurveGerm:
 
     def v(self, t):
         return _shaped(self._v_fn, t)
+
+    def _may_be_positive(self, t):
+        """Boolean mask of the 1-D array t: True on the arcs, where the computed u may be > 0."""
+        return np.any([(t >= lo) & (t <= hi) for lo, hi in self._u_arcs], axis=0)
 
     # -- inverse machinery ------------------------------------------------------
     def u_inverse(self, g, side):

@@ -157,11 +157,10 @@ def sample_conditional(model, t, n, rng):
     Angles are proposed from the angular law; each proposal T gets weight
     proportional to S(t / u(T)) (zero when u(T) <= 0), and the radius is
     drawn from R | R > t/u(T) by inverse transform on the survival scale.
-    Zero-weight proposals carry no information and are dropped, and u is
-    evaluated only on the curve's arcs where it can be positive: the same
-    proposals, law and values for a seed.  Each proposal array is freed at
-    its last use and the arithmetic runs in place, which keeps the peak
-    memory of a large draw low.
+    Zero-weight proposals carry no information and are dropped; u is evaluated
+    only on the arcs where it can be positive, which changes no value.  Each
+    proposal array is freed at its last use and the arithmetic runs in place,
+    which keeps the peak memory of a large draw low.
     """
     t = float(t)
     if not t > 0.0:
@@ -176,14 +175,9 @@ def sample_conditional(model, t, n, rng):
         return WeightedSample(np.empty(0), np.empty(0), np.empty(0), t)
     rng_t, rng_u = rng.spawn(2)
     angles = model.angular.sample(n, rng_t)
-    on_arcs = np.zeros(n, dtype=bool)  # the proposals where u can be positive
-    for lo, hi in model.curve._u_arcs:
-        on_arcs |= (angles >= lo) & (angles <= hi)
-    if on_arcs.all():  # u > 0 can hold anywhere: no copy
-        levels = rng_u.random(n)
-    else:  # compress is faster than a[mask] on a mask of short random runs
-        angles = angles.compress(on_arcs)
-        levels = rng_u.random(n).compress(on_arcs)
+    on_arcs = model.curve._may_be_positive(angles)  # compress beats a[mask] on short runs
+    angles = angles.compress(on_arcs)
+    levels = rng_u.random(n).compress(on_arcs)
     del on_arcs
     u_vals = model.curve.u(angles)
     keep = u_vals > 0.0
