@@ -44,7 +44,10 @@ class CurveGerm:
     reads rho = v(t0) and finds only the zeros of u and v, by a scan: with the
     germ's points, these are the oracle's breakpoints, so a kink must be one.
     The sampler evaluates u only on the arcs between these zeros where u > 0,
-    so the scan's 1025 points must show every sign change of u.
+    so the scan's 1025 points must show every sign change of u.  The sampler
+    and the oracle's band integrand take both coordinates of a point from one
+    call of the joint kernel ``uv_fn`` (t -> (u, v), with the bits of u_fn and
+    v_fn); without one (power), ``_uv`` pairs the two kernels.
 
     Attributes
     ----------
@@ -67,7 +70,7 @@ class CurveGerm:
 
     def __init__(self, kind, params, u_fn, v_fn, *, t0, kappa, delta,
                  c_minus, c_plus, lambda_v, window, v_star, t_at_vstar, gap_offset, crossing,
-                 v_level):
+                 v_level, uv_fn=None):
         if not 0.0 < t0 < 1.0:
             raise ConstructionError("t0 must be interior to (0, 1)")
         if not 0.0 < delta < kappa:
@@ -80,6 +83,7 @@ class CurveGerm:
         self.params = dict(params)
         self._u_fn = u_fn
         self._v_fn = v_fn
+        self._uv = uv_fn or (lambda t: (u_fn(t), v_fn(t)))
         self.t0 = float(t0)
         self.kappa = float(kappa)
         self.delta = float(delta)
@@ -192,9 +196,10 @@ def elliptical_curve(rho):
     def u_fn(t):
         return np.cos(_TWO_PI * (t - 0.5))
 
-    def v_fn(t):
+    def uv_fn(t):
         th = _TWO_PI * (t - 0.5)
-        return rho * np.cos(th) + sigma * np.sin(th)
+        c = np.cos(th)
+        return c, rho * c + sigma * np.sin(th)
 
     window = 0.2
     t_top = 0.5 + math.atan2(sigma, rho) / _TWO_PI
@@ -204,7 +209,7 @@ def elliptical_curve(rho):
         return [t_top - off, (t_top + off) % 1.0]
 
     return CurveGerm(
-        "elliptical", {"rho": rho}, u_fn, v_fn,
+        "elliptical", {"rho": rho}, u_fn, lambda t: uv_fn(t)[1],
         t0=0.5, kappa=2.0, delta=1.0,
         c_minus=_TWO_PI ** 2 / 2.0, c_plus=_TWO_PI ** 2 / 2.0,
         lambda_v=_TWO_PI * sigma,
@@ -214,7 +219,7 @@ def elliptical_curve(rho):
         # magnifies the rounding of rho x, so there y - rho x = (y - sign x) + (sign - rho) x
         crossing=lambda x, y: [0.5 + math.atan2((y - sign * x) + (sign - rho) * x if sigma < 1e-3
                                                 else y - rho * x, sigma * x) / _TWO_PI],
-        v_level=v_level,
+        v_level=v_level, uv_fn=uv_fn,
     )
 
 
@@ -247,22 +252,24 @@ def lp_curve(p, rho=0.0):
         c, sn = np.cos(phi), np.sin(phi)
         return -np.abs(c) ** (2.0 / p), np.sign(sn) * np.abs(sn) ** (2.0 / p)
 
-    def base_xy(t):  # each node evaluates only its own half
-        mid = (t >= 0.125) & (t <= 0.875)
-        if (k := np.count_nonzero(mid)) in (0, t.size):  # a quadrature panel: one half
-            return (visible_xy if k else hidden_xy)(t)
-        x, y = np.empty_like(t), np.empty_like(t)
-        x[mid], y[mid] = visible_xy(t[mid])
-        x[~mid], y[~mid] = hidden_xy(t[~mid])
+    def base_xy(t):  # the visible half's formula on every node, then the hidden nodes' own
+        hidden = np.flatnonzero(~((t >= 0.125) & (t <= 0.875)))
+        if hidden.size == t.size:  # a quadrature panel on the hidden arc
+            return hidden_xy(t)
+        x, y = visible_xy(t)
+        x[hidden], y[hidden] = hidden_xy(t[hidden])
         return x, y
 
     def u_fn(t):
         x, _ = base_xy(t)
         return x
 
-    def v_fn(t):
+    def uv_fn(t):
         x, y = base_xy(t)
-        return rho * x + shear * y
+        return x, rho * x + shear * y
+
+    def v_fn(t):
+        return uv_fn(t)[1]
 
     # the top of v = rho x + shear y on the unit l^p circle is the dual l^q
     # norm of (rho, shear) (Hoelder), reached at (x, y) = (sign(rho) x_top, y_top)
@@ -304,7 +311,7 @@ def lp_curve(p, rho=0.0):
         t0=0.5, kappa=p, delta=1.0,
         c_minus=speed ** p / p, c_plus=speed ** p / p, lambda_v=speed * shear,
         window=0.25, v_star=v_star, t_at_vstar=t_top, gap_offset=gap_offset, crossing=crossing,
-        v_level=v_level,
+        v_level=v_level, uv_fn=uv_fn,
     )
 
 

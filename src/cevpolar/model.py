@@ -148,7 +148,8 @@ def sample_joint(model, n, rng):
     rng_t, rng_r = rng.spawn(2)
     t = model.angular.sample(n, rng_t)
     r = model.radial.sample(n, rng_r)
-    return np.column_stack([r * model.curve.u(t), r * model.curve.v(t)])
+    u, v = model.curve._uv(t)
+    return np.column_stack([r * u, r * v])
 
 
 def sample_conditional(model, t, n, rng):
@@ -157,8 +158,9 @@ def sample_conditional(model, t, n, rng):
     Angles are proposed from the angular law; each proposal T gets weight
     proportional to S(t / u(T)) (zero when u(T) <= 0), and the radius is
     drawn from R | R > t/u(T) by inverse transform on the survival scale.
-    Zero-weight proposals carry no information and are dropped; u is evaluated
-    only on the arcs where it can be positive, which changes no value.  Each
+    Zero-weight proposals carry no information and are dropped; the curve is
+    evaluated only on the arcs where u can be positive, both coordinates of a
+    proposal by one call of its joint kernel, which changes no value.  Each
     proposal array is freed at its last use and the arithmetic runs in place,
     which keeps the peak memory of a large draw low.
     """
@@ -179,14 +181,15 @@ def sample_conditional(model, t, n, rng):
     angles = angles.compress(on_arcs)
     levels = rng_u.random(n).compress(on_arcs)
     del on_arcs
-    u_vals = model.curve.u(angles)
+    u_vals, y = model.curve._uv(angles)
+    del angles
     keep = u_vals > 0.0
     if not np.any(keep):
         raise DegenerateWeightsError(
             "no proposal fell where u > 0",
             {"threshold": t, "proposals": n},
         )
-    angles, u_vals, levels = angles[keep], u_vals[keep], levels[keep]
+    u_vals, y, levels = u_vals[keep], y[keep], levels[keep]
     del keep
     np.subtract(1.0, levels, out=levels)  # uniforms in (0, 1]
     log_w = np.asarray(model.radial.log_survival(t / u_vals), dtype=float)
@@ -203,8 +206,6 @@ def sample_conditional(model, t, n, rng):
     x = radii * u_vals
     del u_vals
     np.copyto(x, np.nextafter(t, np.inf), where=x <= t)  # guard 1-ulp roundoff
-    y = model.curve.v(angles)
-    del angles
     y *= radii
     del radii
     log_w -= top
@@ -265,8 +266,8 @@ def _band_integrand(model, x, y, above):
 
     def integrand(t, cell):
         xc, yc = x[cell], y[cell]
-        v = curve.v(t)
-        ru = _radial_level(xc, curve.u(t))
+        u, v = curve._uv(t)
+        ru = _radial_level(xc, u)
         with np.errstate(divide="ignore", invalid="ignore"):
             split = np.maximum(ru, yc / v)  # only read where v != 0
         upper = v > 0.0 if above else v < 0.0   # event: R > split

@@ -211,8 +211,8 @@ class VonMisesRadial(RadialLaw):
         return np.minimum(self._js[0] - self._j_jp(x)[0], 0.0)
 
     def _density(self, x):
-        j, jp = self._j_jp(x)
-        return jp * np.exp(np.minimum(self._js[0] - j, 0.0))
+        j, jp = self._j_jp(x)  # J' rounds below 0 where a piece's slope touches 0
+        return np.maximum(jp, 0.0) * np.exp(np.minimum(self._js[0] - j, 0.0))
 
     def _aux_psi(self, x):
         return 1.0 / np.maximum(self._j_jp(x)[1], 1e-300)

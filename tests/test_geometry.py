@@ -753,6 +753,23 @@ class TestPositiveArcs:
         assert curve._u_arcs == [(ends[0] - 2.0 ** -10, ends[1] + 2.0 ** -10)]
 
 
+class TestJointKernel:
+    """The sampler and the band integrand take u and v from ``_uv``: it must keep their bits."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(c=family_curves(), ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+    def test_uv_is_u_and_v_bit_for_bit(self, c, ts):
+        # lp's junctions and their neighbours, mixed with random nodes and alone,
+        # and arrays all on lp's hidden arc, all on its visible half, and empty
+        edges = [np.nextafter(k, d) for k in (0.125, 0.875) for d in (0.0, 1.0)] + [0.125, 0.875]
+        grid = np.linspace(0.0, 1.0, 1025)
+        visible = (grid >= 0.125) & (grid <= 0.875)
+        for t in [ts, ts + edges, edges, grid, grid[~visible], grid[visible], grid[:0]]:
+            t = np.array(t, dtype=float)
+            for got, want in zip(c._uv(t), (c.u(t), c.v(t))):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestCurveValidation:
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(["elliptical", "lp", "power"]), rho=st.floats(-0.9, 0.9),

@@ -429,6 +429,8 @@ def _steep_tables(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(table=_steep_tables())
+# slopes at 3 secants: J' of the cubic touches 0 at mid-piece and rounds to -4.3e-15 there
+@example(table=([0.0, 0.05], [0.0, 1.0], [60.0, 60.0]))
 def test_tables_within_three_secants_decrease(table):
     # such a table is accepted, and its Hermite pieces are monotone: the survival
     # never rises and the density is never negative, to rounding of J
