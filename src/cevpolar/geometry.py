@@ -257,7 +257,8 @@ def lp_curve(p, rho=0.0):
         if hidden.size == t.size:  # a quadrature panel on the hidden arc
             return hidden_xy(t)
         x, y = visible_xy(t)
-        x[hidden], y[hidden] = hidden_xy(t[hidden])
+        if hidden.size:
+            x[hidden], y[hidden] = hidden_xy(t[hidden])
         return x, y
 
     def u_fn(t):

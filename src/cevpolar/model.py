@@ -161,7 +161,7 @@ def sample_conditional(model, t, n, rng):
     Zero-weight proposals carry no information and are dropped; the curve is
     evaluated only on the arcs where u can be positive, both coordinates of a
     proposal by one call of its joint kernel, which changes no value.  Each
-    proposal array is freed at its last use and the arithmetic runs in place,
+    proposal array is freed at its last use and most arithmetic runs in place,
     which keeps the peak memory of a large draw low.
     """
     t = float(t)
@@ -206,7 +206,7 @@ def sample_conditional(model, t, n, rng):
     x = radii * u_vals
     del u_vals
     np.copyto(x, np.nextafter(t, np.inf), where=x <= t)  # guard 1-ulp roundoff
-    y *= radii
+    y = y * radii  # a new array after x; scaled in place, v's early one grew a long run's peak RSS
     del radii
     log_w -= top
     w = np.exp(log_w, out=log_w)
