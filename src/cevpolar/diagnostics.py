@@ -46,21 +46,41 @@ DEFAULT_Y_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 class EmpiricalCDF:
     """Right-continuous step function from weighted points: no NaN point, finite
-    nonnegative weights; tied points merge into one, their weights summed in input order."""
+    nonnegative weights; tied points merge into one, their weights summed in input order.
+
+    Built on one sort: a tie-free sample's run sums are its weights gathered
+    in sorted order; only a sample with ties sums its runs."""
 
     def __init__(self, points, weights):
         points = np.asarray(points, dtype=float)
         weights = np.asarray(weights, dtype=float)
         if points.ndim != 1 or points.shape != weights.shape or len(points) == 0:
             raise DomainError("empirical CDF needs nonempty 1-D points and weights of one length")
-        total = float(np.sum(weights))
+        with np.errstate(over="ignore"):  # an overflowing total is rejected just below
+            total = float(np.sum(weights))
         if not (np.min(weights) >= 0.0 and 0.0 < total < math.inf):  # NaN fails the min
             raise DomainError("empirical CDF requires finite nonnegative weights, finite total > 0")
-        # the only sort; + 0.0 joins -0.0 to 0.0, and bincount sums each run in input order
-        self.points, run = np.unique(points + 0.0, return_inverse=True)
-        if np.isnan(self.points[-1]):  # NaNs sort last
+        order = np.argsort(points)  # the only sort
+        ordered = points[order]
+        ordered += 0.0  # joins -0.0 to 0.0
+        if np.isnan(ordered[-1]):  # NaNs sort last
             raise DomainError("empirical CDF points must not be NaN")
-        self.cumulative = np.cumsum(np.bincount(run, weights / total))
+        starts = np.empty(len(ordered), dtype=bool)
+        starts[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+        if starts.all():
+            # no tie: each run is one weight, so the run sums are a gather
+            runs = weights[order]
+            runs /= total
+            runs[0] += 0.0  # a leading -0.0 weight sums to 0.0 in a run, as in bincount
+            self.points = ordered
+        else:
+            # bincount sums each run in input order
+            run = np.empty_like(order)
+            run[order] = np.cumsum(starts) - 1
+            runs = np.bincount(run, weights / total)
+            self.points = ordered[starts]
+        self.cumulative = np.cumsum(runs, out=runs)
         self.cumulative[-1] = 1.0
 
     def __call__(self, y):
@@ -73,7 +93,8 @@ class EmpiricalCDF:
 
 def empirical_conditional_cdf(sample, frame):
     """Weighted empirical CDF of the standardized second coordinate."""
-    standardized = (sample.y - frame.m_t) / frame.a_t
+    standardized = sample.y - frame.m_t
+    standardized /= frame.a_t
     return EmpiricalCDF(standardized, sample.weights)
 
 
