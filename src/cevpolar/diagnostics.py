@@ -48,8 +48,8 @@ class EmpiricalCDF:
     """Right-continuous step function from weighted points: no NaN point, finite
     nonnegative weights; tied points merge into one, their weights summed in input order.
 
-    Built on one sort: a tie-free sample's run sums are its weights gathered
-    in sorted order; only a sample with ties sums its runs."""
+    One sort builds it: a tie-free sample's run sums are a gather of its
+    weights in sorted order, and ties are still summed in input order."""
 
     def __init__(self, points, weights):
         points = np.asarray(points, dtype=float)
