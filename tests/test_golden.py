@@ -52,6 +52,10 @@ CONFIGS = {
 #: argv of each case; "{name}" stands for the path of CONFIGS[name]
 CASES = {
     "limit": ("limit", "--eta", "2", "--zeta", "1", "--grid", "-2:2:1"),
+    # a non-Gaussian, asymmetric law: its cdf's incomplete gamma runs on both sides of
+    # the power series' band (zeta/eta = 1/6, |y|**3/3 from 0 up to 9)
+    "limit-asym": ("limit", "--eta", "3", "--zeta", "0.5", "--weight-minus", "0.3",
+                   "--grid", "-3:3:0.5"),
     "simulate-joint": ("simulate", "-c", "{ell}", "--n", "2000", "--seed", "7"),
     "simulate-conditional": ("simulate", "-c", "{ell}", "--n", "2000", "--seed", "7",
                              "--threshold", "3.0"),
@@ -119,6 +123,10 @@ GOLDEN = {
         "87ad03e275878dc235e52574e42870192f5d92d83973dc0e3a58364ea98a3842",
     "independence-lp3s.json":
         "1e9f3628d480c2755febb3a1148b3879275df233b1530a3e4cc6baab297ff628",
+    "limit-asym.csv":
+        "123175f303aee234184d70736db6b81b54a572790a3ffd16bd2802914361c3a0",
+    "limit-asym.json":
+        "4111e6d1244e47b1537eccdd75813dc80c27fdb2c099f483c7a2f12c0e3c60d3",
     "limit.csv":
         "370cf0edb55574acac4153fd827f94258bd63f3519737d06d770274e31c720a6",
     "limit.json":
