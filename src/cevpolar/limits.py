@@ -36,7 +36,7 @@ def density_normalizer(eta, zeta):
     Equals 2 * eta**(zeta/eta - 1) * Gamma(zeta/eta); for zeta = 1 this is
     the familiar 2 * eta**(1/eta - 1) * Gamma(1/eta).
     """
-    from scipy import special  # here, not at the top: only limit laws and asymptotics use it
+    from scipy import special  # here, not at the top: a limit law's cdf and pdf do without it
     a = zeta / eta
     return 2.0 * eta ** (a - 1.0) * special.gamma(a)
 

@@ -53,7 +53,6 @@ import functools
 import math
 import sys
 import warnings
-from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
@@ -357,6 +356,7 @@ class _GammaPlan:
     depends on the other points of its array."""
 
     def __init__(self, a):
+        from fractions import Fraction  # here, not at the top: only a limit law's cdf needs it
         self.a = a
         top = a + _SERIES_SPAN
         # a**a e**-a / Gamma(a + 1): the series' prefactor at x = a, by Stirling's series
