@@ -397,22 +397,19 @@ class _GammaPlan:
 
     def _depth(self, x):
         """The least depth at which the continued fraction of Q at ``x`` is within
-        ``_TRUNCATION`` of its value: modified Lentz steps (Press et al.,
+        ``_TRUNCATION`` of its value: Lentz's steps (Press et al.,
         *Numerical Recipes*, 3rd ed., section 5.2) give the successive convergents;
         farther from ``a`` it converges faster, so ``x = top`` sets the depth."""
         a = self.a
-        tiny = 1e-300
         b = x + 1.0 - a
-        c, d = 1.0 / tiny, 1.0 / b
+        c, d = math.inf, 1.0 / b  # past a + 1 no denominator comes near 0
         value = d
         weight = self.scale * a * math.exp(a * math.log(x / a) + a - x)  # x**a e**-x / Gamma(a)
         for n in range(1, 100_000):
             b += 2.0
             an = -n * (n - a)
-            d = an * d + b
-            d = 1.0 / (d if abs(d) > tiny else tiny)
+            d = 1.0 / (an * d + b)
             c = b + an / c
-            c = c if abs(c) > tiny else tiny
             step = c * d
             if weight * abs(value * step - value) <= _TRUNCATION:
                 return n
