@@ -119,27 +119,253 @@ def _open_output(path):
 
 #: rows per task of the CSV writer
 _CSV_TASK = 1 << 13
-#: fewest tasks per worker at which the parallel writer beats the serial one
-#: (measured on a 2-vCPU Xeon: at two tasks in all both take the same time,
-#: at four the pool saves 20%)
-_CSV_TASKS_PER_WORKER = 2
+#: fewest tasks per worker at which the parallel writer is used: from 6 tasks
+#: on two CPUs it takes the time of the serial writer and keeps the formatter's
+#: buffers out of the main process (measured on a 2-vCPU Xeon after a
+#: 1e6-proposal `simulate`, medians of 9: pool/serial 1.01 at 6 and 8 tasks,
+#: 1.04 at 12, 0.89 at 16, 0.82 at 24; the 62 tasks of that `simulate` take
+#: 0.28 s against 0.36 s serial).  Formatting the 7 tasks of the benchmark's
+#: `vm` table in the main process instead raised the benchmark's peak RSS from
+#: 80.5 to 86.5 MB over 12 passes.
+_CSV_TASKS_PER_WORKER = 3
+
+
+_U64 = np.uint64
+_LOW32 = _U64(0xFFFFFFFF)
+_LOW63 = _U64((1 << 63) - 1)
+#: exponents k of the table of 10^-k: those of the shortest digits of a normal double
+_K_MIN, _K_MAX = -324, 292
+
+
+@functools.cache
+def _schubfach_table():
+    """For k = _K_MIN.._K_MAX, g = floor(10^-k 2^r) + 1 with r such that
+    2^125 <= g < 2^126, as rows (g1, g1's 32-bit halves, g0's 32-bit halves)
+    of g = g1 2^63 + g0 (Giulietti, "The Schubfach way to render doubles",
+    2020, section 9).  Built from Python ints on the first call, never at
+    import."""
+    rows = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        r = 125 - ((-k * 913124641741) >> 38)  # 125 - floor(log2 10^-k)
+        g = (10 ** -k << r if r >= 0 else 10 ** -k >> -r) if k <= 0 else (1 << r) // 10 ** k
+        g1, g0 = (g + 1) >> 63, (g + 1) & ((1 << 63) - 1)
+        rows.append((g1, g1 >> 32, g1 & 0xFFFFFFFF, g0 >> 32, g0 & 0xFFFFFFFF))
+    return np.array(rows, dtype=np.uint64).T.copy()
+
+
+def _mulhi(a_hi, a_lo, b_hi, b_lo):
+    """The high 64 bits of a b, for a = a_hi 2^32 + a_lo < 2^63 and
+    b = b_hi 2^32 + b_lo < 2^59 given by their 32-bit halves (uint64 arrays):
+    no partial sum overflows."""
+    mid = a_lo * b_hi
+    mid += (a_lo * b_lo) >> 32
+    high = a_hi * b_lo
+    high += mid
+    high >>= 32
+    high += a_hi * b_hi
+    return high
+
+
+def _rop(g, cp):
+    """Schubfach's rop(g cp 2^-127): the product rounded down, its last bit set
+    when inexact, computed as Java's ``DoubleToDecimal.rop`` does."""
+    g1, g1_hi, g1_lo, g0_hi, g0_lo = g
+    cp_hi, cp_lo = cp >> 32, cp & _LOW32
+    z = g1 * cp  # the low 64 bits
+    z >>= 1
+    z += _mulhi(g0_hi, g0_lo, cp_hi, cp_lo)
+    vb = _mulhi(g1_hi, g1_lo, cp_hi, cp_lo)
+    vb += z >> 63
+    vb |= (z & _LOW63) != 0
+    return vb
+
+
+def _shortest_digits(bits):
+    """(f, k) of the doubles whose bits (uint64) are given: the shortest
+    decimal f 10^k that reads back as the double, the closest to it among the
+    shortest, and of two equally close the one with even f, as
+    ``float.__repr__`` chooses.  Exact for normal doubles; any value for the
+    others.
+
+    Schubfach on whole arrays: with v = c 2^q, its three scaled bounds
+    4 v 10^-k (and the rounding interval's ends) come from ``_rop``, and a
+    decimal one digit shorter is taken when exactly one of its two neighbours
+    lies in the interval.  A tie between two neighbours needs 2 v 10^-k to be
+    an odd integer, i.e. q + 1 + tz(c) = k, which holds only for k in
+    [-24, -1]; there 10^-k 2^r is an integer, so g0 = 1, the +1 falls below
+    ``_mulhi``'s truncation and the tie is seen exactly and broken to even."""
+    biased = (bits >> 52) & _U64(0x7FF)
+    fraction = bits & _U64((1 << 52) - 1)
+    c = fraction | _U64(1 << 52)
+    q = biased.view(np.int64) - 1075
+    irregular = (fraction == 0) & (biased > 1)  # c = 2^52: the gap below v is half
+    k = q * 661971961083  # floor(log10 2^q), or floor(log10 (3/4) 2^q)
+    k -= irregular * 274743187321
+    k >>= 41
+    h = (-k * 913124641741) >> 38
+    h += q + 2
+    h = h.view(np.uint64)
+    g = _schubfach_table().take(k - _K_MIN, axis=1)
+    cb = c << _U64(2)
+    vb = _rop(g, cb << h)
+    vbl = _rop(g, (cb - _U64(2) + irregular) << h)
+    vbr = _rop(g, (cb + _U64(2)) << h)
+    odd = c & _U64(1)  # an odd c excludes the interval's ends
+    vbl += odd
+    vbr -= odd
+    s = vb >> _U64(2)
+    s4 = s << _U64(2)
+    # one digit shorter: 10 s' and 10 s' + 10, at 4 times their scale
+    u4 = s // _U64(10)
+    u4 *= _U64(40)
+    up_in = vbl <= u4
+    u4 += _U64(40)
+    shorter = up_in != (u4 <= vbr)
+    u_in, w_in = vbl <= s4, s4 + _U64(4) <= vbr
+    mid = s4 + _U64(2)
+    f = s + np.where(u_in != w_in, w_in, (vb > mid) | ((vb == mid) & (s & _U64(1) == 1)))
+    return np.where(shorter, (u4 >> _U64(2)) - np.where(up_in, _U64(10), _U64(0)), f), k
+
+
+#: a cell's slot in the float kernel's byte matrix; every part sits at a fixed
+#: column, and a cell's text is the parts its shape's mask keeps
+#:   0 '-' | 1-2 '0.' | 3-5 '000' | 6-21 digits (16) | 22 '.' | 23-39 digits (17)
+#:   | 40-44 exponent 'e+dd'/'e-ddd' | 45 ',' or '\n'
+_SLOT = np.frombuffer(b"-0.000" + b"0" * 16 + b"." + b"0" * 17 + b"e+000,", np.uint8)
+#: shapes of a cell without its sign: fixed form by (decpt, digits), decpt in
+#: [-3, 16] and 1 to 17 digits, then exponent form by (digits, exponent width)
+_FIXED_SHAPES = 20 * 17
+_SHAPES = _FIXED_SHAPES + 17 * 2
+
+
+@functools.cache
+def _float_layout():
+    """Tables of the float kernel: the ASCII of each 4-digit group (uint32),
+    the trailing zeros of each group (4 for 0), the exponent suffix of each
+    exponent from -400 to 400 (uint64) with its length, and the mask of each
+    signed shape (see ``_SLOT``)."""
+    group = np.arange(10_000)
+    ascii4 = np.stack([group // 1000, group // 100 % 10, group // 10 % 10, group % 10], axis=1)
+    ascii4 = (ascii4 + 48).astype(np.uint8).view(np.uint32).ravel()
+    zeros4 = sum(group % 10 ** i == 0 for i in range(1, 5))
+    suffixes = [f"e{x:+03d}".encode() for x in range(-400, 401)]
+    suffix = np.frombuffer(b"".join(s.ljust(8, b"0") for s in suffixes), np.uint64)
+    suffix_len = np.array([len(s) for s in suffixes])
+    shape = np.arange(2 * _SHAPES) % _SHAPES
+    fixed = shape < _FIXED_SHAPES
+    decpt = np.where(fixed, shape // 17 - 3, 0)
+    n = np.where(fixed, shape % 17, (shape - _FIXED_SHAPES) // 2) + 1
+    small = fixed & (decpt <= 0)  # 0.000ddd
+    lead = np.where(fixed, np.maximum(decpt, 0), 1)  # digits before the point
+    end = np.where(fixed & (decpt >= 1), np.maximum(n, decpt + 1), n)  # 1000.0
+    column = lambda width: np.arange(width)[None, :]
+    mask = np.concatenate([
+        (np.arange(2 * _SHAPES) >= _SHAPES)[:, None], small[:, None], small[:, None],
+        column(3) < np.where(small, -decpt, 0)[:, None],
+        column(16) < lead[:, None],
+        np.where(fixed, decpt >= 1, n > 1)[:, None],
+        (column(17) >= lead[:, None]) & (column(17) < end[:, None]),
+        column(5) < np.where(fixed, 0, 4 + (shape - _FIXED_SHAPES) % 2)[:, None],
+        np.ones((2 * _SHAPES, 1), bool)], axis=1)
+    return ascii4, zeros4, suffix, suffix_len, mask
+
+
+def _digit_groups(f):
+    """The 17 digits of each f < 10^17 (uint64) as five intp groups,
+    d | dddd | dddd | dddd | dddd, split in uint32 below 10^9."""
+    high = (f // _U64(10 ** 8)).astype(np.uint32)
+    low = (f - high * _U64(10 ** 8)).astype(np.uint32)
+    top, third = np.divmod(high, np.uint32(10 ** 4))
+    first, second = np.divmod(top, np.uint32(10 ** 4))
+    fourth, fifth = np.divmod(low, np.uint32(10 ** 4))
+    return [group.astype(np.intp) for group in (first, second, third, fourth, fifth)]
+
+
+def _float_text(columns):
+    """The rows of the equal-length float ``columns`` (arrays) as text, each
+    cell with the bytes of ``float.__repr__`` (Python's ``repr`` style 'r').
+
+    The digits are ``_shortest_digits`` (Schubfach; Adams' Ryu, PLDI 2018,
+    finds the same shortest digits).  The layout is repr's: exponent form iff
+    the decimal point position decpt <= -4 or decpt > 16, with an exponent of
+    at least two digits and no point after a single digit (``1e+16``); fixed
+    form adds '.0' to an integral value, and zeros print as 0.0 and -0.0.
+    Each cell fills a slot of ``_SLOT``'s fixed columns, one mask per shape
+    keeps its text and the separator, and one compaction gives the text.
+    NaN, ±inf and subnormals go to ``repr`` one by one: Schubfach can give a
+    subnormal a digit more than the shortest (5.9e-323 for 6e-323).
+    """
+    ascii4, zeros4, suffix, suffix_len, masks = _float_layout()
+    n_rows = len(columns[0])
+    slots = np.empty((n_rows, len(columns), len(_SLOT)), np.uint8)
+    slots[:] = _SLOT
+    slots[:, :-1, -1] = ord(",")
+    slots[:, -1, -1] = ord("\n")
+    shapes = np.empty((n_rows, len(columns)), np.intp)
+    by_repr = []
+    for j, column in enumerate(columns):
+        x = np.ascontiguousarray(column, dtype=np.float64)
+        bits = x.view(np.uint64)
+        f, k = _shortest_digits(bits)
+        zero = (bits << _U64(1)) == 0
+        biased = (bits >> _U64(52)) & _U64(0x7FF)
+        other = (biased == 0) | (biased == 0x7FF)  # zeros, subnormals, NaN, ±inf
+        f[other] = 10 ** 16
+        length = 15 + (f >= _U64(10 ** 15)) + (f >= _U64(10 ** 16))  # a normal's f >= 4.5e14
+        f *= _U64(10) ** (17 - length).astype(np.uint64)  # 17 digits, left-aligned
+        f[zero] = 0
+        groups = _digit_groups(f)
+        text = np.empty((len(x), 5), np.uint32)
+        for i, group in enumerate(groups):
+            text[:, i] = ascii4.take(group)
+        digits = text.view(np.uint8)[:, 3:]
+        slots[:, j, 6:22] = digits[:, :16]
+        slots[:, j, 23:40] = digits
+        trailing = zeros4.take(groups[2]) + (groups[2] == 0) * zeros4.take(groups[1])
+        for group in groups[3:]:
+            trailing = zeros4.take(group) + (group == 0) * trailing
+        n = 17 - trailing
+        decpt = k + length
+        n[zero] = decpt[zero] = 1
+        exponent = (decpt <= -4) | (decpt > 16)
+        index = np.where(exponent, decpt + 399, 400)  # of decpt - 1 in the suffix tables
+        slots[:, j, 40:45] = suffix.take(index).view(np.uint8).reshape(-1, 8)[:, :5]
+        shape = np.where(exponent, _FIXED_SHAPES + 2 * n + suffix_len.take(index) - 6,
+                         17 * decpt + n + 50)
+        shapes[:, j] = shape + (bits >> _U64(63)).astype(np.intp) * _SHAPES
+        by_repr.extend((i, j, x[i]) for i in np.flatnonzero(other & ~zero).tolist())
+    mask = masks.take(shapes, axis=0)
+    for i, j, value in by_repr:
+        text = np.frombuffer(repr(float(value)).encode(), np.uint8)
+        mask[i, j, :-1] = False
+        mask[i, j, 6:6 + len(text)] = True
+        slots[i, j, 6:6 + len(text)] = text
+    return np.compress(mask.ravel(), slots.ravel()).tobytes().decode("ascii")
+
+
+def _is_float_block(block):
+    """Whether the kernel formats the column: float64 and narrower floats."""
+    return block.dtype.kind == "f" and block.dtype.itemsize <= 8
 
 
 def _csv_block(block):
-    """The cells of a column (a list or an array): a float column as the repr
-    of each float, which reads back bit for bit, any other column as the str
-    of each entry."""
-    block = np.asarray(block)
-    if block.dtype.kind == "f":
-        # the repr of a list of floats holds float.__repr__ of each, made in C
-        return repr(block.tolist())[1:-1].split(", ")
+    """The cells of a column (an array): a float column as the repr of each
+    float, which reads back bit for bit, made by ``_float_text``, any other
+    column as the str of each entry."""
+    if _is_float_block(block):
+        return _float_text([block]).split("\n")[:-1]
     return list(map(str, block.tolist()))
 
 
 def _csv_text(columns):
     """One task of the writer: the rows of the equal-length, nonempty
-    ``columns`` (lists or arrays) as text, the one formatter of every CSV row."""
-    cells = [_csv_block(column) for column in columns]
+    ``columns`` (lists or arrays) as text, the one formatter of every CSV row.
+    Rows of float columns only come from ``_float_text`` whole; a table with
+    other columns joins the cells of ``_csv_block``."""
+    blocks = [np.asarray(column) for column in columns]
+    if all(map(_is_float_block, blocks)):
+        return _float_text(blocks)
+    cells = [_csv_block(block) for block in blocks]
     return "\n".join(map(",".join, zip(*cells))) + "\n"
 
 

@@ -708,6 +708,30 @@ def test_limit_loads_no_scipy_module(tmp_path):
     assert _deferred_imports(_run_in_fresh_interpreter(argv)) == []
 
 
+def _float_tables_built(argvs):
+    """How many of the CSV float kernel's cached tables a fresh interpreter holds
+    after importing the CLI and running each command of ``argvs``."""
+    src = str(Path(cp.__file__).resolve().parents[1])
+    script = ("from cevpolar import cli\n"
+              + "".join(f"assert cli.run({argv!r}) == 0\n" for argv in argvs)
+              + "print(cli._schubfach_table.cache_info().currsize,"
+                " cli._float_layout.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_json_commands_build_no_float_tables(model_config, tmp_path):
+    # the power-of-ten table and the layout tables are built on the first CSV float
+    # cell, never at import: JSON artifacts never build them
+    limit = ["limit", "--eta", "3", "--zeta", "0.5", "--grid", "-3:3:0.5", "--format", "json"]
+    verify = ["verify", "-c", str(model_config), "--levels", "0.99", "--n", "2000",
+              "--seed", "3", "--format", "json", "-o", str(tmp_path / "verify.json")]
+    assert _float_tables_built([limit + ["-o", str(tmp_path / "limit.json")], verify]) == ["0", "0"]
+    assert _float_tables_built([limit[:-2] + ["-o", str(tmp_path / "limit.csv")]]) == ["1", "1"]
+
+
 def test_von_mises_build_loads_no_scipy_module():
     # QAGS's first step is numerics._qk21, and every panel of this table passes its
     # test; "scipy" itself is watched, so no scipy module at all is loaded

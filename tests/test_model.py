@@ -6,13 +6,14 @@ import os
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chi2, norm
 
 import cevpolar as cp
-from cevpolar.cli import _CSV_TASK, _CSV_TASKS_PER_WORKER, _csv_text, _write_csv
+from cevpolar.cli import (_CSV_TASK, _CSV_TASKS_PER_WORKER, _K_MIN, _csv_text,
+                          _schubfach_table, _write_csv)
 from cevpolar.numerics import integrate_with_breakpoints
 
 
@@ -202,6 +203,25 @@ _SERIAL_MOST = (2 * _CSV_TASKS_PER_WORKER - 1) * _CSV_TASK
 _TASK_EDGE = 2 * _CSV_TASKS_PER_WORKER * _CSV_TASK
 
 
+#: floats whose repr the float kernel could get wrong: a tie between two 16-digit
+#: decimals (..809.2 and ..809.3) and its neighbours, subnormals (Schubfach gives
+#: 5.9e-323 for 6e-323), the last subnormal and the first normal, both edges of each
+#: layout (exponent form iff the point position is <= -4 or > 16), powers of ten
+#: above 2**53, signed zeros and the non-finite values
+_REPR_EXAMPLES = [
+    771255081517809.25, math.nextafter(771255081517809.25, 0.0),
+    math.nextafter(771255081517809.25, math.inf), 6e-323, 5e-324,
+    2.2250738585072014e-308, math.nextafter(2.2250738585072014e-308, 0.0), 0.0001, 1e-05,
+    9999999999999998.0, 1e16, 1e22, 1e23, float(2 ** 53), -0.0, 0.0, math.nan, math.inf,
+    -math.inf, 1.7976931348623157e308]
+
+
+def _bits_table(values):
+    """Three columns of float bit patterns holding each value in turn."""
+    bits = [np.float64(v).view(np.uint64).item() for v in values]
+    return [bits, bits[::-1], bits[1:] + bits[:1]]
+
+
 class TestCsvWriter:
     def test_float_cells_are_their_repr_and_others_their_str(self, tmp_path):
         n = 65_537  # one row past a task boundary
@@ -228,6 +248,36 @@ class TestCsvWriter:
         back = np.array([float(row[0]) for row in rows])
         assert np.array_equal(back.view(np.int64), floats.view(np.int64))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40),
+                    min_size=1, max_size=3).map(lambda cols: [c[:min(map(len, cols))]
+                                                               for c in cols]))
+    @example(_bits_table(_REPR_EXAMPLES))
+    @example(_bits_table(-v for v in _REPR_EXAMPLES))
+    def test_float_rows_are_the_repr_of_each_float(self, bits):
+        # raw bit patterns draw every exponent, NaNs and subnormals among them
+        columns = [np.array(c, dtype=np.uint64).view(np.float64) for c in bits]
+        want = "".join(",".join(map(repr, row)) + "\n" for row in zip(*(c.tolist()
+                                                                          for c in columns)))
+        assert _csv_text(columns) == want
+
+    def test_ties_only_where_the_power_of_ten_is_exact(self):
+        # the kernel has no tie fallback: 2 v 10^-k is an odd integer (v = c 2^q halfway
+        # between two decimals at 10^k) iff q + 1 + tz(c) = k, and at every such k the
+        # table's g is 10^-k 2^r + 1 with g0 = 1, which _rop's truncation drops
+        g0_hi, g0_lo = _schubfach_table()[3:]
+        tie_ks = set()
+        for biased in range(1, 2047):
+            q = biased - 1075
+            for tz in range(53):
+                irregular = tz == 52 and biased > 1
+                k = (q * 661971961083 - irregular * 274743187321) >> 41
+                if q + 1 + tz == k:
+                    tie_ks.add(k)
+        assert tie_ks == set(range(-24, 0))
+        rows = [k - _K_MIN for k in sorted(tie_ks)]
+        assert (g0_hi[rows] == 0).all() and (g0_lo[rows] == 1).all()
+
     @pytest.mark.parametrize("n", [0, 1, _SERIAL_MOST - 1, _SERIAL_MOST, _SERIAL_MOST + 1,
                                    _TASK_EDGE - 1, _TASK_EDGE, _TASK_EDGE + 1])
     def test_bytes_equal_csv_rows_of_the_table(self, tmp_path, monkeypatch, n):
@@ -240,7 +290,9 @@ class TestCsvWriter:
         assert started == ([(2,)] if n > _SERIAL_MOST else [])
         assert not multiprocessing.active_children()
 
-    @pytest.mark.parametrize("cpus, tasks, workers", [(8, 3, 0), (8, 5, 2), (3, 9, 3)])
+    @pytest.mark.parametrize("cpus, tasks, workers", [
+        (8, 2 * _CSV_TASKS_PER_WORKER - 1, 0), (8, 2 * _CSV_TASKS_PER_WORKER + 1, 2),
+        (3, 4 * _CSV_TASKS_PER_WORKER + 1, 3)])
     def test_workers_are_capped_by_cpus_and_tasks(self, tmp_path, monkeypatch, cpus, tasks,
                                                   workers):
         started = _cpus(monkeypatch, cpus)
