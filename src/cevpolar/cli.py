@@ -122,11 +122,11 @@ _CSV_TASK = 1 << 13
 #: fewest tasks per worker at which the parallel writer is used: from 6 tasks
 #: on two CPUs it takes the time of the serial writer and keeps the formatter's
 #: buffers out of the main process (measured on a 2-vCPU Xeon after a
-#: 1e6-proposal `simulate`, medians of 9: pool/serial 1.01 at 6 and 8 tasks,
-#: 1.04 at 12, 0.89 at 16, 0.82 at 24; the 62 tasks of that `simulate` take
-#: 0.28 s against 0.36 s serial).  Formatting the 7 tasks of the benchmark's
-#: `vm` table in the main process instead raised the benchmark's peak RSS from
-#: 80.5 to 86.5 MB over 12 passes.
+#: 1e6-proposal `simulate`, medians of 9 in two runs: pool/serial 1.00-1.06 at
+#: 6 and 8 tasks, 0.82-1.04 at 12, 0.86-0.89 at 16, 0.78-0.82 at 24; the 62
+#: tasks of that `simulate` take 0.28 s against 0.36 s serial).  Formatting the
+#: 7 tasks of the benchmark's `vm` table in the main process instead raised the
+#: peak RSS of 12-15 benchmark passes from 80.5-80.7 to 82.7-86.5 MB.
 _CSV_TASKS_PER_WORKER = 3
 
 
@@ -330,8 +330,8 @@ def _float_text(columns):
         exponent = (decpt <= -4) | (decpt > 16)
         index = np.where(exponent, decpt + 399, 400)  # of decpt - 1 in the suffix tables
         slots[:, j, 40:45] = suffix.take(index).view(np.uint8).reshape(-1, 8)[:, :5]
-        shape = np.where(exponent, _FIXED_SHAPES + 2 * n + suffix_len.take(index) - 6,
-                         17 * decpt + n + 50)
+        shape = np.where(exponent, _FIXED_SHAPES + 2 * (n - 1) + (suffix_len.take(index) - 4),
+                         17 * (decpt + 3) + n - 1)
         shapes[:, j] = shape + (bits >> _U64(63)).astype(np.intp) * _SHAPES
         by_repr.extend((i, j, x[i]) for i in np.flatnonzero(other & ~zero).tolist())
     mask = masks.take(shapes, axis=0)
@@ -343,16 +343,11 @@ def _float_text(columns):
     return np.compress(mask.ravel(), slots.ravel()).tobytes().decode("ascii")
 
 
-def _is_float_block(block):
-    """Whether the kernel formats the column: float64 and narrower floats."""
-    return block.dtype.kind == "f" and block.dtype.itemsize <= 8
-
-
 def _csv_block(block):
     """The cells of a column (an array): a float column as the repr of each
     float, which reads back bit for bit, made by ``_float_text``, any other
     column as the str of each entry."""
-    if _is_float_block(block):
+    if block.dtype.kind == "f":
         return _float_text([block]).split("\n")[:-1]
     return list(map(str, block.tolist()))
 
@@ -363,7 +358,7 @@ def _csv_text(columns):
     Rows of float columns only come from ``_float_text`` whole; a table with
     other columns joins the cells of ``_csv_block``."""
     blocks = [np.asarray(column) for column in columns]
-    if all(map(_is_float_block, blocks)):
+    if all(block.dtype.kind == "f" for block in blocks):
         return _float_text(blocks)
     cells = [_csv_block(block) for block in blocks]
     return "\n".join(map(",".join, zip(*cells))) + "\n"
