@@ -285,11 +285,13 @@ def _float_text(columns):
     """The rows of the equal-length float ``columns`` (arrays) as text, each
     cell with the bytes of ``float.__repr__`` (Python's ``repr`` style 'r').
 
-    The digits are ``_shortest_digits`` (Schubfach; Adams' Ryu, PLDI 2018,
-    finds the same shortest digits).  The layout is repr's: exponent form iff
-    the decimal point position decpt <= -4 or decpt > 16, with an exponent of
-    at least two digits and no point after a single digit (``1e+16``); fixed
-    form adds '.0' to an integral value, and zeros print as 0.0 and -0.0.
+    The digits are ``_shortest_digits`` (Giulietti's Schubfach, 2020; Adams'
+    Ryu, PLDI 2018, finds the same shortest digits), with a tie between two
+    shortest decimals broken to the even one as repr does.  The layout is
+    repr's: exponent form iff the decimal point position decpt <= -4 or
+    decpt > 16, with an exponent of at least two digits and no point after a
+    single digit (``1e+16``); fixed form adds '.0' to an integral value, and
+    zeros print as 0.0 and -0.0.
     Each cell fills a slot of ``_SLOT``'s fixed columns, one mask per shape
     keeps its text and the separator, and one compaction gives the text.
     NaN, ±inf and subnormals go to ``repr`` one by one: Schubfach can give a
