@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import (convergence_sweep, independence_condition_check,
                           joint_exceedance_decay, oracle_quantiles)
-from .errors import CevError, ConfigError, NumericError
+from .errors import CevError, ConfigError, DomainError, NumericError
 from .geometry import curve_from_dict
 from .limits import (ConditionalFrame, LimitLaw, second_order_conditional,
                      survival_x_asymptotic)
@@ -559,6 +559,8 @@ def _cmd_tail(args, model, meta):
     for x in grid:
         asym.append(survival_x_asymptotic(model, x))
         exact.append(survival_x_oracle(model, x))
+        if exact[-1] == 0.0:  # the ratio would be 0/0
+            raise DomainError(f"P(X > x) underflows to 0 at x = {x!r}")
     return (("x", "asymptotic", "oracle", "ratio"),
             [grid, asym, exact, [a / e for a, e in zip(asym, exact)]])
 

@@ -91,9 +91,11 @@ class LimitLaw:
 
     def _pdf(self, y):
         coeff = self.eta ** (1.0 - self._a) / math.gamma(self._a)
+        weight = np.where(y >= 0.0, self.weight_plus, self.weight_minus)
         with np.errstate(divide="ignore"):
             base = np.exp(-np.abs(y) ** self.eta / self.eta) * np.abs(y) ** (self.zeta - 1.0)
-        return coeff * np.where(y >= 0.0, self.weight_plus, self.weight_minus) * base
+        # a side without mass has density 0, also at y = 0, where base is inf for zeta < 1
+        return coeff * weight * np.where(weight > 0.0, base, 0.0)
 
     def _quantile(self, q):
         from scipy import special  # here, not at the top

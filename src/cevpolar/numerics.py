@@ -28,15 +28,13 @@ method is scipy's C ``brentq`` written out in Python (Brent 1973,
 *Algorithms for Minimization without Derivatives*, ch. 4), root for root
 the same bits, so no path of the package imports ``scipy.optimize``.
 
-The tabulated laws are built and evaluated here with numpy alone, each value
-with the bits scipy gave it.  A law built from a function integrates it by
-:func:`_quadpack`, QUADPACK's QAGS (Piessens et al. 1983): its first step,
-the QK21 rule on the whole interval (:func:`_qk21`), is written out in
-Python, and only an interval whose first panel misses QAGS's test imports
-``scipy.integrate`` for QAGS's bisection.  Every table is a cubic Hermite
-spline (:class:`_Hermite`), built and evaluated as scipy's
-``CubicHermiteSpline`` and ``PchipInterpolator`` are, so no path of the
-package imports ``scipy.interpolate``.
+The tabulated laws are built and evaluated here with numpy alone, so no path
+imports ``scipy.integrate`` or ``scipy.interpolate``.  A law built from a
+function integrates it by :func:`_quadpack`, QUADPACK's QAGS (Piessens et
+al. 1983) without its extrapolation: QK21 on the whole interval (:func:`_qk21`,
+QAGS's bits), then bisection of the panel with the largest error estimate,
+within 200 panels.  Every table is a cubic Hermite spline (:class:`_Hermite`),
+built and evaluated as scipy's ``CubicHermiteSpline`` and ``PchipInterpolator``.
 
 A limit law's cdf takes the regularized incomplete gamma function from
 :func:`_gammainc`: the power series below a + 8 and the continued fraction of
@@ -52,7 +50,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import warnings
 from itertools import accumulate
 
 import numpy as np
@@ -99,32 +96,35 @@ _EDGE_GAP = math.sqrt(sys.float_info.min)
 #: rho = 0 and delta >= 2) takes about three per halving, up to 110 on a scan cell
 _BRENT_STEPS = 200
 
+#: QAGS's panel budget (its ``limit``): an interval off its tolerance in this many panels fails
+_QAGS_PANELS = 200
+
 
 def _quadpack(fn, lo, hi, *, epsrel):
-    """Integral of the scalar function ``fn`` on [lo, hi] by QUADPACK (QAGS).
+    """Integral of the scalar function ``fn`` on [lo, hi] by QUADPACK's QAGS
+    without its extrapolation (Piessens et al. 1983).
 
-    QAGS's first step is :func:`_qk21` on the whole interval, and its value is
-    QAGS's whenever QAGS's own test accepts it (the error estimate within
-    ``epsrel`` of the value and not the whole spread of ``fn``, or zero), as
-    on every panel of ``build_von_mises(lambda s: 1 / (1 + s / 2))``, whose
-    panels span half the scale of ``psi``.  Only an interval whose first
-    panel misses that test goes on to QAGS's bisection and extrapolation,
-    ``scipy.integrate.quad`` (imported there), which computes the value anew.
-    Raises :class:`ConstructionError`, naming the interval, when the error
-    estimate exceeds ``epsrel`` times the value.  QUADPACK's warnings are
-    silenced: a roundoff warning on a panel already far below the target is
-    not a failure.
+    The first step, :func:`_qk21` on the whole interval, keeps QAGS's bits
+    wherever QAGS's own test accepts it: the error estimate within ``epsrel``
+    of the value and not the whole spread of ``fn``, or zero.  Else the panel
+    with the largest error estimate is bisected until the summed error
+    estimate is within ``epsrel`` of the summed value or there are
+    ``_QAGS_PANELS`` panels; without Wynn's epsilon table an edge singularity
+    takes more panels than in QAGS.  An error estimate still above ``epsrel``
+    times the value raises :class:`ConstructionError` naming the interval.
     """
     if hi <= lo:
         return 0.0
     value, abserr, resasc = _qk21(fn, lo, hi)
-    # an infinite or nan value takes QAGS's path too, where C's min and max decide
     if not (math.isfinite(value)
             and ((abserr <= epsrel * abs(value) and abserr != resasc) or abserr == 0.0)):
-        from scipy import integrate  # here, not at the top: only QAGS's bisection needs it
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            value, abserr = integrate.quad(fn, lo, hi, epsabs=0.0, epsrel=epsrel, limit=200)
+        panels = [(abserr, value, lo, hi)]  # a value that is not finite is returned as it is
+        while abserr > epsrel * abs(value) and len(panels) < _QAGS_PANELS:
+            _, _, a, b = panels.pop(max(range(len(panels)), key=lambda i: panels[i][0]))
+            for a, b in ((a, 0.5 * (a + b)), (0.5 * (a + b), b)):
+                half, err, _ = _qk21(fn, a, b)
+                panels.append((err, half, a, b))
+            value, abserr = math.fsum(p[1] for p in panels), math.fsum(p[0] for p in panels)
     if abserr > epsrel * abs(value):
         raise ConstructionError(f"the integral on [{lo!r}, {hi!r}] misses its tolerance"
                                 f" {epsrel:.0e}: value {value:.6e}, error estimate {abserr:.3e}")
@@ -656,9 +656,8 @@ def integrate_with_breakpoints(fn, lo, hi, breakpoints=(), *, abs_scale=None,
     subdivision points.
 
     This is the one-cell call of ``_integrate_cells``, the loop of rounds
-    that integrates many cells together, each to the bits it has alone (each
-    cell gets its own weight products, as a BLAS product's value for a row
-    depends on how many rows share the call).  A panel is accepted once its |K21 - G10| is at most
+    that integrates many cells together, each to the bits it has alone.  A
+    panel is accepted once its |K21 - G10| is at most
     ``max(1e-10 * |K21|, abs_scale * 1e-13)``; the others are bisected and
     all open panels are evaluated together.  ``singular_points`` lists the
     integrable endpoint singularities ``|t - c|**tau`` as pairs ``(c, tau)``,

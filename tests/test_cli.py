@@ -324,6 +324,10 @@ BAD_INPUTS = {
                                                  "--t-grid", "300:301:1")),
     "independence-underflowing-last-product": (_ELL, ("independence", "-c", "{config}",
                                                       "--t-grid", "2:300:298")),
+    # a Rayleigh radius: P(X > x) underflows to 0 at x = 38.5, and its ratio would be nan
+    "tail-underflowing-oracle": (_ELL, ("tail", "-c", "{config}", "--x-grid", "38.4:38.6:0.05")),
+    "tail-underflowing-oracle-json": (_ELL, ("tail", "-c", "{config}", "--x-grid",
+                                             "38.4:38.6:0.05", "--format", "json")),
     "limit-nan-weight": (None, ("limit", "--eta", "2", "--zeta", "1", "--grid", "0:1:1",
                                 "--weight-minus", "nan")),
     "simulate-nan-threshold": (_ELL, _SIMULATE + ("--threshold", "nan")),
@@ -651,9 +655,10 @@ def test_benchmark_self_test_passes():
     assert proc.stdout.splitlines()[-1] == "self-test passed"
 
 
-#: the scipy modules a command loads where it uses them: special with the asymptotics,
-#: a mixture or a limit law's quantile, integrate only where a law built from a density
-#: has a panel that needs QAGS's bisection; no path loads scipy.optimize or
+#: the scipy modules watched in a fresh interpreter: special, which the asymptotics, a
+#: mixture and a limit law's quantile import where they use it, and integrate, which no
+#: path loads (every integral is the package's own QK21, bisected where QK21 alone does
+#: not settle it), so any return of it fails; no path loads scipy.optimize or
 #: scipy.interpolate (the tables are the package's own Hermite splines), a limit law's
 #: cdf is the package's own incomplete gamma function, and start-up loads none of them
 _DEFERRED_SCIPY = ("scipy.special", "scipy.integrate")
@@ -737,6 +742,15 @@ def test_von_mises_build_loads_no_scipy_module():
     # test; "scipy" itself is watched, so no scipy module at all is loaded
     code = "import cevpolar as cp\ncp.build_von_mises(lambda s: 1.0 / (1.0 + 0.5 * s))"
     assert _deferred_imports(code) == []
+
+
+def test_decompose_loads_no_scipy_module(tmp_path):
+    # 48 of this law's radial integrals miss QK21's first-step test and are bisected
+    # by numerics._quadpack itself (tests/test_quadrature.py::TestQuadpack)
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps(_DEC))
+    argv = ["decompose", "-c", str(path), "-o", str(tmp_path / "dec.csv")]
+    assert _deferred_imports(_run_in_fresh_interpreter(argv)) == []
 
 
 def _tabulated_config(name):

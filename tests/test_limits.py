@@ -49,6 +49,19 @@ class TestLimitLawCdf:
             num = (law.cdf(y + h) - law.cdf(y - h)) / (2.0 * h)
             assert num == pytest.approx(law.pdf(y), rel=1e-6)
 
+    @pytest.mark.parametrize("weight_minus", [0.0, 1.0])
+    @pytest.mark.parametrize("y", [-0.0, 0.0, 5e-324, -5e-324])
+    def test_a_side_without_mass_has_density_zero(self, weight_minus, y):
+        # zeta < 1: the density at 0 is infinite on a side with mass, and 0, not
+        # 0 * inf, on a side without
+        law = cp.LimitLaw(2.0, 0.5, weight_minus=weight_minus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = law.pdf(y)
+        assert not math.isnan(value)
+        if (y >= 0.0) == (weight_minus == 1.0):  # y lies on the side without mass
+            assert value == 0.0
+
     def test_bounds_and_monotonicity(self):
         law = cp.LimitLaw(3.0, 0.5, weight_minus=0.3)
         ys = np.linspace(-3.5, 3.5, 301)

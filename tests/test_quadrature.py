@@ -38,6 +38,24 @@ def _counted_refine_zeros(monkeypatch):
     return calls
 
 
+def _scipy_imports(submodule):
+    """(file, name) of every import of ``scipy.<submodule>`` in the package's
+    modules, at any depth of the file."""
+    found = []
+    for path in sorted(Path(cp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""  # None in a relative import
+                names = [module, *(f"{module}.{alias.name}" for alias in node.names)]
+            else:
+                continue
+            found += [(path.name, name) for name in names
+                      if name.split(".")[:2] == ["scipy", submodule]]
+    return found
+
+
 class TestRule:
     def test_kronrod_exact_to_degree_31_gauss_to_19(self):
         lo, hi = np.array([-1.0]), np.array([1.0])
@@ -301,24 +319,20 @@ class TestBisectMonotone:
     def test_brent_loop_lives_only_in_numerics(self):
         """Brent's method is written out once, in numerics, and no module of
         the package imports scipy.optimize."""
-        loops, optimize_imports = set(), []
+        loops = set()
         for path in sorted(Path(cp.__file__).parent.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.FunctionDef) and any(
                         isinstance(inner, ast.Name) and inner.id == "_BRENT_STEPS"
                         for inner in ast.walk(node)):
                     loops.add((path.name, node.name))
-                if isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    module = node.module or ""  # None in a relative import
-                    names = [module, *(f"{module}.{alias.name}" for alias in node.names)]
-                else:
-                    continue
-                optimize_imports += [(path.name, name) for name in names
-                                     if name.split(".")[:2] == ["scipy", "optimize"]]
         assert loops == {("numerics.py", "_brent")}
-        assert optimize_imports == []
+        assert _scipy_imports("optimize") == []
+
+    def test_no_module_imports_scipy_integrate(self):
+        """Every integral is the package's own: the oracle's rounds and
+        ``_quadpack``'s QK21 with its bisection."""
+        assert _scipy_imports("integrate") == []
 
     def test_one_function_holds_the_round_loop(self):
         """Only one function of the package loops over the _MAX_DEPTH rounds
@@ -373,8 +387,9 @@ class TestBisectMonotone:
 
 
 def _qags(fn, lo, hi, *, epsrel):
-    """``numerics._quadpack`` as it was on scipy alone: QAGS on every interval,
-    then the same check of its error estimate."""
+    """QUADPACK's QAGS by ``scipy.integrate.quad`` on every interval, then
+    ``numerics._quadpack``'s check of its error estimate: the reference that
+    ``_quadpack``'s first step keeps the bits of."""
     if hi <= lo:
         return 0.0
     with warnings.catch_warnings():
@@ -402,10 +417,11 @@ def _first_step_passes(fn, lo, hi, epsrel):
 
 
 class TestQuadpack:
-    def test_law_builders_get_qags_bit_for_bit(self, monkeypatch):
+    def test_law_builders_keep_qags_first_step_bits(self, monkeypatch):
         """Every call of build_von_mises and of a decomposed law's radial table
-        returns QAGS's bits, or fails as QAGS's check failed; the von Mises
-        calls all stop at QK21, and some of the decomposed ones go on."""
+        that QK21 settles returns QAGS's bits; the von Mises calls all stop
+        there.  Some decomposed calls go on to the bisection, and each of
+        those ends within 1e-15 of QAGS's extrapolated value."""
         calls = []
 
         def recorded(fn, lo, hi, *, epsrel):
@@ -417,14 +433,21 @@ class TestQuadpack:
         built = len(calls)
         cp.decompose_density(cp.standard_normal_profile, cp.elliptical_curve(0.3))
         assert built == 1502 and len(calls) > built
-        for fn, lo, hi, epsrel in calls:
-            assert (_outcome(numerics._quadpack, fn, lo, hi, epsrel)
-                    == _outcome(_qags, fn, lo, hi, epsrel)), (lo, hi, epsrel)
         assert all(_first_step_passes(*call) for call in calls[:built])
+        bisected = 0
+        for fn, lo, hi, epsrel in calls:
+            if _first_step_passes(fn, lo, hi, epsrel):
+                assert (_outcome(numerics._quadpack, fn, lo, hi, epsrel)
+                        == _outcome(_qags, fn, lo, hi, epsrel)), (lo, hi, epsrel)
+            else:
+                bisected += 1
+                qags = _qags(fn, lo, hi, epsrel=epsrel)
+                value = numerics._quadpack(fn, lo, hi, epsrel=epsrel)
+                assert abs(value - qags) <= 1e-15 * abs(qags), (lo, hi, epsrel)
+        assert bisected > 0
         for fn, lo, hi, epsrel in calls[:built]:  # QK21 is QAGS's first step, error estimate too
             assert numerics._qk21(fn, lo, hi)[:2] == integrate.quad(
                 fn, lo, hi, epsabs=0.0, epsrel=epsrel, limit=200)
-        assert not all(_first_step_passes(*call) for call in calls[built:])
 
     @pytest.mark.parametrize("fn,lo,hi", [
         (lambda x: 1.0 / (1e-6 + x * x), -1.0, 2.0),
@@ -434,9 +457,10 @@ class TestQuadpack:
         # an error estimate within the tolerance, but as large as the spread of fn
         (lambda x: 1.0 + 1e-9 * math.sin(1e4 * x), 0.0, 1.0),
     ], ids=["peak", "sqrt-edge", "log-edge", "wide-gaussian", "ripple"])
-    def test_a_first_panel_that_misses_goes_on_to_qags(self, fn, lo, hi):
+    def test_a_first_panel_that_misses_is_bisected_to_qags_value(self, fn, lo, hi):
         assert not _first_step_passes(fn, lo, hi, 1e-7)
-        assert _outcome(numerics._quadpack, fn, lo, hi, 1e-7) == _outcome(_qags, fn, lo, hi, 1e-7)
+        qags = _qags(fn, lo, hi, epsrel=1e-7)
+        assert abs(numerics._quadpack(fn, lo, hi, epsrel=1e-7) - qags) <= 1e-7 * abs(qags)
 
     @pytest.mark.parametrize("hi", [4.0, 10.0, 12.0])
     def test_a_first_panel_that_passes_is_qags_first_step(self, hi):
@@ -450,11 +474,13 @@ class TestQuadpack:
     @given(kind=st.sampled_from(["poly", "exp", "sine", "ripple", "peak", "sqrt", "log"]),
            lo=st.floats(-50.0, 50.0), width=st.floats(1e-9, 100.0), k=st.floats(0.01, 30.0),
            epsrel=st.sampled_from([1e-12, 1e-10, 1e-7]), raises=st.booleans())
-    def test_random_integrands_get_qags_bit_for_bit(self, kind, lo, width, k, epsrel, raises):
+    def test_random_integrands_keep_qags_first_step_bits(self, kind, lo, width, k, epsrel,
+                                                          raises):
         """Smooth integrands stop at QK21, with QAGS's value and error estimate; a
         ripple that QK21 does not resolve (its error estimate is its whole
-        spread), a peak and an edge singularity go on to QAGS's bisection; an
-        error of fn at the centre node, its first call, passes unchanged."""
+        spread), a peak and an edge singularity go on to the bisection, which
+        returns a value or fails its check; an error of fn at the centre node,
+        its first call, passes unchanged."""
         hi = lo + width
         mid = lo + 0.5 * width
         integrand = {
@@ -478,12 +504,14 @@ class TestQuadpack:
                 with pytest.raises(ValueError) as info:
                     quadpack(fn, lo, hi, epsrel=epsrel)
                 assert info.value is error
-        else:
+        elif _first_step_passes(fn, lo, hi, epsrel):
             assert _outcome(numerics._quadpack, fn, lo, hi, epsrel) == _outcome(
                 _qags, fn, lo, hi, epsrel)
-            if kind in ("poly", "exp", "sine") and _first_step_passes(fn, lo, hi, epsrel):
+            if kind in ("poly", "exp", "sine"):
                 assert numerics._qk21(fn, lo, hi)[:2] == integrate.quad(
                     fn, lo, hi, epsabs=0.0, epsrel=epsrel, limit=200)
+        else:  # a value, a failed check or an error of fn (a node on a log's edge)
+            _outcome(numerics._quadpack, fn, lo, hi, epsrel)
 
 
 def _counted_panels(monkeypatch):
